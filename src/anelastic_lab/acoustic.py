@@ -239,10 +239,6 @@ class SpectralWaveSolution:
         """Analytic d/dt grad Phi = -(1/eps) grad sigma."""
         return -radial_gradient(self.sigma(t), self.op.grid, parity="even") / self.eps
 
-    def dt_sigma(self, t: float) -> np.ndarray:
-        """Analytic d/dt sigma = (1/eps) A Phi."""
-        return self.op.reconstruct(self.op.evals * self.phi_coeffs(t)) / self.eps
-
     def div_rho_grad_phi(self, t: float) -> np.ndarray:
         """div(rho0 grad Phi) = -(rho0/p'(rho0)) A Phi, spectrally exact."""
         a_phi = self.op.reconstruct(self.op.evals * self.phi_coeffs(t))

@@ -25,7 +25,6 @@ from .grids import CFLError, Grid
 from .helmholtz import (
     DEFAULT_TOL,
     CartesianWeightedLaplacian,
-    RadialWeightedLaplacian,
     StaggeredVector,
     centers_to_faces,
     project_radial_faces,
@@ -280,11 +279,9 @@ def run_anelastic(
 def _div_defect(state: AnelasticState, prof: StaticProfile, grid: Grid) -> float:
     """|| div(rho0 V) ||_2 relative to || rho0 V ||_2 (zero-velocity safe)."""
     if grid.radial:
-        op = RadialWeightedLaplacian(grid, prof.face_rho0)
         flux = grid.face_areas * prof.face_rho0 * state.velocity
         div = np.diff(flux) / grid.weights
         scale = float(np.sqrt(np.sum((prof.face_rho0 * state.velocity) ** 2)))
-        del op
     else:
         op = CartesianWeightedLaplacian(grid, prof.rho0)
         rho_v = op.rho_times(state.velocity)

@@ -4,7 +4,8 @@ Every subcommand reads the plain-text configuration (defaults, optional
 file, dotted-key overrides), runs deterministically for a given
 configuration and seed, and writes CSV/plain-text artifacts with floats
 printed at 17 significant digits.  Exit codes: 0 success, 2 validation
-failure, 3 solver failure.
+failure (bad configuration, flags or data), 3 solver failure; any other
+exception is an internal error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -243,6 +244,9 @@ def cmd_strichartz(args) -> int:
     cfg, outdir = _setup(args)
     p = args.p if args.p is not None else configio.get_float(cfg, "acoustic.p")
     q = args.q if args.q is not None else configio.get_float(cfg, "acoustic.q")
+    for key, value in (("acoustic.p", p), ("acoustic.q", q)):
+        if not value > 0.0:
+            raise configio.ConfigError(f"{key} = {value:g} must be positive")
     if not ac.admissible_pair(p, q):
         raise ConfigUsageError(
             f"(p, q) = ({p:g}, {q:g}) violates the wave admissibility 1/p + 3/q = 1/2"
@@ -418,7 +422,6 @@ VALIDATION_ERRORS = (
     DomainError,
     ParameterError,
     DataError,
-    ValueError,
 )
 SOLVER_ERRORS = (SolverError, SolverFailure, CFLError, ac.EigensolverError)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .grids import Grid
 from .hydrostatics import PotentialSpec
 from .params import ScalingParams
-from .primitive import GaussianBump, IllPreparedData
+from .primitive import DataError, GaussianBump, IllPreparedData
 
 
 class ConfigError(ValueError):
@@ -104,11 +104,23 @@ def get_float(cfg: dict, key: str) -> float:
         raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from exc
 
 
+# smallest admissible value of the integer keys that count or seed something
+INT_MINIMUM = {
+    "run.samples": 1,
+    "run.seed": 0,
+    "sweep.samples": 2,
+    "acoustic.points_per_period": 1,
+}
+
+
 def get_int(cfg: dict, key: str) -> int:
     try:
-        return int(cfg[key])
+        value = int(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key} = {cfg[key]!r} is not an integer") from exc
+    if key in INT_MINIMUM and value < INT_MINIMUM[key]:
+        raise ConfigError(f"{key} = {value} is below its minimum {INT_MINIMUM[key]}")
+    return value
 
 
 def grid_from(cfg: dict) -> Grid:
@@ -136,11 +148,19 @@ def potential_from(cfg: dict) -> PotentialSpec:
     return PotentialSpec(c_f=get_float(cfg, "potential.c_f"), a=get_float(cfg, "potential.a"))
 
 
+def _bump(cfg: dict, name: str) -> GaussianBump:
+    width_key = f"data.{name}_width"
+    try:
+        return GaussianBump(get_float(cfg, f"data.{name}_amp"), get_float(cfg, width_key))
+    except DataError as exc:
+        raise ConfigError(f"{width_key}: {exc}") from exc
+
+
 def data_from(cfg: dict) -> IllPreparedData:
     return IllPreparedData(
-        rho1=GaussianBump(get_float(cfg, "data.rho1_amp"), get_float(cfg, "data.rho1_width")),
-        vel_potential=GaussianBump(get_float(cfg, "data.vel_amp"), get_float(cfg, "data.vel_width")),
-        theta2=GaussianBump(get_float(cfg, "data.theta2_amp"), get_float(cfg, "data.theta2_width")),
+        rho1=_bump(cfg, "rho1"),
+        vel_potential=_bump(cfg, "vel"),
+        theta2=_bump(cfg, "theta2"),
     )
 
 

@@ -206,6 +206,15 @@ def ess_res_split(
     return ess, res
 
 
+def harmonic_faces(f: np.ndarray) -> np.ndarray:
+    """Radial face values of a positive cell field by harmonic means; boundary faces copy cells."""
+    out = np.empty(f.size + 1)
+    out[1:-1] = 2.0 * f[:-1] * f[1:] / (f[:-1] + f[1:])
+    out[0] = f[0]
+    out[-1] = f[-1]
+    return out
+
+
 def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarray:
     """Centered d/dr of a radial cell field.
 

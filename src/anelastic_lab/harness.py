@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,8 +77,6 @@ class SweepPlan:
 @dataclass
 class CaseResult:
     eps: float
-    prof: StaticProfile
-    traj: PrimitiveTrajectory
     bounds: BoundsReport
     n1: float
     n2a: float
@@ -145,7 +143,7 @@ def run_case(plan: SweepPlan, eps: float) -> CaseResult:
     n1, n2a, n2b, n3 = limit_norms(traj, prof, params, grid, reference, cutoff)
     r12 = residual_pressure_value(traj, k_radius, plan.beta, grid, cutoff)
     return CaseResult(
-        eps=eps, prof=prof, traj=traj, bounds=bounds,
+        eps=eps, bounds=bounds,
         n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=r12,
     )
 
@@ -162,7 +160,6 @@ class ConvergenceReport:
     n1_slope: float = np.nan
     n3_slope: float = np.nan
     r12_slope: float = np.nan
-    cases: list = field(default_factory=list)
 
     def finalize(self) -> None:
         for name in ("n1", "n2a", "n2b", "n3", "r12"):
@@ -224,19 +221,19 @@ class ConvergenceReport:
                 w.writerow([FMT % eps] + [FMT % rep.constants[k] for k in keys])
 
 
-def sweep_epsilon(plan: SweepPlan, keep_cases: bool = False) -> ConvergenceReport:
+def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
     """Run the whole sweep; a member failure aborts with the partial report."""
     results: list[CaseResult] = []
     for eps in plan.eps_list:
         try:
             results.append(run_case(plan, eps))
         except Exception as exc:
-            partial = _assemble(results, keep_cases) if results else None
+            partial = _assemble(results) if results else None
             raise SweepError(f"sweep failed at eps={eps}: {exc}", partial) from exc
-    return _assemble(results, keep_cases)
+    return _assemble(results)
 
 
-def _assemble(results: list, keep_cases: bool) -> ConvergenceReport:
+def _assemble(results: list) -> ConvergenceReport:
     report = ConvergenceReport(
         eps_list=np.array([r.eps for r in results]),
         n1=np.array([r.n1 for r in results]),
@@ -245,7 +242,6 @@ def _assemble(results: list, keep_cases: bool) -> ConvergenceReport:
         n3=np.array([r.n3 for r in results]),
         r12=np.array([r.r12 for r in results]),
         bounds=[r.bounds for r in results],
-        cases=results if keep_cases else [],
     )
     if report.eps_list.size >= 2:
         report.finalize()

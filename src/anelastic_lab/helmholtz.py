@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainError, FieldAlignmentError, Grid
+from .grids import DomainError, FieldAlignmentError, Grid, harmonic_faces
 
 DEFAULT_TOL = 1.0e-10
 
@@ -107,11 +107,6 @@ class RadialWeightedLaplacian:
         out[1:-1] = (phi[1:] - phi[:-1]) / h
         out[-1] = -2.0 * phi[-1] / h
         return out
-
-    def divergence_faces(self, u_faces: np.ndarray) -> np.ndarray:
-        """(1/w) difference of area-weighted face values (plain divergence)."""
-        au = self.grid.face_areas * u_faces
-        return (au[1:] - au[:-1]) / self.weights
 
     @cached_property
     def face_weights(self) -> np.ndarray:
@@ -284,6 +279,8 @@ def _cg(apply_a, rhs, dot, diag, tol, maxiter):
     x = np.zeros_like(rhs)
     if rhs_norm == 0.0:
         return x, 0.0, 0
+    if not np.isfinite(rhs_norm):
+        return x, rhs_norm, 0  # no iteration reduces a non-finite residual
     r = rhs.copy()
     z = r / diag
     p = z.copy()
@@ -313,7 +310,7 @@ def _solve(op, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
 
     diag = -op.diagonal()
     phi, res, it = _cg(lambda v: -op.apply(v), -rhs, dot, diag, tol, maxiter)
-    if res > tol:
+    if not res <= tol:  # a NaN residual is never converged
         raise SolverError(
             f"weighted Poisson solve stalled at relative residual {res:.3e} "
             f"after {it} iterations",
@@ -336,12 +333,7 @@ def solve_weighted_poisson(problem: WeightedPoissonProblem, grid: Grid) -> np.nd
 
 def _operator_for(grid: Grid, rho0: np.ndarray):
     if grid.radial:
-        r = rho0
-        faces = np.empty(grid.n + 1)
-        faces[1:-1] = 2.0 * r[:-1] * r[1:] / (r[:-1] + r[1:])
-        faces[0] = r[0]
-        faces[-1] = r[-1]
-        return RadialWeightedLaplacian(grid, faces)
+        return RadialWeightedLaplacian(grid, harmonic_faces(rho0))
     return CartesianWeightedLaplacian(grid, rho0)
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainError, Grid, radial_gradient
+from .grids import DomainError, Grid, harmonic_faces, radial_gradient
 from .params import ScalingParams
 
 
@@ -99,12 +99,7 @@ class StaticProfile:
         """rho0 at radial faces by harmonic means (boundary faces copy cells)."""
         if not self.grid.radial:
             raise DomainError("face_rho0 is a radial-mode concept")
-        r = self.rho0
-        out = np.empty(self.grid.n + 1)
-        out[1:-1] = 2.0 * r[:-1] * r[1:] / (r[:-1] + r[1:])
-        out[0] = r[0]
-        out[-1] = r[-1]
-        return out
+        return harmonic_faces(self.rho0)
 
     def rho0_at(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the closed-form profile at arbitrary radii (ghost cells)."""

@@ -87,6 +87,10 @@ class GaussianBump:
     width: float
     center: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.width > 0.0:
+            raise DataError(f"Gaussian width must be positive, got {self.width}")
+
     @classmethod
     def from_mass(cls, mass: float, width: float) -> "GaussianBump":
         amplitude = mass / (np.pi**1.5 * width**3)
@@ -110,20 +114,18 @@ class IllPreparedData:
 
     The density and temperature perturbations are Gaussian bumps; the
     velocity is the gradient of a Gaussian potential, so it carries no
-    weighted-solenoidal part and feeds the acoustic field only.  The
-    optional eps_extra bump is added to the density perturbation scaled
-    by eps, modelling a family that converges to its limit as eps -> 0.
+    weighted-solenoidal part and feeds the acoustic field only.
     """
 
     rho1: GaussianBump = ZERO_BUMP
     vel_potential: GaussianBump = ZERO_BUMP
     theta2: GaussianBump = ZERO_BUMP
-    rho1_eps_extra: GaussianBump = ZERO_BUMP
     linf_bound: float | None = None
     l1_bound: float | None = None
 
     def rho1_field(self, grid: Grid, eps: float) -> np.ndarray:
-        return self.rho1.field(grid) + eps * self.rho1_eps_extra.field(grid)
+        del eps
+        return self.rho1.field(grid)
 
     def u0_field(self, grid: Grid, eps: float) -> np.ndarray:
         del eps
@@ -170,7 +172,7 @@ def init_ill_prepared(
 
 
 class PrimitiveAux:
-    """Static per-run data: face interpolants, sponge, ghost state."""
+    """Static per-run data: face interpolants, sponge, ghost state, sponge dt limit."""
 
     def __init__(self, prof: StaticProfile, params: ScalingParams, grid: Grid):
         if not grid.radial:
@@ -183,30 +185,28 @@ class PrimitiveAux:
 
         ghost_r = grid.r_max + 0.5 * h
         self.rho0_ghost = float(prof.rho0_at(np.array([ghost_r]))[0])
+        self.p_ghost = self.rho0_ghost**gamma
+        self.c_ghost = float(np.sqrt(gamma * self.rho0_ghost ** (gamma - 1.0)) / params.eps)
 
-        p0 = prof.rho0**gamma
-        p0_ghost = self.rho0_ghost**gamma
-        self.p0_faces = self._pressure_faces(p0, p0_ghost)
-        self.grad_p0 = np.diff(self.p0_faces) / h
+        self.grad_p0 = np.diff(self._pressure_faces(prof.rho0**gamma)) / h
 
         span = grid.r_max - grid.r_sponge
         self.sigma = (5.0 / params.horizon) * smoothstep(
             (grid.centers - grid.r_sponge) / span
         )
+        sig_max = float(np.max(self.sigma))
+        self.dt_sponge = 0.5 / sig_max if sig_max > 0 else np.inf
         self.visc_coef = params.eps**params.alpha * (4.0 * params.mu / 3.0 + params.lam)
-        self.face_r2 = grid.faces**2
 
-    def _pressure_faces(self, p_cells: np.ndarray, p_ghost: float) -> np.ndarray:
+    def _pressure_faces(self, p_cells: np.ndarray) -> np.ndarray:
         out = np.empty(self.grid.n + 1)
         out[0] = p_cells[0]  # mirror ghost across r = 0
         out[1:-1] = 0.5 * (p_cells[:-1] + p_cells[1:])
-        out[-1] = 0.5 * (p_cells[-1] + p_ghost)
+        out[-1] = 0.5 * (p_cells[-1] + self.p_ghost)
         return out
 
     def pressure_gradient(self, q: np.ndarray) -> np.ndarray:
-        gamma = self.params.gamma
-        p = q**gamma
-        pf = self._pressure_faces(p, self.rho0_ghost**gamma)
+        pf = self._pressure_faces(q**self.params.gamma)
         return np.diff(pf) / self.grid.h
 
 
@@ -216,6 +216,15 @@ def sound_speed(state: PrimitiveState, params: ScalingParams) -> np.ndarray:
     q = np.maximum(state.q, 0.0)
     c2 = gamma * q ** (gamma - 1.0) * state.theta
     return np.sqrt(np.maximum(c2, 0.0)) / params.eps
+
+
+def _stable_dt(speed: np.ndarray, rho: np.ndarray, aux: PrimitiveAux, cfl: float) -> float:
+    """min of the hyperbolic (cell wave speed), viscous and sponge limits."""
+    h = aux.grid.h
+    dt_hyp = cfl * h / float(np.max(speed))
+    rho_min = float(np.min(np.maximum(rho, RHO_FLOOR)))
+    dt_visc = cfl * 0.5 * h**2 * rho_min / aux.visc_coef if aux.visc_coef > 0 else np.inf
+    return min(dt_hyp, dt_visc, aux.dt_sponge)
 
 
 def suggested_dt(
@@ -228,14 +237,7 @@ def suggested_dt(
 ) -> float:
     aux = aux or PrimitiveAux(prof, params, grid)
     speed = np.abs(state.velocity) + sound_speed(state, params)
-    dt_hyp = cfl * grid.h / float(np.max(speed))
-    rho_min = float(np.min(np.maximum(state.rho, RHO_FLOOR)))
-    dt_visc = (
-        cfl * 0.5 * grid.h**2 * rho_min / aux.visc_coef if aux.visc_coef > 0 else np.inf
-    )
-    sig_max = float(np.max(aux.sigma))
-    dt_sponge = 0.5 / sig_max if sig_max > 0 else np.inf
-    return min(dt_hyp, dt_visc, dt_sponge)
+    return _stable_dt(speed, state.rho, aux, cfl)
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,19 +253,19 @@ def _muscl_edges(dev: np.ndarray, ghost: float) -> tuple[np.ndarray, np.ndarray]
     return left, right
 
 
-def _rusanov_fluxes(state, aux, muscl: bool = False):
+def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
     """Face fluxes for (rho, mom, q); dissipation acts on static deviations.
 
-    Returns arrays of length n+1; the face at r = 0 carries no flux.  With
-    muscl, deviations from the static state are reconstructed with limited
-    slopes around the face-interpolated background, which keeps the static
-    state an exact fixed point while reducing the convective dissipation.
+    u and speed = |u| + c are the cell velocity and wave speed; on the
+    first-order path the face speed max(|u_l| + c_l, |u_r| + c_r) is read
+    off them directly.  Returns arrays of length n+1; the face at r = 0
+    carries no flux.  With muscl, deviations from the static state are
+    reconstructed with limited slopes around the face-interpolated
+    background, which keeps the static state an exact fixed point while
+    reducing the convective dissipation.
     """
-    prof, params, grid = aux.prof, aux.params, aux.grid
-    u = state.velocity
-    c = sound_speed(state, params)
-
-    rho0 = prof.rho0
+    params = aux.params
+    rho0 = aux.prof.rho0
     if muscl:
         rho0_face = 0.5 * (rho0 + np.append(rho0[1:], aux.rho0_ghost))
         drho_l, drho_r = _muscl_edges(state.rho - rho0, 0.0)
@@ -277,18 +279,17 @@ def _rusanov_fluxes(state, aux, muscl: bool = False):
         gamma = params.gamma
         c_l = np.sqrt(np.maximum(gamma * q_l**gamma / np.maximum(rho_l, RHO_FLOOR), 0.0)) / params.eps
         c_r = np.sqrt(np.maximum(gamma * q_r**gamma / np.maximum(rho_r, RHO_FLOOR), 0.0)) / params.eps
+        a = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
     else:
         # left/right states for the faces 1..n; face n sees the static ghost
         mom_l, mom_r = state.mom, np.append(state.mom[1:], 0.0)
         q_l, q_r = state.q, np.append(state.q[1:], aux.rho0_ghost)
         u_l, u_r = u, np.append(u[1:], 0.0)
-        c_l, c_r = c, np.append(c[1:], sound_speed_scalar(aux.rho0_ghost, params))
+        a = np.maximum(speed, np.append(speed[1:], aux.c_ghost))
         drho_l = state.rho - rho0
         drho_r = np.append(state.rho[1:] - rho0[1:], 0.0)
         dq_l = state.q - rho0
         dq_r = np.append(state.q[1:] - rho0[1:], 0.0)
-
-    a = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
 
     f_rho = 0.5 * (mom_l + mom_r) - 0.5 * a * (drho_r - drho_l)
     f_mom = 0.5 * (mom_l * u_l + mom_r * u_r) - 0.5 * a * (mom_r - mom_l)
@@ -300,11 +301,6 @@ def _rusanov_fluxes(state, aux, muscl: bool = False):
         np.concatenate([zeros, f_mom]),
         np.concatenate([zeros, f_q]),
     )
-
-
-def sound_speed_scalar(q0: float, params: ScalingParams) -> float:
-    gamma = params.gamma
-    return float(np.sqrt(gamma * q0 ** (gamma - 1.0)) / params.eps)
 
 
 def _face_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -331,16 +327,24 @@ def step_primitive(
     aux: PrimitiveAux | None = None,
     cfl: float = 0.4,
     muscl: bool = False,
-) -> PrimitiveState:
-    """One conservative forward-Euler update; rejects oversized steps."""
+) -> tuple[PrimitiveState, tuple[float, float]]:
+    """One conservative forward-Euler update; rejects oversized steps.
+
+    Returns the new state and the (mass, rho Theta) fluxes per unit area
+    through the outer face during the step, for the boundary ledgers.
+    The step is rejected when dt exceeds suggested_dt by more than a
+    relative 1e-9.
+    """
     aux = aux or PrimitiveAux(prof, params, grid)
-    limit = suggested_dt(state, prof, params, grid, cfl=cfl, aux=aux)
+    u = state.velocity
+    speed = np.abs(u) + sound_speed(state, params)
+    limit = _stable_dt(speed, state.rho, aux, cfl)
     if dt > limit * (1.0 + 1.0e-9):
         raise CFLError(f"dt = {dt:.3e} exceeds the stability limit {limit:.3e}")
 
     w = grid.weights
     area = grid.face_areas
-    f_rho, f_mom, f_q = _rusanov_fluxes(state, aux, muscl=muscl)
+    f_rho, f_mom, f_q = _rusanov_fluxes(state, u, speed, aux, muscl=muscl)
 
     rho_new = state.rho - dt * np.diff(area * f_rho) / w
     mom_new = state.mom - dt * np.diff(area * f_mom) / w
@@ -355,7 +359,7 @@ def step_primitive(
 
     # viscous force (4/3 + lam) eps^alpha d/dr (div u)
     if aux.visc_coef > 0.0:
-        d_faces = _face_divergence(state.velocity, grid)
+        d_faces = _face_divergence(u, grid)
         mom_new += dt * aux.visc_coef * np.diff(d_faces) / grid.h
 
     # sponge relaxation toward the static far field
@@ -369,7 +373,7 @@ def step_primitive(
         raise SolverFailure(f"nonpositive density after update at t={out.t}", out)
     if not (np.all(np.isfinite(out.rho)) and np.all(np.isfinite(out.mom)) and np.all(np.isfinite(out.q))):
         raise SolverFailure(f"non-finite state after update at t={out.t}", out)
-    return out
+    return out, (float(f_rho[-1]), float(f_q[-1]))
 
 
 def enthalpy(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -434,10 +438,13 @@ def run_primitive(
     sample_times: np.ndarray,
     k_radius: float | None = None,
     cfl: float = 0.4,
-    keep_states: bool = True,
     muscl: bool = False,
 ) -> PrimitiveTrajectory:
-    """Advance to every sample time, accumulating diagnostics each step."""
+    """Advance to every sample time, accumulating diagnostics each step.
+
+    The dissipation and N3 rates use the trapezoidal rule in time; each
+    step's end-of-step rates are the next step's start rates.
+    """
     init.validate()
     aux = PrimitiveAux(prof, params, grid)
     sample_times = np.asarray(sample_times, dtype=float)
@@ -448,70 +455,47 @@ def run_primitive(
     w_k = grid.weights[k_mask]
     rho0_k = prof.rho0[k_mask]
     area_out = grid.face_areas[-1]
-
-    state = init.copy()
-    states = [state.copy()] if keep_states else [state.copy()]
-    energies = [total_energy(state, prof, params, grid)]
-    masses = [integrate(state.rho, grid)]
-    q_masses = [integrate(state.q, grid)]
-    diss = [0.0]
-    sp_mass = [0.0]
-    sp_q = [0.0]
-    out_mass = [0.0]
-    out_q = [0.0]
-    n3 = [0.0]
-
-    diss_acc = sp_mass_acc = sp_q_acc = out_mass_acc = out_q_acc = n3_acc = 0.0
-    nsteps = 0
     sig_w = aux.sigma * grid.weights
 
     def n3_rate(s: PrimitiveState) -> float:
         u = s.velocity[k_mask]
         return float(np.sum(s.rho[k_mask] / rho0_k * u * u * w_k))
 
-    for target in sample_times[1:]:
+    state = init.copy()
+    rate_d = viscous_dissipation_rate(state, params, grid)
+    rate_n = n3_rate(state)
+    diss = sp_mass = sp_q = out_mass = out_q = n3 = 0.0
+    nsteps = 0
+    samples = []
+    for target in sample_times:
         while state.t < target - 1.0e-13:
             dt = min(suggested_dt(state, prof, params, grid, cfl=cfl, aux=aux), target - state.t)
-            rate_d0 = viscous_dissipation_rate(state, params, grid)
-            rate_n0 = n3_rate(state)
-            f_rho, _, f_q = _rusanov_fluxes(state, aux, muscl=muscl)
-            out_mass_acc += dt * area_out * f_rho[-1]
-            out_q_acc += dt * area_out * f_q[-1]
-            sp_mass_acc += dt * float(np.sum(sig_w * (state.rho - prof.rho0)))
-            sp_q_acc += dt * float(np.sum(sig_w * (state.q - prof.rho0)))
-            state = step_primitive(state, prof, params, dt, grid, aux=aux, cfl=cfl, muscl=muscl)
-            diss_acc += 0.5 * dt * (rate_d0 + viscous_dissipation_rate(state, params, grid))
-            n3_acc += 0.5 * dt * (rate_n0 + n3_rate(state))
+            new, (f_mass, f_q) = step_primitive(
+                state, prof, params, dt, grid, aux=aux, cfl=cfl, muscl=muscl
+            )
+            out_mass += dt * area_out * f_mass
+            out_q += dt * area_out * f_q
+            sp_mass += dt * float(np.sum(sig_w * (state.rho - prof.rho0)))
+            sp_q += dt * float(np.sum(sig_w * (state.q - prof.rho0)))
+            rate_d_new = viscous_dissipation_rate(new, params, grid)
+            rate_n_new = n3_rate(new)
+            diss += 0.5 * dt * (rate_d + rate_d_new)
+            n3 += 0.5 * dt * (rate_n + rate_n_new)
+            state, rate_d, rate_n = new, rate_d_new, rate_n_new
             nsteps += 1
-        if keep_states:
-            states.append(state.copy())
-        energies.append(total_energy(state, prof, params, grid))
-        masses.append(integrate(state.rho, grid))
-        q_masses.append(integrate(state.q, grid))
-        diss.append(diss_acc)
-        sp_mass.append(sp_mass_acc)
-        sp_q.append(sp_q_acc)
-        out_mass.append(out_mass_acc)
-        out_q.append(out_q_acc)
-        n3.append(n3_acc)
+        samples.append((  # the series in PrimitiveTrajectory field order
+            state.copy(),
+            total_energy(state, prof, params, grid),
+            diss,
+            integrate(state.rho, grid),
+            integrate(state.q, grid),
+            sp_mass, sp_q, out_mass, out_q, n3,
+        ))
 
+    states, *series = zip(*samples)
     return PrimitiveTrajectory(
-        grid=grid,
-        prof=prof,
-        params=params,
-        times=sample_times,
-        states=states,
-        energy=np.array(energies),
-        dissipation=np.array(diss),
-        mass=np.array(masses),
-        q_mass=np.array(q_masses),
-        sponge_mass=np.array(sp_mass),
-        sponge_q=np.array(sp_q),
-        outer_mass_flux=np.array(out_mass),
-        outer_q_flux=np.array(out_q),
-        n3_integral=np.array(n3),
-        k_radius=k_radius,
-        step_count=nsteps,
+        grid, prof, params, sample_times, list(states), *(np.array(s) for s in series),
+        k_radius=k_radius, step_count=nsteps,
     )
 
 
@@ -557,6 +541,9 @@ def read_checkpoint(path: str) -> tuple[PrimitiveState, dict]:
     for line in header_lines[1:]:
         key, _, value = line.partition(" ")
         meta[key] = value
+    missing = [key for key in ("geometry", "n", "time") if key not in meta]
+    if missing:
+        raise DataError(f"checkpoint header of {path} lacks {', '.join(missing)}")
     n = int(meta["n"])
     count = n if meta["geometry"] == "radial" else n**3
     raw = np.frombuffer(blob[sep + 1 :], dtype=np.float64)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from anelastic_lab import configio
+from anelastic_lab import cli, configio
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError, Grid
 from anelastic_lab.harness import (
@@ -225,3 +225,30 @@ class TestCli:
         assert code == 0
         assert os.path.exists(os.path.join(out, "rei.csv"))
         assert os.path.exists(os.path.join(out, "rei_summary.txt"))
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["simulate-primitive", "--set", "run.samples=0"], "run.samples"),
+        (["simulate-primitive", "--set", "run.samples=-1"], "run.samples"),
+        (["sweep", "--set", "sweep.samples=1"], "sweep.samples"),
+        (["decay", "--set", "acoustic.points_per_period=0"], "acoustic.points_per_period"),
+        (["strichartz", "--p", "0"], "acoustic.p"),
+        (["strichartz", "--set", "acoustic.q=-12"], "acoustic.q"),
+        (["simulate-anelastic", "--set", "data.vel_width=0"], "data.vel_width"),
+        (["simulate-primitive", "--set", "data.vel_width=0"], "data.vel_width"),
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv, key):
+    assert main([*argv, *SMALL, "--output", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_validation_failure(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "build_profile", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["profile", *SMALL, "--output", str(tmp_path)])

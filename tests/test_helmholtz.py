@@ -81,6 +81,12 @@ class TestWeightedPoisson:
             solve_weighted_poisson(problem, radial_grid)
         assert err.value.residual > 0.0
 
+    def test_nan_residual_is_not_converged(self, radial_profile, radial_grid):
+        v = np.zeros(radial_grid.n)
+        v[radial_grid.n // 2] = np.nan
+        with pytest.raises(SolverError):
+            project(v, radial_profile, radial_grid)
+
 
 class TestRadialProjection:
     def test_gradient_data_annihilated(self, radial_profile, radial_grid):

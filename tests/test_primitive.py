@@ -9,6 +9,7 @@ from anelastic_lab.primitive import (
     DataError,
     GaussianBump,
     IllPreparedData,
+    PrimitiveAux,
     PrimitiveState,
     SolverFailure,
     init_ill_prepared,
@@ -100,7 +101,7 @@ class TestStep:
             q=radial_profile.rho0.copy(),
         )
         dt = suggested_dt(state, radial_profile, EPS02, radial_grid)
-        out = step_primitive(state, radial_profile, EPS02, dt, radial_grid)
+        out, _ = step_primitive(state, radial_profile, EPS02, dt, radial_grid)
         assert np.array_equal(out.rho, radial_profile.rho0)
         assert np.all(out.mom == 0.0)
         assert np.array_equal(out.q, radial_profile.rho0)
@@ -110,15 +111,34 @@ class TestStep:
         state = PrimitiveState(
             rho=np.ones(radial_grid.n), mom=np.zeros(radial_grid.n), q=np.ones(radial_grid.n)
         )
-        out = step_primitive(state, prof, EPS02, 1.0e-4, radial_grid)
+        out, _ = step_primitive(state, prof, EPS02, 1.0e-4, radial_grid)
         assert np.array_equal(out.rho, state.rho)
         assert np.all(out.mom == 0.0)
 
     def test_cfl_rejection(self, radial_profile, radial_grid):
+        # the check is pinned to suggested_dt up to its relative 1e-9 slack
         state = init_ill_prepared(acoustic_data(), radial_profile, EPS02, radial_grid)
-        dt = 10.0 * suggested_dt(state, radial_profile, EPS02, radial_grid)
+        limit = suggested_dt(state, radial_profile, EPS02, radial_grid)
+        step_primitive(state, radial_profile, EPS02, limit * (1.0 + 1.0e-10), radial_grid)
         with pytest.raises(CFLError):
-            step_primitive(state, radial_profile, EPS02, dt, radial_grid)
+            step_primitive(state, radial_profile, EPS02, limit * (1.0 + 1.0e-8), radial_grid)
+
+    def test_outer_fluxes_close_step_budgets(self, radial_profile, radial_grid):
+        # data sitting on the sponge and the outer face, so every ledger term is live
+        bump = GaussianBump(0.4, 1.0, center=14.0)
+        data = IllPreparedData(rho1=bump, vel_potential=bump, theta2=bump)
+        state = init_ill_prepared(data, radial_profile, EPS02, radial_grid)
+        aux = PrimitiveAux(radial_profile, EPS02, radial_grid)
+        dt = suggested_dt(state, radial_profile, EPS02, radial_grid, aux=aux)
+        out, fluxes = step_primitive(state, radial_profile, EPS02, dt, radial_grid, aux=aux)
+        area = radial_grid.face_areas[-1]
+        sig_w = aux.sigma * radial_grid.weights
+        for old, new, flux in ((state.rho, out.rho, fluxes[0]), (state.q, out.q, fluxes[1])):
+            outflow = dt * area * flux
+            sink = dt * float(np.sum(sig_w * (old - radial_profile.rho0)))
+            change = integrate(new, radial_grid) - integrate(old, radial_grid)
+            assert abs(outflow) > 1.0e-6 and abs(sink) > 1.0e-6
+            assert abs(change + outflow + sink) < 1.0e-13 * integrate(old, radial_grid)
 
     def test_validate_rejects_negative(self):
         state = PrimitiveState(rho=np.array([1.0, -0.1]), mom=np.zeros(2), q=np.ones(2))
@@ -265,3 +285,10 @@ def test_checkpoint_roundtrip(tmp_path, radial_profile, radial_grid):
     assert np.array_equal(state.q, init.q)
     assert meta["geometry"] == "radial"
     assert float(meta["eps"]) == EPS02.eps
+
+
+def test_checkpoint_truncated_header(tmp_path):
+    path = tmp_path / "state.bin"
+    path.write_bytes(b"anelastic-lab-checkpoint v1\ngeometry radial\n\x00")
+    with pytest.raises(DataError, match="n, time"):
+        read_checkpoint(str(path))

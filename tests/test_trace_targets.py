@@ -1,0 +1,60 @@
+"""The benchmark trace wraps library functions by name.
+
+A rename of a traced function, or a time loop that calls the dt limit or
+the dissipation rate more than once per step, fails here instead of
+silently breaking the benchmark's per-layer metrics.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from anelastic_lab import primitive
+from anelastic_lab.grids import Grid
+from anelastic_lab.hydrostatics import PotentialSpec, build_profile
+from anelastic_lab.params import ScalingParams
+from anelastic_lab.primitive import GaussianBump, IllPreparedData, init_ill_prepared
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_installs_and_uninstalls(tracing):
+    original = primitive.step_primitive
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert primitive.step_primitive is not original
+    finally:
+        tracer.uninstall()
+    assert primitive.step_primitive is original
+
+
+def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing):
+    grid = Grid("radial", 64, 8.0, 6.0)
+    params = ScalingParams(eps=0.4, horizon=0.2)
+    prof = build_profile(PotentialSpec(), params, grid)
+    bump = GaussianBump(0.3, 1.0)
+    init = init_ill_prepared(IllPreparedData(rho1=bump, vel_potential=bump), prof, params, grid)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_flow(0)
+        traj = primitive.run_primitive(init, prof, params, grid, np.linspace(0.0, 0.2, 3))
+        tracer.end_flow()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.flow_spans(0))
+    steps = traj.step_count
+    assert metrics["primitive.steps"] == steps > 0
+    assert metrics["primitive.dt_calls_per_step"] == 1.0
+    assert metrics["primitive.diss_calls_per_step"] == (steps + 1) / steps
