@@ -20,20 +20,19 @@ import numpy as np
 from . import acoustic as ac
 from . import configio
 from .anelastic import init_anelastic, run_anelastic, smoothness_monitor
-from .grids import CFLError, DomainError, lp_norm
+from .grids import DomainError, lp_norm
 from .harness import (
+    SOLVER_ERRORS,
     SweepError,
     SweepPlan,
     acoustic_ansatz,
     audit_quarantine_time,
     sweep_epsilon,
 )
-from .helmholtz import SolverError
 from .hydrostatics import build_profile, export_profile_csv, flatness_report, static_residual
 from .params import ParameterError
 from .primitive import (
     DataError,
-    SolverFailure,
     init_ill_prepared,
     run_primitive,
     write_checkpoint,
@@ -268,14 +267,15 @@ def cmd_strichartz(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, outdir = _setup(args)
     grid = configio.grid_from(cfg)
+    params = configio.params_from(cfg)
     plan = SweepPlan(
         eps_list=configio.eps_list_from(cfg, args.eps),
         data=configio.data_from(cfg),
         potential=configio.potential_from(cfg),
-        params=configio.params_from(cfg),
+        params=params,
         grid=grid,
         n_samples=configio.get_int(cfg, "sweep.samples"),
-        beta=configio.get_float(cfg, "sweep.beta"),
+        beta=configio.beta_from(cfg, params),
     )
     try:
         report = sweep_epsilon(plan)
@@ -299,6 +299,7 @@ def cmd_audit_rei(args) -> int:
     prof = build_profile(configio.potential_from(cfg), params, grid)
     data = configio.data_from(cfg)
     delta = configio.get_float(cfg, "acoustic.delta")
+    beta = configio.beta_from(cfg, params)
     horizon = min(params.horizon, audit_quarantine_time(prof, grid, params))
     omega_max = (2.0 / delta) / params.eps
     dt_s = (2.0 * np.pi / omega_max) / 24.0
@@ -316,7 +317,7 @@ def cmd_audit_rei(args) -> int:
         audit=rep,
         bounds=uniform_bounds_report(traj, prof, params, grid),
         residual_pressure=residual_pressure_value(
-            traj, grid.default_compact_radius, configio.get_float(cfg, "sweep.beta"), grid
+            traj, grid.default_compact_radius, beta, grid
         ),
     )
     rows = zip(
@@ -423,7 +424,6 @@ VALIDATION_ERRORS = (
     ParameterError,
     DataError,
 )
-SOLVER_ERRORS = (SolverError, SolverFailure, CFLError, ac.EigensolverError)
 
 
 def main(argv: list[str] | None = None) -> int:

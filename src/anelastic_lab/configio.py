@@ -97,11 +97,20 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     return cfg
 
 
+# open interval the bounded float keys must lie in
+FLOAT_RANGE = {"acoustic.delta": (0.0, 1.0)}
+
+
 def get_float(cfg: dict, key: str) -> float:
     try:
-        return float(cfg[key])
+        value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from exc
+    if key in FLOAT_RANGE:
+        lo, hi = FLOAT_RANGE[key]
+        if not lo < value < hi:  # NaN fails too
+            raise ConfigError(f"{key} = {value:g} must lie in ({lo:g}, {hi:g})")
+    return value
 
 
 # smallest admissible value of the integer keys that count or seed something
@@ -142,6 +151,16 @@ def params_from(cfg: dict, eps: float | None = None) -> ScalingParams:
         rho_bar=get_float(cfg, "params.rho_bar"),
         horizon=get_float(cfg, "params.horizon"),
     )
+
+
+def beta_from(cfg: dict, params: ScalingParams) -> float:
+    """Residual-pressure exponent sweep.beta, checked against (0, gamma/3)."""
+    beta = get_float(cfg, "sweep.beta")
+    if not 0.0 < beta < params.gamma / 3.0:
+        raise ConfigError(
+            f"sweep.beta = {beta:g} must lie in (0, gamma/3 = {params.gamma / 3.0:g})"
+        )
+    return beta
 
 
 def potential_from(cfg: dict) -> PotentialSpec:

@@ -24,13 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import DomainError, EssResCutoff, Grid, ess_res_split, lp_norm
-from .helmholtz import project
+from .acoustic import EigensolverError
+from .grids import CFLError, DomainError, EssResCutoff, Grid, ess_res_split, lp_norm
+from .helmholtz import SolverError, project
 from .hydrostatics import PotentialSpec, StaticProfile, build_profile
 from .params import ScalingParams
 from .primitive import (
     IllPreparedData,
     PrimitiveTrajectory,
+    SolverFailure,
     init_ill_prepared,
     run_primitive,
 )
@@ -43,6 +45,9 @@ from .relative_energy import (
 )
 
 FMT = "%.17g"
+
+# numerical breakdowns (exit 3); anything else is bad input or a bug
+SOLVER_ERRORS = (SolverError, SolverFailure, CFLError, EigensolverError)
 
 
 class SweepError(RuntimeError):
@@ -222,12 +227,12 @@ class ConvergenceReport:
 
 
 def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
-    """Run the whole sweep; a member failure aborts with the partial report."""
+    """Run the whole sweep; a solver failure aborts with the partial report."""
     results: list[CaseResult] = []
     for eps in plan.eps_list:
         try:
             results.append(run_case(plan, eps))
-        except Exception as exc:
+        except SOLVER_ERRORS as exc:
             partial = _assemble(results) if results else None
             raise SweepError(f"sweep failed at eps={eps}: {exc}", partial) from exc
     return _assemble(results)

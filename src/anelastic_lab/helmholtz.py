@@ -5,8 +5,11 @@ outer boundary (homogeneous Dirichlet there) and regularity at the
 origin.  Everything is discretized in flux form with rho0 at faces by
 harmonic means, which keeps the weighted Laplacian symmetric positive
 definite in the quadrature inner product; the same operator is reused by
-the acoustic module.  Linear solves use Jacobi-preconditioned conjugate
-gradients with a tolerance fixed ahead of every physics tolerance.
+the acoustic module.  Linear solves run preconditioned conjugate
+gradients with a tolerance fixed ahead of every physics tolerance.  In
+radial mode the preconditioner is the exact inverse of the weighted
+Laplacian (two cumulative sums, O(n)), so CG stops after one iteration;
+in cartesian mode it is Jacobi and CG iterates.
 
 In radial mode every admissible field is a discrete gradient, so H[v]
 vanishes identically up to the solver tolerance; the geometry admits no
@@ -96,8 +99,15 @@ class RadialWeightedLaplacian:
         flux[-1] = self.cond[-1] * (0.0 - phi[-1])
         return (flux[1:] - flux[:-1]) / self.weights
 
-    def diagonal(self) -> np.ndarray:
-        return -(self.cond[:-1] + self.cond[1:]) / self.weights
+    def precondition(self, rhs: np.ndarray) -> np.ndarray:
+        """Exact solve of -apply(z) = rhs in O(n).
+
+        The flux vanishes at r = 0, so summing rhs * weights outward gives
+        the face fluxes; Phi is pinned at r_max, so summing the face
+        gradients inward gives Phi.
+        """
+        flux = np.cumsum(rhs * self.weights)
+        return np.cumsum((flux / self.cond[1:])[::-1])[::-1]
 
     def gradient_faces(self, phi: np.ndarray) -> np.ndarray:
         """Discrete grad(Phi) on faces, with the Dirichlet outer closure."""
@@ -200,6 +210,7 @@ class CartesianWeightedLaplacian:
             out += np.diff(flux, axis=axis)
         return out
 
+    @cached_property
     def diagonal(self) -> np.ndarray:
         out = np.zeros(self.grid.field_shape)
         for axis in range(3):
@@ -210,6 +221,10 @@ class CartesianWeightedLaplacian:
             hi[axis] = slice(1, None)
             out -= c[tuple(lo)] + c[tuple(hi)]
         return out
+
+    def precondition(self, rhs: np.ndarray) -> np.ndarray:
+        """Jacobi approximation of the solve -apply(z) = rhs."""
+        return rhs / -self.diagonal
 
     def gradient(self, phi: np.ndarray) -> StaggeredVector:
         parts = []
@@ -273,7 +288,7 @@ class WeightedPoissonProblem:
     max_iterations: int = 50_000
 
 
-def _cg(apply_a, rhs, dot, diag, tol, maxiter):
+def _cg(apply_a, rhs, dot, precondition, tol, maxiter):
     """Preconditioned CG for SPD apply_a; returns (x, relative residual, iters)."""
     rhs_norm = np.sqrt(dot(rhs, rhs))
     x = np.zeros_like(rhs)
@@ -281,8 +296,9 @@ def _cg(apply_a, rhs, dot, diag, tol, maxiter):
         return x, 0.0, 0
     if not np.isfinite(rhs_norm):
         return x, rhs_norm, 0  # no iteration reduces a non-finite residual
+    res = 1.0  # relative residual of x = 0
     r = rhs.copy()
-    z = r / diag
+    z = precondition(r)
     p = z.copy()
     rz = dot(r, z)
     for it in range(1, maxiter + 1):
@@ -293,7 +309,7 @@ def _cg(apply_a, rhs, dot, diag, tol, maxiter):
         res = np.sqrt(dot(r, r)) / rhs_norm
         if res <= tol:
             return x, res, it
-        z = r / diag
+        z = precondition(r)
         rz_new = dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -308,8 +324,7 @@ def _solve(op, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
     def dot(a, b):
         return float(np.sum(a * b * w))
 
-    diag = -op.diagonal()
-    phi, res, it = _cg(lambda v: -op.apply(v), -rhs, dot, diag, tol, maxiter)
+    phi, res, it = _cg(lambda v: -op.apply(v), -rhs, dot, op.precondition, tol, maxiter)
     if not res <= tol:  # a NaN residual is never converged
         raise SolverError(
             f"weighted Poisson solve stalled at relative residual {res:.3e} "

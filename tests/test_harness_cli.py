@@ -3,9 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from anelastic_lab import cli, configio
+from anelastic_lab import cli, configio, harness
 from anelastic_lab.cli import main
-from anelastic_lab.grids import DomainError, Grid
+from anelastic_lab.grids import CFLError, DomainError, Grid
 from anelastic_lab.harness import (
     ExactRadialReference,
     SweepPlan,
@@ -238,6 +238,11 @@ class TestCli:
         (["strichartz", "--set", "acoustic.q=-12"], "acoustic.q"),
         (["simulate-anelastic", "--set", "data.vel_width=0"], "data.vel_width"),
         (["simulate-primitive", "--set", "data.vel_width=0"], "data.vel_width"),
+        (["audit-rei", "--set", "acoustic.delta=0"], "acoustic.delta"),
+        (["audit-rei", "--set", "acoustic.delta=1"], "acoustic.delta"),
+        (["decay", "--set", "acoustic.delta=nan"], "acoustic.delta"),
+        (["sweep", "--set", "sweep.beta=nan"], "sweep.beta"),
+        (["audit-rei", "--set", "sweep.beta=0.6"], "sweep.beta"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, key):
@@ -252,3 +257,30 @@ def test_internal_error_is_not_a_validation_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "build_profile", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["profile", *SMALL, "--output", str(tmp_path)])
+
+
+def test_internal_error_in_sweep_member_propagates(tmp_path, monkeypatch):
+    def broken(plan, eps):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(harness, "run_case", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["sweep", *SMALL, "--output", str(tmp_path)])
+
+
+def test_solver_failure_keeps_partial_sweep_report(tmp_path, monkeypatch, capsys):
+    real_run_case = harness.run_case
+
+    def fails_second(plan, eps):
+        if eps != plan.eps_list[0]:
+            raise CFLError("step rejected")
+        return real_run_case(plan, eps)
+
+    monkeypatch.setattr(harness, "run_case", fails_second)
+    argv = ["sweep", "--eps", "0.4,0.2", *SMALL, "--set", "sweep.samples=5",
+            "--set", "params.horizon=0.2", "--output", str(tmp_path)]
+    assert main(argv) == 3
+    assert "sweep aborted" in capsys.readouterr().err
+    rows = (tmp_path / "convergence.csv").read_text().strip().splitlines()
+    assert len(rows) == 2  # header + the eps = 0.4 member
+    assert rows[1].startswith("0.40000000000000002,")

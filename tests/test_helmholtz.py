@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anelastic_lab import helmholtz
 from anelastic_lab.grids import Grid, lp_norm
 from anelastic_lab.helmholtz import (
     CartesianWeightedLaplacian,
@@ -71,21 +72,64 @@ class TestWeightedPoisson:
             errors.append(lp_norm(phi - np.exp(-(r**2)), 2.0, g))
         assert 3.0 < errors[0] / errors[1] < 5.0
 
-    def test_nonconvergence_raises(self, radial_profile, radial_grid, rng):
+    def test_nonconvergence_raises(self, cart_profile, cart_grid, rng):
+        # Jacobi-CG on the cartesian grid needs far more than 3 iterations
         problem = WeightedPoissonProblem(
-            rho0=radial_profile.rho0,
-            rhs=rng.standard_normal(radial_grid.n),
+            rho0=cart_profile.rho0,
+            rhs=rng.standard_normal(cart_grid.field_shape),
             max_iterations=3,
         )
         with pytest.raises(SolverError) as err:
-            solve_weighted_poisson(problem, radial_grid)
+            solve_weighted_poisson(problem, cart_grid)
         assert err.value.residual > 0.0
+        assert err.value.iterations == 3
+
+    def test_zero_iterations_raises(self, radial_profile, radial_grid, rng):
+        problem = WeightedPoissonProblem(
+            rho0=radial_profile.rho0,
+            rhs=rng.standard_normal(radial_grid.n),
+            max_iterations=0,
+        )
+        with pytest.raises(SolverError) as err:
+            solve_weighted_poisson(problem, radial_grid)
+        assert err.value.residual == 1.0
+        assert err.value.iterations == 0
 
     def test_nan_residual_is_not_converged(self, radial_profile, radial_grid):
         v = np.zeros(radial_grid.n)
         v[radial_grid.n // 2] = np.nan
         with pytest.raises(SolverError):
             project(v, radial_profile, radial_grid)
+
+
+class TestRadialInverse:
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_matches_dense_solve(self, n, params, rng):
+        grid = Grid("radial", n, 16.0, 12.0)
+        prof = build_profile(PotentialSpec(), params, grid)
+        assert np.ptp(prof.face_rho0) > 0.5  # a non-flat coefficient
+        op = RadialWeightedLaplacian(grid, prof.face_rho0)
+        rhs = rng.standard_normal(n)
+        expect = np.linalg.solve(op.dense(), rhs)
+        phi = op.precondition(-rhs)  # exact solve of apply(phi) = rhs
+        assert np.linalg.norm(phi - expect) <= 1.0e-10 * np.linalg.norm(expect)
+
+    def test_default_size_projection_takes_one_iteration(self, params, rng, monkeypatch):
+        grid = Grid("radial", 512, 16.0, 12.0)
+        prof = build_profile(PotentialSpec(), params, grid)
+        calls = []
+        original = helmholtz._cg
+
+        def recording(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(out[1:])
+            return out
+
+        monkeypatch.setattr(helmholtz, "_cg", recording)
+        project(rng.standard_normal(grid.n), prof, grid)
+        ((residual, iterations),) = calls
+        assert iterations == 1
+        assert residual <= 1.0e-13
 
 
 class TestRadialProjection:
