@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import CFLError, DomainError, Grid, lp_norm, radial_gradient, smoothstep
+from .grids import DomainError, Grid, lp_norm, radial_gradient, smoothstep
 from .hydrostatics import StaticProfile
 
 EIGEN_EAGER_LIMIT = 4096
@@ -273,7 +273,6 @@ class AcousticTrajectory:
     times: np.ndarray
     states: list
     energies: np.ndarray
-    solution: SpectralWaveSolution | None = None
 
 
 def evolve_acoustic(
@@ -282,58 +281,13 @@ def evolve_acoustic(
     eps: float,
     horizon: float,
     n_samples: int = 129,
-    method: str = "spectral",
-    dt: float | None = None,
 ) -> AcousticTrajectory:
-    """Evolve the acoustic pair and sample it on a uniform time mesh."""
+    """Evolve the acoustic pair spectrally and sample it on a uniform time mesh."""
     times = np.linspace(0.0, horizon, n_samples)
-    if method == "spectral":
-        sol = spectral_solution(op, init, eps)
-        states = [sol.state(t) for t in times]
-        energies = np.array([sol.energy(t) for t in times])
-        return AcousticTrajectory(times=times, states=states, energies=energies, solution=sol)
-    if method == "leapfrog":
-        return _leapfrog(init, op, eps, times, dt)
-    raise DomainError(f"unknown acoustic method {method!r}")
-
-
-def leapfrog_max_dt(op: AcousticOperator, eps: float) -> float:
-    wmax = float(np.max(op.omegas))
-    if wmax == 0.0:
-        return np.inf
-    return 2.0 * eps / wmax
-
-
-def _leapfrog(init, op, eps, times, dt):
-    stable = leapfrog_max_dt(op, eps)
-    if dt is None:
-        dt = 0.5 * stable
-    if dt > stable:
-        raise CFLError(f"leapfrog step {dt:.3e} exceeds stability limit {stable:.3e}")
-    prof = op.prof
-    phi = init.phi.astype(float).copy()
-    sigma = (prof.dp / prof.rho0) * init.s
-
-    def apply_a(v):
-        return op.apply(v)
-
-    states = [AcousticState(s=prof.inner_weight * sigma, phi=phi.copy(), t=times[0])]
-    energies = [acoustic_energy(op, states[0].s, phi)]
-    t = times[0]
-    for target in times[1:]:
-        while t < target - 1.0e-14:
-            step = min(dt, target - t)
-            sigma_half = sigma + 0.5 * step / eps * apply_a(phi)
-            phi = phi - step / eps * sigma_half
-            sigma = sigma_half + 0.5 * step / eps * apply_a(phi)
-            t += step
-        s_field = prof.inner_weight * sigma
-        states.append(AcousticState(s=s_field, phi=phi.copy(), t=target))
-        energies.append(acoustic_energy(op, s_field, phi))
-        t = target
-    return AcousticTrajectory(
-        times=np.asarray(times), states=states, energies=np.asarray(energies)
-    )
+    sol = spectral_solution(op, init, eps)
+    states = [sol.state(t) for t in times]
+    energies = np.array([sol.energy(t) for t in times])
+    return AcousticTrajectory(times=times, states=states, energies=energies)
 
 
 def crossing_time(prof: StaticProfile, grid: Grid) -> float:

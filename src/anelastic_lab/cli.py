@@ -104,7 +104,7 @@ def cmd_simulate_primitive(args) -> int:
         ["t", "energy", "dissipation", "mass", "mass_defect"],
         rows,
     )
-    write_checkpoint(os.path.join(outdir, "final_state.bin"), traj.states[-1], grid, params)
+    write_checkpoint(os.path.join(outdir, "final_state.bin"), traj.samples.row(-1), grid, params)
     print(
         f"simulate-primitive: steps={traj.step_count} "
         f"E0={traj.energy[0]:.17g} E_end={traj.energy[-1]:.17g}"
@@ -121,9 +121,9 @@ def cmd_simulate_anelastic(args) -> int:
         )
     params = configio.params_from(cfg)
     prof = build_profile(configio.potential_from(cfg), params, grid)
-    data = configio.data_from(cfg)
+    _, u0, theta2 = configio.data_from(cfg).limit_fields(grid)
     if grid.radial:
-        v0 = data.u0_field(grid, params.eps)
+        v0 = u0
     else:
         from .helmholtz import StaggeredVector
 
@@ -134,7 +134,7 @@ def cmd_simulate_anelastic(args) -> int:
             0.1 * rng.standard_normal((n, n + 1, n)),
             0.1 * rng.standard_normal((n, n, n + 1)),
         )
-    theta20 = 1.0 + data.theta2_field(grid, params.eps)
+    theta20 = 1.0 + theta2
     state = init_anelastic(v0, theta20, prof, grid)
     traj = run_anelastic(
         state, prof, grid, params.horizon, n_samples=configio.get_int(cfg, "run.samples")

@@ -5,6 +5,12 @@ functions of r = |x| on cells of width h = r_max / n with 3D spherical
 quadrature weights 4*pi*r_i**2*h; vector fields carry the radial component
 only.  The cartesian mode is a low resolution box [-r_max, r_max]**3 used
 for experiments that need a nontrivial solenoidal velocity.
+
+The quadrature, norm and radial difference helpers accept stacked input:
+an array whose trailing axes are the field shape, such as the (n_samples, n)
+samples of a run.  They reduce or difference over the field axes only and
+return one value (or one field) per leading index, bit for bit what the
+row-by-row calls return.
 """
 
 from __future__ import annotations
@@ -112,9 +118,16 @@ class Grid:
     def volume(self) -> float:
         return float(np.sum(self.weights))
 
+    @cached_property
+    def field_axes(self) -> tuple[int, ...]:
+        """The trailing axes that hold a field (leading axes index samples)."""
+        return tuple(range(-len(self.field_shape), 0))
+
     def check_aligned(self, *fields: np.ndarray) -> None:
+        """Every trailing shape must be the field shape; leading axes are free."""
+        k = len(self.field_shape)
         for f in fields:
-            if np.shape(f) != self.field_shape:
+            if np.shape(f)[-k:] != self.field_shape:
                 raise FieldAlignmentError(
                     f"field of shape {np.shape(f)} on grid of shape {self.field_shape}"
                 )
@@ -128,29 +141,45 @@ class Grid:
         return 0.5 * self.r_sponge
 
 
-def integrate(f: np.ndarray, grid: Grid) -> float:
-    """Quadrature of a scalar field over the truncated domain."""
+def integrate(f: np.ndarray, grid: Grid) -> float | np.ndarray:
+    """Quadrature of a scalar field (or of each stacked field) over the truncated domain."""
     grid.check_aligned(f)
-    return float(np.sum(f * grid.weights))
+    total = np.sum(f * grid.weights, axis=grid.field_axes)
+    return float(total) if total.ndim == 0 else total
 
 
-def lp_norm(f: np.ndarray, p: float, grid: Grid, radius: float | None = None) -> float:
+def lp_norm(
+    f: np.ndarray, p: float, grid: Grid, radius: float | None = None
+) -> float | np.ndarray:
     """L^p norm with the 3D volume measure, optionally restricted to a ball.
 
     p = np.inf gives the max norm over the (possibly restricted) cells.
+    The final 1/p root is taken value by value: numpy's array power is not
+    bit-identical to its scalar power, and stacked norms must equal the
+    norms of their rows.
     """
     grid.check_aligned(f)
     if p != np.inf and p < 1.0:
         raise DomainError(f"lp_norm needs p >= 1 or p = inf, got {p}")
-    a = np.abs(f)
+    a = np.abs(np.asarray(f, dtype=float))
     w = grid.weights
+    axes = grid.field_axes
     if radius is not None:
         mask = grid.ball_mask(radius)
-        a = a[mask]
+        # indexing trailing axes leaves the rows strided; C order keeps each
+        # row's sum the pairwise sum of a single field
+        a = np.ascontiguousarray(a[..., mask])
         w = np.broadcast_to(w, grid.field_shape)[mask]
+        axes = (-1,)
     if p == np.inf:
-        return float(np.max(a)) if a.size else 0.0
-    return float(np.sum(a**p * w) ** (1.0 / p))
+        top = np.max(a, axis=axes, initial=0.0)
+        return float(top) if top.ndim == 0 else top
+    a **= p  # in place: stacked input makes every temporary n_samples fields large
+    a *= w
+    sums = np.sum(a, axis=axes)
+    if sums.ndim == 0:
+        return float(sums ** (1.0 / p))
+    return np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)
 
 
 def weighted_inner(u: np.ndarray, v: np.ndarray, prof) -> float:
@@ -226,9 +255,10 @@ def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarr
     grid.check_aligned(f)
     sign = 1.0 if parity == "even" else -1.0
     out = np.empty_like(f)
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * grid.h)
-    out[0] = (f[1] - sign * f[0]) / (2.0 * grid.h)
-    out[-1] = (f[-1] - f[-2]) / grid.h
+    ft, ot = f.T, out.T  # radial axis first
+    ot[1:-1] = (ft[2:] - ft[:-2]) / (2.0 * grid.h)
+    ot[0] = (ft[1] - sign * ft[0]) / (2.0 * grid.h)
+    ot[-1] = (ft[-1] - ft[-2]) / grid.h
     return out
 
 
@@ -244,9 +274,10 @@ def radial_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
         raise DomainError("radial_divergence needs a radial grid")
     grid.check_aligned(v)
     faces = grid.faces
-    v_f = np.empty(grid.n + 1)
-    v_f[0] = 0.0  # odd symmetry at the origin
-    v_f[1:-1] = 0.5 * (v[:-1] + v[1:])
-    v_f[-1] = 1.5 * v[-1] - 0.5 * v[-2]
+    v_f = np.empty(np.shape(v)[:-1] + (grid.n + 1,))
+    vt, ft = v.T, v_f.T  # radial axis first
+    ft[0] = 0.0  # odd symmetry at the origin
+    ft[1:-1] = 0.5 * (vt[:-1] + vt[1:])
+    ft[-1] = 1.5 * vt[-1] - 0.5 * vt[-2]
     shell = (4.0 * np.pi / 3.0) * np.diff(faces**3)
     return np.diff(grid.face_areas * v_f) / shell

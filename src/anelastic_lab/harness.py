@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import EigensolverError
-from .grids import CFLError, DomainError, EssResCutoff, Grid, ess_res_split, lp_norm
+from .grids import CFLError, DomainError, EssResCutoff, Grid, lp_norm
 from .helmholtz import SolverError, project
 from .hydrostatics import PotentialSpec, StaticProfile, build_profile
 from .params import ScalingParams
@@ -69,7 +69,6 @@ class SweepPlan:
     grid: Grid
     n_samples: int = 65
     beta: float = 0.5
-    k_radius: float | None = None
 
     def __post_init__(self) -> None:
         eps = np.asarray(self.eps_list, dtype=float)
@@ -90,48 +89,28 @@ class CaseResult:
     r12: float
 
 
-class ExactRadialReference:
-    """Closed-form limit trajectory in radial geometry: V = 0, frozen T."""
-
-    def __init__(self, theta20: np.ndarray, prof: StaticProfile, grid: Grid):
-        self.grid = grid
-        self.theta = theta20
-        self.density = prof.rho0 / np.where(theta20 > 0.0, theta20, 1.0)
-        self._zero = np.zeros(grid.field_shape)
-
-    def velocity(self, t: float) -> np.ndarray:
-        del t
-        return self._zero
-
-    def temperature(self, t: float) -> np.ndarray:
-        del t
-        return self.theta
-
-
 def limit_norms(
     traj: PrimitiveTrajectory,
     prof: StaticProfile,
     params: ScalingParams,
     grid: Grid,
-    reference: ExactRadialReference,
+    theta2: np.ndarray,
     cutoff: EssResCutoff,
 ) -> tuple[float, float, float, float]:
-    """(N1, N2a, N2b, N3) for one run against the limit reference."""
-    n1 = 0.0
-    n2a = 0.0
-    n2b = 0.0
-    for t, state in zip(traj.times, traj.states):
-        drho = state.rho - prof.rho0
-        ess, res = ess_res_split(drho, state.q, cutoff)
-        n1 = max(n1, lp_norm(ess, 2.0, grid) + lp_norm(res, params.gamma, grid))
-        dtheta = state.theta - 1.0
-        n2a = max(n2a, lp_norm(dtheta, 2.0, grid))
-        n2b = max(
-            n2b,
-            lp_norm(dtheta / params.eps**2 - reference.temperature(t), 2.0, grid),
-        )
-    n3 = float(traj.n3_integral[-1])
-    return n1, n2a, n2b, n3
+    """(N1, N2a, N2b, N3) for one run against the radial closed-form limit.
+
+    The limit velocity is V = 0 and the limit temperature the frozen
+    initial perturbation theta2, so N2b compares (Theta - 1)/eps^2 with it
+    at every sample.
+    """
+    s = traj.samples
+    chi = cutoff.chi(s.q)
+    drho = s.rho - prof.rho0
+    n1 = np.max(lp_norm(chi * drho, 2.0, grid) + lp_norm((1.0 - chi) * drho, params.gamma, grid))
+    dtheta = s.theta - 1.0
+    n2a = np.max(lp_norm(dtheta, 2.0, grid))
+    n2b = np.max(lp_norm(dtheta / params.eps**2 - theta2, 2.0, grid))
+    return float(n1), float(n2a), float(n2b), float(traj.n3_integral[-1])
 
 
 def run_case(plan: SweepPlan, eps: float) -> CaseResult:
@@ -141,12 +120,10 @@ def run_case(plan: SweepPlan, eps: float) -> CaseResult:
     cutoff = EssResCutoff.from_profile(prof)
     init = init_ill_prepared(plan.data, prof, params, grid)
     times = np.linspace(0.0, params.horizon, plan.n_samples)
-    k_radius = plan.k_radius if plan.k_radius is not None else grid.default_compact_radius
-    traj = run_primitive(init, prof, params, grid, times, k_radius=k_radius)
+    traj = run_primitive(init, prof, params, grid, times)
     bounds = uniform_bounds_report(traj, prof, params, grid, cutoff)
-    reference = ExactRadialReference(plan.data.theta2_field(grid, 0.0), prof, grid)
-    n1, n2a, n2b, n3 = limit_norms(traj, prof, params, grid, reference, cutoff)
-    r12 = residual_pressure_value(traj, k_radius, plan.beta, grid, cutoff)
+    n1, n2a, n2b, n3 = limit_norms(traj, prof, params, grid, plan.data.theta2.field(grid), cutoff)
+    r12 = residual_pressure_value(traj, grid.default_compact_radius, plan.beta, grid, cutoff)
     return CaseResult(
         eps=eps, bounds=bounds,
         n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=r12,

@@ -13,6 +13,11 @@ outer sponge relaxes everything toward the static far field.
 Time stepping is forward Euler under an acoustic CFL constraint
 dt <= cfl * eps * h / max wave speed; the 1/eps step count is the price
 of keeping the energy audit free of splitting errors.
+
+A run keeps its samples stacked: PrimitiveTrajectory.samples is one
+PrimitiveState whose rho, mom and q are (n_samples, n) arrays and whose t
+holds the sample times, so post-run measurements are array expressions
+over the (time, space) samples and samples.row(k) is the state at one time.
 """
 
 from __future__ import annotations
@@ -51,12 +56,16 @@ class SolverFailure(RuntimeError):
 
 @dataclass
 class PrimitiveState:
-    """Conservative fields at one time level."""
+    """Conservative fields at one time level, or stacked over sample times.
+
+    Stacked, rho, mom and q are (n_samples, n) arrays and t is the array of
+    sample times; every property below works row by row.
+    """
 
     rho: np.ndarray
     mom: np.ndarray
     q: np.ndarray
-    t: float = 0.0
+    t: float | np.ndarray = 0.0
 
     def validate(self) -> None:
         for name, f in (("rho", self.rho), ("mom", self.mom), ("q", self.q)):
@@ -75,8 +84,9 @@ class PrimitiveState:
         th = self.q / np.maximum(self.rho, RHO_FLOOR)
         return np.where(self.rho < VACUUM_CUT, 1.0, th)
 
-    def copy(self) -> "PrimitiveState":
-        return PrimitiveState(self.rho.copy(), self.mom.copy(), self.q.copy(), self.t)
+    def row(self, k: int) -> "PrimitiveState":
+        """Sample k of a stacked state, as views."""
+        return PrimitiveState(self.rho[k], self.mom[k], self.q[k], float(self.t[k]))
 
 
 @dataclass(frozen=True)
@@ -120,38 +130,14 @@ class IllPreparedData:
     rho1: GaussianBump = ZERO_BUMP
     vel_potential: GaussianBump = ZERO_BUMP
     theta2: GaussianBump = ZERO_BUMP
-    linf_bound: float | None = None
-    l1_bound: float | None = None
-
-    def rho1_field(self, grid: Grid, eps: float) -> np.ndarray:
-        del eps
-        return self.rho1.field(grid)
-
-    def u0_field(self, grid: Grid, eps: float) -> np.ndarray:
-        del eps
-        return self.vel_potential.radial_derivative(grid)
-
-    def theta2_field(self, grid: Grid, eps: float) -> np.ndarray:
-        del eps
-        return self.theta2.field(grid)
 
     def limit_fields(self, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rho1, u0, theta2) on the grid; u0 is the potential's radial derivative."""
         return (
             self.rho1.field(grid),
             self.vel_potential.radial_derivative(grid),
             self.theta2.field(grid),
         )
-
-    def check_bounds(self, grid: Grid, eps: float) -> None:
-        if self.linf_bound is None and self.l1_bound is None:
-            return
-        from .grids import lp_norm
-
-        f = self.rho1_field(grid, eps)
-        if self.linf_bound is not None and lp_norm(f, np.inf, grid) > self.linf_bound:
-            raise DataError("rho1 family exceeds its declared L^inf bound")
-        if self.l1_bound is not None and lp_norm(f, 1.0, grid) > self.l1_bound:
-            raise DataError("rho1 family exceeds its declared L^1 bound")
 
 
 def init_ill_prepared(
@@ -159,13 +145,13 @@ def init_ill_prepared(
 ) -> PrimitiveState:
     """Assemble rho = rho0 + eps rho1, u = u0, Theta = 1 + eps^2 theta2."""
     eps = params.eps
-    rho = prof.rho0 + eps * data.rho1_field(grid, eps)
+    rho1, u, theta2 = data.limit_fields(grid)
+    rho = prof.rho0 + eps * rho1
     if np.any(rho <= 0.0):
         raise DataError("initial density is not positive everywhere")
-    theta = 1.0 + eps**2 * data.theta2_field(grid, eps)
+    theta = 1.0 + eps**2 * theta2
     if np.any(theta <= 0.0):
         raise DataError("initial potential temperature is not positive")
-    u = data.u0_field(grid, eps)
     state = PrimitiveState(rho=rho, mom=rho * u, q=rho * theta, t=0.0)
     state.validate()
     return state
@@ -244,13 +230,23 @@ def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
+def _with_ghost(f: np.ndarray, ghost: float) -> np.ndarray:
+    """The cell field followed by one outer ghost value (length n+1)."""
+    out = np.empty(f.size + 1)
+    out[:-1] = f
+    out[-1] = ghost
+    return out
+
+
 def _muscl_edges(dev: np.ndarray, ghost: float) -> tuple[np.ndarray, np.ndarray]:
     """Limited left/right deviation states at the faces 1..n."""
-    ext = np.concatenate([dev[:1], dev, [ghost]])  # mirror inner, static outer
-    slopes = _minmod(ext[1:-1] - ext[:-2], ext[2:] - ext[1:-1])
-    left = dev + 0.5 * slopes
-    right = np.append(dev[1:] - 0.5 * slopes[1:], ghost)
-    return left, right
+    ext = np.empty(dev.size + 2)  # mirror inner, static outer
+    ext[0] = dev[0]
+    ext[1:-1] = dev
+    ext[-1] = ghost
+    slopes = np.zeros(dev.size + 1)  # the ghost carries no slope
+    slopes[:-1] = _minmod(ext[1:-1] - ext[:-2], ext[2:] - ext[1:-1])
+    return ext[1:-1] + 0.5 * slopes[:-1], ext[2:] - 0.5 * slopes[1:]
 
 
 def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
@@ -258,16 +254,18 @@ def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
 
     u and speed = |u| + c are the cell velocity and wave speed; on the
     first-order path the face speed max(|u_l| + c_l, |u_r| + c_r) is read
-    off them directly.  Returns arrays of length n+1; the face at r = 0
-    carries no flux.  With muscl, deviations from the static state are
-    reconstructed with limited slopes around the face-interpolated
-    background, which keeps the static state an exact fixed point while
-    reducing the convective dissipation.
+    off them directly.  Left and right states of the faces 1..n are views
+    of one ghost-extended array per field.  Returns a (3, n+1) array of
+    the rho, mom and q fluxes; the face at r = 0 carries no flux.  With
+    muscl, deviations from the static state are reconstructed with limited
+    slopes around the face-interpolated background, which keeps the static
+    state an exact fixed point while reducing the convective dissipation.
     """
     params = aux.params
     rho0 = aux.prof.rho0
     if muscl:
-        rho0_face = 0.5 * (rho0 + np.append(rho0[1:], aux.rho0_ghost))
+        rho0_ext = _with_ghost(rho0, aux.rho0_ghost)
+        rho0_face = 0.5 * (rho0_ext[:-1] + rho0_ext[1:])
         drho_l, drho_r = _muscl_edges(state.rho - rho0, 0.0)
         dmom_l, dmom_r = _muscl_edges(state.mom, 0.0)
         dq_l, dq_r = _muscl_edges(state.q - rho0, 0.0)
@@ -281,26 +279,25 @@ def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
         c_r = np.sqrt(np.maximum(gamma * q_r**gamma / np.maximum(rho_r, RHO_FLOOR), 0.0)) / params.eps
         a = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
     else:
-        # left/right states for the faces 1..n; face n sees the static ghost
-        mom_l, mom_r = state.mom, np.append(state.mom[1:], 0.0)
-        q_l, q_r = state.q, np.append(state.q[1:], aux.rho0_ghost)
-        u_l, u_r = u, np.append(u[1:], 0.0)
-        a = np.maximum(speed, np.append(speed[1:], aux.c_ghost))
-        drho_l = state.rho - rho0
-        drho_r = np.append(state.rho[1:] - rho0[1:], 0.0)
-        dq_l = state.q - rho0
-        dq_r = np.append(state.q[1:] - rho0[1:], 0.0)
+        # face n sees the static ghost: no momentum, no deviation
+        mom = _with_ghost(state.mom, 0.0)
+        q = _with_ghost(state.q, aux.rho0_ghost)
+        vel = _with_ghost(u, 0.0)
+        spd = _with_ghost(speed, aux.c_ghost)
+        drho = _with_ghost(state.rho - rho0, 0.0)
+        dq = _with_ghost(state.q - rho0, 0.0)
+        mom_l, mom_r = mom[:-1], mom[1:]
+        q_l, q_r = q[:-1], q[1:]
+        u_l, u_r = vel[:-1], vel[1:]
+        drho_l, drho_r = drho[:-1], drho[1:]
+        dq_l, dq_r = dq[:-1], dq[1:]
+        a = np.maximum(spd[:-1], spd[1:])
 
-    f_rho = 0.5 * (mom_l + mom_r) - 0.5 * a * (drho_r - drho_l)
-    f_mom = 0.5 * (mom_l * u_l + mom_r * u_r) - 0.5 * a * (mom_r - mom_l)
-    f_q = 0.5 * (q_l * u_l + q_r * u_r) - 0.5 * a * (dq_r - dq_l)
-
-    zeros = np.zeros(1)
-    return (
-        np.concatenate([zeros, f_rho]),
-        np.concatenate([zeros, f_mom]),
-        np.concatenate([zeros, f_q]),
-    )
+    fluxes = np.zeros((3, rho0.size + 1))
+    np.subtract(0.5 * (mom_l + mom_r), 0.5 * a * (drho_r - drho_l), out=fluxes[0, 1:])
+    np.subtract(0.5 * (mom_l * u_l + mom_r * u_r), 0.5 * a * (mom_r - mom_l), out=fluxes[1, 1:])
+    np.subtract(0.5 * (q_l * u_l + q_r * u_r), 0.5 * a * (dq_r - dq_l), out=fluxes[2, 1:])
+    return fluxes
 
 
 def _face_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
@@ -410,13 +407,17 @@ def viscous_dissipation_rate(
 
 @dataclass
 class PrimitiveTrajectory:
-    """Sampled states plus per-run conservation and energy bookkeeping."""
+    """Stacked samples plus per-run conservation and energy bookkeeping.
+
+    samples.rho, samples.mom and samples.q are (n_samples, n) arrays and
+    samples.t holds the sample times; every series below has one entry per
+    sample.
+    """
 
     grid: Grid
     prof: StaticProfile
     params: ScalingParams
-    times: np.ndarray
-    states: list
+    samples: PrimitiveState
     energy: np.ndarray
     dissipation: np.ndarray  # cumulative viscous dissipation at samples
     mass: np.ndarray
@@ -426,8 +427,11 @@ class PrimitiveTrajectory:
     outer_mass_flux: np.ndarray  # cumulative convective outflow at samples
     outer_q_flux: np.ndarray
     n3_integral: np.ndarray  # cumulative int ||sqrt(rho/rho0) u||^2_{L2(K)} dt
-    k_radius: float
     step_count: int = 0
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.samples.t
 
 
 def run_primitive(
@@ -436,22 +440,22 @@ def run_primitive(
     params: ScalingParams,
     grid: Grid,
     sample_times: np.ndarray,
-    k_radius: float | None = None,
     cfl: float = 0.4,
     muscl: bool = False,
 ) -> PrimitiveTrajectory:
     """Advance to every sample time, accumulating diagnostics each step.
 
     The dissipation and N3 rates use the trapezoidal rule in time; each
-    step's end-of-step rates are the next step's start rates.
+    step's end-of-step rates are the next step's start rates.  N3 is
+    measured on the ball of radius grid.default_compact_radius.  Each
+    sample is written into one row of the preallocated stacked arrays.
     """
     init.validate()
     aux = PrimitiveAux(prof, params, grid)
-    sample_times = np.asarray(sample_times, dtype=float)
+    sample_times = np.array(sample_times, dtype=float)
     if sample_times[0] != 0.0 or np.any(np.diff(sample_times) <= 0.0):
         raise DomainError("sample times must start at 0 and increase")
-    k_radius = grid.default_compact_radius if k_radius is None else k_radius
-    k_mask = grid.ball_mask(k_radius)
+    k_mask = grid.ball_mask(grid.default_compact_radius)
     w_k = grid.weights[k_mask]
     rho0_k = prof.rho0[k_mask]
     area_out = grid.face_areas[-1]
@@ -461,13 +465,15 @@ def run_primitive(
         u = s.velocity[k_mask]
         return float(np.sum(s.rho[k_mask] / rho0_k * u * u * w_k))
 
-    state = init.copy()
+    state = init
     rate_d = viscous_dissipation_rate(state, params, grid)
     rate_n = n3_rate(state)
     diss = sp_mass = sp_q = out_mass = out_q = n3 = 0.0
     nsteps = 0
-    samples = []
-    for target in sample_times:
+    shape = (sample_times.size, grid.n)
+    samples = PrimitiveState(np.empty(shape), np.empty(shape), np.empty(shape), sample_times)
+    ledger = np.empty((9, sample_times.size))  # the series in PrimitiveTrajectory field order
+    for k, target in enumerate(sample_times):
         while state.t < target - 1.0e-13:
             dt = min(suggested_dt(state, prof, params, grid, cfl=cfl, aux=aux), target - state.t)
             new, (f_mass, f_q) = step_primitive(
@@ -483,20 +489,16 @@ def run_primitive(
             n3 += 0.5 * dt * (rate_n + rate_n_new)
             state, rate_d, rate_n = new, rate_d_new, rate_n_new
             nsteps += 1
-        samples.append((  # the series in PrimitiveTrajectory field order
-            state.copy(),
+        samples.rho[k], samples.mom[k], samples.q[k] = state.rho, state.mom, state.q
+        ledger[:, k] = (
             total_energy(state, prof, params, grid),
             diss,
             integrate(state.rho, grid),
             integrate(state.q, grid),
             sp_mass, sp_q, out_mass, out_q, n3,
-        ))
+        )
 
-    states, *series = zip(*samples)
-    return PrimitiveTrajectory(
-        grid, prof, params, sample_times, list(states), *(np.array(s) for s in series),
-        k_radius=k_radius, step_count=nsteps,
-    )
+    return PrimitiveTrajectory(grid, prof, params, samples, *ledger, step_count=nsteps)
 
 
 CHECKPOINT_MAGIC = "anelastic-lab-checkpoint v1"
@@ -604,34 +606,21 @@ def renorm_check(traj: PrimitiveTrajectory, b_fam: CappedPower, grid: Grid) -> R
     int (b - b' q) div u, charging the sponge sink and the outer boundary
     convection to the budget; the residue is normalized by int |b|.
     """
-    prof, params = traj.prof, traj.params
+    prof, params, s = traj.prof, traj.params, traj.samples
     aux = PrimitiveAux(prof, params, grid)
-    sig_w = aux.sigma * grid.weights
-    area_out = grid.face_areas[-1]
+    bq = b_fam.b(s.q)
+    dbq = b_fam.db(s.q)
+    u = s.velocity
+    total_b = integrate(bq, grid)
+    rhs = integrate((bq - dbq * s.q) * radial_divergence(u, grid), grid)
+    sponge = np.sum(aux.sigma * grid.weights * dbq * (s.q - prof.rho0), axis=-1)
+    q_face = 0.5 * (s.q[:, -1] + aux.rho0_ghost)
+    flux = grid.face_areas[-1] * b_fam.b(q_face) * 0.5 * u[:, -1]
+    norm = integrate(np.abs(bq), grid)
 
-    def pieces(state: PrimitiveState):
-        bq = b_fam.b(state.q)
-        dbq = b_fam.db(state.q)
-        u = state.velocity
-        total_b = integrate(bq, grid)
-        rhs = integrate((bq - dbq * state.q) * radial_divergence(u, grid), grid)
-        sponge = float(np.sum(sig_w * dbq * (state.q - prof.rho0)))
-        q_face = 0.5 * (state.q[-1] + aux.rho0_ghost)
-        flux = area_out * float(b_fam.b(np.array([q_face]))[0]) * 0.5 * u[-1]
-        norm = integrate(np.abs(bq), grid)
-        return total_b, rhs, sponge, flux, norm
+    def mean(x: np.ndarray) -> np.ndarray:
+        return 0.5 * (x[:-1] + x[1:])
 
-    vals = [pieces(s) for s in traj.states]
-    mids, defects = [], []
-    for k in range(len(traj.times) - 1):
-        dt = traj.times[k + 1] - traj.times[k]
-        b0, rhs0, sp0, fl0, n0 = vals[k]
-        b1, rhs1, sp1, fl1, n1 = vals[k + 1]
-        rate = (b1 - b0) / dt
-        defect = rate + 0.5 * (sp0 + sp1) + 0.5 * (fl0 + fl1) - 0.5 * (rhs0 + rhs1)
-        defects.append(abs(defect) / max(0.5 * (n0 + n1), 1.0e-300))
-        mids.append(0.5 * (traj.times[k] + traj.times[k + 1]))
-    defects = np.array(defects)
-    return RenormReport(
-        mid_times=np.array(mids), defects=defects, max_defect=float(np.max(defects))
-    )
+    defect = np.diff(total_b) / np.diff(s.t) + mean(sponge) + mean(flux) - mean(rhs)
+    defects = np.abs(defect) / np.maximum(mean(norm), 1.0e-300)
+    return RenormReport(mid_times=mean(s.t), defects=defects, max_defect=float(np.max(defects)))

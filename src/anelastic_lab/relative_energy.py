@@ -26,7 +26,6 @@ from .grids import (
     DomainError,
     EssResCutoff,
     Grid,
-    ess_res_split,
     integrate,
     lp_norm,
     radial_divergence,
@@ -59,18 +58,30 @@ def rel_energy(
     return integrate(kin + pot, grid)
 
 
-def _deviatoric_sq(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """|grad u + grad u^T - (2/3) div u I|^2 for a radial vector field."""
+def _velocity_rates(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample integrals of the radial velocity's squared deviatoric strain,
+    squared divergence and |u|^2 + |grad u|^2, from one du/dr and one div u.
+
+    The deviatoric strain is grad u + grad u^T - (2/3) div u I.  Squares and
+    sums are formed in place, because with stacked samples every temporary
+    is n_samples fields large.
+    """
     du = radial_gradient(u, grid, parity="odd")
     d = radial_divergence(u, grid)
-    t_r = 2.0 * du - (2.0 / 3.0) * d
-    t_perp = 2.0 * u / grid.centers - (2.0 / 3.0) * d
-    return t_r**2 + 2.0 * t_perp**2
-
-
-def _grad_sq(u: np.ndarray, grid: Grid) -> np.ndarray:
-    du = radial_gradient(u, grid, parity="odd")
-    return du**2 + 2.0 * (u / grid.centers) ** 2
+    div = integrate(d**2, grid)
+    d *= 2.0 / 3.0
+    t_r = 2.0 * du - d
+    t_perp = 2.0 * u / grid.centers - d
+    del d
+    t_r **= 2
+    t_perp **= 2
+    t_r += 2.0 * t_perp
+    del t_perp
+    dev = integrate(t_r, grid)
+    del t_r
+    du **= 2
+    du += 2.0 * (u / grid.centers) ** 2
+    return dev, div, integrate(u * u + du, grid)
 
 
 def stress_contraction(
@@ -114,38 +125,28 @@ def uniform_bounds_report(
 
     For each bound the implied constant divides out the stated eps power,
     so a sweep can check that the constants stay comparable across eps.
+    Suprema and time integrals run over the stacked samples.
     """
     cutoff = cutoff or EssResCutoff.from_profile(prof)
     eps, alpha, gamma = params.eps, params.alpha, params.gamma
-    times = traj.times
-
-    sup_sqrho_u = 0.0
-    sup_r5 = 0.0
-    sup_r6 = 0.0
-    sup_r7 = 0.0
-    dev_rates = []
-    div_rates = []
-    w12_rates = []
-    for state in traj.states:
-        u = state.velocity
-        sup_sqrho_u = max(sup_sqrho_u, np.sqrt(integrate(state.rho * u * u, grid)))
-        theta_dev = (state.theta - 1.0) / eps**2
-        sup_r5 = max(sup_r5, lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid))
-        ess_rho, _ = ess_res_split((state.rho - prof.rho0) / eps, state.q, cutoff)
-        ess_q, _ = ess_res_split((state.q - prof.rho0) / eps, state.q, cutoff)
-        sup_r6 = max(sup_r6, lp_norm(ess_rho, 2.0, grid) + lp_norm(ess_q, 2.0, grid))
-        chi = cutoff.chi(state.q)
-        _, res_rho = ess_res_split(state.rho, state.q, cutoff)
-        _, res_q = ess_res_split(state.q, state.q, cutoff)
-        r7_val = integrate((1.0 - chi) + np.abs(res_rho) ** gamma + np.abs(res_q) ** gamma, grid)
-        sup_r7 = max(sup_r7, r7_val)
-        dev_rates.append(integrate(_deviatoric_sq(u, grid), grid))
-        div_rates.append(integrate(radial_divergence(u, grid) ** 2, grid))
-        w12_rates.append(integrate(u * u + _grad_sq(u, grid), grid))
-
-    dev_l2 = float(np.sqrt(np.trapezoid(dev_rates, times)))
-    div_l2 = float(np.sqrt(np.trapezoid(div_rates, times)))
-    w12_l2 = float(np.sqrt(np.trapezoid(w12_rates, times)))
+    s, times = traj.samples, traj.times
+    # u and theta_dev are dropped once used, so chi's temporaries do not stack on them
+    u = s.velocity
+    sup_sqrho_u = float(np.max(np.sqrt(integrate(s.rho * u * u, grid))))
+    dev_l2, div_l2, w12_l2 = (
+        float(np.sqrt(np.trapezoid(rates, times))) for rates in _velocity_rates(u, grid)
+    )
+    del u
+    theta_dev = (s.theta - 1.0) / eps**2
+    sup_r5 = float(np.max(lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid)))
+    del theta_dev
+    chi = cutoff.chi(s.q)
+    r6 = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
+    r6 += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
+    sup_r6 = float(np.max(r6))
+    res = 1.0 - chi
+    r7 = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
+    sup_r7 = float(np.max(r7))
 
     lhs = {
         "r2": sup_sqrho_u,
@@ -190,11 +191,9 @@ def residual_pressure_value(
         raise DomainError(f"beta must lie in (0, gamma/3), got {beta}")
     cutoff = cutoff or EssResCutoff.from_profile(traj.prof)
     mask = grid.ball_mask(k_radius)
-    w = grid.weights[mask]
-    rates = []
-    for state in traj.states:
-        _, res_q = ess_res_split(state.q, state.q, cutoff)
-        rates.append(float(np.sum(res_q[mask] ** (params.gamma + beta) * w)))
+    q = np.ascontiguousarray(traj.samples.q[:, mask])  # rows sum as single samples do
+    res_q = (1.0 - cutoff.chi(q)) * q
+    rates = np.sum(res_q ** (params.gamma + beta) * grid.weights[mask], axis=-1)
     return float(np.trapezoid(rates, traj.times))
 
 
@@ -258,7 +257,6 @@ class RelEnergyReport:
     audit: "REIReport"
     bounds: BoundsReport
     residual_pressure: float
-    residual_exponent: float = np.nan
 
     def __post_init__(self) -> None:
         if np.any(self.audit.rel_energy < 0.0):
@@ -268,8 +266,6 @@ class RelEnergyReport:
         lines = [self.audit.summary_text()]
         lines.append(self.bounds.text())
         lines.append(f"residual-pressure value    = {self.residual_pressure:.17g}")
-        if np.isfinite(self.residual_exponent):
-            lines.append(f"residual-pressure exponent = {self.residual_exponent:.17g}")
         return "\n".join(lines)
 
 
@@ -328,7 +324,8 @@ def rei_audit(
     d2h_rho0 = d2h(prof.rho0)
     d3h_rho0 = d3h(prof.rho0)
 
-    for j, (t, state) in enumerate(zip(times, traj.states)):
+    for j, t in enumerate(times):
+        state = traj.samples.row(j)
         s = acoustic.s(t)
         r_field = prof.rho0 + eps * s
         if np.any(r_field <= 0.0):

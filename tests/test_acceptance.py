@@ -218,7 +218,8 @@ def test_c05_wave_speed():
         a, b, c = y[i - 1], y[i], y[i + 1]
         return r[i] + 0.5 * (a - c) / (a - 2 * b + c) * grid.h
 
-    speed = (peak(traj.states[2]) - peak(traj.states[1])) / 4.0
+    samples = traj.samples
+    speed = (peak(samples.row(2)) - peak(samples.row(1))) / 4.0
     target = np.sqrt(GAMMA)
     rel = abs(speed - target) / target
     verdict(5, "wave speed", rel < 0.03, f"speed={speed:.5f} target={target:.5f} rel={rel:.3%}", t0)
@@ -282,7 +283,7 @@ def test_c08_primitive_solver():
         prof = build_profile(PotentialSpec(), params, g)
         init = PrimitiveState(rho=prof.rho0.copy(), mom=np.zeros(n), q=prof.rho0.copy())
         traj = run_primitive(init, prof, params, g, np.array([0.0, 1.0]))
-        drifts.append(lp_norm(traj.states[-1].rho - prof.rho0, np.inf, g))
+        drifts.append(lp_norm(traj.samples.rho[-1] - prof.rho0, np.inf, g))
     balanced = all(d <= (16.0 / n) ** 2 for d, n in zip(drifts, (256, 512)))
 
     g = Grid("radial", 512, 16.0, 12.0)

@@ -11,14 +11,13 @@ from anelastic_lab.acoustic import (
     dispersive_smallness,
     evolve_acoustic,
     functional_calculus,
-    leapfrog_max_dt,
     measure_local_decay,
     measure_strichartz,
     regularize_data,
     spatial_cutoff,
     spectral_solution,
 )
-from anelastic_lab.grids import CFLError, DomainError, Grid, lp_norm
+from anelastic_lab.grids import DomainError, Grid, lp_norm
 from anelastic_lab.hydrostatics import constant_profile
 from anelastic_lab.primitive import GaussianBump
 
@@ -196,33 +195,6 @@ class TestEvolution:
         t = 0.7
         assert np.array_equal(sol_eps.phi(t), sol_one.phi(t / 0.2))
         assert np.array_equal(sol_eps.s(t), sol_one.s(t / 0.2))
-
-    def test_leapfrog_energy_drift_second_order(self, operator):
-        grid = operator.grid
-        init = AcousticState(s=GaussianBump(1.0, 1.0).field(grid), phi=np.zeros(grid.n))
-        eps = 0.5
-        dt0 = 0.25 * leapfrog_max_dt(operator, eps)
-        drifts = []
-        for dt in (dt0, 0.5 * dt0):
-            traj = evolve_acoustic(
-                init, operator, eps, 0.5, n_samples=11, method="leapfrog", dt=dt
-            )
-            drifts.append(np.max(np.abs(traj.energies - traj.energies[0])))
-        rate = np.log2(drifts[0] / drifts[1])
-        assert abs(rate - 2.0) <= 0.2
-
-    def test_leapfrog_cfl_rejection(self, operator):
-        grid = operator.grid
-        init = AcousticState(s=np.ones(grid.n), phi=np.zeros(grid.n))
-        with pytest.raises(CFLError):
-            evolve_acoustic(
-                init,
-                operator,
-                0.2,
-                0.1,
-                method="leapfrog",
-                dt=3.0 * leapfrog_max_dt(operator, 0.2),
-            )
 
 
 class TestMeasurements:

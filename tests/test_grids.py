@@ -102,6 +102,44 @@ class TestLpNorm:
         assert abs(vol2 - 4.0 * np.pi / 3.0 * 8.0) < 0.05
 
 
+class TestStackedFields:
+    """A leading sample axis gives bit for bit the row-by-row values."""
+
+    @pytest.mark.parametrize("m, n", [(3, 64), (17, 512), (206, 96)])
+    def test_radial_helpers_match_rows(self, m, n):
+        g = Grid("radial", n, 16.0, 12.0)
+        rng = np.random.default_rng(m * n)
+        f = rng.standard_normal((m, n)) * np.exp(4.0 * rng.standard_normal((m, n)))
+        rows = list(f)
+        assert np.array_equal(integrate(f, g), [integrate(r, g) for r in rows])
+        for p in (1.0, 2.0, 5.0 / 3.0, np.inf):
+            for radius in (None, 3.0):
+                stacked = lp_norm(f, p, g, radius=radius)
+                assert np.array_equal(stacked, [lp_norm(r, p, g, radius=radius) for r in rows])
+        for parity in ("even", "odd"):
+            stacked = radial_gradient(f, g, parity=parity)
+            assert np.array_equal(stacked, [radial_gradient(r, g, parity=parity) for r in rows])
+        assert np.array_equal(radial_divergence(f, g), [radial_divergence(r, g) for r in rows])
+
+    def test_cartesian_integrate_and_norm_match_rows(self, cart_grid, rng):
+        f = rng.standard_normal((4,) + cart_grid.field_shape)
+        assert np.array_equal(integrate(f, cart_grid), [integrate(r, cart_grid) for r in f])
+        assert np.array_equal(lp_norm(f, 2.0, cart_grid), [lp_norm(r, 2.0, cart_grid) for r in f])
+
+    def test_misaligned_trailing_axis_rejected(self, radial_grid):
+        bad = np.ones((5, radial_grid.n + 1))
+        for call in (
+            lambda: integrate(bad, radial_grid),
+            lambda: lp_norm(bad, 2.0, radial_grid),
+            lambda: radial_gradient(bad, radial_grid),
+            lambda: radial_divergence(bad, radial_grid),
+        ):
+            with pytest.raises(FieldAlignmentError):
+                call()
+        with pytest.raises(FieldAlignmentError):
+            integrate(np.ones((radial_grid.n, 5)), radial_grid)
+
+
 class TestWeightedInner:
     def test_constant_coefficients(self, flat_profile, radial_grid):
         ones = np.ones(radial_grid.n)

@@ -7,7 +7,6 @@ from anelastic_lab import cli, configio, harness
 from anelastic_lab.cli import main
 from anelastic_lab.grids import CFLError, DomainError, Grid
 from anelastic_lab.harness import (
-    ExactRadialReference,
     SweepPlan,
     audit_quarantine_time,
     sweep_epsilon,
@@ -62,12 +61,6 @@ class TestSweep:
         assert (tmp_path / "bounds.csv").exists()
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per eps
-
-    def test_exact_reference(self, radial_profile, radial_grid):
-        theta = np.full(radial_grid.n, 0.9)
-        ref = ExactRadialReference(theta, radial_profile, radial_grid)
-        assert np.all(ref.velocity(1.7) == 0.0)
-        assert np.array_equal(ref.temperature(0.3), theta)
 
     def test_quarantine_scales_with_eps(self, radial_profile, radial_grid):
         t1 = audit_quarantine_time(radial_profile, radial_grid, ScalingParams(eps=0.2))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anelastic_lab.acoustic import AcousticState, spectral_solution
-from anelastic_lab.grids import DomainError, Grid, integrate, lp_norm
+from anelastic_lab.grids import DomainError, EssResCutoff, Grid, integrate, lp_norm
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
@@ -180,6 +180,23 @@ class TestResidualPressure:
             values.append(residual_pressure_value(traj, 3.0, 0.5, g))
         assert values[0] > values[1] > 0.0
         assert fit_eps_slope(eps_list, values) >= 2.0
+
+    def test_matches_per_sample_loop(self):
+        # the stacked pass must reproduce the one-sample-at-a-time sum bit for bit
+        g = Grid("radial", 128, 8.0, 6.0)
+        params = ScalingParams(eps=0.2, horizon=0.4)
+        prof = build_profile(PotentialSpec(), params, g)
+        init = init_ill_prepared(IllPreparedData(rho1=GaussianBump(25.0, 0.8)), prof, params, g)
+        traj = run_primitive(init, prof, params, g, np.linspace(0.0, 0.4, 17))
+        cut = EssResCutoff.from_profile(prof)
+        mask = g.ball_mask(3.0)
+        rates = [
+            np.sum(((1.0 - cut.chi(q)) * q)[mask] ** (params.gamma + 0.5) * g.weights[mask])
+            for q in traj.samples.q
+        ]
+        expected = float(np.trapezoid(rates, traj.times))
+        assert expected > 0.0
+        assert residual_pressure_value(traj, 3.0, 0.5, g, cut) == expected
 
 
 class TestRelEnergyReport:
