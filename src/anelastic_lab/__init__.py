@@ -7,7 +7,7 @@ that drive the limit: relative energy, uniform bounds, local pressure
 decay, dispersive decay and the convergence norms themselves.
 """
 
-from .grids import EssResCutoff, Grid, ess_res_split, integrate, lp_norm, weighted_inner
+from .grids import EssResCutoff, Grid, integrate, lp_norm, weighted_inner
 from .hydrostatics import (
     PotentialSpec,
     StaticProfile,
@@ -24,7 +24,6 @@ __all__ = [
     "ScalingParams",
     "StaticProfile",
     "build_profile",
-    "ess_res_split",
     "flatness_report",
     "integrate",
     "lp_norm",

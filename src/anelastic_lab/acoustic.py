@@ -17,6 +17,10 @@ so with sigma = (p'(rho0)/rho0) s both Phi and sigma satisfy the A-wave
 equation and the propagator is exact mode by mode.  Evolution runs on a
 Dirichlet-truncated ball; measurements quote results only up to the
 domain-crossing time to keep boundary reflections out of the numbers.
+
+Time arrays in, stacked fields out: given n_t times, the wave solution
+returns (n_t, n) fields, one matrix product per field, and the decay and
+space-time measurements reduce one (n_t, n_cells) array of the wave.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class AcousticOperator:
         return self.evecs.T @ (self.masses * h)
 
     def reconstruct(self, c: np.ndarray) -> np.ndarray:
-        return self.evecs @ c
+        """Fields of coefficient vectors: c is (n,) or stacked (n_t, n)."""
+        return c @ self.evecs.T
 
     def apply(self, h: np.ndarray) -> np.ndarray:
         return self.reconstruct(self.evals * self.coeffs(h))
@@ -121,13 +126,12 @@ class FrequencyWindow:
 
     __call__ = value
 
-    @property
-    def plateau(self) -> tuple[float, float]:
-        return (self.delta, 1.0 / self.delta)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.5 * self.delta, 2.0 / self.delta)
+def _window_values(op: AcousticOperator, window) -> np.ndarray:
+    """G(sqrt(lambda)) per mode; window is a callable of sqrt(lambda) or a number."""
+    if callable(window):
+        return np.asarray(window(op.omegas), dtype=float)
+    return np.full_like(op.evals, float(window))
 
 
 def functional_calculus(op: AcousticOperator, window, h: np.ndarray) -> np.ndarray:
@@ -136,11 +140,7 @@ def functional_calculus(op: AcousticOperator, window, h: np.ndarray) -> np.ndarr
     window may be a FrequencyWindow, any callable of sqrt(lambda), or a
     plain number (constant calculus).
     """
-    if callable(window):
-        g = np.asarray(window(op.omegas), dtype=float)
-    else:
-        g = np.full_like(op.evals, float(window))
-    return op.reconstruct(g * op.coeffs(h))
+    return op.reconstruct(_window_values(op, window) * op.coeffs(h))
 
 
 def spatial_cutoff(delta: float, grid: Grid) -> np.ndarray:
@@ -174,11 +174,18 @@ def regularize_data(
 
 @dataclass
 class AcousticState:
-    """Density perturbation s and velocity potential Phi at one time."""
+    """Density perturbation s and velocity potential Phi at t (stacked if t is an array)."""
 
     s: np.ndarray
     phi: np.ndarray
-    t: float = 0.0
+    t: float | np.ndarray = 0.0
+
+
+def _modal_energy(op: AcousticOperator, phi_c, sigma_c) -> float | np.ndarray:
+    """1/2 (sum lambda c_phi^2 + sum c_sigma^2), one value per coefficient row."""
+    lam = np.clip(op.evals, 0.0, None)
+    e = 0.5 * (np.sum(lam * phi_c * phi_c, axis=-1) + np.sum(sigma_c * sigma_c, axis=-1))
+    return float(e) if e.ndim == 0 else e
 
 
 def acoustic_energy(op: AcousticOperator, s: np.ndarray, phi: np.ndarray) -> float:
@@ -188,15 +195,15 @@ def acoustic_energy(op: AcousticOperator, s: np.ndarray, phi: np.ndarray) -> flo
     the flux-form operator.
     """
     sigma = (op.prof.dp / op.prof.rho0) * s
-    c = op.coeffs(phi)
-    sc = op.coeffs(sigma)
-    lam = np.clip(op.evals, 0.0, None)
-    return float(0.5 * (np.sum(lam * c * c) + np.sum(sc * sc)))
+    return _modal_energy(op, op.coeffs(phi), op.coeffs(sigma))
 
 
 @dataclass
 class SpectralWaveSolution:
-    """Closed-form evolution of the acoustic pair in the eigenbasis."""
+    """Closed-form evolution of the acoustic pair in the eigenbasis.
+
+    Methods take a time or an array of n_t times (fields then stack as (n_t, n)).
+    """
 
     op: AcousticOperator
     eps: float
@@ -205,52 +212,52 @@ class SpectralWaveSolution:
 
     _STATIC_CUT = 1.0e-12
 
-    def _phase(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        w = self.op.omegas
-        th = w * (t / self.eps)
+    def _clock(self, t) -> np.ndarray:
+        """t / eps with a trailing mode axis, so times broadcast against modes."""
+        return np.asarray(t, dtype=float)[..., None] / self.eps
+
+    def _phase(self, t) -> tuple[np.ndarray, np.ndarray]:
+        th = self.op.omegas * self._clock(t)
         return np.cos(th), np.sin(th)
 
-    def phi_coeffs(self, t: float) -> np.ndarray:
+    def phi_coeffs(self, t) -> np.ndarray:
         cos, sin = self._phase(t)
         w = self.op.omegas
         out = self.phi_coeffs0 * cos
         small = w < self._STATIC_CUT
         ws = np.where(small, 1.0, w)
-        out -= self.sigma_coeffs0 * np.where(small, t / self.eps, sin / ws)
+        out -= self.sigma_coeffs0 * np.where(small, self._clock(t), sin / ws)
         return out
 
-    def sigma_coeffs(self, t: float) -> np.ndarray:
+    def sigma_coeffs(self, t) -> np.ndarray:
         cos, sin = self._phase(t)
         return self.sigma_coeffs0 * cos + self.op.omegas * self.phi_coeffs0 * sin
 
-    def phi(self, t: float) -> np.ndarray:
+    def phi(self, t) -> np.ndarray:
         return self.op.reconstruct(self.phi_coeffs(t))
 
-    def sigma(self, t: float) -> np.ndarray:
+    def sigma(self, t) -> np.ndarray:
         return self.op.reconstruct(self.sigma_coeffs(t))
 
-    def s(self, t: float) -> np.ndarray:
+    def s(self, t) -> np.ndarray:
         return self.op.prof.inner_weight * self.sigma(t)
 
-    def grad_phi(self, t: float) -> np.ndarray:
+    def grad_phi(self, t) -> np.ndarray:
         return radial_gradient(self.phi(t), self.op.grid, parity="even")
 
-    def dt_grad_phi(self, t: float) -> np.ndarray:
+    def dt_grad_phi(self, t) -> np.ndarray:
         """Analytic d/dt grad Phi = -(1/eps) grad sigma."""
         return -radial_gradient(self.sigma(t), self.op.grid, parity="even") / self.eps
 
-    def div_rho_grad_phi(self, t: float) -> np.ndarray:
+    def div_rho_grad_phi(self, t) -> np.ndarray:
         """div(rho0 grad Phi) = -(rho0/p'(rho0)) A Phi, spectrally exact."""
         a_phi = self.op.reconstruct(self.op.evals * self.phi_coeffs(t))
         return -self.op.prof.inner_weight * a_phi
 
-    def energy(self, t: float) -> float:
-        c = self.phi_coeffs(t)
-        sc = self.sigma_coeffs(t)
-        lam = np.clip(self.op.evals, 0.0, None)
-        return float(0.5 * (np.sum(lam * c * c) + np.sum(sc * sc)))
+    def energy(self, t) -> float | np.ndarray:
+        return _modal_energy(self.op, self.phi_coeffs(t), self.sigma_coeffs(t))
 
-    def state(self, t: float) -> AcousticState:
+    def state(self, t) -> AcousticState:
         return AcousticState(s=self.s(t), phi=self.phi(t), t=t)
 
 
@@ -270,8 +277,7 @@ def spectral_solution(
 
 @dataclass
 class AcousticTrajectory:
-    times: np.ndarray
-    states: list
+    state: AcousticState  # stacked (n_samples, n) fields; state.t holds the times
     energies: np.ndarray
 
 
@@ -285,9 +291,7 @@ def evolve_acoustic(
     """Evolve the acoustic pair spectrally and sample it on a uniform time mesh."""
     times = np.linspace(0.0, horizon, n_samples)
     sol = spectral_solution(op, init, eps)
-    states = [sol.state(t) for t in times]
-    energies = np.array([sol.energy(t) for t in times])
-    return AcousticTrajectory(times=times, states=states, energies=energies)
+    return AcousticTrajectory(state=sol.state(times), energies=sol.energy(times))
 
 
 def crossing_time(prof: StaticProfile, grid: Grid) -> float:
@@ -296,21 +300,33 @@ def crossing_time(prof: StaticProfile, grid: Grid) -> float:
     return grid.r_sponge / float(c_far)
 
 
-def _windowed_modes(op: AcousticOperator, window, h: np.ndarray, floor: float = 1.0e-13):
-    g = np.asarray(window(op.omegas), dtype=float) if callable(window) else np.full_like(
-        op.evals, float(window)
-    )
-    active = g > floor
-    coeffs = g[active] * op.coeffs(h)[active]
-    return op.evecs[:, active], op.omegas[active], coeffs
-
-
 def _time_mesh(T: float, omega_max: float, points_per_period: int) -> np.ndarray:
     if omega_max <= 0.0:
         return np.linspace(0.0, T, 9)
     dt = (2.0 * np.pi / omega_max) / points_per_period
     n = max(int(np.ceil(T / dt)) + 1, 9)
     return np.linspace(0.0, T, n)
+
+
+def _windowed_wave(op, window, h, T, points_per_period, clock=1.0, ball_radius=None):
+    """G(sqrt(A)) exp(i sqrt(A) t / clock) h on the time mesh of [0, T].
+
+    Returns (times, wave, weights): the wave is one (n_t, n_cells) complex
+    array over the ball's cells (all cells without a radius), weights their
+    quadrature weights.
+    """
+    g = _window_values(op, window)
+    active = g > 1.0e-13
+    omegas = op.omegas[active]
+    coeffs = g[active] * op.coeffs(h)[active]
+    vecs = op.evecs[:, active]
+    weights = op.grid.weights
+    if ball_radius is not None:
+        mask = op.grid.ball_mask(ball_radius)
+        vecs, weights = vecs[mask, :], weights[mask]
+    times = _time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)
+    phases = np.exp(1j * omegas * times[:, None] / clock)
+    return times, (coeffs * phases) @ vecs.T, weights
 
 
 @dataclass
@@ -334,16 +350,8 @@ def measure_local_decay(
     on the unscaled clock.  Saturation of the value in T is the truncated
     stand-in for global-in-time local energy decay.
     """
-    grid = op.grid
-    vecs, omegas, coeffs = _windowed_modes(op, window, h)
-    mask = grid.ball_mask(ball_radius)
-    vecs_ball = vecs[mask, :]
-    w_ball = grid.weights[mask]
-    times = _time_mesh(T, float(omegas.max(initial=0.0)), points_per_period)
-    series = np.empty(times.size)
-    for j, t in enumerate(times):
-        u = vecs_ball @ (coeffs * np.exp(1j * omegas * t))
-        series[j] = float(np.sum(np.abs(u) ** 2 * w_ball))
+    times, u, w = _windowed_wave(op, window, h, T, points_per_period, ball_radius=ball_radius)
+    series = np.sum(np.abs(u) ** 2 * w, axis=-1)
     value = float(np.trapezoid(series, times))
     return DecayMeasurement(value=value, times=times, series=series)
 
@@ -382,16 +390,10 @@ def measure_strichartz(
             f"(p, q) = ({p}, {q}) violates 1/p + 3/q = 1/2; "
             f"defect {1.0 / p + 3.0 / q - 0.5:.3e}"
         )
-    grid = op.grid
-    vecs, omegas, coeffs = _windowed_modes(op, window, h)
-    w = grid.weights
-    times = _time_mesh(T, float(omegas.max(initial=0.0)), points_per_period)
-    series = np.empty(times.size)
-    for j, t in enumerate(times):
-        u = vecs @ (coeffs * np.exp(1j * omegas * t))
-        series[j] = float(np.sum(np.abs(u) ** q * w) ** (1.0 / q))
+    times, u, w = _windowed_wave(op, window, h, T, points_per_period)
+    series = np.sum(np.abs(u) ** q * w, axis=-1) ** (1.0 / q)
     value = float(np.trapezoid(series**p, times) ** (1.0 / p))
-    data_l2 = lp_norm(h, 2.0, grid)
+    data_l2 = lp_norm(h, 2.0, op.grid)
     ratio = value / data_l2 if data_l2 > 0.0 else 0.0
     return StrichartzMeasurement(
         value=value, data_l2=data_l2, ratio=ratio, times=times, series=series
@@ -413,13 +415,8 @@ def dispersive_smallness(
     the faster clock moves the wave out of the ball earlier, so the average
     shrinks with eps once the transit fits inside the horizon.
     """
-    grid = op.grid
-    vecs, omegas, coeffs = _windowed_modes(op, window, h)
-    mask = grid.ball_mask(ball_radius)
-    vecs_ball = vecs[mask, :]
-    times = _time_mesh(T, float(omegas.max(initial=0.0)) / eps, points_per_period)
-    series = np.empty(times.size)
-    for j, t in enumerate(times):
-        u = vecs_ball @ (coeffs * np.exp(1j * omegas * t / eps))
-        series[j] = float(np.max(np.abs(u)))
+    times, u, _ = _windowed_wave(
+        op, window, h, T, points_per_period, clock=eps, ball_radius=ball_radius
+    )
+    series = np.max(np.abs(u), axis=-1)
     return float(np.trapezoid(series, times) / T)

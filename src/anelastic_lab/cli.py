@@ -184,9 +184,8 @@ def cmd_simulate_acoustic(args) -> int:
         params.horizon,
         n_samples=configio.get_int(cfg, "run.samples"),
     )
-    rows = []
-    for t, st, energy in zip(traj.times, traj.states, traj.energies):
-        rows.append((t, energy, lp_norm(st.s, 2.0, grid), lp_norm(st.phi, 2.0, grid)))
+    st = traj.state
+    rows = zip(st.t, traj.energies, lp_norm(st.s, 2.0, grid), lp_norm(st.phi, 2.0, grid))
     _write_rows(
         os.path.join(outdir, "acoustic.csv"), ["t", "energy", "s_l2", "phi_l2"], rows
     )

@@ -1,4 +1,4 @@
-"""Grids, quadrature, norms and the essential/residual splitting.
+"""Grids, quadrature, norms and the essential/residual cutoff.
 
 Two geometry modes are supported.  The radial mode stores fields as
 functions of r = |x| on cells of width h = r_max / n with 3D spherical
@@ -215,24 +215,17 @@ class EssResCutoff:
 
     def chi(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        up = smoothstep((y - (self.y_lo - self.width)) / self.width)
-        down = smoothstep(((self.y_hi + self.width) - y) / self.width)
+        # off the plateau only the nearer shoulder is below one, so one
+        # smoothstep is evaluated; the quintic overshoots 1 by an ulp just
+        # below y_lo, hence the clamp
+        x = np.where(y <= self.y_hi, y - (self.y_lo - self.width), (self.y_hi + self.width) - y)
+        x /= self.width
+        chi = np.minimum(smoothstep(x), 1.0, out=x)
         # exactly one on the plateau regardless of rounding in the shoulders
-        return np.where((y >= self.y_lo) & (y <= self.y_hi), 1.0, np.minimum(up, down))
+        chi[(y >= self.y_lo) & (y <= self.y_hi)] = 1.0
+        return chi
 
     __call__ = chi
-
-
-def ess_res_split(
-    f: np.ndarray, weight: np.ndarray, cut: EssResCutoff
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split f into the essential part chi(weight) f and the residual rest."""
-    if np.shape(f) != np.shape(weight):
-        raise FieldAlignmentError("field and weight shapes differ")
-    chi = cut.chi(weight)
-    ess = chi * f
-    res = (1.0 - chi) * f
-    return ess, res
 
 
 def harmonic_faces(f: np.ndarray) -> np.ndarray:

@@ -324,15 +324,20 @@ def rei_audit(
     d2h_rho0 = d2h(prof.rho0)
     d3h_rho0 = d3h(prof.rho0)
 
+    # the ansatz fields at every sample time, one stacked (n_samples, n) array each
+    s_all = acoustic.s(times)
+    r_all = prof.rho0 + eps * s_all
+    if np.any(r_all <= 0.0):
+        raise DomainError("ansatz density rho0 + eps s lost positivity")
+    grad_phi_all = acoustic.grad_phi(times)
+    dt_grad_phi_all = u_scale * acoustic.dt_grad_phi(times)
+    if form == "raw":
+        div_rho_grad_phi_all = acoustic.div_rho_grad_phi(times)
+
     for j, t in enumerate(times):
         state = traj.samples.row(j)
-        s = acoustic.s(t)
-        r_field = prof.rho0 + eps * s
-        if np.any(r_field <= 0.0):
-            raise DomainError("ansatz density rho0 + eps s lost positivity")
-        v_lim = limit_velocity(t)
-        u_test = u_scale * (v_lim + acoustic.grad_phi(t))
-        dt_grad_phi = u_scale * acoustic.dt_grad_phi(t)
+        s, r_field, dt_grad_phi = s_all[j], r_all[j], dt_grad_phi_all[j]
+        u_test = u_scale * (limit_velocity(t) + grad_phi_all[j])
 
         u = state.velocity
         theta = state.theta
@@ -350,7 +355,7 @@ def rei_audit(
             g1 += params.eps**params.alpha * stress_contraction(u_test, diff, params, grid)
             rates["velocity"][j] = integrate(g1, grid)
 
-            dt_hp = -d2h(r_field) * acoustic.div_rho_grad_phi(t)
+            dt_hp = -d2h(r_field) * div_rho_grad_phi_all[j]
             grad_hp = d2h(r_field) * (
                 grad_rho0 + eps * radial_gradient(s, grid, parity="even")
             )

@@ -3,13 +3,15 @@ import pytest
 
 from anelastic_lab.anelastic import (
     AnelasticState,
+    _div_defect,
     init_anelastic,
     run_anelastic,
     smoothness_monitor,
     step_anelastic,
 )
-from anelastic_lab.grids import CFLError
-from anelastic_lab.helmholtz import CartesianWeightedLaplacian
+from anelastic_lab.grids import CFLError, Grid
+from anelastic_lab.helmholtz import CartesianWeightedLaplacian, StaggeredVector
+from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.primitive import DataError
 
 from test_helmholtz import stream_function_field
@@ -91,6 +93,29 @@ class TestCartesianStep:
         t_end = traj.states[-1].temperature
         assert t_end.max() <= theta.max() + 1.0e-10
         assert t_end.min() >= theta.min() - 1.0e-10
+
+
+class TestDivDefect:
+    def test_cartesian_ratio_independent_of_resolution(self, params):
+        # a fixed smooth face field with div(rho0 V) != 0: the relative
+        # defect is a property of the field, not of the grid spacing
+        defects = []
+        for n in (8, 16):
+            grid = Grid("cartesian", n, 8.0, 6.0)
+            prof = build_profile(PotentialSpec(), params, grid)
+            faces = -grid.r_max + np.arange(n + 1) * grid.h
+            x, y, z = np.meshgrid(faces, grid.centers, grid.centers, indexing="ij")
+            v = StaggeredVector.zeros(n)
+            v.fx[...] = np.exp(-(x**2 + y**2 + z**2) / 8.0)
+            state = AnelasticState(
+                velocity=v,
+                pressure=np.zeros(grid.field_shape),
+                temperature=np.ones(grid.field_shape),
+                density=prof.rho0,
+            )
+            defects.append(_div_defect(state, prof, grid))
+        assert defects[0] > 0.0
+        assert abs(defects[1] / defects[0] - 1.0) <= 0.2
 
 
 class TestSmoothnessMonitor:

@@ -2,14 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from anelastic_lab.grids import (
     DomainError,
     EssResCutoff,
     FieldAlignmentError,
     Grid,
-    ess_res_split,
     integrate,
     lp_norm,
     radial_divergence,
@@ -185,30 +183,35 @@ class TestEssResSplit:
         assert chi[6] == 0.0
         assert np.all((chi >= 0.0) & (chi <= 1.0))
 
-    def test_essential_regime(self, rng):
-        cut = self.cutoff()
-        f = rng.standard_normal(50)
-        weight = np.full(50, 1.2)
-        ess, res = ess_res_split(f, weight, cut)
-        assert np.array_equal(ess, f)
-        assert np.all(res == 0.0)
+    def test_essential_regime(self):
+        chi = self.cutoff().chi(np.linspace(0.5, 3.0, 50))
+        assert np.all(chi == 1.0)
 
-    def test_residual_regime(self, rng):
-        cut = self.cutoff()
-        f = rng.standard_normal(50)
-        weight = np.full(50, 4.0)
-        ess, res = ess_res_split(f, weight, cut)
-        assert np.all(ess == 0.0)
-        assert np.array_equal(res, f)
+    def test_residual_regime(self):
+        y = np.concatenate([np.linspace(0.0, 0.45, 25), np.linspace(3.05, 9.0, 25)])
+        chi = self.cutoff().chi(y)
+        assert np.all(chi == 0.0)
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        f=arrays(np.float64, 41, elements=st.floats(-10, 10)),
-        w=arrays(np.float64, 41, elements=st.floats(0.01, 10)),
+    @staticmethod
+    def two_shoulder_chi(cut, y):
+        """Reference: both smoothsteps everywhere, their minimum off the plateau."""
+        up = smoothstep((y - (cut.y_lo - cut.width)) / cut.width)
+        down = smoothstep(((cut.y_hi + cut.width) - y) / cut.width)
+        return np.where((y >= cut.y_lo) & (y <= cut.y_hi), 1.0, np.minimum(up, down))
+
+    @pytest.mark.parametrize(
+        "cut", [EssResCutoff(0.5, 3.0, 0.05), EssResCutoff(0.3123, 2.71, 0.0291)]
     )
-    def test_pointwise_reconstruction(self, f, w):
-        ess, res = ess_res_split(f, w, self.cutoff())
-        assert np.max(np.abs(ess + res - f)) < 1.0e-14 * max(1.0, np.max(np.abs(f)))
+    def test_one_shoulder_matches_two_shoulder_formula(self, cut):
+        dense = np.linspace(0.0, 5.0, 200_001)
+        assert np.array_equal(cut.chi(dense), self.two_shoulder_chi(cut, dense))
+        steps = np.arange(-2000, 2001)
+        for corner in (cut.y_lo - cut.width, cut.y_lo, cut.y_hi, cut.y_hi + cut.width):
+            # every float within 2,000 ulps of the breakpoint
+            y = (np.float64(corner).view(np.int64) + steps).view(np.float64)
+            chi = cut.chi(y)
+            assert np.array_equal(chi, self.two_shoulder_chi(cut, y))
+            assert np.all((chi >= 0.0) & (chi <= 1.0))
 
     def test_from_profile_thresholds(self, radial_profile):
         cut = EssResCutoff.from_profile(radial_profile)

@@ -1,8 +1,9 @@
 """The benchmark trace wraps library functions by name.
 
-A rename of a traced function, or a time loop that calls the dt limit or
-the dissipation rate more than once per step, fails here instead of
-silently breaking the benchmark's per-layer metrics.
+A rename of a traced function, a time loop that calls the dt limit or
+the dissipation rate more than once per step, or an audit that rebuilds
+the acoustic wave once per sample instead of once per field, fails here
+instead of silently breaking the benchmark's per-layer metrics.
 """
 
 import importlib.util
@@ -11,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anelastic_lab import primitive
+from anelastic_lab import primitive, relative_energy
 from anelastic_lab.grids import Grid
+from anelastic_lab.harness import acoustic_ansatz
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import GaussianBump, IllPreparedData, init_ill_prepared
@@ -58,3 +60,25 @@ def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing):
     assert metrics["primitive.steps"] == steps > 0
     assert metrics["primitive.dt_calls_per_step"] == 1.0
     assert metrics["primitive.diss_calls_per_step"] == (steps + 1) / steps
+
+
+def test_audit_reconstructs_each_field_once(tracing):
+    grid = Grid("radial", 64, 8.0, 6.0)
+    params = ScalingParams(eps=0.4, horizon=0.2)
+    prof = build_profile(PotentialSpec(), params, grid)
+    bump = GaussianBump(0.3, 1.0)
+    data = IllPreparedData(rho1=bump, vel_potential=bump)
+    init = init_ill_prepared(data, prof, params, grid)
+    traj = primitive.run_primitive(init, prof, params, grid, np.linspace(0.0, 0.2, 9))
+    sol = acoustic_ansatz(data, prof, grid, params.eps, 0.25)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_flow(0)
+        relative_energy.rei_audit(traj, sol, lambda t: np.zeros(grid.n), params, grid)
+        tracer.end_flow()
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.flow_spans(0))
+    # s, grad Phi and d/dt grad Phi, each evaluated once on all 9 sample times
+    assert 0 < metrics["acoustic.reconstruct_calls"] <= 4
