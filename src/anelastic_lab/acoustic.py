@@ -1,12 +1,23 @@
 """Acoustic system on the static profile and its spectral machinery.
 
 The generator A: v -> -(p'(rho0)/rho0) div(rho0 grad v) is nonnegative and
-self-adjoint in the scalar product with density rho0/p'(rho0).  At desk
-scale the operator is diagonalized exactly: with m the vector of weighted
-cell masses, B = diag(sqrt(m)) A diag(1/sqrt(m)) is symmetric, and its
-eigenvectors transform back to an A-eigenbasis orthonormal in the weighted
-product.  Frequency localization, data regularization, wave propagation
-and the decay and space-time norm measurements all run through this basis.
+self-adjoint in the scalar product with density rho0/p'(rho0).  With m the
+vector of weighted cell masses and S = diag(sqrt(m)), the flux-form
+discretization makes B = S A S^-1 symmetric tridiagonal; the operator keeps
+B's two bands, so applying A is an exact O(n) product.
+
+Only the modes a measurement can see are computed.  The frequency window
+G(sqrt(A)) vanishes above sqrt(lambda) = 2/delta, so decay, Strichartz,
+data regularization and the audit ansatz assemble the operator with
+lam_max = (2/delta)^2: a Sturm count of the bands gives the number k of
+modes below it, and block inverse iteration finds them (Golub & Van Loan,
+Matrix Computations, ch. 8), with A^-1 applied by the exact O(n) radial
+inverse of the weighted Laplacian.  The columns of the (n, k) basis are
+orthonormal in the weighted product.  The full basis (lam_max = inf) and
+the eigenvalue-only spectrum go through numpy's dense symmetric solvers
+and stop at n = EIGEN_EAGER_LIMIT.  The window solver is numpy only:
+scipy's tridiagonal routines would do the same work, but importing
+scipy.linalg loads a second BLAS and doubles the resident memory of a run.
 
 The wave pair (s, Phi) evolves by
 
@@ -19,7 +30,8 @@ Dirichlet-truncated ball; measurements quote results only up to the
 domain-crossing time to keep boundary reflections out of the numbers.
 
 Time arrays in, stacked fields out: given n_t times, the wave solution
-returns (n_t, n) fields, one matrix product per field, and the decay and
+returns (n_t, n) fields, one matrix product per field.  The decay
+measurement is a quadratic form in the windowed modes' coefficients; the
 space-time measurements reduce one (n_t, n_cells) array of the wave.
 """
 
@@ -35,21 +47,28 @@ from .hydrostatics import StaticProfile
 
 EIGEN_EAGER_LIMIT = 4096
 ADMISSIBILITY_TOL = 1.0e-12
+# block inverse iteration: 2k + BLOCK_PAD vectors, stopped when every kept
+# residual |B x - theta x| is at most RESIDUAL_TOL * |B| (Gershgorin bound)
+BLOCK_PAD = 8
+RESIDUAL_TOL = 4.0e-15
+MAX_SWEEPS = 100
 
 
 class EigensolverError(RuntimeError):
-    """Dense symmetric eigendecomposition failed."""
+    """Symmetric eigensolve failed or did not converge."""
 
 
 @dataclass
 class AcousticOperator:
-    """Diagonalized acoustic generator on a radial grid."""
+    """Banded acoustic generator on a radial grid and its lowest k modes."""
 
     grid: Grid
     prof: StaticProfile
-    evals: np.ndarray
-    evecs: np.ndarray  # columns orthonormal in the weighted product
+    d: np.ndarray  # diagonal of B = S A S^-1
+    e: np.ndarray  # off-diagonal of B
     masses: np.ndarray
+    evals: np.ndarray  # (k,) ascending
+    evecs: np.ndarray  # (n, k), columns orthonormal in the weighted product
 
     @cached_property
     def omegas(self) -> np.ndarray:
@@ -60,11 +79,14 @@ class AcousticOperator:
         return self.evecs.T @ (self.masses * h)
 
     def reconstruct(self, c: np.ndarray) -> np.ndarray:
-        """Fields of coefficient vectors: c is (n,) or stacked (n_t, n)."""
+        """Fields of coefficient vectors: c is (k,) or stacked (n_t, k)."""
         return c @ self.evecs.T
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.reconstruct(self.evals * self.coeffs(h))
+        """A h = S^-1 B S h, exact on the whole space (needs no basis)."""
+        self.grid.check_aligned(h)
+        s = np.sqrt(self.masses)
+        return _band_product(self.d, self.e, s * h) / s
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.sum(u * v * self.masses))
@@ -73,34 +95,127 @@ class AcousticOperator:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
-def assemble_operator(prof: StaticProfile, grid: Grid | None = None) -> AcousticOperator:
-    """Assemble and eagerly diagonalize the acoustic operator.
-
-    Restricted to radial grids with n <= 4096; the dense symmetric solve
-    is the cost ceiling of the whole laboratory.
-    """
+def _laplacian(prof: StaticProfile, grid: Grid):
     from .helmholtz import RadialWeightedLaplacian
 
-    grid = grid or prof.grid
     if not grid.radial:
         raise DomainError("the acoustic operator is assembled in radial mode")
-    if grid.n > EIGEN_EAGER_LIMIT:
+    return RadialWeightedLaplacian(grid, prof.face_rho0)
+
+
+def _bands(prof: StaticProfile, lap) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and off-diagonal e of B = S A S^-1, S = diag(sqrt(masses))."""
+    c, w = lap.cond, lap.weights
+    coef = prof.dp / prof.rho0
+    s = np.sqrt(w * prof.inner_weight)
+    d = coef * (c[:-1] + c[1:]) / w
+    # B's upper and lower off-diagonals from A_{i,i+1} and A_{i+1,i}; they
+    # agree to round-off, and their mean makes B exactly symmetric
+    upper = s[:-1] * (coef[:-1] * -(c[1:-1] / w[:-1])) / s[1:]
+    lower = s[1:] * (coef[1:] * -(c[1:-1] / w[1:])) / s[:-1]
+    return d, 0.5 * (upper + lower)
+
+
+def _band_product(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """B x for B = tridiag(e, d, e), along the last axis of x."""
+    out = d * x
+    out[..., :-1] += e * x[..., 1:]
+    out[..., 1:] += e * x[..., :-1]
+    return out
+
+
+def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
+    """Number of eigenvalues of tridiag(e, d, e) below x.
+
+    Counts the negative pivots of the LDL^T factorization of B - x I
+    (Sturm sequence); a zero pivot is nudged to the smallest normal number.
+    """
+    count, q = 0, 1.0
+    for dx, e2 in zip((d - x).tolist(), [0.0, *(e * e).tolist()]):
+        q = dx - e2 / q
+        if q < 0.0:
+            count += 1
+        elif q == 0.0:
+            q = np.finfo(float).tiny
+    return count
+
+
+def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """B as one dense (n, n) array for numpy's dense solvers, up to EIGEN_EAGER_LIMIT."""
+    n = d.size
+    if n > EIGEN_EAGER_LIMIT:
         raise DomainError(
-            f"eager eigendecomposition is limited to n <= {EIGEN_EAGER_LIMIT}"
+            f"the dense eigensolvers (full basis, spectrum) are limited to "
+            f"n <= {EIGEN_EAGER_LIMIT}"
         )
-    lap = RadialWeightedLaplacian(grid, prof.face_rho0)
-    neg_l = -lap.dense()
-    a_mat = (prof.dp / prof.rho0)[:, None] * neg_l
+    b = np.zeros((n, n))
+    b.flat[:: n + 1] = d
+    b.flat[1 :: n + 1] = e
+    b.flat[n :: n + 1] = e
+    return b
+
+
+def _lowest_modes(prof, lap, s, d, e, k) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenpairs of B by block inverse iteration.
+
+    A block of 2k + BLOCK_PAD vectors is multiplied by B^-1 = S A^-1 S^-1,
+    with A^-1 h = (-L)^-1 ((rho0/p'(rho0)) h) from the exact radial inverse,
+    orthonormalized by QR and rotated by Rayleigh-Ritz on B.  Returns the
+    eigenvalues (k,) and B's orthonormal eigenvectors as rows (k, n).
+    """
+    n = d.size
+    to_rhs = prof.inner_weight / s
+    e_abs = np.abs(e)
+    norm_b = np.max(np.abs(d) + np.append(e_abs, 0.0) + np.append(0.0, e_abs))
+    x = np.random.default_rng(0).standard_normal((2 * k + BLOCK_PAD, n))
+    for _ in range(MAX_SWEEPS):
+        q = np.linalg.qr((s * lap.precondition(to_rhs * x)).T)[0].T
+        bq = _band_product(d, e, q)
+        theta, rot = np.linalg.eigh(bq @ q.T)
+        x = rot.T @ q
+        res = rot[:, :k].T @ bq - theta[:k, None] * x[:k]
+        if np.max(np.sqrt(np.sum(res * res, axis=-1)), initial=0.0) <= RESIDUAL_TOL * norm_b:
+            return theta[:k], x[:k]
+    raise EigensolverError(
+        f"block inverse iteration for {k} modes did not converge in {MAX_SWEEPS} sweeps"
+    )
+
+
+def assemble_operator(
+    prof: StaticProfile, grid: Grid | None = None, lam_max: float = np.inf
+) -> AcousticOperator:
+    """Assemble the banded acoustic operator with its modes of lambda < lam_max.
+
+    The window of parameter delta needs lam_max = (2/delta)^2 (see
+    FrequencyWindow.lam_max); those modes come from block inverse iteration
+    at any n.  lam_max = inf keeps the full basis, from a dense
+    eigendecomposition restricted to n <= EIGEN_EAGER_LIMIT; so does a
+    window whose block would span the whole space.
+    """
+    grid = grid or prof.grid
+    lap = _laplacian(prof, grid)
+    d, e = _bands(prof, lap)
     masses = grid.weights * prof.inner_weight
     s = np.sqrt(masses)
-    b = (s[:, None] * a_mat) / s[None, :]
-    b = 0.5 * (b + b.T)
+    k = _sturm_count(d, e, lam_max)
+    if 2 * k + BLOCK_PAD >= grid.n:
+        try:
+            evals, vecs = np.linalg.eigh(_tridiagonal(d, e))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
+            raise EigensolverError(f"eigh failed: {exc}") from exc
+        evals, rows = evals[:k], vecs.T[:k]
+    else:
+        evals, rows = _lowest_modes(prof, lap, s, d, e, k)
+    return AcousticOperator(grid, prof, d, e, masses, evals, (rows / s).T)
+
+
+def operator_spectrum(prof: StaticProfile) -> np.ndarray:
+    """Every eigenvalue of the acoustic operator, ascending, without eigenvectors."""
+    b = _tridiagonal(*_bands(prof, _laplacian(prof, prof.grid)))
     try:
-        evals, vecs = np.linalg.eigh(b)
+        return np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise EigensolverError(f"eigh failed: {exc}") from exc
-    evecs = vecs / s[:, None]
-    return AcousticOperator(grid=grid, prof=prof, evals=evals, evecs=evecs, masses=masses)
+        raise EigensolverError(f"eigvalsh failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -125,6 +240,11 @@ class FrequencyWindow:
         return rise * fall
 
     __call__ = value
+
+    @property
+    def lam_max(self) -> float:
+        """Top of the support in lambda = z^2: the modes the window can see."""
+        return (2.0 / self.delta) ** 2
 
 
 def _window_values(op: AcousticOperator, window) -> np.ndarray:
@@ -308,25 +428,19 @@ def _time_mesh(T: float, omega_max: float, points_per_period: int) -> np.ndarray
     return np.linspace(0.0, T, n)
 
 
-def _windowed_wave(op, window, h, T, points_per_period, clock=1.0, ball_radius=None):
-    """G(sqrt(A)) exp(i sqrt(A) t / clock) h on the time mesh of [0, T].
+def _windowed_modes(op, window, h, T, points_per_period, clock=1.0):
+    """Modes of G(sqrt(A)) exp(i sqrt(A) t / clock) h on the time mesh of [0, T].
 
-    Returns (times, wave, weights): the wave is one (n_t, n_cells) complex
-    array over the ball's cells (all cells without a radius), weights their
-    quadrature weights.
+    Returns (times, coeffs, vecs): coeffs is the (n_t, k_active) complex
+    array of the wave's coefficients on the modes the window keeps, vecs
+    those (n, k_active) modes; the wave is coeffs @ vecs.T.
     """
     g = _window_values(op, window)
     active = g > 1.0e-13
     omegas = op.omegas[active]
-    coeffs = g[active] * op.coeffs(h)[active]
-    vecs = op.evecs[:, active]
-    weights = op.grid.weights
-    if ball_radius is not None:
-        mask = op.grid.ball_mask(ball_radius)
-        vecs, weights = vecs[mask, :], weights[mask]
     times = _time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)
     phases = np.exp(1j * omegas * times[:, None] / clock)
-    return times, (coeffs * phases) @ vecs.T, weights
+    return times, (g[active] * op.coeffs(h)[active]) * phases, op.evecs[:, active]
 
 
 @dataclass
@@ -348,10 +462,15 @@ def measure_local_decay(
 
     Computes int_0^T || chi_ball G(sqrt(A)) exp(i sqrt(A) t) h ||_{L^2}^2 dt
     on the unscaled clock.  Saturation of the value in T is the truncated
-    stand-in for global-in-time local energy decay.
+    stand-in for global-in-time local energy decay.  The squared norm at
+    time t is c(t)^H G c(t), with G the Gram matrix of the windowed modes
+    on the ball, so the wave itself is never formed.
     """
-    times, u, w = _windowed_wave(op, window, h, T, points_per_period, ball_radius=ball_radius)
-    series = np.sum(np.abs(u) ** 2 * w, axis=-1)
+    times, c, vecs = _windowed_modes(op, window, h, T, points_per_period)
+    mask = op.grid.ball_mask(ball_radius)
+    ball = vecs[mask]
+    gram = ball.T @ (op.grid.weights[mask][:, None] * ball)
+    series = np.sum((c @ gram) * c.conj(), axis=-1).real
     value = float(np.trapezoid(series, times))
     return DecayMeasurement(value=value, times=times, series=series)
 
@@ -390,8 +509,8 @@ def measure_strichartz(
             f"(p, q) = ({p}, {q}) violates 1/p + 3/q = 1/2; "
             f"defect {1.0 / p + 3.0 / q - 0.5:.3e}"
         )
-    times, u, w = _windowed_wave(op, window, h, T, points_per_period)
-    series = np.sum(np.abs(u) ** q * w, axis=-1) ** (1.0 / q)
+    times, c, vecs = _windowed_modes(op, window, h, T, points_per_period)
+    series = np.sum(np.abs(c @ vecs.T) ** q * op.grid.weights, axis=-1) ** (1.0 / q)
     value = float(np.trapezoid(series**p, times) ** (1.0 / p))
     data_l2 = lp_norm(h, 2.0, op.grid)
     ratio = value / data_l2 if data_l2 > 0.0 else 0.0
@@ -415,8 +534,6 @@ def dispersive_smallness(
     the faster clock moves the wave out of the ball earlier, so the average
     shrinks with eps once the transit fits inside the horizon.
     """
-    times, u, _ = _windowed_wave(
-        op, window, h, T, points_per_period, clock=eps, ball_radius=ball_radius
-    )
-    series = np.max(np.abs(u), axis=-1)
+    times, c, vecs = _windowed_modes(op, window, h, T, points_per_period, clock=eps)
+    series = np.max(np.abs(c @ vecs[op.grid.ball_mask(ball_radius)].T), axis=-1)
     return float(np.trapezoid(series, times) / T)

@@ -236,7 +236,21 @@ def _step_cartesian(state, prof, dt, grid, tol, cfl):
 class AnelasticTrajectory:
     times: np.ndarray
     states: list
-    divergence_defects: np.ndarray
+    div_norms: np.ndarray  # || div(rho0 V) || per sample
+    flux_norms: np.ndarray  # || rho0 V || per sample
+    tol: float = DEFAULT_TOL  # projection tolerance of the run
+
+    @property
+    def divergence_defects(self) -> np.ndarray:
+        """|| div(rho0 V) || / || rho0 V ||, NaN where || rho0 V || <= tol.
+
+        Below the projection tolerance V is solver round-off (always, in
+        radial mode) and the ratio measures nothing.
+        """
+        out = np.full(self.div_norms.shape, np.nan)
+        live = self.flux_norms > self.tol
+        out[live] = self.div_norms[live] / self.flux_norms[live]
+        return out
 
 
 def run_anelastic(
@@ -248,13 +262,13 @@ def run_anelastic(
     dt: float | None = None,
     tol: float = DEFAULT_TOL,
 ) -> AnelasticTrajectory:
-    """March the limit system, recording the weighted-divergence defect."""
+    """March the limit system, recording || div(rho0 V) || and || rho0 V ||."""
     times = np.linspace(0.0, horizon, n_samples)
     if dt is None:
         dt = times[1] - times[0] if n_samples > 1 else horizon
     state = init
     states = [init]
-    defects = [_div_defect(init, prof, grid)]
+    norms = [_div_norms(init, prof, grid)]
     t = 0.0
     for target in times[1:]:
         while t < target - 1.0e-13:
@@ -269,18 +283,18 @@ def run_anelastic(
             state = step_anelastic(state, prof, step, grid, tol)
             t += step
         states.append(state)
-        defects.append(_div_defect(state, prof, grid))
+        norms.append(_div_norms(state, prof, grid))
+    div_norms, flux_norms = np.asarray(norms).T
     return AnelasticTrajectory(
-        times=times, states=states, divergence_defects=np.asarray(defects)
+        times=times, states=states, div_norms=div_norms, flux_norms=flux_norms, tol=tol
     )
 
 
-def _div_defect(state: AnelasticState, prof: StaticProfile, grid: Grid) -> float:
-    """|| div(rho0 V) ||_2 relative to || rho0 V ||_2 (zero-velocity safe).
+def _div_norms(state: AnelasticState, prof: StaticProfile, grid: Grid) -> tuple[float, float]:
+    """(|| div(rho0 V) ||_2, || rho0 V ||_2).
 
     Cell quadrature for the divergence, the Laplacian's face measure for
-    rho0 V, so the ratio does not scale with h.  At V ~ 0 (always, radially)
-    it is round-off over round-off.
+    rho0 V, so their ratio does not scale with h.
     """
     if grid.radial:
         rho_v = prof.face_rho0 * state.velocity
@@ -291,9 +305,8 @@ def _div_defect(state: AnelasticState, prof: StaticProfile, grid: Grid) -> float
         op = CartesianWeightedLaplacian(grid, prof.rho0)
         rho_v = op.rho_times(state.velocity)
         div = op.divergence(rho_v)
-        scale = np.sqrt(op.face_inner(rho_v, rho_v))
-    num = float(np.sqrt(integrate(div * div, grid)))
-    return num / scale if scale > 0.0 else num
+        scale = float(np.sqrt(op.face_inner(rho_v, rho_v)))
+    return float(np.sqrt(integrate(div * div, grid))), scale
 
 
 @dataclass

@@ -37,6 +37,7 @@ from .primitive import (
     run_primitive,
 )
 from .relative_energy import (
+    SLOPE_FLOOR,
     BoundsReport,
     constants_spread,
     fit_eps_slope,
@@ -180,7 +181,10 @@ class ConvergenceReport:
         )
         consts = ", ".join(f"{c:.5g}" for c in self.n2a_constants)
         lines.append(f"N2a/eps^2 constants: {consts}")
-        lines.append(f"r12 slope: {self.r12_slope:.4g}")
+        if np.any(self.r12 > SLOPE_FLOOR):
+            lines.append(f"r12 slope: {self.r12_slope:.4g}")
+        else:
+            lines.append("r12 slope: not exercised (r12 = 0 for every eps)")
         spreads = ", ".join(f"{k}={v:.3g}" for k, v in self.bound_spreads().items())
         lines.append(f"bound-constant spreads: {spreads}")
         return "\n".join(lines)
@@ -245,6 +249,7 @@ def acoustic_ansatz(
     """
     from .acoustic import (
         AcousticState,
+        FrequencyWindow,
         assemble_operator,
         regularize_data,
         spectral_solution,
@@ -252,7 +257,7 @@ def acoustic_ansatz(
 
     rho1, v0, _ = data.limit_fields(grid)
     _, phi0 = project(v0, prof, grid)
-    op = assemble_operator(prof)
+    op = assemble_operator(prof, lam_max=FrequencyWindow(delta).lam_max)
     s0, phi0d = regularize_data(op, rho1, phi0, delta)
     return spectral_solution(op, AcousticState(s=s0, phi=phi0d), eps)
 

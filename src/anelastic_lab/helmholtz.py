@@ -100,14 +100,15 @@ class RadialWeightedLaplacian:
         return (flux[1:] - flux[:-1]) / self.weights
 
     def precondition(self, rhs: np.ndarray) -> np.ndarray:
-        """Exact solve of -apply(z) = rhs in O(n).
+        """Exact solve of -apply(z) = rhs in O(n), along the last axis.
 
         The flux vanishes at r = 0, so summing rhs * weights outward gives
         the face fluxes; Phi is pinned at r_max, so summing the face
-        gradients inward gives Phi.
+        gradients inward gives Phi.  A leading axis stacks right-hand
+        sides; the acoustic eigensolver inverts a block of them at once.
         """
-        flux = np.cumsum(rhs * self.weights)
-        return np.cumsum((flux / self.cond[1:])[::-1])[::-1]
+        flux = np.cumsum(rhs * self.weights, axis=-1)
+        return np.cumsum((flux / self.cond[1:])[..., ::-1], axis=-1)[..., ::-1]
 
     def gradient_faces(self, phi: np.ndarray) -> np.ndarray:
         """Discrete grad(Phi) on faces, with the Dirichlet outer closure."""
@@ -126,6 +127,7 @@ class RadialWeightedLaplacian:
         return w
 
     def dense(self) -> np.ndarray:
+        """apply as an (n, n) matrix; the tests' reference for the banded operators."""
         n = self.grid.n
         mat = np.zeros((n, n))
         c, w = self.cond, self.weights

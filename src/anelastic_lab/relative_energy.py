@@ -197,7 +197,10 @@ def residual_pressure_value(
     return float(np.trapezoid(rates, traj.times))
 
 
-def fit_eps_slope(eps_list, values, floor: float = 1.0e-30) -> float:
+SLOPE_FLOOR = 1.0e-30
+
+
+def fit_eps_slope(eps_list, values, floor: float = SLOPE_FLOOR) -> float:
     """Least-squares slope of log(value) against log(eps).
 
     Entries at or below the floor are dropped; if fewer than two positive

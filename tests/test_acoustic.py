@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anelastic_lab.acoustic import (
+    BLOCK_PAD,
     AcousticState,
     FrequencyWindow,
     acoustic_energy,
@@ -15,10 +16,13 @@ from anelastic_lab.acoustic import (
     measure_strichartz,
     regularize_data,
     spatial_cutoff,
+    operator_spectrum,
     spectral_solution,
+    _sturm_count,
 )
 from anelastic_lab.grids import DomainError, Grid, lp_norm
-from anelastic_lab.hydrostatics import constant_profile
+from anelastic_lab.helmholtz import RadialWeightedLaplacian
+from anelastic_lab.hydrostatics import PotentialSpec, build_profile, constant_profile
 from anelastic_lab.primitive import GaussianBump
 
 
@@ -265,3 +269,69 @@ def test_acoustic_energy_matches_solution(operator, rng):
     sol = spectral_solution(operator, init, 0.3)
     direct = acoustic_energy(operator, init.s, init.phi)
     assert direct == pytest.approx(sol.energy(0.0), rel=1.0e-12)
+
+
+def dense_oracle(prof):
+    """A and the eigenpairs of the symmetrized B = S A S^-1, from the dense Laplacian."""
+    grid = prof.grid
+    lap = RadialWeightedLaplacian(grid, prof.face_rho0)
+    a_mat = (prof.dp / prof.rho0)[:, None] * -lap.dense()
+    s = np.sqrt(grid.weights * prof.inner_weight)
+    b = (s[:, None] * a_mat) / s[None, :]
+    evals, vecs = np.linalg.eigh(0.5 * (b + b.T))
+    return a_mat, evals, vecs / s[:, None]
+
+
+class TestWindowOperator:
+    """The banded operator with the modes below lam_max, against dense oracles."""
+
+    @pytest.fixture(scope="class", params=[(64, 16.0), (512, 64.0)], ids=["n64", "n512"])
+    def case(self, request, params):
+        n, lam_max = request.param
+        prof = build_profile(PotentialSpec(), params, Grid("radial", n, 16.0, 12.0))
+        return assemble_operator(prof, lam_max=lam_max), lam_max, dense_oracle(prof)
+
+    def test_modes_match_dense_eigh(self, case):
+        op, lam_max, (_, evals, evecs) = case
+        k = op.evals.size
+        assert 0 < k and 2 * k + BLOCK_PAD < op.grid.n  # the iterative path ran
+        assert k == np.count_nonzero(evals < lam_max)
+        assert np.max(np.abs(op.evals - evals[:k])) <= 1.0e-12 * evals[-1]
+        signs = np.sign(np.sum(op.evecs * evecs[:, :k] * op.masses[:, None], axis=0))
+        assert np.max(np.abs(op.evecs * signs - evecs[:, :k])) <= 1.0e-11
+
+    def test_weighted_orthonormality(self, case):
+        op = case[0]
+        gram = op.evecs.T @ (op.masses[:, None] * op.evecs)
+        assert np.max(np.abs(gram - np.eye(op.evals.size))) <= 1.0e-12
+
+    def test_apply_matches_dense(self, case, rng):
+        op, _, (a_mat, _, _) = case
+        h = rng.standard_normal(op.grid.n)
+        ref = a_mat @ h
+        assert np.max(np.abs(op.apply(h) - ref)) <= 1.0e-12 * np.max(np.abs(ref))
+
+    def test_sturm_count_matches_dense(self, case):
+        op, _, (_, evals, _) = case
+        # thresholds between neighbouring eigenvalues, across the spectrum
+        for j in np.linspace(0, evals.size - 2, 9).astype(int):
+            x = 0.5 * (evals[j] + evals[j + 1])
+            assert _sturm_count(op.d, op.e, x) == j + 1
+        assert _sturm_count(op.d, op.e, 0.5 * evals[0]) == 0
+        assert _sturm_count(op.d, op.e, np.inf) == evals.size
+
+    def test_window_loses_nothing(self, case, rng):
+        # G(sqrt(A)) vanishes above 2/delta, so the modes below lam_max carry it whole
+        op, lam_max, _ = case
+        full = assemble_operator(op.prof)
+        window = FrequencyWindow(2.0 / np.sqrt(lam_max))
+        assert window.lam_max == pytest.approx(lam_max)
+        h = rng.standard_normal(op.grid.n)
+        ref = functional_calculus(full, window, h)
+        out = functional_calculus(op, window, h)
+        assert op.norm(out - ref) <= 1.0e-10 * op.norm(ref)
+
+    def test_spectrum_matches_dense(self, case):
+        op, _, (_, evals, _) = case
+        spectrum = operator_spectrum(op.prof)
+        assert np.max(np.abs(spectrum - evals)) <= 1.0e-12 * evals[-1]

@@ -3,7 +3,7 @@ import pytest
 
 from anelastic_lab.anelastic import (
     AnelasticState,
-    _div_defect,
+    _div_norms,
     init_anelastic,
     run_anelastic,
     smoothness_monitor,
@@ -113,7 +113,8 @@ class TestDivDefect:
                 temperature=np.ones(grid.field_shape),
                 density=prof.rho0,
             )
-            defects.append(_div_defect(state, prof, grid))
+            div_norm, flux_norm = _div_norms(state, prof, grid)
+            defects.append(div_norm / flux_norm)
         assert defects[0] > 0.0
         assert abs(defects[1] / defects[0] - 1.0) <= 0.2
 
@@ -131,7 +132,8 @@ class TestSmoothnessMonitor:
         traj = AnelasticTrajectory(
             times=np.linspace(0.0, 1.0, 5),
             states=[state] * 5,
-            divergence_defects=np.zeros(5),
+            div_norms=np.zeros(5),
+            flux_norms=np.zeros(5),
         )
         rep = smoothness_monitor(traj, radial_grid)
         for series in rep.surrogates.values():

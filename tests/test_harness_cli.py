@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from anelastic_lab import acoustic as ac
 from anelastic_lab import cli, configio, harness
 from anelastic_lab.cli import main
 from anelastic_lab.grids import CFLError, DomainError, Grid
@@ -40,6 +41,8 @@ class TestSweep:
         assert np.all(rep.n1 < 1.0e-10)
         assert np.all(rep.n2a < 1.0e-10)
         assert np.all(rep.n3 < 1.0e-12)
+        assert np.all(rep.r12 == 0.0)
+        assert "r12 slope: not exercised (r12 = 0 for every eps)" in rep.summary_text()
 
     def test_acoustic_data_monotone(self):
         rep = sweep_epsilon(tiny_plan(eps_list=(0.4, 0.2, 0.1)))
@@ -209,6 +212,39 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "spectrum.csv"))
         assert main(["decay", *SMALL, "--output", out]) == 0
         assert os.path.exists(os.path.join(out, "decay.csv"))
+
+    def test_decay_beyond_the_dense_limit(self, tmp_path):
+        # the window's modes come from inverse iteration, which has no n ceiling
+        assert main(["decay", "--set", "grid.n=4608", "--output", str(tmp_path)]) == 0
+
+    def test_no_dense_eigenvectors_on_the_cli(self, tmp_path, monkeypatch):
+        sizes = []
+        real_eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for command in ("spectrum", "decay", "strichartz", "simulate-acoustic"):
+            assert main([command, *SMALL, "--output", str(tmp_path)]) == 0
+        assert sizes and max(sizes) < 96  # Rayleigh-Ritz blocks only, never (n, n)
+
+    def test_unconverged_eigensolve_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ac, "MAX_SWEEPS", 1)
+        assert main(["decay", *SMALL, "--output", str(tmp_path)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+
+    def test_simulate_anelastic_reports_absolute_divergence(self, tmp_path, capsys):
+        code = main(
+            ["simulate-anelastic", *SMALL, "--set", "run.samples=5",
+             "--set", "params.horizon=0.3", "--output", str(tmp_path)]
+        )
+        assert code == 0
+        # radial V is round-off: no ratio is printed, the norms are written
+        assert "max-div-defect=not-measured" in capsys.readouterr().out
+        header = (tmp_path / "anelastic.csv").read_text().splitlines()[0]
+        assert header == "t,div_norm,flux_norm,s_velocity,s_pressure,s_density"
 
     def test_audit_rei_small(self, tmp_path):
         out = str(tmp_path / "o")

@@ -1,9 +1,10 @@
 """The benchmark trace wraps library functions by name.
 
 A rename of a traced function, a time loop that calls the dt limit or
-the dissipation rate more than once per step, or an audit that rebuilds
-the acoustic wave once per sample instead of once per field, fails here
-instead of silently breaking the benchmark's per-layer metrics.
+the dissipation rate more than once per step, an audit that rebuilds
+the acoustic wave once per sample instead of once per field, or a decay
+run that diagonalizes the whole operator instead of the window's modes,
+fails here instead of silently breaking the benchmark's per-layer metrics.
 """
 
 import importlib.util
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anelastic_lab import primitive, relative_energy
+from anelastic_lab import acoustic, cli, configio, primitive, relative_energy
 from anelastic_lab.grids import Grid
 from anelastic_lab.harness import acoustic_ansatz
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
@@ -82,3 +83,28 @@ def test_audit_reconstructs_each_field_once(tracing):
     metrics = tracing.layer_metrics(tracer.flow_spans(0))
     # s, grad Phi and d/dt grad Phi, each evaluated once on all 9 sample times
     assert 0 < metrics["acoustic.reconstruct_calls"] <= 4
+
+
+def test_decay_assembles_only_the_window_modes(tracing, tmp_path, monkeypatch):
+    assembled = []
+    real_assemble = acoustic.assemble_operator
+
+    def recording_assemble(*args, **kwargs):
+        assembled.append(real_assemble(*args, **kwargs))
+        return assembled[-1]
+
+    monkeypatch.setattr(acoustic, "assemble_operator", recording_assemble)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_flow(0)
+        assert cli.main(["decay", "--output", str(tmp_path)]) == 0
+        tracer.end_flow()
+    finally:
+        tracer.uninstall()
+    assert tracing.layer_metrics(tracer.flow_spans(0))["acoustic.assemblies"] == 1
+    [op] = assembled
+    window = acoustic.FrequencyWindow(float(configio.DEFAULTS["acoustic.delta"]))
+    k = np.count_nonzero(acoustic.operator_spectrum(op.prof) < window.lam_max)
+    assert op.evals.size == k <= 40
+    assert op.evecs.shape == (op.grid.n, k)
