@@ -35,6 +35,8 @@ from .helmholtz import (
 from .hydrostatics import StaticProfile
 from .primitive import DataError
 
+CFL = 0.4  # advective limit dt <= CFL * h / max |V|
+
 
 @dataclass
 class AnelasticState:
@@ -100,22 +102,21 @@ def step_anelastic(
     dt: float,
     grid: Grid,
     tol: float = DEFAULT_TOL,
-    cfl: float = 0.4,
 ) -> AnelasticState:
     """Predict with advection and buoyancy, project, then move temperature."""
     if grid.radial:
-        return _step_radial(state, prof, dt, grid, tol, cfl)
-    return _step_cartesian(state, prof, dt, grid, tol, cfl)
+        return _step_radial(state, prof, dt, grid, tol)
+    return _step_cartesian(state, prof, dt, grid, tol)
 
 
-def _check_cfl(vmax: float, dt: float, h: float, cfl: float) -> None:
-    if vmax > 0.0 and dt > cfl * h / vmax * (1.0 + 1.0e-9):
-        raise CFLError(f"advective step {dt:.3e} exceeds {cfl * h / vmax:.3e}")
+def _check_cfl(vmax: float, dt: float, h: float) -> None:
+    if vmax > 0.0 and dt > CFL * h / vmax * (1.0 + 1.0e-9):
+        raise CFLError(f"advective step {dt:.3e} exceeds {CFL * h / vmax:.3e}")
 
 
-def _step_radial(state, prof, dt, grid, tol, cfl):
+def _step_radial(state, prof, dt, grid, tol):
     v = state.velocity
-    _check_cfl(float(np.max(np.abs(v))), dt, grid.h, cfl)
+    _check_cfl(float(np.max(np.abs(v))), dt, grid.h)
     t_face = np.empty(grid.n + 1)
     t_face[1:-1] = 0.5 * (state.temperature[:-1] + state.temperature[1:])
     t_face[0] = state.temperature[0]
@@ -172,11 +173,11 @@ def _cart_upwind_derivative(f: np.ndarray, vel: np.ndarray, axis: int, h: float)
     return np.where(vel > 0.0, back, fwd)
 
 
-def _step_cartesian(state, prof, dt, grid, tol, cfl):
+def _step_cartesian(state, prof, dt, grid, tol):
     op = CartesianWeightedLaplacian(grid, prof.rho0)
     v: StaggeredVector = state.velocity
     h = grid.h
-    _check_cfl(v.max_abs(), dt, h, cfl)
+    _check_cfl(v.max_abs(), dt, h)
 
     # cell-centered velocity for the advective derivatives
     uc = [
@@ -279,7 +280,7 @@ def run_anelastic(
             )
             step = min(dt, target - t)
             if vmax > 0.0:
-                step = min(step, 0.4 * grid.h / vmax)
+                step = min(step, CFL * grid.h / vmax)
             state = step_anelastic(state, prof, step, grid, tol)
             t += step
         states.append(state)

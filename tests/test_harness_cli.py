@@ -65,6 +65,33 @@ class TestSweep:
         lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + one row per eps
 
+    def test_n2b_depends_only_on_h_over_eps(self):
+        """Pins a known defect of the scheme, not a property of the limit.
+
+        The eps^2-rescaled temperature distance N2b grows as eps falls at
+        fixed n and agrees at equal h/eps: the Rusanov dissipation, of
+        speed ~c/eps, diffuses Theta at O(h/eps).  A Theta-preserving
+        dissipation (ROADMAP item 5) is expected to flip the first
+        assertion.
+        """
+        cfg = dict(configio.DEFAULTS)
+
+        def n2b(n, eps):
+            cfg["grid.n"] = str(n)
+            plan = SweepPlan(
+                eps_list=(0.4, 0.2),
+                data=configio.data_from(cfg),
+                potential=configio.potential_from(cfg),
+                params=configio.params_from(cfg),
+                grid=configio.grid_from(cfg),
+                n_samples=17,
+            )
+            return harness.run_case(plan, eps).n2b
+
+        coarse, fine = n2b(128, 0.4), n2b(128, 0.2)
+        assert fine > coarse
+        assert n2b(256, 0.2) == pytest.approx(coarse, rel=0.02)
+
     def test_quarantine_scales_with_eps(self, radial_profile, radial_grid):
         t1 = audit_quarantine_time(radial_profile, radial_grid, ScalingParams(eps=0.2))
         t2 = audit_quarantine_time(radial_profile, radial_grid, ScalingParams(eps=0.1))

@@ -59,6 +59,8 @@ def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing):
     metrics = tracing.layer_metrics(tracer.flow_spans(0))
     steps = traj.step_count
     assert metrics["primitive.steps"] == steps > 0
+    # the trace buckets steps by the eps it reads off run_primitive's arguments
+    assert metrics["primitive.steps.eps0.4"] == steps
     assert metrics["primitive.dt_calls_per_step"] == 1.0
     assert metrics["primitive.diss_calls_per_step"] == (steps + 1) / steps
 
