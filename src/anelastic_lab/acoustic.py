@@ -95,12 +95,12 @@ class AcousticOperator:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
-def _laplacian(prof: StaticProfile, grid: Grid):
+def _laplacian(prof: StaticProfile):
     from .helmholtz import RadialWeightedLaplacian
 
-    if not grid.radial:
+    if not prof.grid.radial:
         raise DomainError("the acoustic operator is assembled in radial mode")
-    return RadialWeightedLaplacian(grid, prof.face_rho0)
+    return RadialWeightedLaplacian(prof.grid, prof.face_rho0)
 
 
 def _bands(prof: StaticProfile, lap) -> tuple[np.ndarray, np.ndarray]:
@@ -181,9 +181,7 @@ def _lowest_modes(prof, lap, s, d, e, k) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def assemble_operator(
-    prof: StaticProfile, grid: Grid | None = None, lam_max: float = np.inf
-) -> AcousticOperator:
+def assemble_operator(prof: StaticProfile, lam_max: float = np.inf) -> AcousticOperator:
     """Assemble the banded acoustic operator with its modes of lambda < lam_max.
 
     The window of parameter delta needs lam_max = (2/delta)^2 (see
@@ -192,8 +190,8 @@ def assemble_operator(
     eigendecomposition restricted to n <= EIGEN_EAGER_LIMIT; so does a
     window whose block would span the whole space.
     """
-    grid = grid or prof.grid
-    lap = _laplacian(prof, grid)
+    grid = prof.grid
+    lap = _laplacian(prof)
     d, e = _bands(prof, lap)
     masses = grid.weights * prof.inner_weight
     s = np.sqrt(masses)
@@ -211,7 +209,7 @@ def assemble_operator(
 
 def operator_spectrum(prof: StaticProfile) -> np.ndarray:
     """Every eigenvalue of the acoustic operator, ascending, without eigenvectors."""
-    b = _tridiagonal(*_bands(prof, _laplacian(prof, prof.grid)))
+    b = _tridiagonal(*_bands(prof, _laplacian(prof)))
     try:
         return np.linalg.eigvalsh(b)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
@@ -420,7 +418,8 @@ def crossing_time(prof: StaticProfile, grid: Grid) -> float:
     return grid.r_sponge / float(c_far)
 
 
-def _time_mesh(T: float, omega_max: float, points_per_period: int) -> np.ndarray:
+def time_mesh(T: float, omega_max: float, points_per_period: int) -> np.ndarray:
+    """Uniform mesh of [0, T] with points_per_period points per period of omega_max (at least 9)."""
     if omega_max <= 0.0:
         return np.linspace(0.0, T, 9)
     dt = (2.0 * np.pi / omega_max) / points_per_period
@@ -438,7 +437,7 @@ def _windowed_modes(op, window, h, T, points_per_period, clock=1.0):
     g = _window_values(op, window)
     active = g > 1.0e-13
     omegas = op.omegas[active]
-    times = _time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)
+    times = time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)
     phases = np.exp(1j * omegas * times[:, None] / clock)
     return times, (g[active] * op.coeffs(h)[active]) * phases, op.evecs[:, active]
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import CFLError, Grid, integrate
+from .grids import Grid, integrate
 from .helmholtz import (
     DEFAULT_TOL,
     CartesianWeightedLaplacian,
@@ -36,6 +36,7 @@ from .hydrostatics import StaticProfile
 from .primitive import DataError
 
 CFL = 0.4  # advective limit dt <= CFL * h / max |V|
+BLOWUP_FACTOR = 1.0e3  # smoothness surrogate growth that flags a blow-up
 
 
 @dataclass
@@ -54,7 +55,6 @@ def init_anelastic(
     theta20: np.ndarray,
     prof: StaticProfile,
     grid: Grid,
-    tol: float = DEFAULT_TOL,
 ) -> AnelasticState:
     """Project the raw velocity and set temperature/density from theta20."""
     grid.check_aligned(theta20)
@@ -62,9 +62,9 @@ def init_anelastic(
         raise DataError("initial temperature must be strictly positive")
     if grid.radial:
         grid.check_aligned(v0)
-        v_faces, _ = project_radial_faces(centers_to_faces(v0, grid), prof, tol)
+        v_faces, _ = project_radial_faces(centers_to_faces(v0, grid), prof)
     else:
-        v_faces = project(v0, prof, grid, tol)[0]
+        v_faces = project(v0, prof, grid)[0]
     return AnelasticState(
         velocity=v_faces,
         pressure=np.zeros(grid.field_shape),
@@ -97,26 +97,22 @@ def _radial_advect_faces(v_faces: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def step_anelastic(
-    state: AnelasticState,
-    prof: StaticProfile,
-    dt: float,
-    grid: Grid,
-    tol: float = DEFAULT_TOL,
-) -> AnelasticState:
-    """Predict with advection and buoyancy, project, then move temperature."""
-    if grid.radial:
-        return _step_radial(state, prof, dt, grid, tol)
-    return _step_cartesian(state, prof, dt, grid, tol)
+    state: AnelasticState, prof: StaticProfile, dt_max: float, grid: Grid
+) -> tuple[AnelasticState, float]:
+    """Predict with advection and buoyancy, project, then move temperature.
 
-
-def _check_cfl(vmax: float, dt: float, h: float) -> None:
-    if vmax > 0.0 and dt > CFL * h / vmax * (1.0 + 1.0e-9):
-        raise CFLError(f"advective step {dt:.3e} exceeds {CFL * h / vmax:.3e}")
-
-
-def _step_radial(state, prof, dt, grid, tol):
+    The step takes dt = min(dt_max, CFL * h / max |V|), so it is stable by
+    construction, and returns the new state and that dt.
+    """
     v = state.velocity
-    _check_cfl(float(np.max(np.abs(v))), dt, grid.h)
+    vmax = float(np.max(np.abs(v))) if grid.radial else v.max_abs()
+    dt = min(dt_max, CFL * grid.h / vmax) if vmax > 0.0 else dt_max
+    step = _step_radial if grid.radial else _step_cartesian
+    return step(state, prof, dt, grid), dt
+
+
+def _step_radial(state, prof, dt, grid):
+    v = state.velocity
     t_face = np.empty(grid.n + 1)
     t_face[1:-1] = 0.5 * (state.temperature[:-1] + state.temperature[1:])
     t_face[0] = state.temperature[0]
@@ -126,7 +122,7 @@ def _step_radial(state, prof, dt, grid, tol):
     predictor = v + dt * (-_radial_advect_faces(v, grid) - t_face * grad_f)
     predictor[0] = 0.0
     predictor[-1] = 0.0
-    v_new, phi = project_radial_faces(predictor, prof, tol)
+    v_new, phi = project_radial_faces(predictor, prof)
     temp = _radial_upwind_temperature(state.temperature, v_new, prof, grid, dt)
     return AnelasticState(
         velocity=v_new,
@@ -173,11 +169,10 @@ def _cart_upwind_derivative(f: np.ndarray, vel: np.ndarray, axis: int, h: float)
     return np.where(vel > 0.0, back, fwd)
 
 
-def _step_cartesian(state, prof, dt, grid, tol):
+def _step_cartesian(state, prof, dt, grid):
     op = CartesianWeightedLaplacian(grid, prof.rho0)
     v: StaggeredVector = state.velocity
     h = grid.h
-    _check_cfl(v.max_abs(), dt, h)
 
     # cell-centered velocity for the advective derivatives
     uc = [
@@ -205,7 +200,7 @@ def _step_cartesian(state, prof, dt, grid, tol):
     predictor = StaggeredVector(*parts)
 
     rhs = op.divergence(op.rho_times(predictor))
-    phi = _solve(op, rhs, tol, 50_000)
+    phi = _solve(op, rhs, DEFAULT_TOL, 50_000)
     v_new = predictor.axpy(-1.0, op.gradient(phi))
 
     # conservative upwind transport of rho0 T with the projected fluxes
@@ -239,17 +234,16 @@ class AnelasticTrajectory:
     states: list
     div_norms: np.ndarray  # || div(rho0 V) || per sample
     flux_norms: np.ndarray  # || rho0 V || per sample
-    tol: float = DEFAULT_TOL  # projection tolerance of the run
 
     @property
     def divergence_defects(self) -> np.ndarray:
-        """|| div(rho0 V) || / || rho0 V ||, NaN where || rho0 V || <= tol.
+        """|| div(rho0 V) || / || rho0 V ||, NaN where || rho0 V || <= DEFAULT_TOL.
 
         Below the projection tolerance V is solver round-off (always, in
         radial mode) and the ratio measures nothing.
         """
         out = np.full(self.div_norms.shape, np.nan)
-        live = self.flux_norms > self.tol
+        live = self.flux_norms > DEFAULT_TOL
         out[live] = self.div_norms[live] / self.flux_norms[live]
         return out
 
@@ -261,7 +255,6 @@ def run_anelastic(
     horizon: float,
     n_samples: int = 21,
     dt: float | None = None,
-    tol: float = DEFAULT_TOL,
 ) -> AnelasticTrajectory:
     """March the limit system, recording || div(rho0 V) || and || rho0 V ||."""
     times = np.linspace(0.0, horizon, n_samples)
@@ -273,21 +266,13 @@ def run_anelastic(
     t = 0.0
     for target in times[1:]:
         while t < target - 1.0e-13:
-            vmax = (
-                float(np.max(np.abs(state.velocity)))
-                if grid.radial
-                else state.velocity.max_abs()
-            )
-            step = min(dt, target - t)
-            if vmax > 0.0:
-                step = min(step, CFL * grid.h / vmax)
-            state = step_anelastic(state, prof, step, grid, tol)
+            state, step = step_anelastic(state, prof, min(dt, target - t), grid)
             t += step
         states.append(state)
         norms.append(_div_norms(state, prof, grid))
     div_norms, flux_norms = np.asarray(norms).T
     return AnelasticTrajectory(
-        times=times, states=states, div_norms=div_norms, flux_norms=flux_norms, tol=tol
+        times=times, states=states, div_norms=div_norms, flux_norms=flux_norms
     )
 
 
@@ -323,12 +308,10 @@ class SmoothnessReport:
         return any(self.blowup_flags.values())
 
 
-def smoothness_monitor(
-    traj: AnelasticTrajectory, grid: Grid, blowup_factor: float = 1.0e3
-) -> SmoothnessReport:
+def smoothness_monitor(traj: AnelasticTrajectory, grid: Grid) -> SmoothnessReport:
     """Track sums of squared differences up to second order for V, Pi, R.
 
-    A field is flagged when its surrogate grows beyond blowup_factor times
+    A field is flagged when its surrogate grows beyond BLOWUP_FACTOR times
     its initial value (fields starting at zero are compared to the largest
     surrogate seen instead).
     """
@@ -368,5 +351,5 @@ def smoothness_monitor(
     flags = {}
     for k, arr in surrogates.items():
         base = arr[0] if arr[0] > 0.0 else float(np.max(arr))
-        flags[k] = bool(base > 0.0 and float(np.max(arr)) > blowup_factor * base)
+        flags[k] = bool(base > 0.0 and float(np.max(arr)) > BLOWUP_FACTOR * base)
     return SmoothnessReport(times=traj.times, surrogates=surrogates, blowup_flags=flags)

@@ -29,6 +29,7 @@ from .harness import (
     audit_quarantine_time,
     sweep_epsilon,
 )
+from .helmholtz import DEFAULT_TOL
 from .hydrostatics import build_profile, export_profile_csv, flatness_report, static_residual
 from .params import ParameterError
 from .primitive import (
@@ -157,7 +158,7 @@ def cmd_simulate_anelastic(args) -> int:
     if np.any(np.isfinite(defects)):
         ratio = f"{np.nanmax(defects):.17g}"
     else:  # V is solver round-off; a ratio would divide it by itself
-        ratio = f"not-measured(|rho0V|<={traj.tol:g})"
+        ratio = f"not-measured(|rho0V|<={DEFAULT_TOL:g})"
     print(
         f"simulate-anelastic: samples={traj.times.size} "
         f"max-div-norm={np.max(traj.div_norms):.17g} "
@@ -312,24 +313,21 @@ def cmd_audit_rei(args) -> int:
     delta = configio.get_float(cfg, "acoustic.delta")
     beta = configio.beta_from(cfg, params)
     horizon = min(params.horizon, audit_quarantine_time(prof, grid, params))
-    omega_max = (2.0 / delta) / params.eps
-    dt_s = (2.0 * np.pi / omega_max) / 24.0
-    times = np.linspace(0.0, horizon, int(np.ceil(horizon / dt_s)) + 1)
+    times = ac.time_mesh(
+        horizon,
+        (2.0 / delta) / params.eps,
+        configio.get_int(cfg, "acoustic.points_per_period"),
+    )
     init = init_ill_prepared(data, prof, params, grid)
     traj = run_primitive(init, prof, params, grid, times)
-    sol = acoustic_ansatz(data, prof, grid, params.eps, delta)
-    zero = lambda t: np.zeros(grid.field_shape)  # noqa: E731
-    rep = rei_audit(traj, sol, zero, params, grid)
-    raw = rei_audit(traj, sol, zero, params, grid, form="raw", tolerance=rep.tolerance)
-    raw_pert = rei_audit(
-        traj, sol, zero, params, grid, form="raw", u_scale=1.1, tolerance=rep.tolerance
-    )
+    sol = acoustic_ansatz(data, prof, params.eps, delta)
+    rep = rei_audit(traj, sol)
+    raw = rei_audit(traj, sol, form="raw", tolerance=rep.tolerance)
+    raw_pert = rei_audit(traj, sol, form="raw", u_scale=1.1, tolerance=rep.tolerance)
     run_record = RelEnergyReport(
         audit=rep,
-        bounds=uniform_bounds_report(traj, prof, params, grid),
-        residual_pressure=residual_pressure_value(
-            traj, grid.default_compact_radius, beta, grid
-        ),
+        bounds=uniform_bounds_report(traj),
+        residual_pressure=residual_pressure_value(traj, beta),
     )
     rows = zip(
         rep.times,

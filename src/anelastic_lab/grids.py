@@ -29,10 +29,6 @@ class DomainError(ValueError):
     """An argument lies outside the admissible domain of an operation."""
 
 
-class CFLError(RuntimeError):
-    """Requested time step exceeds a stability limit; the step is rejected."""
-
-
 def smoothstep(x: np.ndarray | float) -> np.ndarray | float:
     """Quintic smoothstep: 0 for x <= 0, 1 for x >= 1, C^2 in between."""
     t = np.clip(x, 0.0, 1.0)
@@ -193,8 +189,8 @@ def weighted_inner(u: np.ndarray, v: np.ndarray, prof) -> float:
 class EssResCutoff:
     """C^1 cutoff chi(Y): one on [y_lo, y_hi], zero outside the widened band.
 
-    y_lo and y_hi are half the minimum and twice the maximum of the static
-    density; width sets the smoothstep transition on both sides.
+    width sets the smoothstep transition on both sides; a profile's band
+    is StaticProfile.cutoff.
     """
 
     y_lo: float
@@ -206,12 +202,6 @@ class EssResCutoff:
             raise DomainError("require 0 < y_lo < y_hi")
         if not 0.0 < self.width < self.y_lo:
             raise DomainError("transition width must lie in (0, y_lo)")
-
-    @classmethod
-    def from_profile(cls, prof, width_fraction: float = 0.1) -> "EssResCutoff":
-        y_lo = 0.5 * prof.rho_min
-        y_hi = 2.0 * prof.rho_max
-        return cls(y_lo=y_lo, y_hi=y_hi, width=width_fraction * y_lo)
 
     def chi(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)

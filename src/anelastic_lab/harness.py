@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acoustic import EigensolverError
-from .grids import CFLError, DomainError, EssResCutoff, Grid, lp_norm
+from .grids import DomainError, Grid, lp_norm
 from .helmholtz import SolverError, project
 from .hydrostatics import PotentialSpec, StaticProfile, build_profile
 from .params import ScalingParams
@@ -48,7 +48,7 @@ from .relative_energy import (
 FMT = "%.17g"
 
 # numerical breakdowns (exit 3); anything else is bad input or a bug
-SOLVER_ERRORS = (SolverError, SolverFailure, CFLError, EigensolverError)
+SOLVER_ERRORS = (SolverError, SolverFailure, EigensolverError)
 
 
 class SweepError(RuntimeError):
@@ -90,22 +90,15 @@ class CaseResult:
     r12: float
 
 
-def limit_norms(
-    traj: PrimitiveTrajectory,
-    prof: StaticProfile,
-    params: ScalingParams,
-    grid: Grid,
-    theta2: np.ndarray,
-    cutoff: EssResCutoff,
-) -> tuple[float, float, float, float]:
+def limit_norms(traj: PrimitiveTrajectory, theta2: np.ndarray) -> tuple[float, float, float, float]:
     """(N1, N2a, N2b, N3) for one run against the radial closed-form limit.
 
     The limit velocity is V = 0 and the limit temperature the frozen
     initial perturbation theta2, so N2b compares (Theta - 1)/eps^2 with it
     at every sample.
     """
-    s = traj.samples
-    chi = cutoff.chi(s.q)
+    prof, params, grid, s = traj.prof, traj.params, traj.grid, traj.samples
+    chi = prof.cutoff.chi(s.q)
     drho = s.rho - prof.rho0
     n1 = np.max(lp_norm(chi * drho, 2.0, grid) + lp_norm((1.0 - chi) * drho, params.gamma, grid))
     dtheta = s.theta - 1.0
@@ -118,13 +111,12 @@ def run_case(plan: SweepPlan, eps: float) -> CaseResult:
     params = plan.params.with_eps(eps)
     grid = plan.grid
     prof = build_profile(plan.potential, params, grid)
-    cutoff = EssResCutoff.from_profile(prof)
     init = init_ill_prepared(plan.data, prof, params, grid)
     times = np.linspace(0.0, params.horizon, plan.n_samples)
     traj = run_primitive(init, prof, params, grid, times)
-    bounds = uniform_bounds_report(traj, prof, params, grid, cutoff)
-    n1, n2a, n2b, n3 = limit_norms(traj, prof, params, grid, plan.data.theta2.field(grid), cutoff)
-    r12 = residual_pressure_value(traj, grid.default_compact_radius, plan.beta, grid, cutoff)
+    bounds = uniform_bounds_report(traj)
+    n1, n2a, n2b, n3 = limit_norms(traj, plan.data.theta2.field(grid))
+    r12 = residual_pressure_value(traj, plan.beta)
     return CaseResult(
         eps=eps, bounds=bounds,
         n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=r12,
@@ -234,13 +226,7 @@ def _assemble(results: list) -> ConvergenceReport:
     return report
 
 
-def acoustic_ansatz(
-    data: IllPreparedData,
-    prof: StaticProfile,
-    grid: Grid,
-    eps: float,
-    delta: float,
-):
+def acoustic_ansatz(data: IllPreparedData, prof: StaticProfile, eps: float, delta: float):
     """Regularized acoustic solution for the relative-energy ansatz.
 
     The initial perturbation density is the limit profile of the data and
@@ -255,8 +241,8 @@ def acoustic_ansatz(
         spectral_solution,
     )
 
-    rho1, v0, _ = data.limit_fields(grid)
-    _, phi0 = project(v0, prof, grid)
+    rho1, v0, _ = data.limit_fields(prof.grid)
+    _, phi0 = project(v0, prof, prof.grid)
     op = assemble_operator(prof, lam_max=FrequencyWindow(delta).lam_max)
     s0, phi0d = regularize_data(op, rho1, phi0, delta)
     return spectral_solution(op, AcousticState(s=s0, phi=phi0d), eps)

@@ -286,7 +286,6 @@ class WeightedPoissonProblem:
 
     rho0: np.ndarray
     rhs: np.ndarray
-    tol: float = DEFAULT_TOL
     max_iterations: int = 50_000
 
 
@@ -345,7 +344,7 @@ def solve_weighted_poisson(problem: WeightedPoissonProblem, grid: Grid) -> np.nd
     if not np.all(np.isfinite(problem.rhs)):
         raise FieldAlignmentError("right-hand side contains non-finite entries")
     op = _operator_for(grid, problem.rho0)
-    return _solve(op, problem.rhs, problem.tol, problem.max_iterations)
+    return _solve(op, problem.rhs, DEFAULT_TOL, problem.max_iterations)
 
 
 def _operator_for(grid: Grid, rho0: np.ndarray):
@@ -372,9 +371,7 @@ def faces_to_centers(v_faces: np.ndarray, grid: Grid) -> np.ndarray:
     return 0.5 * (v_faces[:-1] + v_faces[1:])
 
 
-def project_radial_faces(
-    v_faces: np.ndarray, prof, tol: float = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def project_radial_faces(v_faces: np.ndarray, prof) -> tuple[np.ndarray, np.ndarray]:
     """Weighted projection of a radial face field; returns (H[v], Phi).
 
     The radial geometry admits no nontrivial weighted-solenoidal field, so
@@ -383,12 +380,12 @@ def project_radial_faces(
     grid = prof.grid
     op = RadialWeightedLaplacian(grid, prof.face_rho0)
     rhs = (np.diff(grid.face_areas * prof.face_rho0 * v_faces)) / grid.weights
-    phi = _solve(op, rhs, tol, 50_000)
+    phi = _solve(op, rhs, DEFAULT_TOL, 50_000)
     h_faces = v_faces - op.gradient_faces(phi)
     return h_faces, phi
 
 
-def project(v, prof, grid: Grid, tol: float = DEFAULT_TOL):
+def project(v, prof, grid: Grid):
     """Weighted Helmholtz projection; returns (H[v], Phi).
 
     Radial mode takes and returns cell-centered radial components;
@@ -397,10 +394,10 @@ def project(v, prof, grid: Grid, tol: float = DEFAULT_TOL):
     if grid.radial:
         grid.check_aligned(v)
         v_faces = centers_to_faces(v, grid)
-        h_faces, phi = project_radial_faces(v_faces, prof, tol)
+        h_faces, phi = project_radial_faces(v_faces, prof)
         return faces_to_centers(h_faces, grid), phi
     op = CartesianWeightedLaplacian(grid, prof.rho0)
     rhs = op.divergence(op.rho_times(v))
-    phi = _solve(op, rhs, tol, 50_000)
+    phi = _solve(op, rhs, DEFAULT_TOL, 50_000)
     grad = op.gradient(phi)
     return v.axpy(-1.0, grad), phi

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainError, Grid, harmonic_faces, radial_gradient
+from .grids import DomainError, EssResCutoff, Grid, harmonic_faces, radial_gradient
 from .params import ScalingParams
 
 
@@ -93,6 +93,12 @@ class StaticProfile:
     @cached_property
     def rho_max(self) -> float:
         return float(np.max(self.rho0))
+
+    @cached_property
+    def cutoff(self) -> EssResCutoff:
+        """Essential band [rho_min / 2, 2 rho_max], shoulders a tenth of rho_min / 2 wide."""
+        y_lo = 0.5 * self.rho_min
+        return EssResCutoff(y_lo=y_lo, y_hi=2.0 * self.rho_max, width=0.1 * y_lo)
 
     @cached_property
     def face_rho0(self) -> np.ndarray:
@@ -183,9 +189,7 @@ class FlatnessReport:
         return "\n".join(lines)
 
 
-def flatness_report(
-    spec: PotentialSpec, grid: Grid, params: ScalingParams | None = None
-) -> FlatnessReport:
+def flatness_report(spec: PotentialSpec, grid: Grid, params: ScalingParams) -> FlatnessReport:
     """Measure the asymptotic-flatness quantities of F, A = p'(rho0) and B.
 
     B = rho0 Q''(rho0) grad rho0 is the drift coefficient of the acoustic
@@ -194,7 +198,6 @@ def flatness_report(
     """
     if not grid.radial:
         raise DomainError("flatness_report runs in radial mode")
-    params = params or ScalingParams()
     prof = build_profile(spec, params, grid)
     r = grid.centers
     gamma = params.gamma

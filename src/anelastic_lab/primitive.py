@@ -163,7 +163,11 @@ def init_ill_prepared(
 
 
 class PrimitiveAux:
-    """Static per-run data: face interpolants, sponge, ghost state, sponge dt limit."""
+    """Static per-run data: face interpolants, sponge, ghost state, sponge dt limit.
+
+    sig_w is the sponge rate times the cell volumes, the weight of the
+    sponge's mass and rho Theta sinks.
+    """
 
     def __init__(self, prof: StaticProfile, params: ScalingParams, grid: Grid):
         if not grid.radial:
@@ -185,6 +189,7 @@ class PrimitiveAux:
         self.sigma = (5.0 / params.horizon) * smoothstep(
             (grid.centers - grid.r_sponge) / span
         )
+        self.sig_w = self.sigma * grid.weights
         sig_max = float(np.max(self.sigma))
         self.dt_sponge = 0.5 / sig_max if sig_max > 0 else np.inf
         self.visc_coef = params.eps**params.alpha * (4.0 * params.mu / 3.0 + params.lam)
@@ -241,11 +246,12 @@ def _muscl_edges(dev: np.ndarray, ghost: float) -> tuple[np.ndarray, np.ndarray]
     return ext[1:-1] + 0.5 * slopes[:-1], ext[2:] - 0.5 * slopes[1:]
 
 
-def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
+def _rusanov_fluxes(state, u, speed, drho, dq, aux, muscl: bool = False):
     """Face fluxes for (rho, mom, q); dissipation acts on static deviations.
 
-    u and speed = |u| + c are the cell velocity and wave speed; on the
-    first-order path the face speed max(|u_l| + c_l, |u_r| + c_r) is read
+    u and speed = |u| + c are the cell velocity and wave speed, drho and
+    dq the static deviations rho - rho0 and q - rho0; on the first-order
+    path the face speed max(|u_l| + c_l, |u_r| + c_r) is read
     off them directly.  Left and right states of the faces 1..n are views
     of one ghost-extended array per field.  Returns a (3, n+1) array of
     the rho, mom and q fluxes; the face at r = 0 carries no flux.  With
@@ -258,9 +264,9 @@ def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
     if muscl:
         rho0_ext = _with_ghost(rho0, aux.rho0_ghost)
         rho0_face = 0.5 * (rho0_ext[:-1] + rho0_ext[1:])
-        drho_l, drho_r = _muscl_edges(state.rho - rho0, 0.0)
+        drho_l, drho_r = _muscl_edges(drho, 0.0)
         dmom_l, dmom_r = _muscl_edges(state.mom, 0.0)
-        dq_l, dq_r = _muscl_edges(state.q - rho0, 0.0)
+        dq_l, dq_r = _muscl_edges(dq, 0.0)
         rho_l, rho_r = rho0_face + drho_l, rho0_face + drho_r
         mom_l, mom_r = dmom_l, dmom_r
         q_l, q_r = rho0_face + dq_l, rho0_face + dq_r
@@ -276,8 +282,8 @@ def _rusanov_fluxes(state, u, speed, aux, muscl: bool = False):
         q = _with_ghost(state.q, aux.rho0_ghost)
         vel = _with_ghost(u, 0.0)
         spd = _with_ghost(speed, aux.c_ghost)
-        drho = _with_ghost(state.rho - rho0, 0.0)
-        dq = _with_ghost(state.q - rho0, 0.0)
+        drho = _with_ghost(drho, 0.0)
+        dq = _with_ghost(dq, 0.0)
         mom_l, mom_r = mom[:-1], mom[1:]
         q_l, q_r = q[:-1], q[1:]
         u_l, u_r = vel[:-1], vel[1:]
@@ -309,23 +315,26 @@ def _face_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
 
 def step_primitive(
     state: PrimitiveState, aux: PrimitiveAux, dt_max: float, muscl: bool = False
-) -> tuple[PrimitiveState, float, tuple[float, float]]:
+) -> tuple[PrimitiveState, float, tuple[float, float], tuple[float, float]]:
     """One conservative forward-Euler update of at most dt_max.
 
-    The step computes u and the cell wave speed |u| + c once and takes
+    The step computes u, the cell wave speed |u| + c and the static
+    deviations rho - rho0, q - rho0 once, and takes
     dt = min(suggested_dt, dt_max), so it is stable by construction.
-    Returns the new state, that dt, and the (mass, rho Theta) fluxes per
-    unit area through the outer face during the step, for the boundary
-    ledgers.
+    Returns the new state, that dt, the (mass, rho Theta) fluxes per unit
+    area through the outer face, and the (mass, rho Theta) sponge sink
+    rates, for the boundary and sponge ledgers.
     """
     prof, params, grid = aux.prof, aux.params, aux.grid
     u = state.velocity
     speed = np.abs(u) + sound_speed(state, params)
     dt = min(suggested_dt(speed, state.rho, aux), dt_max)
+    drho = state.rho - prof.rho0
+    dq = state.q - prof.rho0
 
     w = grid.weights
     area = grid.face_areas
-    f_rho, f_mom, f_q = _rusanov_fluxes(state, u, speed, aux, muscl=muscl)
+    f_rho, f_mom, f_q = _rusanov_fluxes(state, u, speed, drho, dq, aux, muscl=muscl)
 
     rho_new = state.rho - dt * np.diff(area * f_rho) / w
     mom_new = state.mom - dt * np.diff(area * f_mom) / w
@@ -345,16 +354,17 @@ def step_primitive(
 
     # sponge relaxation toward the static far field
     sig = aux.sigma
-    rho_new -= dt * sig * (state.rho - prof.rho0)
+    rho_new -= dt * sig * drho
     mom_new -= dt * sig * state.mom
-    q_new -= dt * sig * (state.q - prof.rho0)
+    q_new -= dt * sig * dq
 
     out = PrimitiveState(rho=rho_new, mom=mom_new, q=q_new, t=state.t + dt)
     if np.any(out.rho <= 0.0) or np.any(out.q <= 0.0):
         raise SolverFailure(f"nonpositive density after update at t={out.t}", out)
     if not (np.all(np.isfinite(out.rho)) and np.all(np.isfinite(out.mom)) and np.all(np.isfinite(out.q))):
         raise SolverFailure(f"non-finite state after update at t={out.t}", out)
-    return out, dt, (float(f_rho[-1]), float(f_q[-1]))
+    sinks = (float(np.sum(aux.sig_w * drho)), float(np.sum(aux.sig_w * dq)))
+    return out, dt, (float(f_rho[-1]), float(f_q[-1])), sinks
 
 
 def enthalpy(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -439,7 +449,6 @@ def run_primitive(
     w_k = grid.weights[k_mask]
     rho0_k = prof.rho0[k_mask]
     area_out = grid.face_areas[-1]
-    sig_w = aux.sigma * grid.weights
 
     def n3_rate(rho: np.ndarray, u: np.ndarray) -> float:
         u = u[k_mask]
@@ -456,11 +465,13 @@ def run_primitive(
     ledger = np.empty((9, sample_times.size))  # the series in PrimitiveTrajectory field order
     for k, target in enumerate(sample_times):
         while state.t < target - 1.0e-13:
-            new, dt, (f_mass, f_q) = step_primitive(state, aux, target - state.t, muscl=muscl)
+            new, dt, (f_mass, f_q), (s_mass, s_q) = step_primitive(
+                state, aux, target - state.t, muscl=muscl
+            )
             out_mass += dt * area_out * f_mass
             out_q += dt * area_out * f_q
-            sp_mass += dt * float(np.sum(sig_w * (state.rho - prof.rho0)))
-            sp_q += dt * float(np.sum(sig_w * (state.q - prof.rho0)))
+            sp_mass += dt * s_mass
+            sp_q += dt * s_q
             u = new.velocity
             rate_d_new = viscous_dissipation_rate(u, params, grid)
             rate_n_new = n3_rate(new.rho, u)
@@ -578,21 +589,21 @@ class RenormReport:
     max_defect: float
 
 
-def renorm_check(traj: PrimitiveTrajectory, b_fam: CappedPower, grid: Grid) -> RenormReport:
+def renorm_check(traj: PrimitiveTrajectory, b_fam: CappedPower) -> RenormReport:
     """Measure the renormalized transport identity for b along a run.
 
     Between consecutive samples the report compares d/dt int b(q) against
     int (b - b' q) div u, charging the sponge sink and the outer boundary
     convection to the budget; the residue is normalized by int |b|.
     """
-    prof, params, s = traj.prof, traj.params, traj.samples
-    aux = PrimitiveAux(prof, params, grid)
+    prof, grid, s = traj.prof, traj.grid, traj.samples
+    aux = PrimitiveAux(prof, traj.params, grid)
     bq = b_fam.b(s.q)
     dbq = b_fam.db(s.q)
     u = s.velocity
     total_b = integrate(bq, grid)
     rhs = integrate((bq - dbq * s.q) * radial_divergence(u, grid), grid)
-    sponge = np.sum(aux.sigma * grid.weights * dbq * (s.q - prof.rho0), axis=-1)
+    sponge = np.sum(aux.sig_w * dbq * (s.q - prof.rho0), axis=-1)
     q_face = 0.5 * (s.q[:, -1] + aux.rho0_ghost)
     flux = grid.face_areas[-1] * b_fam.b(q_face) * 0.5 * u[:, -1]
     norm = integrate(np.abs(bq), grid)

@@ -24,14 +24,12 @@ import numpy as np
 from .acoustic import SpectralWaveSolution
 from .grids import (
     DomainError,
-    EssResCutoff,
     Grid,
     integrate,
     lp_norm,
     radial_divergence,
     radial_gradient,
 )
-from .hydrostatics import StaticProfile
 from .params import ScalingParams
 from .primitive import PrimitiveState, PrimitiveTrajectory, enthalpy
 
@@ -114,20 +112,14 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def uniform_bounds_report(
-    traj: PrimitiveTrajectory,
-    prof: StaticProfile,
-    params: ScalingParams,
-    grid: Grid,
-    cutoff: EssResCutoff | None = None,
-) -> BoundsReport:
+def uniform_bounds_report(traj: PrimitiveTrajectory) -> BoundsReport:
     """Measure the scaled a-priori bounds along a sampled trajectory.
 
     For each bound the implied constant divides out the stated eps power,
     so a sweep can check that the constants stay comparable across eps.
     Suprema and time integrals run over the stacked samples.
     """
-    cutoff = cutoff or EssResCutoff.from_profile(prof)
+    prof, params, grid = traj.prof, traj.params, traj.grid
     eps, alpha, gamma = params.eps, params.alpha, params.gamma
     s, times = traj.samples, traj.times
     # u and theta_dev are dropped once used, so chi's temporaries do not stack on them
@@ -140,7 +132,7 @@ def uniform_bounds_report(
     theta_dev = (s.theta - 1.0) / eps**2
     sup_r5 = float(np.max(lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid)))
     del theta_dev
-    chi = cutoff.chi(s.q)
+    chi = prof.cutoff.chi(s.q)
     r6 = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
     r6 += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
     sup_r6 = float(np.max(r6))
@@ -178,21 +170,17 @@ def constants_spread(reports: list[BoundsReport], key: str) -> float:
     return float(np.max(vals) / lo)
 
 
-def residual_pressure_value(
-    traj: PrimitiveTrajectory,
-    k_radius: float,
-    beta: float,
-    grid: Grid,
-    cutoff: EssResCutoff | None = None,
-) -> float:
-    """Space-time integral over the ball K of ([rho Theta]_res)**(gamma+beta)."""
-    params = traj.params
+def residual_pressure_value(traj: PrimitiveTrajectory, beta: float) -> float:
+    """Space-time integral over the ball K of ([rho Theta]_res)**(gamma+beta).
+
+    K is the ball of radius grid.default_compact_radius.
+    """
+    params, grid = traj.params, traj.grid
     if not 0.0 < beta < params.gamma / 3.0:
         raise DomainError(f"beta must lie in (0, gamma/3), got {beta}")
-    cutoff = cutoff or EssResCutoff.from_profile(traj.prof)
-    mask = grid.ball_mask(k_radius)
+    mask = grid.ball_mask(grid.default_compact_radius)
     q = np.ascontiguousarray(traj.samples.q[:, mask])  # rows sum as single samples do
-    res_q = (1.0 - cutoff.chi(q)) * q
+    res_q = (1.0 - traj.prof.cutoff.chi(q)) * q
     rates = np.sum(res_q ** (params.gamma + beta) * grid.weights[mask], axis=-1)
     return float(np.trapezoid(rates, traj.times))
 
@@ -200,16 +188,16 @@ def residual_pressure_value(
 SLOPE_FLOOR = 1.0e-30
 
 
-def fit_eps_slope(eps_list, values, floor: float = SLOPE_FLOOR) -> float:
+def fit_eps_slope(eps_list, values) -> float:
     """Least-squares slope of log(value) against log(eps).
 
-    Entries at or below the floor are dropped; if fewer than two positive
+    Entries at or below SLOPE_FLOOR are dropped; if fewer than two positive
     values remain the decay is faster than any measured power and the
     slope is reported as +inf.
     """
     eps_arr = np.asarray(eps_list, dtype=float)
     vals = np.asarray(values, dtype=float)
-    keep = vals > floor
+    keep = vals > SLOPE_FLOOR
     if np.count_nonzero(keep) < 2:
         return np.inf
     slope = np.polyfit(np.log(eps_arr[keep]), np.log(vals[keep]), 1)[0]
@@ -275,18 +263,15 @@ class RelEnergyReport:
 def rei_audit(
     traj: PrimitiveTrajectory,
     acoustic: SpectralWaveSolution,
-    limit_velocity,
-    params: ScalingParams,
-    grid: Grid,
     u_scale: float = 1.0,
     tolerance: float | None = None,
     form: str = "grouped",
 ) -> REIReport:
     """Evaluate both sides of the relative energy inequality on a run.
 
-    The test pair is the acoustic ansatz r = rho0 + eps s, U = V + grad Phi
-    with limit_velocity(t) supplying V at cell centers (identically zero in
-    radial geometry).  Acoustic time derivatives come from the wave
+    The test pair is the acoustic ansatz r = rho0 + eps s, U = V + grad Phi,
+    where the limit velocity V vanishes identically in radial geometry, so
+    U = grad Phi.  Acoustic time derivatives come from the wave
     equations analytically, never from finite differences of the samples.
 
     form = "grouped" (default) evaluates the right-hand side in the
@@ -302,7 +287,7 @@ def rei_audit(
     """
     if form not in ("grouped", "raw"):
         raise DomainError(f"unknown audit form {form!r}")
-    prof = traj.prof
+    prof, params, grid = traj.prof, traj.params, traj.grid
     eps, gamma = params.eps, params.gamma
     if abs(acoustic.eps - eps) > 1.0e-12:
         raise DomainError("acoustic solution and run were built at different eps")
@@ -337,10 +322,10 @@ def rei_audit(
     if form == "raw":
         div_rho_grad_phi_all = acoustic.div_rho_grad_phi(times)
 
-    for j, t in enumerate(times):
+    for j in range(times.size):
         state = traj.samples.row(j)
         s, r_field, dt_grad_phi = s_all[j], r_all[j], dt_grad_phi_all[j]
-        u_test = u_scale * (limit_velocity(t) + grad_phi_all[j])
+        u_test = u_scale * grad_phi_all[j]
 
         u = state.velocity
         theta = state.theta

@@ -91,7 +91,7 @@ def rei_pipeline():
     times = np.linspace(0.0, horizon, int(np.ceil(horizon / dt_s)) + 1)
     init = init_ill_prepared(data, prof, params, grid)
     traj = run_primitive(init, prof, params, grid, times)
-    sol = acoustic_ansatz(data, prof, grid, params.eps, delta)
+    sol = acoustic_ansatz(data, prof, params.eps, delta)
     return grid, params, prof, traj, sol
 
 
@@ -310,7 +310,7 @@ def test_c08_primitive_solver():
 def test_c09_relative_energy(rei_pipeline):
     t0 = time.time()
     grid, params, prof, traj, sol = rei_pipeline
-    rep = rei_audit(traj, sol, lambda t: np.zeros(grid.n), params, grid)
+    rep = rei_audit(traj, sol)
     nonneg = bool(np.all(rep.rel_energy >= 0.0))
 
     matched = PrimitiveState(
@@ -340,12 +340,9 @@ def test_c09_relative_energy(rei_pipeline):
 def test_c10_rei_audit(rei_pipeline):
     t0 = time.time()
     grid, params, prof, traj, sol = rei_pipeline
-    zero = lambda t: np.zeros(grid.n)  # noqa: E731
-    rep = rei_audit(traj, sol, zero, params, grid)
-    raw = rei_audit(traj, sol, zero, params, grid, form="raw", tolerance=rep.tolerance)
-    raw_pert = rei_audit(
-        traj, sol, zero, params, grid, form="raw", u_scale=1.1, tolerance=rep.tolerance
-    )
+    rep = rei_audit(traj, sol)
+    raw = rei_audit(traj, sol, form="raw", tolerance=rep.tolerance)
+    raw_pert = rei_audit(traj, sol, form="raw", u_scale=1.1, tolerance=rep.tolerance)
     larger = raw_pert.max_defect > raw.max_defect
     ok = rep.passed and larger
     verdict(
@@ -385,7 +382,7 @@ def test_c12_residual_pressure(sweep_report):
         data = IllPreparedData(rho1=GaussianBump(25.0, 0.8), theta2=GaussianBump(0.2, 1.0))
         init = init_ill_prepared(data, prof, params, g)
         traj = run_primitive(init, prof, params, g, np.linspace(0.0, 0.6, 41))
-        values.append(residual_pressure_value(traj, 3.0, 0.5, g))
+        values.append(residual_pressure_value(traj, 0.5))
     slope = fit_eps_slope(eps_list, values)
     strong_ok = all(v > 0.0 for v in values) and slope >= 2.0
     ok = main_ok and strong_ok

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from anelastic_lab.anelastic import (
+    CFL,
     AnelasticState,
     _div_norms,
     init_anelastic,
@@ -9,7 +10,7 @@ from anelastic_lab.anelastic import (
     smoothness_monitor,
     step_anelastic,
 )
-from anelastic_lab.grids import CFLError, Grid
+from anelastic_lab.grids import Grid
 from anelastic_lab.helmholtz import CartesianWeightedLaplacian, StaggeredVector
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.primitive import DataError
@@ -50,7 +51,7 @@ class TestRadialStep:
             np.zeros(n), np.full(n, c), radial_profile, radial_grid
         )
         for _ in range(3):
-            state = step_anelastic(state, radial_profile, 0.05, radial_grid)
+            state, _ = step_anelastic(state, radial_profile, 0.05, radial_grid)
         assert np.max(np.abs(state.velocity)) < 1.0e-9
         assert np.max(np.abs(state.temperature - c)) < 1.0e-12
         # the pressure multiplier balances the buoyancy: grad Pi = -c grad F
@@ -65,11 +66,11 @@ class TestRadialStep:
         )
         t0 = state.temperature.copy()
         for _ in range(4):
-            state = step_anelastic(state, radial_profile, 0.05, radial_grid)
+            state, _ = step_anelastic(state, radial_profile, 0.05, radial_grid)
         assert np.max(np.abs(state.velocity)) < 1.0e-8
         assert np.max(np.abs(state.temperature - t0)) < 1.0e-8
 
-    def test_cfl_rejection(self, radial_profile, radial_grid):
+    def test_dt_is_the_advective_limit_capped_by_dt_max(self, radial_profile, radial_grid):
         v = np.zeros(radial_grid.n + 1)
         v[5] = 10.0
         state = AnelasticState(
@@ -78,8 +79,11 @@ class TestRadialStep:
             temperature=np.ones(radial_grid.n),
             density=radial_profile.rho0.copy(),
         )
-        with pytest.raises(CFLError):
-            step_anelastic(state, radial_profile, 1.0, radial_grid)
+        limit = CFL * radial_grid.h / 10.0
+        out, dt = step_anelastic(state, radial_profile, 1.0, radial_grid)
+        assert dt == limit and out.t == limit
+        out, dt = step_anelastic(state, radial_profile, 0.5 * limit, radial_grid)
+        assert dt == 0.5 * limit and out.t == 0.5 * limit
 
 
 class TestCartesianStep:

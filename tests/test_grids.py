@@ -214,7 +214,7 @@ class TestEssResSplit:
             assert np.all((chi >= 0.0) & (chi <= 1.0))
 
     def test_from_profile_thresholds(self, radial_profile):
-        cut = EssResCutoff.from_profile(radial_profile)
+        cut = radial_profile.cutoff
         assert cut.y_lo == 0.5 * radial_profile.rho_min
         assert cut.y_hi == 2.0 * radial_profile.rho_max
 

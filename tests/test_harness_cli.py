@@ -6,7 +6,7 @@ import pytest
 from anelastic_lab import acoustic as ac
 from anelastic_lab import cli, configio, harness
 from anelastic_lab.cli import main
-from anelastic_lab.grids import CFLError, DomainError, Grid
+from anelastic_lab.grids import DomainError, Grid
 from anelastic_lab.harness import (
     SweepPlan,
     audit_quarantine_time,
@@ -329,7 +329,7 @@ def test_solver_failure_keeps_partial_sweep_report(tmp_path, monkeypatch, capsys
 
     def fails_second(plan, eps):
         if eps != plan.eps_list[0]:
-            raise CFLError("step rejected")
+            raise ac.EigensolverError("eigensolve failed")
         return real_run_case(plan, eps)
 
     monkeypatch.setattr(harness, "run_case", fails_second)

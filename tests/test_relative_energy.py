@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anelastic_lab.acoustic import AcousticState, spectral_solution
-from anelastic_lab.grids import DomainError, EssResCutoff, Grid, integrate, lp_norm
+from anelastic_lab.grids import DomainError, Grid, integrate, lp_norm
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
@@ -124,7 +124,7 @@ class TestUniformBounds:
         traj = run_primitive(
             init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.3])
         )
-        rep = uniform_bounds_report(traj, radial_profile, EPS02, radial_grid)
+        rep = uniform_bounds_report(traj)
         for key in ("r2", "r3", "r5", "r6", "r7", "r8"):
             assert rep.constants[key] < 1.0e-10
 
@@ -138,7 +138,7 @@ class TestUniformBounds:
         traj = run_primitive(
             init, radial_profile, EPS02, radial_grid, np.linspace(0.0, 0.5, 11)
         )
-        rep = uniform_bounds_report(traj, radial_profile, EPS02, radial_grid)
+        rep = uniform_bounds_report(traj)
         for key, value in rep.constants.items():
             assert np.isfinite(value), key
         assert rep.constants["r5"] > 0.0
@@ -151,7 +151,7 @@ class TestResidualPressure:
         data = IllPreparedData(rho1=GaussianBump(0.3, 1.0))
         init = init_ill_prepared(data, radial_profile, EPS02, radial_grid)
         traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.2]))
-        val = residual_pressure_value(traj, 6.0, 0.5, radial_grid)
+        val = residual_pressure_value(traj, 0.5)
         assert val == 0.0
 
     def test_beta_range_enforced(self, radial_profile, radial_grid):
@@ -163,7 +163,7 @@ class TestResidualPressure:
         traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
         assert 0.5 < EPS02.gamma / 3.0  # gamma = 5/3: beta = 0.5 admissible
         with pytest.raises(DomainError):
-            residual_pressure_value(traj, 6.0, 0.6, radial_grid)
+            residual_pressure_value(traj, 0.6)
 
     def test_strong_data_slope(self):
         # amplitude chosen so rho Theta leaves the essential band at every
@@ -177,7 +177,7 @@ class TestResidualPressure:
             data = IllPreparedData(rho1=GaussianBump(25.0, 0.8))
             init = init_ill_prepared(data, prof, params, g)
             traj = run_primitive(init, prof, params, g, np.linspace(0.0, 0.4, 21))
-            values.append(residual_pressure_value(traj, 3.0, 0.5, g))
+            values.append(residual_pressure_value(traj, 0.5))
         assert values[0] > values[1] > 0.0
         assert fit_eps_slope(eps_list, values) >= 2.0
 
@@ -188,7 +188,7 @@ class TestResidualPressure:
         prof = build_profile(PotentialSpec(), params, g)
         init = init_ill_prepared(IllPreparedData(rho1=GaussianBump(25.0, 0.8)), prof, params, g)
         traj = run_primitive(init, prof, params, g, np.linspace(0.0, 0.4, 17))
-        cut = EssResCutoff.from_profile(prof)
+        cut = prof.cutoff
         mask = g.ball_mask(3.0)
         rates = [
             np.sum(((1.0 - cut.chi(q)) * q)[mask] ** (params.gamma + 0.5) * g.weights[mask])
@@ -196,7 +196,7 @@ class TestResidualPressure:
         ]
         expected = float(np.trapezoid(rates, traj.times))
         assert expected > 0.0
-        assert residual_pressure_value(traj, 3.0, 0.5, g, cut) == expected
+        assert residual_pressure_value(traj, 0.5) == expected
 
 
 class TestRelEnergyReport:
@@ -209,7 +209,7 @@ class TestRelEnergyReport:
             q=radial_profile.rho0.copy(),
         )
         traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
-        bounds = uniform_bounds_report(traj, radial_profile, EPS02, radial_grid)
+        bounds = uniform_bounds_report(traj)
         audit = REIReport(
             times=np.array([0.0, 0.1]),
             rel_energy=np.zeros(2),
@@ -256,7 +256,7 @@ class TestREIAuditBasics:
         sol = spectral_solution(
             op, AcousticState(s=np.zeros(n), phi=np.zeros(n)), EPS02.eps
         )
-        rep = rei_audit(traj, sol, lambda t: np.zeros(n), EPS02, radial_grid)
+        rep = rei_audit(traj, sol)
         assert np.max(np.abs(rep.defect)) < 1.0e-9
         assert np.max(np.abs(rep.lhs)) < 1.0e-9
         assert rep.passed
@@ -269,7 +269,7 @@ class TestREIAuditBasics:
         traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.4)
         with pytest.raises(DomainError):
-            rei_audit(traj, sol, lambda t: np.zeros(n), EPS02, radial_grid)
+            rei_audit(traj, sol)
 
     def test_unknown_form_rejected(self, radial_profile, radial_grid, operator):
         n = radial_grid.n
@@ -279,4 +279,4 @@ class TestREIAuditBasics:
         traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.2)
         with pytest.raises(DomainError):
-            rei_audit(traj, sol, lambda t: np.zeros(n), EPS02, radial_grid, form="exotic")
+            rei_audit(traj, sol, form="exotic")
