@@ -2,6 +2,7 @@
 """Fingerprint every artifact and stdout of the nine computing commands.
 
     python3 scripts/artifact_digest.py [--set SECTION.KEY=VALUE ...] > digest.txt
+    python3 scripts/artifact_digest.py --against REF [--set SECTION.KEY=VALUE ...]
 
 Runs profile, sweep, audit-rei, simulate-primitive, simulate-anelastic,
 simulate-acoustic, spectrum, decay and strichartz through cli.main, each
@@ -9,9 +10,13 @@ into its own directory under one temporary directory, with every --set
 passed on to every command.  Prints `sha256  command/file` for each file
 a command writes and `sha256  command/stdout` for its captured standard
 output followed by its exit status.  BLAS runs on one thread, so the
-digest depends only on the source and the overrides: diffing the digests
-of two checkouts lists the artifacts a change moved.  The checkout's own
-`src/` is imported, so a copy of this file measures the checkout it sits in.
+digest depends only on the source and the overrides.
+
+With --against REF the digest is taken twice with the same overrides, in
+fresh interpreters: once with this checkout's `src/` and once with the
+`src/` of the git ref REF, exported into a temporary directory.  Only the
+lines that differ are printed (`- ` the ref's, `+ ` this checkout's), and
+the exit status is 1 if any does.
 """
 
 import os
@@ -22,13 +27,13 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tarfile  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-
-from anelastic_lab.cli import main  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
 
 COMMANDS = (
     "profile",
@@ -47,8 +52,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(overrides: list[str]) -> list[str]:
-    """The digest lines of all nine commands run with the given --set overrides."""
+def digest(overrides: list[str], src: Path = ROOT / "src") -> list[str]:
+    """The digest lines of all nine commands run from src with the given --set overrides."""
+    sys.path.insert(0, str(src))
+    from anelastic_lab.cli import main
+
     sets = [arg for item in overrides for arg in ("--set", item)]
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -64,7 +72,36 @@ def digest(overrides: list[str]) -> list[str]:
     return lines
 
 
+def against(ref: str, overrides: list[str]) -> list[str]:
+    """The digest lines that differ between REF's src/ and this checkout's."""
+    sets = [arg for item in overrides for arg in ("--set", item)]
+
+    def run(src: Path) -> list[str]:
+        cmd = [sys.executable, __file__, "--src", str(src), *sets]
+        return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", ref, "src"], capture_output=True, check=True
+        ).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = run(Path(tmp) / "src")
+    ours = run(ROOT / "src")
+    return [f"- {line}" for line in theirs if line not in ours] + [
+        f"+ {line}" for line in ours if line not in theirs
+    ]
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE")
-    print("\n".join(digest(parser.parse_args().set)))
+    parser.add_argument("--against", metavar="REF", help="print only the lines that differ at REF")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.against:
+        changed = against(args.against, args.set)
+        if changed:
+            print("\n".join(changed))
+        sys.exit(1 if changed else 0)
+    print("\n".join(digest(args.set, args.src)))

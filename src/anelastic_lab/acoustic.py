@@ -412,10 +412,10 @@ def evolve_acoustic(
     return AcousticTrajectory(state=sol.state(times), energies=sol.energy(times))
 
 
-def crossing_time(prof: StaticProfile, grid: Grid) -> float:
+def crossing_time(prof: StaticProfile) -> float:
     """Sponge-crossing time R_sp / sqrt(gamma rho_bar**(gamma-1))."""
     c_far = np.sqrt(prof.gamma * prof.rho_bar ** (prof.gamma - 1.0))
-    return grid.r_sponge / float(c_far)
+    return prof.grid.r_sponge / float(c_far)
 
 
 def time_mesh(T: float, omega_max: float, points_per_period: int) -> np.ndarray:

@@ -262,26 +262,27 @@ def run_anelastic(
         dt = times[1] - times[0] if n_samples > 1 else horizon
     state = init
     states = [init]
-    norms = [_div_norms(init, prof, grid)]
+    norms = [_div_norms(init, prof)]
     t = 0.0
     for target in times[1:]:
         while t < target - 1.0e-13:
             state, step = step_anelastic(state, prof, min(dt, target - t), grid)
             t += step
         states.append(state)
-        norms.append(_div_norms(state, prof, grid))
+        norms.append(_div_norms(state, prof))
     div_norms, flux_norms = np.asarray(norms).T
     return AnelasticTrajectory(
         times=times, states=states, div_norms=div_norms, flux_norms=flux_norms
     )
 
 
-def _div_norms(state: AnelasticState, prof: StaticProfile, grid: Grid) -> tuple[float, float]:
+def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[float, float]:
     """(|| div(rho0 V) ||_2, || rho0 V ||_2).
 
     Cell quadrature for the divergence, the Laplacian's face measure for
     rho0 V, so their ratio does not scale with h.
     """
+    grid = prof.grid
     if grid.radial:
         rho_v = prof.face_rho0 * state.velocity
         div = np.diff(grid.face_areas * rho_v) / grid.weights

@@ -70,13 +70,10 @@ def _setup(args):
 
 def cmd_profile(args) -> int:
     cfg, outdir = _setup(args)
-    grid = configio.grid_from(cfg)
-    params = configio.params_from(cfg)
-    spec = configio.potential_from(cfg)
-    prof = build_profile(spec, params, grid)
+    grid, params, prof = _profile_setup(cfg)
     export_profile_csv(prof, os.path.join(outdir, "profile.csv"))
-    rep = flatness_report(spec, grid, params)
-    residual = static_residual(prof, grid)
+    rep = flatness_report(prof.potential, grid, params)
+    residual = static_residual(prof)
     text = rep.text() + f"\nstatic residual (max norm)    = {residual:.17g}\n"
     with open(os.path.join(outdir, "flatness.txt"), "w") as fh:
         fh.write(text)
@@ -86,9 +83,7 @@ def cmd_profile(args) -> int:
 
 def cmd_simulate_primitive(args) -> int:
     cfg, outdir = _setup(args)
-    grid = configio.grid_from(cfg)
-    params = configio.params_from(cfg)
-    prof = build_profile(configio.potential_from(cfg), params, grid)
+    grid, params, prof = _profile_setup(cfg)
     data = configio.data_from(cfg)
     init = init_ill_prepared(data, prof, params, grid)
     times = np.linspace(0.0, params.horizon, configio.get_int(cfg, "run.samples"))
@@ -115,13 +110,11 @@ def cmd_simulate_primitive(args) -> int:
 
 def cmd_simulate_anelastic(args) -> int:
     cfg, outdir = _setup(args)
-    grid = configio.grid_from(cfg)
+    grid, params, prof = _profile_setup(cfg)
     if not grid.radial and not args.experimental:
         raise ConfigUsageError(
             "cartesian anelastic runs are experimental; pass --experimental"
         )
-    params = configio.params_from(cfg)
-    prof = build_profile(configio.potential_from(cfg), params, grid)
     _, u0, theta2 = configio.data_from(cfg).limit_fields(grid)
     if grid.radial:
         v0 = u0
@@ -237,7 +230,7 @@ def cmd_decay(args) -> int:
     cfg, outdir = _setup(args)
     grid, params, prof, op = _acoustic_setup(cfg)
     window, h = _windowed_datum(cfg, grid, op)
-    t_star = ac.crossing_time(prof, grid)
+    t_star = ac.crossing_time(prof)
     ppp = configio.get_int(cfg, "acoustic.points_per_period")
     radius = configio.get_float(cfg, "acoustic.ball_radius")
     m1 = ac.measure_local_decay(op, window, radius, h, t_star, ppp)
@@ -264,7 +257,7 @@ def cmd_strichartz(args) -> int:
         )
     grid, params, prof, op = _acoustic_setup(cfg)
     window, h = _windowed_datum(cfg, grid, op)
-    t_star = ac.crossing_time(prof, grid)
+    t_star = ac.crossing_time(prof)
     meas = ac.measure_strichartz(
         op, window, h, p, q, t_star, configio.get_int(cfg, "acoustic.points_per_period")
     )
@@ -306,13 +299,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_audit_rei(args) -> int:
     cfg, outdir = _setup(args)
-    grid = configio.grid_from(cfg)
-    params = configio.params_from(cfg)
-    prof = build_profile(configio.potential_from(cfg), params, grid)
+    grid, params, prof = _profile_setup(cfg)
     data = configio.data_from(cfg)
     delta = configio.get_float(cfg, "acoustic.delta")
     beta = configio.beta_from(cfg, params)
-    horizon = min(params.horizon, audit_quarantine_time(prof, grid, params))
+    horizon = min(params.horizon, audit_quarantine_time(prof, params))
     times = ac.time_mesh(
         horizon,
         (2.0 / delta) / params.eps,

@@ -102,6 +102,11 @@ class Grid:
         return 4.0 * np.pi * self.faces**2
 
     @cached_property
+    def shell_volumes(self) -> np.ndarray:
+        """Exact volumes (4 pi / 3)(r_out^3 - r_in^3) of the radial cells."""
+        return (4.0 * np.pi / 3.0) * np.diff(self.faces**3)
+
+    @cached_property
     def weights(self) -> np.ndarray:
         """Quadrature weight of every cell (the discrete volume element)."""
         if self.radial:
@@ -238,10 +243,9 @@ def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarr
     grid.check_aligned(f)
     sign = 1.0 if parity == "even" else -1.0
     out = np.empty_like(f)
-    ft, ot = f.T, out.T  # radial axis first
-    ot[1:-1] = (ft[2:] - ft[:-2]) / (2.0 * grid.h)
-    ot[0] = (ft[1] - sign * ft[0]) / (2.0 * grid.h)
-    ot[-1] = (ft[-1] - ft[-2]) / grid.h
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * grid.h)
+    out[..., 0] = (f[..., 1] - sign * f[..., 0]) / (2.0 * grid.h)
+    out[..., -1] = (f[..., -1] - f[..., -2]) / grid.h
     return out
 
 
@@ -256,11 +260,8 @@ def radial_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     if not grid.radial:
         raise DomainError("radial_divergence needs a radial grid")
     grid.check_aligned(v)
-    faces = grid.faces
     v_f = np.empty(np.shape(v)[:-1] + (grid.n + 1,))
-    vt, ft = v.T, v_f.T  # radial axis first
-    ft[0] = 0.0  # odd symmetry at the origin
-    ft[1:-1] = 0.5 * (vt[:-1] + vt[1:])
-    ft[-1] = 1.5 * vt[-1] - 0.5 * vt[-2]
-    shell = (4.0 * np.pi / 3.0) * np.diff(faces**3)
-    return np.diff(grid.face_areas * v_f) / shell
+    v_f[..., 0] = 0.0  # odd symmetry at the origin
+    v_f[..., 1:-1] = 0.5 * (v[..., :-1] + v[..., 1:])
+    v_f[..., -1] = 1.5 * v[..., -1] - 0.5 * v[..., -2]
+    return np.diff(grid.face_areas * v_f) / grid.shell_volumes

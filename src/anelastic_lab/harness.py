@@ -34,7 +34,7 @@ from .primitive import (
     PrimitiveTrajectory,
     SolverFailure,
     init_ill_prepared,
-    run_primitive,
+    run_lockstep,
 )
 from .relative_energy import (
     SLOPE_FLOOR,
@@ -107,18 +107,13 @@ def limit_norms(traj: PrimitiveTrajectory, theta2: np.ndarray) -> tuple[float, f
     return float(n1), float(n2a), float(n2b), float(traj.n3_integral[-1])
 
 
-def run_case(plan: SweepPlan, eps: float) -> CaseResult:
-    params = plan.params.with_eps(eps)
-    grid = plan.grid
-    prof = build_profile(plan.potential, params, grid)
-    init = init_ill_prepared(plan.data, prof, params, grid)
-    times = np.linspace(0.0, params.horizon, plan.n_samples)
-    traj = run_primitive(init, prof, params, grid, times)
+def run_case(plan: SweepPlan, traj: PrimitiveTrajectory) -> CaseResult:
+    """One sweep member's post-run measurements."""
     bounds = uniform_bounds_report(traj)
-    n1, n2a, n2b, n3 = limit_norms(traj, plan.data.theta2.field(grid))
+    n1, n2a, n2b, n3 = limit_norms(traj, plan.data.theta2.field(traj.grid))
     r12 = residual_pressure_value(traj, plan.beta)
     return CaseResult(
-        eps=eps, bounds=bounds,
+        eps=traj.params.eps, bounds=bounds,
         n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=r12,
     )
 
@@ -200,14 +195,28 @@ class ConvergenceReport:
 
 
 def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
-    """Run the whole sweep; a solver failure aborts with the partial report."""
-    results: list[CaseResult] = []
-    for eps in plan.eps_list:
+    """Run the members in lockstep; a solver failure aborts with the partial
+    report.  If member j fails mid-run, the members before it run again
+    without it, so the report holds what a one-by-one sweep would finish."""
+    params = [plan.params.with_eps(eps) for eps in plan.eps_list]
+    prof = build_profile(plan.potential, plan.params, plan.grid)  # independent of eps
+    times = np.linspace(0.0, plan.params.horizon, plan.n_samples)
+    members, failure, trajs, results = len(params), None, [], []
+    while members and not trajs:
         try:
-            results.append(run_case(plan, eps))
-        except SOLVER_ERRORS as exc:
-            partial = _assemble(results) if results else None
-            raise SweepError(f"sweep failed at eps={eps}: {exc}", partial) from exc
+            inits = [init_ill_prepared(plan.data, prof, p, plan.grid) for p in params[:members]]
+            trajs = run_lockstep(inits, prof, params[:members], times)
+        except SolverFailure as exc:
+            members, failure = exc.member, exc
+    try:
+        for traj in trajs:
+            results.append(run_case(plan, traj))
+    except SOLVER_ERRORS as exc:
+        failure = exc
+    if failure is not None:
+        partial = _assemble(results) if results else None
+        eps = plan.eps_list[len(results)]
+        raise SweepError(f"sweep failed at eps={eps}: {failure}", partial) from failure
     return _assemble(results)
 
 
@@ -248,7 +257,7 @@ def acoustic_ansatz(data: IllPreparedData, prof: StaticProfile, eps: float, delt
     return spectral_solution(op, AcousticState(s=s0, phi=phi0d), eps)
 
 
-def audit_quarantine_time(prof: StaticProfile, grid: Grid, params: ScalingParams) -> float:
+def audit_quarantine_time(prof: StaticProfile, params: ScalingParams) -> float:
     """Horizon before the fastest wave reaches the sponge on the eps clock.
 
     The primitive run absorbs outgoing waves in the sponge while the
@@ -257,4 +266,4 @@ def audit_quarantine_time(prof: StaticProfile, grid: Grid, params: ScalingParams
     acted; 0.85 covers the head start of the data's spatial support.
     """
     c_max = float(np.max(np.sqrt(prof.dp)))
-    return 0.85 * grid.r_sponge * params.eps / c_max
+    return 0.85 * prof.grid.r_sponge * params.eps / c_max

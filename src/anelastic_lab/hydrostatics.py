@@ -140,18 +140,18 @@ def constant_profile(params: ScalingParams, grid: Grid) -> StaticProfile:
     return build_profile(PotentialSpec(c_f=0.0, a=1.0), params, grid)
 
 
-def static_residual(prof: StaticProfile, grid: Grid) -> float:
+def static_residual(prof: StaticProfile) -> float:
     """Max norm of the centered-difference static balance defect.
 
     Both grad(rho0**gamma) and grad(F) use the same centered stencil; the
     outermost cell is excluded because its one-sided difference would
     pollute the measured convergence order.
     """
-    if not grid.radial:
+    if not prof.grid.radial:
         raise DomainError("static_residual is measured in radial mode")
     p0 = prof.rho0**prof.gamma
-    dp0 = radial_gradient(p0, grid, parity="even")
-    dF = radial_gradient(prof.F, grid, parity="even")
+    dp0 = radial_gradient(p0, prof.grid, parity="even")
+    dF = radial_gradient(prof.F, prof.grid, parity="even")
     res = dp0 - prof.rho0 * dF
     return float(np.max(np.abs(res[:-1])))
 

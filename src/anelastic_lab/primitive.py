@@ -23,6 +23,12 @@ A run keeps its samples stacked: PrimitiveTrajectory.samples is one
 PrimitiveState whose rho, mom and q are (n_samples, n) arrays and whose t
 holds the sample times, so post-run measurements are array expressions
 over the (time, space) samples and samples.row(k) is the state at one time.
+
+The runner is lockstep: run_lockstep advances members that differ only
+in eps as one (m, n) stack, one fused step call per iteration, and
+run_primitive is its one-member case.  Each member takes its own dt and
+leaves the stack at a sample time until all have reached it, so a sweep
+runs the largest member's steps per interval instead of their sum.
 """
 
 from __future__ import annotations
@@ -52,32 +58,43 @@ class DataError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The update produced an inadmissible state; carries the last state."""
+    """An update produced an inadmissible state; carries it and the member's index."""
 
-    def __init__(self, message: str, state: "PrimitiveState"):
+    def __init__(self, message: str, state: "PrimitiveState", member: int = 0):
         super().__init__(message)
         self.state = state
+        self.member = member
 
 
-@dataclass
 class PrimitiveState:
-    """Conservative fields at one time level, or stacked over sample times.
+    """Conservative fields at one time level, or stacked over samples or members.
 
-    Stacked, rho, mom and q are (n_samples, n) arrays and t is the array of
-    sample times; every property below works row by row.
+    rho, mom and q are views of one (3, ...) array, fields.  Stacked, they
+    are (k, n) arrays, t holds one time per row and every property below
+    works row by row.
     """
 
-    rho: np.ndarray
-    mom: np.ndarray
-    q: np.ndarray
-    t: float | np.ndarray = 0.0
+    def __init__(self, rho, mom, q, t: float | np.ndarray = 0.0):
+        self.fields = np.array((rho, mom, q), dtype=float)
+        self.t = t
 
-    def validate(self) -> None:
+    @classmethod
+    def of(cls, fields: np.ndarray, t: float | np.ndarray) -> "PrimitiveState":
+        """The state whose rho, mom and q are views of fields."""
+        state = cls.__new__(cls)
+        state.fields, state.t = fields, t
+        return state
+
+    rho = property(lambda self: self.fields[0])
+    mom = property(lambda self: self.fields[1])
+    q = property(lambda self: self.fields[2])
+
+    def validate(self, member: int = 0) -> None:
         for name, f in (("rho", self.rho), ("mom", self.mom), ("q", self.q)):
             if not np.all(np.isfinite(f)):
-                raise SolverFailure(f"non-finite entries in {name} at t={self.t}", self)
+                raise SolverFailure(f"non-finite entries in {name} at t={self.t}", self, member)
         if np.any(self.rho < 0.0) or np.any(self.q < 0.0):
-            raise SolverFailure(f"negative density data at t={self.t}", self)
+            raise SolverFailure(f"negative density data at t={self.t}", self, member)
 
     @property
     def velocity(self) -> np.ndarray:
@@ -89,9 +106,9 @@ class PrimitiveState:
         th = self.q / np.maximum(self.rho, RHO_FLOOR)
         return np.where(self.rho < VACUUM_CUT, 1.0, th)
 
-    def row(self, k: int) -> "PrimitiveState":
-        """Sample k of a stacked state, as views."""
-        return PrimitiveState(self.rho[k], self.mom[k], self.q[k], float(self.t[k]))
+    def row(self, k: int | slice) -> "PrimitiveState":
+        """Sample k (an index or a slice of rows) of a stacked state, as views."""
+        return PrimitiveState.of(self.fields[:, k], self.t[k])
 
 
 @dataclass(frozen=True)
@@ -163,138 +180,124 @@ def init_ill_prepared(
 
 
 class PrimitiveAux:
-    """Static per-run data: face interpolants, sponge, ghost state, sponge dt limit.
+    """Static data of a lockstep run whose members differ only in eps.
 
-    sig_w is the sponge rate times the cell volumes, the weight of the
-    sponge's mass and rho Theta sinks.
+    Members share the static state, ghost cell and sponge (sig_w = sigma
+    times the cell volumes weighs its sinks).  eps, eps2, eps_alpha,
+    visc_coef and c_ghost are (m, 1) columns of Python floats, one per
+    member: numpy's array power may differ in the last bit.
     """
 
-    def __init__(self, prof: StaticProfile, params: ScalingParams, grid: Grid):
+    def __init__(self, prof: StaticProfile, params):
+        grid = prof.grid
         if not grid.radial:
             raise DomainError("the primitive solver runs in radial mode")
-        self.prof = prof
-        self.params = params
-        self.grid = grid
-        gamma = params.gamma
-        h = grid.h
+        base = params[0]
+        if any(p.with_eps(base.eps) != base for p in params):
+            raise DomainError("lockstep members may differ in eps only")
+        self.prof, self.params, self.grid = prof, tuple(params), grid
+        self.gamma = gamma = base.gamma
 
-        ghost_r = grid.r_max + 0.5 * h
-        self.rho0_ghost = float(prof.rho0_at(np.array([ghost_r]))[0])
+        self.rho0_ghost = float(prof.rho0_at(np.array([grid.r_max + 0.5 * grid.h]))[0])
         self.p_ghost = self.rho0_ghost**gamma
-        self.c_ghost = float(np.sqrt(gamma * self.rho0_ghost ** (gamma - 1.0)) / params.eps)
+        c_ghost = float(np.sqrt(gamma * self.rho0_ghost ** (gamma - 1.0)))
 
-        self.grad_p0 = np.diff(self._pressure_faces(prof.rho0**gamma)) / h
+        self.grad_p0 = np.diff(self._pressure_faces(prof.rho0**gamma)) / grid.h
+        # fields minus static: the deviations the dissipation and the sponge act on
+        self.static = np.array((prof.rho0, np.zeros(grid.n), prof.rho0))[:, None]
 
         span = grid.r_max - grid.r_sponge
-        self.sigma = (5.0 / params.horizon) * smoothstep(
-            (grid.centers - grid.r_sponge) / span
-        )
+        self.sigma = (5.0 / base.horizon) * smoothstep((grid.centers - grid.r_sponge) / span)
         self.sig_w = self.sigma * grid.weights
         sig_max = float(np.max(self.sigma))
         self.dt_sponge = 0.5 / sig_max if sig_max > 0 else np.inf
-        self.visc_coef = params.eps**params.alpha * (4.0 * params.mu / 3.0 + params.lam)
+        self.viscous = 4.0 * base.mu / 3.0 + base.lam > 0.0
+        cols = [(p.eps, p.eps**2, p.eps**p.alpha, p.eps**p.alpha * (4.0 * p.mu / 3.0 + p.lam),
+                 c_ghost / p.eps) for p in params]
+        self.eps, self.eps2, self.eps_alpha, self.visc_coef, self.c_ghost = np.array(cols).T[..., None]
+
+    def members(self, idx: np.ndarray) -> "PrimitiveAux":
+        """The same data for the members idx only."""
+        return PrimitiveAux(self.prof, [self.params[i] for i in idx])
 
     def _pressure_faces(self, p_cells: np.ndarray) -> np.ndarray:
-        out = np.empty(self.grid.n + 1)
-        out[0] = p_cells[0]  # mirror ghost across r = 0
-        out[1:-1] = 0.5 * (p_cells[:-1] + p_cells[1:])
-        out[-1] = 0.5 * (p_cells[-1] + self.p_ghost)
+        out = np.empty(p_cells.shape[:-1] + (self.grid.n + 1,))
+        out[..., 0] = p_cells[..., 0]  # mirror ghost across r = 0
+        out[..., 1:-1] = 0.5 * (p_cells[..., :-1] + p_cells[..., 1:])
+        out[..., -1] = 0.5 * (p_cells[..., -1] + self.p_ghost)
         return out
 
     def pressure_gradient(self, q: np.ndarray) -> np.ndarray:
-        pf = self._pressure_faces(q**self.params.gamma)
+        pf = self._pressure_faces(q**self.gamma)
         return np.diff(pf) / self.grid.h
 
 
-def sound_speed(state: PrimitiveState, params: ScalingParams) -> np.ndarray:
-    """Scaled characteristic speed sqrt(p'(q) Theta) / eps."""
+def sound_speed(state: PrimitiveState, params) -> np.ndarray:
+    """Scaled characteristic speed sqrt(p'(q) Theta) / eps; params may be a PrimitiveAux."""
     gamma = params.gamma
     q = np.maximum(state.q, 0.0)
     c2 = gamma * q ** (gamma - 1.0) * state.theta
     return np.sqrt(np.maximum(c2, 0.0)) / params.eps
 
 
-def suggested_dt(speed: np.ndarray, rho: np.ndarray, aux: PrimitiveAux) -> float:
-    """min of the hyperbolic (cell wave speed |u| + c), viscous and sponge limits."""
+def suggested_dt(speed: np.ndarray, rho: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
+    """Per member, min of the hyperbolic (cell wave speed |u| + c), viscous and sponge limits."""
     h = aux.grid.h
-    dt_hyp = CFL * h / float(np.max(speed))
-    rho_min = float(np.min(np.maximum(rho, RHO_FLOOR)))
-    dt_visc = CFL * 0.5 * h**2 * rho_min / aux.visc_coef if aux.visc_coef > 0 else np.inf
-    return min(dt_hyp, dt_visc, aux.dt_sponge)
+    dt = np.minimum(CFL * h / speed.max(axis=-1), aux.dt_sponge)
+    if aux.viscous:
+        rho_min = np.maximum(rho, RHO_FLOOR).min(axis=-1)
+        dt = np.minimum(dt, CFL * 0.5 * h**2 * rho_min / aux.visc_coef[:, 0])
+    return dt
 
 
 def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
-def _with_ghost(f: np.ndarray, ghost: float) -> np.ndarray:
-    """The cell field followed by one outer ghost value (length n+1)."""
-    out = np.empty(f.size + 1)
-    out[:-1] = f
-    out[-1] = ghost
-    return out
+def _muscl_edges(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Limited left/right deviation states at the faces 1..n (last axis)."""
+    ext = np.zeros(dev.shape[:-1] + (dev.shape[-1] + 2,))  # mirror inner, static outer
+    ext[..., 0] = dev[..., 0]
+    ext[..., 1:-1] = dev
+    slopes = np.zeros(dev.shape[:-1] + (dev.shape[-1] + 1,))  # the ghost carries no slope
+    slopes[..., :-1] = _minmod(ext[..., 1:-1] - ext[..., :-2], ext[..., 2:] - ext[..., 1:-1])
+    return ext[..., 1:-1] + 0.5 * slopes[..., :-1], ext[..., 2:] - 0.5 * slopes[..., 1:]
 
 
-def _muscl_edges(dev: np.ndarray, ghost: float) -> tuple[np.ndarray, np.ndarray]:
-    """Limited left/right deviation states at the faces 1..n."""
-    ext = np.empty(dev.size + 2)  # mirror inner, static outer
-    ext[0] = dev[0]
-    ext[1:-1] = dev
-    ext[-1] = ghost
-    slopes = np.zeros(dev.size + 1)  # the ghost carries no slope
-    slopes[:-1] = _minmod(ext[1:-1] - ext[:-2], ext[2:] - ext[1:-1])
-    return ext[1:-1] + 0.5 * slopes[:-1], ext[2:] - 0.5 * slopes[1:]
+def _rusanov_fluxes(state, u, speed, dev, aux, muscl: bool = False):
+    """Face fluxes 0.5 (X_l + X_r) - 0.5 a (D_r - D_l), a (3, m, n+1) array.
 
-
-def _rusanov_fluxes(state, u, speed, drho, dq, aux, muscl: bool = False):
-    """Face fluxes for (rho, mom, q); dissipation acts on static deviations.
-
-    u and speed = |u| + c are the cell velocity and wave speed, drho and
-    dq the static deviations rho - rho0 and q - rho0; on the first-order
-    path the face speed max(|u_l| + c_l, |u_r| + c_r) is read
-    off them directly.  Left and right states of the faces 1..n are views
-    of one ghost-extended array per field.  Returns a (3, n+1) array of
-    the rho, mom and q fluxes; the face at r = 0 carries no flux.  With
-    muscl, deviations from the static state are reconstructed with limited
-    slopes around the face-interpolated background, which keeps the static
-    state an exact fixed point while reducing the convective dissipation.
+    X = (mom, mom u, q u); D = (rho - rho0, mom, q - rho0) is dev without
+    its outer ghost column (the static ghost: no flux, no deviation).  The
+    first-order face speed max(|u_l| + c_l, |u_r| + c_r) comes from the cell
+    speeds.  muscl reconstructs the deviations with limited slopes around
+    the face-interpolated background, so the static state stays a fixed point.
     """
-    params = aux.params
     rho0 = aux.prof.rho0
     if muscl:
-        rho0_ext = _with_ghost(rho0, aux.rho0_ghost)
-        rho0_face = 0.5 * (rho0_ext[:-1] + rho0_ext[1:])
-        drho_l, drho_r = _muscl_edges(drho, 0.0)
-        dmom_l, dmom_r = _muscl_edges(state.mom, 0.0)
-        dq_l, dq_r = _muscl_edges(dq, 0.0)
-        rho_l, rho_r = rho0_face + drho_l, rho0_face + drho_r
-        mom_l, mom_r = dmom_l, dmom_r
-        q_l, q_r = rho0_face + dq_l, rho0_face + dq_r
-        u_l = mom_l / np.maximum(rho_l, RHO_FLOOR)
-        u_r = mom_r / np.maximum(rho_r, RHO_FLOOR)
-        gamma = params.gamma
-        c_l = np.sqrt(np.maximum(gamma * q_l**gamma / np.maximum(rho_l, RHO_FLOOR), 0.0)) / params.eps
-        c_r = np.sqrt(np.maximum(gamma * q_r**gamma / np.maximum(rho_r, RHO_FLOOR), 0.0)) / params.eps
-        a = np.maximum(np.abs(u_l) + c_l, np.abs(u_r) + c_r)
-    else:
-        # face n sees the static ghost: no momentum, no deviation
-        mom = _with_ghost(state.mom, 0.0)
-        q = _with_ghost(state.q, aux.rho0_ghost)
-        vel = _with_ghost(u, 0.0)
-        spd = _with_ghost(speed, aux.c_ghost)
-        drho = _with_ghost(drho, 0.0)
-        dq = _with_ghost(dq, 0.0)
-        mom_l, mom_r = mom[:-1], mom[1:]
-        q_l, q_r = q[:-1], q[1:]
-        u_l, u_r = vel[:-1], vel[1:]
-        drho_l, drho_r = drho[:-1], drho[1:]
-        dq_l, dq_r = dq[:-1], dq[1:]
-        a = np.maximum(spd[:-1], spd[1:])
+        rho0_face = 0.5 * (rho0 + np.append(rho0[1:], aux.rho0_ghost))
+        d_l, d_r = _muscl_edges(dev[..., :-1])
 
-    fluxes = np.zeros((3, rho0.size + 1))
-    np.subtract(0.5 * (mom_l + mom_r), 0.5 * a * (drho_r - drho_l), out=fluxes[0, 1:])
-    np.subtract(0.5 * (mom_l * u_l + mom_r * u_r), 0.5 * a * (mom_r - mom_l), out=fluxes[1, 1:])
-    np.subtract(0.5 * (q_l * u_l + q_r * u_r), 0.5 * a * (dq_r - dq_l), out=fluxes[2, 1:])
+        def face(d):  # X and |u| + c of one side's face states
+            rho_f, q_f = np.maximum(rho0_face + d[0], RHO_FLOOR), rho0_face + d[2]
+            u_f = d[1] / rho_f
+            c_f = np.sqrt(np.maximum(aux.gamma * q_f**aux.gamma / rho_f, 0.0)) / aux.eps
+            return np.array((d[1], d[1] * u_f, q_f * u_f)), np.abs(u_f) + c_f
+
+        (x_l, spd_l), (x_r, spd_r) = face(d_l), face(d_r)
+        a = np.maximum(spd_l, spd_r)
+    else:
+        x = np.zeros(dev.shape)
+        x[0, :, :-1] = state.mom
+        np.multiply(state.fields[1:], u, out=x[1:, :, :-1])
+        spd = np.empty(speed.shape[:-1] + (rho0.size + 1,))
+        spd[:, :-1] = speed
+        spd[:, -1:] = aux.c_ghost
+        x_l, x_r, d_l, d_r = x[..., :-1], x[..., 1:], dev[..., :-1], dev[..., 1:]
+        a = np.maximum(spd[:, :-1], spd[:, 1:])
+
+    fluxes = np.zeros(dev.shape)
+    np.subtract(0.5 * (x_l + x_r), 0.5 * a * (d_r - d_l), out=fluxes[..., 1:])
     return fluxes
 
 
@@ -305,66 +308,61 @@ def _face_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
     copies its neighbor.
     """
     r = grid.centers
-    out = np.empty(grid.n + 1)
+    out = np.empty(u.shape[:-1] + (grid.n + 1,))
     r2u = r * r * u
-    out[1:-1] = np.diff(r2u) / (grid.h * grid.faces[1:-1] ** 2)
-    out[0] = 3.0 * u[0] / r[0]
-    out[-1] = out[-2]
+    out[..., 1:-1] = np.diff(r2u) / (grid.h * grid.faces[1:-1] ** 2)
+    out[..., 0] = 3.0 * u[..., 0] / r[0]
+    out[..., -1] = out[..., -2]
     return out
 
 
 def step_primitive(
-    state: PrimitiveState, aux: PrimitiveAux, dt_max: float, muscl: bool = False
-) -> tuple[PrimitiveState, float, tuple[float, float], tuple[float, float]]:
-    """One conservative forward-Euler update of at most dt_max.
+    state: PrimitiveState, aux: PrimitiveAux, dt_max: np.ndarray, muscl: bool = False,
+    u: np.ndarray | None = None,
+) -> tuple[PrimitiveState, np.ndarray, np.ndarray, np.ndarray]:
+    """One conservative forward-Euler update of every member of a stack.
 
-    The step computes u, the cell wave speed |u| + c and the static
-    deviations rho - rho0, q - rho0 once, and takes
-    dt = min(suggested_dt, dt_max), so it is stable by construction.
-    Returns the new state, that dt, the (mass, rho Theta) fluxes per unit
-    area through the outer face, and the (mass, rho Theta) sponge sink
-    rates, for the boundary and sponge ledgers.
+    state.rho, mom and q are (m, n), state.t and dt_max (m,), and u is
+    state.velocity if the caller has it.  u, |u| + c and the static
+    deviations are computed once; dt = min(suggested_dt, dt_max) per
+    member, stable by construction.  Returns the new state, dt (m,), the
+    outer-face (mass, rho Theta) fluxes per unit area (2, m) and the
+    sponge's (mass, rho Theta) sink rates (2, m), for the ledgers.
     """
-    prof, params, grid = aux.prof, aux.params, aux.grid
-    u = state.velocity
-    speed = np.abs(u) + sound_speed(state, params)
-    dt = min(suggested_dt(speed, state.rho, aux), dt_max)
-    drho = state.rho - prof.rho0
-    dq = state.q - prof.rho0
+    prof, grid = aux.prof, aux.grid
+    u = state.velocity if u is None else u
+    speed = np.abs(u) + sound_speed(state, aux)
+    dt = np.minimum(suggested_dt(speed, state.rho, aux), dt_max)
+    col = dt[:, None]
+    dev = np.zeros(state.fields.shape[:-1] + (grid.n + 1,))
+    np.subtract(state.fields, aux.static, out=dev[..., :-1])
 
-    w = grid.weights
-    area = grid.face_areas
-    f_rho, f_mom, f_q = _rusanov_fluxes(state, u, speed, drho, dq, aux, muscl=muscl)
-
-    rho_new = state.rho - dt * np.diff(area * f_rho) / w
-    mom_new = state.mom - dt * np.diff(area * f_mom) / w
-    q_new = state.q - dt * np.diff(area * f_q) / w
+    fluxes = _rusanov_fluxes(state, u, speed, dev, aux, muscl=muscl)
+    new = state.fields - col * np.diff(grid.face_areas * fluxes) / grid.weights
 
     # pressure/gravity pairing: gravity is (rho/rho0) times the static
     # pressure gradient, so the static state cancels exactly
-    eps2 = params.eps**2
-    mom_new -= (dt / eps2) * (
+    new[1] -= (col / aux.eps2) * (
         aux.pressure_gradient(state.q) - (state.rho / prof.rho0) * aux.grad_p0
     )
 
     # viscous force (4/3 + lam) eps^alpha d/dr (div u)
-    if aux.visc_coef > 0.0:
-        d_faces = _face_divergence(u, grid)
-        mom_new += dt * aux.visc_coef * np.diff(d_faces) / grid.h
+    if aux.viscous:
+        new[1] += col * aux.visc_coef * np.diff(_face_divergence(u, grid)) / grid.h
 
     # sponge relaxation toward the static far field
-    sig = aux.sigma
-    rho_new -= dt * sig * drho
-    mom_new -= dt * sig * state.mom
-    q_new -= dt * sig * dq
+    dev = dev[..., :-1]
+    new -= (col * aux.sigma) * dev
 
-    out = PrimitiveState(rho=rho_new, mom=mom_new, q=q_new, t=state.t + dt)
-    if np.any(out.rho <= 0.0) or np.any(out.q <= 0.0):
-        raise SolverFailure(f"nonpositive density after update at t={out.t}", out)
-    if not (np.all(np.isfinite(out.rho)) and np.all(np.isfinite(out.mom)) and np.all(np.isfinite(out.q))):
-        raise SolverFailure(f"non-finite state after update at t={out.t}", out)
-    sinks = (float(np.sum(aux.sig_w * drho)), float(np.sum(aux.sig_w * dq)))
-    return out, dt, (float(f_rho[-1]), float(f_q[-1])), sinks
+    t = state.t + dt
+    if (new[::2] <= 0.0).any() or not np.isfinite(new).all():
+        nonpositive = np.any(new[::2] <= 0.0, axis=(0, 2))
+        j = int(np.argmax(nonpositive | ~np.all(np.isfinite(new), axis=(0, 2))))
+        what = "nonpositive density" if nonpositive[j] else "non-finite state"
+        out = PrimitiveState.of(new[:, j], float(t[j]))
+        raise SolverFailure(f"{what} after update at t={out.t}", out, member=j)
+    sinks = (aux.sig_w * dev[::2]).sum(axis=-1)
+    return PrimitiveState.of(new, t), dt, fluxes[::2, :, -1], sinks
 
 
 def enthalpy(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -388,12 +386,13 @@ def total_energy(
     return integrate(kin + bracket / params.eps**2, grid)
 
 
-def viscous_dissipation_rate(u: np.ndarray, params: ScalingParams, grid: Grid) -> float:
-    """eps^alpha int S(grad u) : grad u for the radial velocity field u."""
+def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
+    """eps^alpha int S(grad u) : grad u for each member's radial velocity row of u."""
+    grid, params = aux.grid, aux.params[0]
     du = radial_gradient(u, grid, parity="odd")
     d = radial_divergence(u, grid)
     dens = params.mu * (4.0 / 3.0) * (du - u / grid.centers) ** 2 + params.lam * d**2
-    return params.eps**params.alpha * integrate(dens, grid)
+    return aux.eps_alpha[:, 0] * integrate(dens, grid)
 
 
 @dataclass
@@ -425,6 +424,79 @@ class PrimitiveTrajectory:
         return self.samples.t
 
 
+def run_lockstep(
+    inits, prof: StaticProfile, params, sample_times: np.ndarray, muscl: bool = False
+) -> list[PrimitiveTrajectory]:
+    """Advance members that differ only in eps to every sample time, as one stack.
+
+    Rows reduce along their own C-contiguous last axis, so each member is
+    bit for bit its run alone.  The dissipation and N3 rates (N3 on the ball
+    of radius grid.default_compact_radius) use the trapezoidal rule; a
+    SolverFailure names the failing member.
+    """
+    for j, init in enumerate(inits):
+        init.validate(member=j)
+    aux, grid = PrimitiveAux(prof, params), prof.grid
+    sample_times = np.array(sample_times, dtype=float)
+    if sample_times[0] != 0.0 or np.any(np.diff(sample_times) <= 0.0):
+        raise DomainError("sample times must start at 0 and increase")
+    nk = np.count_nonzero(grid.ball_mask(grid.default_compact_radius))  # K: a prefix of the cells
+    w_k, rho0_k = grid.weights[:nk], prof.rho0[:nk]
+    area_out = grid.face_areas[-1]
+
+    def n3_rate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+        u = u[:, :nk]
+        return (rho[:, :nk] / rho0_k * u * u * w_k).sum(axis=-1)
+
+    m = len(inits)
+    fields = np.stack([init.fields for init in inits], axis=1)
+    t = np.array([init.t for init in inits], dtype=float)
+    u = PrimitiveState.of(fields, t).velocity
+    led = np.zeros((8, m))  # dissipation, N3, sponge and outflow (mass, q), the two rates
+    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[0], u)
+    steps = np.zeros(m, dtype=int)
+    samples = np.empty((3, m, sample_times.size, grid.n))
+    ledger = np.empty((m, 9, sample_times.size))  # PrimitiveTrajectory series order
+    for k, target in enumerate(sample_times):
+        live = np.flatnonzero(t < target - 1.0e-13)
+        state, s_led = PrimitiveState.of(fields[:, live], t[live]), led[:, live]
+        u, taken = None, 0
+        s_aux = aux.members(live) if 0 < live.size < m else aux
+        while live.size:
+            try:
+                state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, muscl, u)
+            except SolverFailure as exc:
+                exc.member = int(live[exc.member])
+                raise
+            taken += 1
+            u = state.velocity
+            rates = viscous_dissipation_rate(u, s_aux), n3_rate(state.rho, u)
+            s_led[:2] += 0.5 * dt * (s_led[6:] + rates)
+            s_led[6:] = rates
+            s_led[2:4] += dt * sink
+            s_led[4:6] += dt * area_out * flux
+            moving = state.t < target - 1.0e-13
+            if not moving.all():
+                gone, done = live[~moving], ~moving
+                fields[:, gone], t[gone] = state.fields[:, done], state.t[done]
+                led[:, gone] = s_led[:, done]
+                steps[gone] += taken
+                live = live[moving]
+                if live.size:
+                    state = PrimitiveState.of(state.fields[:, moving], state.t[moving])
+                    s_led, u, s_aux = s_led[:, moving], u[moving], aux.members(live)
+        samples[:, :, k] = fields
+        ledger[:, (1, 8, 4, 5, 6, 7), k] = led[:6].T
+
+    trajs = []
+    for j, p in enumerate(aux.params):
+        s = PrimitiveState.of(samples[:, j], sample_times)
+        ledger[j, 0] = total_energy(s, prof, p, grid)
+        ledger[j, 2:4] = integrate(s.fields[::2], grid)
+        trajs.append(PrimitiveTrajectory(grid, prof, p, s, *ledger[j], step_count=int(steps[j])))
+    return trajs
+
+
 def run_primitive(
     init: PrimitiveState,
     prof: StaticProfile,
@@ -433,62 +505,10 @@ def run_primitive(
     sample_times: np.ndarray,
     muscl: bool = False,
 ) -> PrimitiveTrajectory:
-    """Advance to every sample time, accumulating diagnostics each step.
-
-    The dissipation and N3 rates use the trapezoidal rule in time; each
-    step's end-of-step rates are the next step's start rates.  N3 is
-    measured on the ball of radius grid.default_compact_radius.  Each
-    sample is written into one row of the preallocated stacked arrays.
-    """
-    init.validate()
-    aux = PrimitiveAux(prof, params, grid)
-    sample_times = np.array(sample_times, dtype=float)
-    if sample_times[0] != 0.0 or np.any(np.diff(sample_times) <= 0.0):
-        raise DomainError("sample times must start at 0 and increase")
-    k_mask = grid.ball_mask(grid.default_compact_radius)
-    w_k = grid.weights[k_mask]
-    rho0_k = prof.rho0[k_mask]
-    area_out = grid.face_areas[-1]
-
-    def n3_rate(rho: np.ndarray, u: np.ndarray) -> float:
-        u = u[k_mask]
-        return float(np.sum(rho[k_mask] / rho0_k * u * u * w_k))
-
-    state = init
-    u = state.velocity
-    rate_d = viscous_dissipation_rate(u, params, grid)
-    rate_n = n3_rate(state.rho, u)
-    diss = sp_mass = sp_q = out_mass = out_q = n3 = 0.0
-    nsteps = 0
-    shape = (sample_times.size, grid.n)
-    samples = PrimitiveState(np.empty(shape), np.empty(shape), np.empty(shape), sample_times)
-    ledger = np.empty((9, sample_times.size))  # the series in PrimitiveTrajectory field order
-    for k, target in enumerate(sample_times):
-        while state.t < target - 1.0e-13:
-            new, dt, (f_mass, f_q), (s_mass, s_q) = step_primitive(
-                state, aux, target - state.t, muscl=muscl
-            )
-            out_mass += dt * area_out * f_mass
-            out_q += dt * area_out * f_q
-            sp_mass += dt * s_mass
-            sp_q += dt * s_q
-            u = new.velocity
-            rate_d_new = viscous_dissipation_rate(u, params, grid)
-            rate_n_new = n3_rate(new.rho, u)
-            diss += 0.5 * dt * (rate_d + rate_d_new)
-            n3 += 0.5 * dt * (rate_n + rate_n_new)
-            state, rate_d, rate_n = new, rate_d_new, rate_n_new
-            nsteps += 1
-        samples.rho[k], samples.mom[k], samples.q[k] = state.rho, state.mom, state.q
-        ledger[:, k] = (
-            total_energy(state, prof, params, grid),
-            diss,
-            integrate(state.rho, grid),
-            integrate(state.q, grid),
-            sp_mass, sp_q, out_mass, out_q, n3,
-        )
-
-    return PrimitiveTrajectory(grid, prof, params, samples, *ledger, step_count=nsteps)
+    """Advance one run to every sample time: run_lockstep with one member."""
+    if grid != prof.grid:
+        raise DomainError("the run's grid must be its profile's grid")
+    return run_lockstep([init], prof, [params], sample_times, muscl)[0]
 
 
 CHECKPOINT_MAGIC = "anelastic-lab-checkpoint v1"
@@ -597,7 +617,7 @@ def renorm_check(traj: PrimitiveTrajectory, b_fam: CappedPower) -> RenormReport:
     convection to the budget; the residue is normalized by int |b|.
     """
     prof, grid, s = traj.prof, traj.grid, traj.samples
-    aux = PrimitiveAux(prof, traj.params, grid)
+    aux = PrimitiveAux(prof, [traj.params])
     bq = b_fam.b(s.q)
     dbq = b_fam.db(s.q)
     u = s.velocity

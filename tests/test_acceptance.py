@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from anelastic_lab import configio
 from anelastic_lab.acoustic import (
     AcousticState,
     FrequencyWindow,
@@ -20,6 +21,7 @@ from anelastic_lab.acoustic import (
     functional_calculus,
     measure_local_decay,
     measure_strichartz,
+    time_mesh,
 )
 from anelastic_lab.grids import DomainError, Grid, lp_norm
 from anelastic_lab.harness import (
@@ -85,10 +87,9 @@ def rei_pipeline():
     prof = build_profile(PotentialSpec(), params, grid)
     data = canonical_data()
     delta = 0.25
-    horizon = min(params.horizon, audit_quarantine_time(prof, grid, params))
-    omega_max = (2.0 / delta) / params.eps
-    dt_s = (2.0 * np.pi / omega_max) / 24.0
-    times = np.linspace(0.0, horizon, int(np.ceil(horizon / dt_s)) + 1)
+    horizon = min(params.horizon, audit_quarantine_time(prof, params))
+    points_per_period = int(configio.DEFAULTS["acoustic.points_per_period"])
+    times = time_mesh(horizon, (2.0 / delta) / params.eps, points_per_period)
     init = init_ill_prepared(data, prof, params, grid)
     traj = run_primitive(init, prof, params, grid, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
@@ -101,7 +102,7 @@ def test_c01_hydrostatic_order():
     residuals = []
     for n in (256, 512, 1024):
         g = Grid("radial", n, 8.0, 6.0)
-        residuals.append(static_residual(build_profile(PotentialSpec(), params, g), g))
+        residuals.append(static_residual(build_profile(PotentialSpec(), params, g)))
     rates = [np.log2(residuals[i] / residuals[i + 1]) for i in range(2)]
     ok = all(r >= 1.9 for r in rates) and residuals[-1] < 1.0e-4
     verdict(
@@ -185,7 +186,7 @@ def test_c04_acoustic_operator():
     init = AcousticState(
         s=GaussianBump(1.0, 1.0).field(grid), phi=0.2 * GaussianBump(1.0, 2.0).field(grid)
     )
-    horizon = 10.0 * crossing_time(prof, grid)
+    horizon = 10.0 * crossing_time(prof)
     traj = evolve_acoustic(init, op, 0.2, horizon, n_samples=41)
     drift = float(np.max(np.abs(traj.energies - traj.energies[0])) / traj.energies[0])
 
@@ -238,7 +239,7 @@ def test_c06_local_decay(decay_operator):
     window = FrequencyWindow(0.3)
     h = functional_calculus(op, window, GaussianBump(1.0, 0.75).field(op.grid))
     h = h / op.norm(h)
-    t_star = crossing_time(op.prof, op.grid)
+    t_star = crossing_time(op.prof)
     m1 = measure_local_decay(op, window, 2.5, h, t_star)
     m2 = measure_local_decay(op, window, 2.5, h, 2.0 * t_star)
     ratio = m2.value / m1.value
@@ -255,7 +256,7 @@ def test_c07_strichartz(decay_operator):
         measure_strichartz(op, window, np.ones(op.grid.n), 4.0, 10.0, 1.0)
     except DomainError:
         rejected = True
-    t_star = crossing_time(op.prof, op.grid)
+    t_star = crossing_time(op.prof)
     ratios = []
     for width, center in ((0.6, 0.0), (1.2, 0.0), (0.9, 1.5)):
         h = functional_calculus(op, window, GaussianBump(1.0, width, center).field(op.grid))

@@ -168,7 +168,7 @@ class TestEvolution:
         init = AcousticState(
             s=GaussianBump(1.0, 1.0).field(grid), phi=0.3 * GaussianBump(1.0, 2.0).field(grid)
         )
-        horizon = 10.0 * crossing_time(operator.prof, grid)
+        horizon = 10.0 * crossing_time(operator.prof)
         traj = evolve_acoustic(init, operator, 0.2, horizon, n_samples=41)
         drift = np.max(np.abs(traj.energies - traj.energies[0]))
         assert drift <= 1.0e-6 * traj.energies[0]
@@ -217,7 +217,7 @@ class TestMeasurements:
 
     def test_saturation(self, operator):
         win, h = self.window_and_datum(operator)
-        t_star = crossing_time(operator.prof, operator.grid)
+        t_star = crossing_time(operator.prof)
         m1 = measure_local_decay(operator, win, 2.5, h, t_star)
         m2 = measure_local_decay(operator, win, 2.5, h, 2.0 * t_star)
         assert m2.value / m1.value <= 1.05
@@ -244,7 +244,7 @@ class TestMeasurements:
 
     def test_constant_stability(self, operator):
         win = FrequencyWindow(0.3)
-        t_star = crossing_time(operator.prof, operator.grid)
+        t_star = crossing_time(operator.prof)
         ratios = []
         for width, center in ((0.6, 0.0), (1.2, 0.0), (0.9, 1.5)):
             h = functional_calculus(

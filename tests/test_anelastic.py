@@ -117,7 +117,7 @@ class TestDivDefect:
                 temperature=np.ones(grid.field_shape),
                 density=prof.rho0,
             )
-            div_norm, flux_norm = _div_norms(state, prof, grid)
+            div_norm, flux_norm = _div_norms(state, prof)
             defects.append(div_norm / flux_norm)
         assert defects[0] > 0.0
         assert abs(defects[1] / defects[0] - 1.0) <= 0.2

@@ -2,14 +2,18 @@
 
 The README promises deterministic artifacts for a given configuration;
 this runs scripts/artifact_digest.py twice, each in a fresh interpreter,
-at a reduced size and compares the digests line for line.
+at a reduced size and compares the digests line for line.  With
+--against HEAD it compares this checkout's source with the last commit's.
 """
 
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "artifact_digest.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "artifact_digest.py"
 SMALL = ["--set", "grid.n=64", "--set", "sweep.samples=17"]
 
 EXPECTED = {
@@ -43,3 +47,21 @@ def test_digest_is_reproducible_and_covers_every_artifact():
     ]
     assert names == expected
     assert all(len(line.split("  ", 1)[0]) == 64 for line in first)
+
+
+def in_git_checkout() -> bool:
+    try:
+        done = subprocess.run(
+            ["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"], capture_output=True
+        )
+    except OSError:
+        return False
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="needs a git checkout with a commit")
+def test_digest_against_head_prints_nothing_for_unchanged_artifacts():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--against", "HEAD", *SMALL], capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout) == (0, ""), done.stderr

@@ -12,9 +12,9 @@ from anelastic_lab.harness import (
     audit_quarantine_time,
     sweep_epsilon,
 )
-from anelastic_lab.hydrostatics import PotentialSpec
+from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
-from anelastic_lab.primitive import GaussianBump, IllPreparedData
+from anelastic_lab.primitive import GaussianBump, IllPreparedData, init_ill_prepared, run_primitive
 
 
 def tiny_plan(**kw):
@@ -86,15 +86,19 @@ class TestSweep:
                 grid=configio.grid_from(cfg),
                 n_samples=17,
             )
-            return harness.run_case(plan, eps).n2b
+            params = plan.params.with_eps(eps)
+            prof = build_profile(plan.potential, params, plan.grid)
+            init = init_ill_prepared(plan.data, prof, params, plan.grid)
+            traj = run_primitive(init, prof, params, plan.grid, np.linspace(0.0, params.horizon, 17))
+            return harness.run_case(plan, traj).n2b
 
         coarse, fine = n2b(128, 0.4), n2b(128, 0.2)
         assert fine > coarse
         assert n2b(256, 0.2) == pytest.approx(coarse, rel=0.02)
 
-    def test_quarantine_scales_with_eps(self, radial_profile, radial_grid):
-        t1 = audit_quarantine_time(radial_profile, radial_grid, ScalingParams(eps=0.2))
-        t2 = audit_quarantine_time(radial_profile, radial_grid, ScalingParams(eps=0.1))
+    def test_quarantine_scales_with_eps(self, radial_profile):
+        t1 = audit_quarantine_time(radial_profile, ScalingParams(eps=0.2))
+        t2 = audit_quarantine_time(radial_profile, ScalingParams(eps=0.1))
         assert t1 == pytest.approx(2.0 * t2)
 
 
@@ -316,7 +320,7 @@ def test_internal_error_is_not_a_validation_failure(tmp_path, monkeypatch):
 
 
 def test_internal_error_in_sweep_member_propagates(tmp_path, monkeypatch):
-    def broken(plan, eps):
+    def broken(plan, traj):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(harness, "run_case", broken)
@@ -327,10 +331,10 @@ def test_internal_error_in_sweep_member_propagates(tmp_path, monkeypatch):
 def test_solver_failure_keeps_partial_sweep_report(tmp_path, monkeypatch, capsys):
     real_run_case = harness.run_case
 
-    def fails_second(plan, eps):
-        if eps != plan.eps_list[0]:
+    def fails_second(plan, traj):
+        if traj.params.eps != plan.eps_list[0]:
             raise ac.EigensolverError("eigensolve failed")
-        return real_run_case(plan, eps)
+        return real_run_case(plan, traj)
 
     monkeypatch.setattr(harness, "run_case", fails_second)
     argv = ["sweep", "--eps", "0.4,0.2", *SMALL, "--set", "sweep.samples=5",

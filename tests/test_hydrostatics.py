@@ -39,15 +39,15 @@ def test_gamma_at_most_one_rejected(radial_grid):
         build_profile(PotentialSpec(), params, radial_grid)
 
 
-def test_static_residual_zero_for_flat(flat_profile, radial_grid):
-    assert static_residual(flat_profile, radial_grid) == 0.0
+def test_static_residual_zero_for_flat(flat_profile):
+    assert static_residual(flat_profile) == 0.0
 
 
 def test_static_residual_second_order(params):
     residuals = []
     for n in (128, 256, 512):
         g = Grid("radial", n, 8.0, 6.0)
-        residuals.append(static_residual(build_profile(PotentialSpec(), params, g), g))
+        residuals.append(static_residual(build_profile(PotentialSpec(), params, g)))
     rate1 = np.log2(residuals[0] / residuals[1])
     rate2 = np.log2(residuals[1] / residuals[2])
     assert rate1 > 1.9 and rate2 > 1.9
@@ -58,7 +58,7 @@ def test_static_residual_gamma_two_rate():
     for n in (128, 256):
         g = Grid("radial", n, 8.0, 6.0)
         prof = build_profile(PotentialSpec(), ScalingParams(gamma=2.0), g)
-        residuals.append(static_residual(prof, g))
+        residuals.append(static_residual(prof))
     rate = np.log2(residuals[0] / residuals[1])
     assert abs(rate - 2.0) < 0.1
 

@@ -27,6 +27,13 @@ from anelastic_lab.primitive import (
 EPS02 = ScalingParams(eps=0.2, horizon=1.0)
 
 
+def step_one(state, aux, dt_max):
+    """step_primitive on a one-member stack: member 0's new state, dt, fluxes and sinks."""
+    stack = PrimitiveState.of(state.fields[:, None], np.array([state.t]))
+    out, dt, fluxes, sinks = step_primitive(stack, aux, np.array([dt_max]))
+    return out.row(0), dt[0], fluxes[:, 0], sinks[:, 0]
+
+
 def acoustic_data(amp=0.4):
     return IllPreparedData(
         rho1=GaussianBump(amp, 1.2),
@@ -97,8 +104,8 @@ class TestStep:
             mom=np.zeros(radial_grid.n),
             q=radial_profile.rho0.copy(),
         )
-        aux = PrimitiveAux(radial_profile, EPS02, radial_grid)
-        out, _, _, _ = step_primitive(state, aux, np.inf)
+        aux = PrimitiveAux(radial_profile, [EPS02])
+        out, _, _, _ = step_one(state, aux, np.inf)
         assert np.array_equal(out.rho, radial_profile.rho0)
         assert np.all(out.mom == 0.0)
         assert np.array_equal(out.q, radial_profile.rho0)
@@ -108,18 +115,18 @@ class TestStep:
         state = PrimitiveState(
             rho=np.ones(radial_grid.n), mom=np.zeros(radial_grid.n), q=np.ones(radial_grid.n)
         )
-        out, _, _, _ = step_primitive(state, PrimitiveAux(prof, EPS02, radial_grid), 1.0e-4)
+        out, _, _, _ = step_one(state, PrimitiveAux(prof, [EPS02]), 1.0e-4)
         assert np.array_equal(out.rho, state.rho)
         assert np.all(out.mom == 0.0)
 
     def test_dt_is_the_stability_limit_capped_by_dt_max(self, radial_profile, radial_grid):
         state = init_ill_prepared(acoustic_data(), radial_profile, EPS02, radial_grid)
-        aux = PrimitiveAux(radial_profile, EPS02, radial_grid)
+        aux = PrimitiveAux(radial_profile, [EPS02])
         speed = np.abs(state.velocity) + sound_speed(state, EPS02)
-        limit = suggested_dt(speed, state.rho, aux)
-        out, dt, _, _ = step_primitive(state, aux, 2.0 * limit)
+        limit = suggested_dt(speed[None], state.rho[None], aux)[0]
+        out, dt, _, _ = step_one(state, aux, 2.0 * limit)
         assert dt == limit and out.t == limit
-        out, dt, _, _ = step_primitive(state, aux, 0.5 * limit)
+        out, dt, _, _ = step_one(state, aux, 0.5 * limit)
         assert dt == 0.5 * limit and out.t == 0.5 * limit
 
     def test_outer_fluxes_close_step_budgets(self, radial_profile, radial_grid):
@@ -127,8 +134,8 @@ class TestStep:
         bump = GaussianBump(0.4, 1.0, center=14.0)
         data = IllPreparedData(rho1=bump, vel_potential=bump, theta2=bump)
         state = init_ill_prepared(data, radial_profile, EPS02, radial_grid)
-        aux = PrimitiveAux(radial_profile, EPS02, radial_grid)
-        out, dt, fluxes, sinks = step_primitive(state, aux, np.inf)
+        aux = PrimitiveAux(radial_profile, [EPS02])
+        out, dt, fluxes, sinks = step_one(state, aux, np.inf)
         area = radial_grid.face_areas[-1]
         sig_w = aux.sigma * radial_grid.weights
         for old, new, flux, sink_rate in zip(
