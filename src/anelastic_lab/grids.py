@@ -145,7 +145,7 @@ class Grid:
 def integrate(f: np.ndarray, grid: Grid) -> float | np.ndarray:
     """Quadrature of a scalar field (or of each stacked field) over the truncated domain."""
     grid.check_aligned(f)
-    total = np.sum(f * grid.weights, axis=grid.field_axes)
+    total = (f * grid.weights).sum(axis=grid.field_axes)
     return float(total) if total.ndim == 0 else total
 
 
@@ -241,10 +241,10 @@ def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarr
     if not grid.radial:
         raise DomainError("radial_gradient needs a radial grid")
     grid.check_aligned(f)
-    sign = 1.0 if parity == "even" else -1.0
+    sign, two_h = (1.0 if parity == "even" else -1.0), 2.0 * grid.h
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * grid.h)
-    out[..., 0] = (f[..., 1] - sign * f[..., 0]) / (2.0 * grid.h)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / two_h
+    out[..., 0] = (f[..., 1] - sign * f[..., 0]) / two_h
     out[..., -1] = (f[..., -1] - f[..., -2]) / grid.h
     return out
 
@@ -264,4 +264,5 @@ def radial_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     v_f[..., 0] = 0.0  # odd symmetry at the origin
     v_f[..., 1:-1] = 0.5 * (v[..., :-1] + v[..., 1:])
     v_f[..., -1] = 1.5 * v[..., -1] - 0.5 * v[..., -2]
-    return np.diff(grid.face_areas * v_f) / grid.shell_volumes
+    flux = grid.face_areas * v_f
+    return (flux[..., 1:] - flux[..., :-1]) / grid.shell_volumes

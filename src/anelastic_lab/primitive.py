@@ -29,10 +29,20 @@ in eps as one (m, n) stack, one fused step call per iteration, and
 run_primitive is its one-member case.  Each member takes its own dt and
 leaves the stack at a sample time until all have reached it, so a sweep
 runs the largest member's steps per interval instead of their sum.
+
+The step does the straightforward expressions' floating-point operations
+in their order, so it is bit for bit their result, with fewer numpy calls:
+a PrimitiveAux holds the step's grid and parameter constants and the work
+buffers of its members (run_lockstep keeps one per membership); rho_f =
+max(rho, RHO_FLOOR) is formed once per state for u, theta and the dt limit;
+differences are slices, since np.diff's wrapper costs as much as the
+subtraction on these rows; and lam == 0 skips the bulk dissipation term.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,23 +81,29 @@ class PrimitiveState:
 
     rho, mom and q are views of one (3, ...) array, fields.  Stacked, they
     are (k, n) arrays, t holds one time per row and every property below
-    works row by row.
+    works row by row.  A state the step returns carries its floored density
+    rho_f, which its velocity, theta and dt limit share.
     """
 
     def __init__(self, rho, mom, q, t: float | np.ndarray = 0.0):
         self.fields = np.array((rho, mom, q), dtype=float)
-        self.t = t
+        self.t, self._rho_f = t, None
 
     @classmethod
-    def of(cls, fields: np.ndarray, t: float | np.ndarray) -> "PrimitiveState":
-        """The state whose rho, mom and q are views of fields."""
+    def of(cls, fields: np.ndarray, t, rho_f: np.ndarray | None = None) -> "PrimitiveState":
+        """The state whose rho, mom and q are views of fields, with its rho_f if known."""
         state = cls.__new__(cls)
-        state.fields, state.t = fields, t
+        state.fields, state.t, state._rho_f = fields, t, rho_f
         return state
 
     rho = property(lambda self: self.fields[0])
     mom = property(lambda self: self.fields[1])
     q = property(lambda self: self.fields[2])
+
+    @property
+    def rho_f(self) -> np.ndarray:
+        """max(rho, RHO_FLOOR), the density the velocity and theta divide by."""
+        return np.maximum(self.fields[0], RHO_FLOOR) if self._rho_f is None else self._rho_f
 
     def validate(self, member: int = 0) -> None:
         for name, f in (("rho", self.rho), ("mom", self.mom), ("q", self.q)):
@@ -98,13 +114,13 @@ class PrimitiveState:
 
     @property
     def velocity(self) -> np.ndarray:
-        return self.mom / np.maximum(self.rho, RHO_FLOOR)
+        return self.fields[1] / self.rho_f
 
     @property
     def theta(self) -> np.ndarray:
         """Potential temperature, set to one on the vacuum set."""
-        th = self.q / np.maximum(self.rho, RHO_FLOOR)
-        return np.where(self.rho < VACUUM_CUT, 1.0, th)
+        th = self.fields[2] / self.rho_f
+        return np.where(self.fields[0] < VACUUM_CUT, 1.0, th)
 
     def row(self, k: int | slice) -> "PrimitiveState":
         """Sample k (an index or a slice of rows) of a stacked state, as views."""
@@ -180,11 +196,12 @@ def init_ill_prepared(
 
 
 class PrimitiveAux:
-    """Static data of a lockstep run whose members differ only in eps.
+    """Static data and step buffers of a lockstep stack whose members differ only in eps.
 
     Members share the static state, ghost cell and sponge (sig_w = sigma
-    times the cell volumes weighs its sinks).  eps, eps2, eps_alpha,
-    visc_coef and c_ghost are (m, 1) columns of Python floats, one per
+    times the cell volumes weighs its sinks) and the step's grid constants.
+    eps, eps2, visc_coef and c_ghost are (m, 1) columns and eps_alpha and
+    visc_row (visc_coef as a row) are (m,) rows of Python floats, one per
     member: numpy's array power may differ in the last bit.
     """
 
@@ -202,7 +219,7 @@ class PrimitiveAux:
         self.p_ghost = self.rho0_ghost**gamma
         c_ghost = float(np.sqrt(gamma * self.rho0_ghost ** (gamma - 1.0)))
 
-        self.grad_p0 = np.diff(self._pressure_faces(prof.rho0**gamma)) / grid.h
+        self.grad_p0 = self.pressure_gradient(prof.rho0**gamma)
         # fields minus static: the deviations the dissipation and the sponge act on
         self.static = np.array((prof.rho0, np.zeros(grid.n), prof.rho0))[:, None]
 
@@ -212,24 +229,40 @@ class PrimitiveAux:
         sig_max = float(np.max(self.sigma))
         self.dt_sponge = 0.5 / sig_max if sig_max > 0 else np.inf
         self.viscous = 4.0 * base.mu / 3.0 + base.lam > 0.0
+        # the step's constants, each the value it would otherwise recompute per step
+        self.r2, self.h_faces2 = grid.centers * grid.centers, grid.h * grid.faces[1:-1] ** 2
+        self.cfl_h, self.cfl_h2 = CFL * grid.h, CFL * 0.5 * grid.h**2
+        self.mu43, self.lam = base.mu * (4.0 / 3.0), base.lam
         cols = [(p.eps, p.eps**2, p.eps**p.alpha, p.eps**p.alpha * (4.0 * p.mu / 3.0 + p.lam),
                  c_ghost / p.eps) for p in params]
-        self.eps, self.eps2, self.eps_alpha, self.visc_coef, self.c_ghost = np.array(cols).T[..., None]
+        self._stack(np.array(cols).T[..., None])
 
-    def members(self, idx: np.ndarray) -> "PrimitiveAux":
-        """The same data for the members idx only."""
-        return PrimitiveAux(self.prof, [self.params[i] for i in idx])
+    def _stack(self, cols: np.ndarray) -> None:
+        """Take the members' (5, m, 1) columns and allocate the step's buffers for m members.
+        Their constant columns are set once: the static ghost has no deviation or convective
+        flux and its wave speed is c_ghost; no flux crosses r = 0."""
+        self.cols, m, n = cols, cols.shape[1], self.grid.n
+        self.eps, self.eps2, _, self.visc_coef, self.c_ghost = cols
+        self.eps_alpha, self.visc_row = cols[2:4, :, 0]
+        self.dev, self.x, self.fluxes, self.face_fluxes = np.zeros((4, 3, m, n + 1))
+        self.spd, self.face_div = np.zeros((2, m, n + 1))
+        self.spd[:, -1:], self.work = self.c_ghost, np.zeros((3, m, n))
 
-    def _pressure_faces(self, p_cells: np.ndarray) -> np.ndarray:
-        out = np.empty(p_cells.shape[:-1] + (self.grid.n + 1,))
-        out[..., 0] = p_cells[..., 0]  # mirror ghost across r = 0
-        out[..., 1:-1] = 0.5 * (p_cells[..., :-1] + p_cells[..., 1:])
-        out[..., -1] = 0.5 * (p_cells[..., -1] + self.p_ghost)
-        return out
+    def members(self, idx) -> "PrimitiveAux":
+        """The same data for the members idx only: the columns sliced, the rest shared."""
+        aux = copy.copy(self)
+        aux.params = tuple(self.params[i] for i in idx)
+        aux._stack(self.cols[:, idx])
+        return aux
 
-    def pressure_gradient(self, q: np.ndarray) -> np.ndarray:
-        pf = self._pressure_faces(q**self.gamma)
-        return np.diff(pf) / self.grid.h
+    def pressure_gradient(self, p: np.ndarray) -> np.ndarray:
+        """d/dr of the face means of cell pressures p (last axis); the origin
+        face mirrors the first cell, the outer face pairs the last with the ghost."""
+        pf = np.empty(p.shape[:-1] + (self.grid.n + 1,))
+        pf[..., 0], pf[..., -1] = p[..., 0], p[..., -1] + self.p_ghost
+        np.add(p[..., :-1], p[..., 1:], out=pf[..., 1:-1])
+        pf[..., 1:] *= 0.5
+        return (pf[..., 1:] - pf[..., :-1]) / self.grid.h
 
 
 def sound_speed(state: PrimitiveState, params) -> np.ndarray:
@@ -240,18 +273,13 @@ def sound_speed(state: PrimitiveState, params) -> np.ndarray:
     return np.sqrt(np.maximum(c2, 0.0)) / params.eps
 
 
-def suggested_dt(speed: np.ndarray, rho: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
-    """Per member, min of the hyperbolic (cell wave speed |u| + c), viscous and sponge limits."""
-    h = aux.grid.h
-    dt = np.minimum(CFL * h / speed.max(axis=-1), aux.dt_sponge)
+def suggested_dt(speed: np.ndarray, rho_f: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
+    """Per member, min of the hyperbolic (cell wave speed |u| + c), viscous (floored
+    density rho_f = max(rho, RHO_FLOOR)) and sponge limits."""
+    dt = np.minimum(aux.cfl_h / speed.max(axis=-1), aux.dt_sponge)
     if aux.viscous:
-        rho_min = np.maximum(rho, RHO_FLOOR).min(axis=-1)
-        dt = np.minimum(dt, CFL * 0.5 * h**2 * rho_min / aux.visc_coef[:, 0])
+        dt = np.minimum(dt, aux.cfl_h2 * rho_f.min(axis=-1) / aux.visc_row)
     return dt
-
-
-def _minmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
 
 
 def _muscl_edges(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,21 +288,23 @@ def _muscl_edges(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ext[..., 0] = dev[..., 0]
     ext[..., 1:-1] = dev
     slopes = np.zeros(dev.shape[:-1] + (dev.shape[-1] + 1,))  # the ghost carries no slope
-    slopes[..., :-1] = _minmod(ext[..., 1:-1] - ext[..., :-2], ext[..., 2:] - ext[..., 1:-1])
+    a, b = ext[..., 1:-1] - ext[..., :-2], ext[..., 2:] - ext[..., 1:-1]
+    slopes[..., :-1] = np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)  # minmod
     return ext[..., 1:-1] + 0.5 * slopes[..., :-1], ext[..., 2:] - 0.5 * slopes[..., 1:]
 
 
-def _rusanov_fluxes(state, u, speed, dev, aux, muscl: bool = False):
-    """Face fluxes 0.5 (X_l + X_r) - 0.5 a (D_r - D_l), a (3, m, n+1) array.
+def _rusanov_fluxes(state, u, dev, aux, muscl: bool = False):
+    """Face fluxes 0.5 (X_l + X_r) - 0.5 a (D_r - D_l) in aux.fluxes, a (3, m, n+1) array.
 
     X = (mom, mom u, q u); D = (rho - rho0, mom, q - rho0) is dev without
     its outer ghost column (the static ghost: no flux, no deviation).  The
     first-order face speed max(|u_l| + c_l, |u_r| + c_r) comes from the cell
-    speeds.  muscl reconstructs the deviations with limited slopes around
-    the face-interpolated background, so the static state stays a fixed point.
+    speeds the step left in aux.spd.  muscl reconstructs the deviations with
+    limited slopes around the face-interpolated background, so the static
+    state stays a fixed point.
     """
-    rho0 = aux.prof.rho0
     if muscl:
+        rho0 = aux.prof.rho0
         rho0_face = 0.5 * (rho0 + np.append(rho0[1:], aux.rho0_ghost))
         d_l, d_r = _muscl_edges(dev[..., :-1])
 
@@ -287,33 +317,16 @@ def _rusanov_fluxes(state, u, speed, dev, aux, muscl: bool = False):
         (x_l, spd_l), (x_r, spd_r) = face(d_l), face(d_r)
         a = np.maximum(spd_l, spd_r)
     else:
-        x = np.zeros(dev.shape)
+        x, spd = aux.x, aux.spd
         x[0, :, :-1] = state.mom
         np.multiply(state.fields[1:], u, out=x[1:, :, :-1])
-        spd = np.empty(speed.shape[:-1] + (rho0.size + 1,))
-        spd[:, :-1] = speed
-        spd[:, -1:] = aux.c_ghost
         x_l, x_r, d_l, d_r = x[..., :-1], x[..., 1:], dev[..., :-1], dev[..., 1:]
         a = np.maximum(spd[:, :-1], spd[:, 1:])
 
-    fluxes = np.zeros(dev.shape)
-    np.subtract(0.5 * (x_l + x_r), 0.5 * a * (d_r - d_l), out=fluxes[..., 1:])
-    return fluxes
-
-
-def _face_divergence(u: np.ndarray, grid: Grid) -> np.ndarray:
-    """div u at faces: (r^2 u) difference of the neighbor cells.
-
-    The origin face uses the odd-symmetry limit 3 u'(0); the outer face
-    copies its neighbor.
-    """
-    r = grid.centers
-    out = np.empty(u.shape[:-1] + (grid.n + 1,))
-    r2u = r * r * u
-    out[..., 1:-1] = np.diff(r2u) / (grid.h * grid.faces[1:-1] ** 2)
-    out[..., 0] = 3.0 * u[..., 0] / r[0]
-    out[..., -1] = out[..., -2]
-    return out
+    jump = np.subtract(d_r, d_l, out=aux.work)
+    jump *= 0.5 * a
+    np.subtract(0.5 * (x_l + x_r), jump, out=aux.fluxes[..., 1:])
+    return aux.fluxes
 
 
 def step_primitive(
@@ -325,44 +338,54 @@ def step_primitive(
     state.rho, mom and q are (m, n), state.t and dt_max (m,), and u is
     state.velocity if the caller has it.  u, |u| + c and the static
     deviations are computed once; dt = min(suggested_dt, dt_max) per
-    member, stable by construction.  Returns the new state, dt (m,), the
-    outer-face (mass, rho Theta) fluxes per unit area (2, m) and the
-    sponge's (mass, rho Theta) sink rates (2, m), for the ledgers.
+    member, stable by construction.  Returns the new state with its rho_f,
+    dt (m,), the outer-face (mass, rho Theta) fluxes per unit area (2, m)
+    and the sponge's (mass, rho Theta) sink rates (2, m), for the ledgers:
+    fresh arrays, none a view of aux's buffers.
     """
-    prof, grid = aux.prof, aux.grid
+    grid, fields, rho_f = aux.grid, state.fields, state.rho_f
     u = state.velocity if u is None else u
-    speed = np.abs(u) + sound_speed(state, aux)
-    dt = np.minimum(suggested_dt(speed, state.rho, aux), dt_max)
-    col = dt[:, None]
-    dev = np.zeros(state.fields.shape[:-1] + (grid.n + 1,))
-    np.subtract(state.fields, aux.static, out=dev[..., :-1])
+    speed = np.abs(u, out=aux.spd[:, :-1])
+    speed += sound_speed(state, aux)
+    dt = np.minimum(suggested_dt(speed, rho_f, aux), dt_max)
+    col, dev, work = dt[:, None], aux.dev, aux.work
+    np.subtract(fields, aux.static, out=dev[..., :-1])
 
-    fluxes = _rusanov_fluxes(state, u, speed, dev, aux, muscl=muscl)
-    new = state.fields - col * np.diff(grid.face_areas * fluxes) / grid.weights
+    fluxes = _rusanov_fluxes(state, u, dev, aux, muscl=muscl)
+    area_fluxes = np.multiply(fluxes, grid.face_areas, out=aux.face_fluxes)
+    np.subtract(area_fluxes[..., 1:], area_fluxes[..., :-1], out=work)
+    work *= col
+    work /= grid.weights
+    new = fields - work
 
     # pressure/gravity pairing: gravity is (rho/rho0) times the static
     # pressure gradient, so the static state cancels exactly
     new[1] -= (col / aux.eps2) * (
-        aux.pressure_gradient(state.q) - (state.rho / prof.rho0) * aux.grad_p0
+        aux.pressure_gradient(state.q**aux.gamma) - (state.rho / aux.prof.rho0) * aux.grad_p0
     )
 
-    # viscous force (4/3 + lam) eps^alpha d/dr (div u)
+    # viscous force (4/3 + lam) eps^alpha d/dr (div u); div u at a face differences r^2 u
+    # across it, is 3 u'(0) at the origin and copies its neighbor at the outer face
     if aux.viscous:
-        new[1] += col * aux.visc_coef * np.diff(_face_divergence(u, grid)) / grid.h
+        div_u, r2u = aux.face_div, u * aux.r2
+        div_u[:, 1:-1] = (r2u[:, 1:] - r2u[:, :-1]) / aux.h_faces2
+        div_u[:, 0], div_u[:, -1] = 3.0 * u[:, 0] / grid.centers[0], div_u[:, -2]
+        new[1] += col * aux.visc_coef * (div_u[:, 1:] - div_u[:, :-1]) / grid.h
 
     # sponge relaxation toward the static far field
     dev = dev[..., :-1]
-    new -= (col * aux.sigma) * dev
+    new -= np.multiply(dev, col * aux.sigma, out=work)
 
     t = state.t + dt
-    if (new[::2] <= 0.0).any() or not np.isfinite(new).all():
+    if not new[::2].min() > 0.0 or not np.isfinite(new).all():  # a NaN fails the first test
         nonpositive = np.any(new[::2] <= 0.0, axis=(0, 2))
         j = int(np.argmax(nonpositive | ~np.all(np.isfinite(new), axis=(0, 2))))
         what = "nonpositive density" if nonpositive[j] else "non-finite state"
         out = PrimitiveState.of(new[:, j], float(t[j]))
         raise SolverFailure(f"{what} after update at t={out.t}", out, member=j)
     sinks = (aux.sig_w * dev[::2]).sum(axis=-1)
-    return PrimitiveState.of(new, t), dt, fluxes[::2, :, -1], sinks
+    new_state = PrimitiveState.of(new, t, np.maximum(new[0], RHO_FLOOR))
+    return new_state, dt, fluxes[::2, :, -1].copy(), sinks
 
 
 def enthalpy(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -370,9 +393,7 @@ def enthalpy(z: np.ndarray, gamma: float) -> np.ndarray:
     return z**gamma / (gamma - 1.0)
 
 
-def total_energy(
-    state: PrimitiveState, prof: StaticProfile, params: ScalingParams, grid: Grid
-) -> float:
+def total_energy(state: PrimitiveState, prof: StaticProfile, params: ScalingParams) -> float:
     """Scaled total energy relative to the static state.
 
     E = int [ rho |u|^2 / 2 + (H(q) - H'(rho0)(rho - rho0) - H(rho0)) / eps^2 ].
@@ -383,16 +404,20 @@ def total_energy(
     bracket = enthalpy(state.q, gamma) - dh0 * (state.rho - prof.rho0) - enthalpy(
         prof.rho0, gamma
     )
-    return integrate(kin + bracket / params.eps**2, grid)
+    return integrate(kin + bracket / params.eps**2, prof.grid)
 
 
 def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
-    """eps^alpha int S(grad u) : grad u for each member's radial velocity row of u."""
-    grid, params = aux.grid, aux.params[0]
-    du = radial_gradient(u, grid, parity="odd")
-    d = radial_divergence(u, grid)
-    dens = params.mu * (4.0 / 3.0) * (du - u / grid.centers) ** 2 + params.lam * d**2
-    return aux.eps_alpha[:, 0] * integrate(dens, grid)
+    """eps^alpha int S(grad u) : grad u for each member's radial velocity row of u.
+
+    With lam = 0 the bulk term lam (div u)^2 would add +0.0 to a non-negative
+    density, which changes no bit, so it is skipped.
+    """
+    grid = aux.grid
+    dens = aux.mu43 * (radial_gradient(u, grid, parity="odd") - u / grid.centers) ** 2
+    if aux.lam != 0.0:
+        dens += aux.lam * radial_divergence(u, grid) ** 2
+    return aux.eps_alpha * integrate(dens, grid)
 
 
 @dataclass
@@ -455,13 +480,14 @@ def run_lockstep(
     led = np.zeros((8, m))  # dissipation, N3, sponge and outflow (mass, q), the two rates
     led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[0], u)
     steps = np.zeros(m, dtype=int)
+    stack_aux = functools.cache(aux.members)  # one aux, with its work buffers, per membership
     samples = np.empty((3, m, sample_times.size, grid.n))
     ledger = np.empty((m, 9, sample_times.size))  # PrimitiveTrajectory series order
     for k, target in enumerate(sample_times):
         live = np.flatnonzero(t < target - 1.0e-13)
         state, s_led = PrimitiveState.of(fields[:, live], t[live]), led[:, live]
         u, taken = None, 0
-        s_aux = aux.members(live) if 0 < live.size < m else aux
+        s_aux = stack_aux(tuple(live.tolist()))
         while live.size:
             try:
                 state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, muscl, u)
@@ -470,7 +496,7 @@ def run_lockstep(
                 raise
             taken += 1
             u = state.velocity
-            rates = viscous_dissipation_rate(u, s_aux), n3_rate(state.rho, u)
+            rates = np.array((viscous_dissipation_rate(u, s_aux), n3_rate(state.rho, u)))
             s_led[:2] += 0.5 * dt * (s_led[6:] + rates)
             s_led[6:] = rates
             s_led[2:4] += dt * sink
@@ -483,15 +509,16 @@ def run_lockstep(
                 steps[gone] += taken
                 live = live[moving]
                 if live.size:
-                    state = PrimitiveState.of(state.fields[:, moving], state.t[moving])
-                    s_led, u, s_aux = s_led[:, moving], u[moving], aux.members(live)
+                    rho_f, s_aux = state.rho_f[moving], stack_aux(tuple(live.tolist()))
+                    state = PrimitiveState.of(state.fields[:, moving], state.t[moving], rho_f)
+                    s_led, u = s_led[:, moving], u[moving]
         samples[:, :, k] = fields
         ledger[:, (1, 8, 4, 5, 6, 7), k] = led[:6].T
 
     trajs = []
     for j, p in enumerate(aux.params):
         s = PrimitiveState.of(samples[:, j], sample_times)
-        ledger[j, 0] = total_energy(s, prof, p, grid)
+        ledger[j, 0] = total_energy(s, prof, p)
         ledger[j, 2:4] = integrate(s.fields[::2], grid)
         trajs.append(PrimitiveTrajectory(grid, prof, p, s, *ledger[j], step_count=int(steps[j])))
     return trajs
@@ -518,27 +545,17 @@ def write_checkpoint(
     path: str, state: PrimitiveState, grid: Grid, params: ScalingParams
 ) -> None:
     """Binary state dump with a small text header describing grid and params."""
+    floats = [(key, getattr(grid, key)) for key in ("r_max", "r_sponge")]
+    floats += [(key, getattr(params, key)) for key in ("eps", "alpha", "gamma", "lam", "mu")]
+    floats += [("rho_bar", params.rho_bar), ("time", state.t)]
     header = "\n".join(
-        [
-            CHECKPOINT_MAGIC,
-            f"geometry {grid.geometry}",
-            f"n {grid.n}",
-            f"r_max {grid.r_max:.17g}",
-            f"r_sponge {grid.r_sponge:.17g}",
-            f"eps {params.eps:.17g}",
-            f"alpha {params.alpha:.17g}",
-            f"gamma {params.gamma:.17g}",
-            f"lam {params.lam:.17g}",
-            f"mu {params.mu:.17g}",
-            f"rho_bar {params.rho_bar:.17g}",
-            f"time {state.t:.17g}",
-            "fields rho mom q",
-        ]
+        [CHECKPOINT_MAGIC, f"geometry {grid.geometry}", f"n {grid.n}"]
+        + [f"{key} {value:.17g}" for key, value in floats]
+        + ["fields rho mom q"]
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n\x00")
-        for f in (state.rho, state.mom, state.q):
-            fh.write(np.ascontiguousarray(f, dtype=np.float64).tobytes())
+        fh.write(np.ascontiguousarray(state.fields, dtype=np.float64).tobytes())
 
 
 def read_checkpoint(path: str) -> tuple[PrimitiveState, dict]:
@@ -549,21 +566,16 @@ def read_checkpoint(path: str) -> tuple[PrimitiveState, dict]:
     header_lines = blob[:sep].decode("ascii").strip().split("\n")
     if header_lines[0] != CHECKPOINT_MAGIC:
         raise DataError(f"not a checkpoint file: {path}")
-    meta = {}
-    for line in header_lines[1:]:
-        key, _, value = line.partition(" ")
-        meta[key] = value
+    meta = dict(line.partition(" ")[::2] for line in header_lines[1:])
     missing = [key for key in ("geometry", "n", "time") if key not in meta]
     if missing:
         raise DataError(f"checkpoint header of {path} lacks {', '.join(missing)}")
     n = int(meta["n"])
-    count = n if meta["geometry"] == "radial" else n**3
+    shape = (3, n) if meta["geometry"] == "radial" else (3, n, n, n)
     raw = np.frombuffer(blob[sep + 1 :], dtype=np.float64)
-    if raw.size != 3 * count:
+    if raw.size != np.prod(shape):
         raise DataError("checkpoint payload size does not match its header")
-    shape = (n,) if meta["geometry"] == "radial" else (n, n, n)
-    rho, mom, q = (raw[i * count : (i + 1) * count].reshape(shape).copy() for i in range(3))
-    state = PrimitiveState(rho=rho, mom=mom, q=q, t=float(meta["time"]))
+    state = PrimitiveState(*raw.reshape(shape), t=float(meta["time"]))
     return state, meta
 
 

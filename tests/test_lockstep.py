@@ -4,7 +4,9 @@ run_lockstep advances members that differ only in eps together, each with
 its own dt, dropping a member from the stack once it reaches the sample
 time.  Every member must reproduce its run alone exactly, the sweep must
 make one step call per lockstep iteration, and a member failing mid-run
-must leave the partial report a one-by-one sweep would write.
+must leave the partial report a one-by-one sweep would write.  The fused
+step must equal a plain reference bit for bit and return no view of the
+work buffers its aux reuses.
 """
 
 import numpy as np
@@ -17,7 +19,11 @@ from anelastic_lab.harness import SweepPlan, sweep_epsilon
 from anelastic_lab.hydrostatics import build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
+    CFL,
+    RHO_FLOOR,
+    VACUUM_CUT,
     PrimitiveAux,
+    PrimitiveState,
     SolverFailure,
     init_ill_prepared,
     run_lockstep,
@@ -32,14 +38,16 @@ SERIES = (
 SMALL = ["--set", "grid.n=64", "--set", "sweep.samples=17"]
 
 
-def small_config():
+def small_config(**sets):
+    """The default configuration at n = 64, with params.KEY=VALUE set by keyword."""
     cfg = dict(configio.DEFAULTS)
     cfg["grid.n"] = "64"
+    cfg.update({f"params.{key}": str(value) for key, value in sets.items()})
     return cfg
 
 
-def members(eps_list):
-    cfg = small_config()
+def members(eps_list, **sets):
+    cfg = small_config(**sets)
     grid = configio.grid_from(cfg)
     params = [configio.params_from(cfg).with_eps(eps) for eps in eps_list]
     prof = build_profile(configio.potential_from(cfg), params[0], grid)
@@ -140,3 +148,147 @@ def test_mid_run_failure_keeps_the_one_by_one_partial_report(tmp_path, monkeypat
     assert "sweep failed at eps=0.2" in capsys.readouterr().err
     partial = (tmp_path / "partial" / "convergence.csv").read_text().splitlines()
     assert partial == full[:2]  # header + the eps = 0.4 row, byte for byte
+
+
+# A plain reference for the step and the dissipation rate, written with
+# np.diff and fresh temporaries: the fused kernel (constants hoisted,
+# buffers reused, in-place arithmetic) must match it bit for bit.
+
+
+def reference_step(state, aux, dt_max, muscl):
+    """(new fields, t, dt, outer fluxes, sponge sinks) of one forward-Euler step."""
+    prof, grid, gamma, h = aux.prof, aux.grid, aux.gamma, aux.grid.h
+    rho, mom, q = state.fields
+    u = mom / np.maximum(rho, RHO_FLOOR)
+    theta = np.where(rho < VACUUM_CUT, 1.0, q / np.maximum(rho, RHO_FLOOR))
+    c2 = gamma * np.maximum(q, 0.0) ** (gamma - 1.0) * theta
+    speed = np.abs(u) + np.sqrt(np.maximum(c2, 0.0)) / aux.eps
+    dt = np.minimum(CFL * h / speed.max(axis=-1), aux.dt_sponge)
+    if aux.viscous:
+        rho_min = np.maximum(rho, RHO_FLOOR).min(axis=-1)
+        dt = np.minimum(dt, CFL * 0.5 * h**2 * rho_min / aux.visc_coef[:, 0])
+    dt = np.minimum(dt, dt_max)
+    col = dt[:, None]
+    dev = np.zeros(state.fields.shape[:-1] + (grid.n + 1,))
+    np.subtract(state.fields, aux.static, out=dev[..., :-1])
+
+    if muscl:
+        rho0_face = 0.5 * (prof.rho0 + np.append(prof.rho0[1:], aux.rho0_ghost))
+        ext = np.zeros(dev.shape[:-1] + (grid.n + 2,))
+        ext[..., 0], ext[..., 1:-1] = dev[..., 0], dev[..., :-1]
+        a, b = ext[..., 1:-1] - ext[..., :-2], ext[..., 2:] - ext[..., 1:-1]
+        slopes = np.zeros(dev.shape)
+        slopes[..., :-1] = np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+        d_l, d_r = ext[..., 1:-1] + 0.5 * slopes[..., :-1], ext[..., 2:] - 0.5 * slopes[..., 1:]
+
+        def face(d):
+            rho_f, q_f = np.maximum(rho0_face + d[0], RHO_FLOOR), rho0_face + d[2]
+            u_f = d[1] / rho_f
+            c_f = np.sqrt(np.maximum(gamma * q_f**gamma / rho_f, 0.0)) / aux.eps
+            return np.array((d[1], d[1] * u_f, q_f * u_f)), np.abs(u_f) + c_f
+
+        (x_l, spd_l), (x_r, spd_r) = face(d_l), face(d_r)
+        a = np.maximum(spd_l, spd_r)
+    else:
+        x = np.zeros(dev.shape)
+        x[0, :, :-1], x[1:, :, :-1] = mom, state.fields[1:] * u
+        spd = np.concatenate((speed, np.broadcast_to(aux.c_ghost, (len(dt), 1))), axis=-1)
+        x_l, x_r, d_l, d_r = x[..., :-1], x[..., 1:], dev[..., :-1], dev[..., 1:]
+        a = np.maximum(spd[:, :-1], spd[:, 1:])
+    fluxes = np.zeros(dev.shape)
+    fluxes[..., 1:] = 0.5 * (x_l + x_r) - 0.5 * a * (d_r - d_l)
+    new = state.fields - col * np.diff(grid.face_areas * fluxes) / grid.weights
+
+    def pressure_gradient(p):
+        first, inner = p[..., :1], 0.5 * (p[..., :-1] + p[..., 1:])
+        outer = 0.5 * (p[..., -1:] + aux.p_ghost)
+        return np.diff(np.concatenate((first, inner, outer), axis=-1)) / h
+
+    grad_p0 = pressure_gradient(prof.rho0**gamma)
+    new[1] -= (col / aux.eps2) * (pressure_gradient(q**gamma) - (rho / prof.rho0) * grad_p0)
+    if aux.viscous:
+        r = grid.centers
+        face_div = np.empty(u.shape[:-1] + (grid.n + 1,))
+        face_div[..., 1:-1] = np.diff(r * r * u) / (h * grid.faces[1:-1] ** 2)
+        face_div[..., 0] = 3.0 * u[..., 0] / r[0]
+        face_div[..., -1] = face_div[..., -2]
+        new[1] += col * aux.visc_coef * np.diff(face_div) / h
+    new -= (col * aux.sigma) * dev[..., :-1]
+    sinks = (aux.sig_w * dev[::2, :, :-1]).sum(axis=-1)
+    return new, state.t + dt, dt, fluxes[::2, :, -1], sinks
+
+
+def reference_dissipation_rate(u, aux):
+    grid, p, h = aux.grid, aux.params[0], aux.grid.h
+    du = np.empty_like(u)  # odd parity: the ghost below r = 0 is -u[0]
+    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * h)
+    du[..., 0] = (u[..., 1] - -1.0 * u[..., 0]) / (2.0 * h)
+    du[..., -1] = (u[..., -1] - u[..., -2]) / h
+    u_f = np.zeros(u.shape[:-1] + (grid.n + 1,))
+    u_f[..., 1:-1] = 0.5 * (u[..., :-1] + u[..., 1:])
+    u_f[..., -1] = 1.5 * u[..., -1] - 0.5 * u[..., -2]
+    d = np.diff(grid.face_areas * u_f) / grid.shell_volumes
+    dens = p.mu * (4.0 / 3.0) * (du - u / grid.centers) ** 2 + p.lam * d**2
+    eps_alpha = np.array([q.eps**q.alpha for q in aux.params])
+    return eps_alpha * np.sum(dens * grid.weights, axis=-1)
+
+
+def stacked(inits):
+    fields = np.stack([init.fields for init in inits], axis=1)
+    return PrimitiveState.of(fields, np.array([init.t for init in inits]))
+
+
+@pytest.mark.parametrize(
+    "muscl, sets",
+    [(False, {}), (True, {}), (False, {"lam": 0.3}), (False, {"mu": 0.0})],
+    ids=["first-order", "muscl", "lam0.3", "mu0"],
+)
+def test_step_matches_the_reference_bit_for_bit(muscl, sets):
+    prof, params, inits, _ = members(EPS[:3], **sets)
+    aux = PrimitiveAux(prof, params)
+    assert aux.viscous == (sets.get("mu") != 0.0)
+    state, u, dt_max = stacked(inits), None, np.full(3, 1.0)
+    for _ in range(40):
+        ref_new, ref_t, ref_dt, ref_flux, ref_sink = reference_step(state, aux, dt_max, muscl)
+        state, dt, flux, sink = primitive.step_primitive(state, aux, dt_max, muscl, u)
+        assert np.array_equal(state.fields, ref_new) and np.array_equal(state.t, ref_t)
+        assert np.array_equal(dt, ref_dt) and np.array_equal(flux, ref_flux)
+        assert np.array_equal(sink, ref_sink)
+        u = state.velocity
+        rates = primitive.viscous_dissipation_rate(u, aux)
+        assert np.array_equal(rates, reference_dissipation_rate(u, aux))
+    assert np.all(state.t > 0.0) and np.any(flux != 0.0)
+
+
+def test_step_results_are_not_views_of_the_buffers():
+    prof, params, inits, _ = members(EPS[:3])
+    aux, state, dt_max = PrimitiveAux(prof, params), stacked(inits), np.full(3, 1.0)
+    first = primitive.step_primitive(state, aux, dt_max)
+    kept = [first[0].fields.copy(), first[0].t.copy(), *(a.copy() for a in first[1:])]
+    second = primitive.step_primitive(first[0], aux, dt_max)
+    assert not np.array_equal(second[0].fields, kept[0])
+    for now, then in zip((first[0].fields, first[0].t, *first[1:]), kept):
+        assert np.array_equal(now, then)
+
+    poisoned = stacked(inits)
+    poisoned.rho[1] = -1.0
+    with pytest.raises(SolverFailure) as failure:
+        primitive.step_primitive(poisoned, aux, dt_max)
+    failed = failure.value.state.fields.copy()
+    primitive.step_primitive(state, aux, dt_max)
+    assert failure.value.member == 1 and np.array_equal(failure.value.state.fields, failed)
+
+
+@pytest.mark.parametrize("idx", [[1, 2], [2]])
+def test_members_equals_a_fresh_aux(idx):
+    prof, params, inits, _ = members(EPS[:3])
+    aux = PrimitiveAux(prof, params)
+    primitive.step_primitive(stacked(inits), aux, np.full(3, 1.0))  # dirty the buffers
+    sliced, fresh = aux.members(np.array(idx)), PrimitiveAux(prof, [params[i] for i in idx])
+    assert vars(sliced).keys() == vars(fresh).keys()
+    for name, value in vars(fresh).items():
+        other = getattr(sliced, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(other, value), name
+        else:
+            assert other is value or other == value, name

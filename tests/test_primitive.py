@@ -268,7 +268,7 @@ class TestEnergyFunctional:
             mom=np.zeros(radial_grid.n),
             q=np.full(radial_grid.n, 1.2),
         )
-        val = total_energy(state, prof, params, radial_grid)
+        val = total_energy(state, prof, params)
         per_volume = val / radial_grid.volume
         # bracket = H(1.2) - H'(1)(0) - H(1) = 1.44 - 1 = 0.44 over eps^2
         assert per_volume == pytest.approx(44.0, rel=1.0e-12)
