@@ -299,23 +299,6 @@ class AcousticState:
     t: float | np.ndarray = 0.0
 
 
-def _modal_energy(op: AcousticOperator, phi_c, sigma_c) -> float | np.ndarray:
-    """1/2 (sum lambda c_phi^2 + sum c_sigma^2), one value per coefficient row."""
-    lam = np.clip(op.evals, 0.0, None)
-    e = 0.5 * (np.sum(lam * phi_c * phi_c, axis=-1) + np.sum(sigma_c * sigma_c, axis=-1))
-    return float(e) if e.ndim == 0 else e
-
-
-def acoustic_energy(op: AcousticOperator, s: np.ndarray, phi: np.ndarray) -> float:
-    """E_ac = 1/2 (rho0 |grad Phi|^2 + p'(rho0)/rho0 s^2) integrated.
-
-    Evaluated spectrally, which is the exact discrete Dirichlet energy of
-    the flux-form operator.
-    """
-    sigma = (op.prof.dp / op.prof.rho0) * s
-    return _modal_energy(op, op.coeffs(phi), op.coeffs(sigma))
-
-
 @dataclass
 class SpectralWaveSolution:
     """Closed-form evolution of the acoustic pair in the eigenbasis.
@@ -373,7 +356,11 @@ class SpectralWaveSolution:
         return -self.op.prof.inner_weight * a_phi
 
     def energy(self, t) -> float | np.ndarray:
-        return _modal_energy(self.op, self.phi_coeffs(t), self.sigma_coeffs(t))
+        """E_ac = 1/2 (sum lambda c_phi^2 + sum c_sigma^2), the exact discrete energy."""
+        phi_c, sigma_c = self.phi_coeffs(t), self.sigma_coeffs(t)
+        lam = np.clip(self.op.evals, 0.0, None)
+        e = 0.5 * (np.sum(lam * phi_c * phi_c, axis=-1) + np.sum(sigma_c * sigma_c, axis=-1))
+        return float(e) if e.ndim == 0 else e
 
     def state(self, t) -> AcousticState:
         return AcousticState(s=self.s(t), phi=self.phi(t), t=t)

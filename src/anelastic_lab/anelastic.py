@@ -30,7 +30,7 @@ from .helmholtz import (
     centers_to_faces,
     project,
     project_radial_faces,
-    _solve,
+    solve_weighted_poisson,
 )
 from .hydrostatics import StaticProfile
 from .primitive import DataError
@@ -50,13 +50,9 @@ class AnelasticState:
     t: float = 0.0
 
 
-def init_anelastic(
-    v0,
-    theta20: np.ndarray,
-    prof: StaticProfile,
-    grid: Grid,
-) -> AnelasticState:
+def init_anelastic(v0, theta20: np.ndarray, prof: StaticProfile) -> AnelasticState:
     """Project the raw velocity and set temperature/density from theta20."""
+    grid = prof.grid
     grid.check_aligned(theta20)
     if np.any(theta20 <= 0.0):
         raise DataError("initial temperature must be strictly positive")
@@ -64,7 +60,7 @@ def init_anelastic(
         grid.check_aligned(v0)
         v_faces, _ = project_radial_faces(centers_to_faces(v0, grid), prof)
     else:
-        v_faces = project(v0, prof, grid)[0]
+        v_faces = project(v0, prof)[0]
     return AnelasticState(
         velocity=v_faces,
         pressure=np.zeros(grid.field_shape),
@@ -75,9 +71,10 @@ def init_anelastic(
 
 
 def _radial_upwind_temperature(
-    temp: np.ndarray, v_faces: np.ndarray, prof: StaticProfile, grid: Grid, dt: float
+    temp: np.ndarray, v_faces: np.ndarray, prof: StaticProfile, dt: float
 ) -> np.ndarray:
     """Conservative upwind transport of rho0 T by the solenoidal face flux."""
+    grid = prof.grid
     mass_flux = grid.face_areas * prof.face_rho0 * v_faces
     t_up = np.empty(grid.n + 1)
     t_up[1:-1] = np.where(v_faces[1:-1] > 0.0, temp[:-1], temp[1:])
@@ -97,22 +94,22 @@ def _radial_advect_faces(v_faces: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def step_anelastic(
-    state: AnelasticState, prof: StaticProfile, dt_max: float, grid: Grid
+    state: AnelasticState, prof: StaticProfile, dt_max: float
 ) -> tuple[AnelasticState, float]:
     """Predict with advection and buoyancy, project, then move temperature.
 
     The step takes dt = min(dt_max, CFL * h / max |V|), so it is stable by
     construction, and returns the new state and that dt.
     """
-    v = state.velocity
+    grid, v = prof.grid, state.velocity
     vmax = float(np.max(np.abs(v))) if grid.radial else v.max_abs()
     dt = min(dt_max, CFL * grid.h / vmax) if vmax > 0.0 else dt_max
     step = _step_radial if grid.radial else _step_cartesian
-    return step(state, prof, dt, grid), dt
+    return step(state, prof, dt), dt
 
 
-def _step_radial(state, prof, dt, grid):
-    v = state.velocity
+def _step_radial(state, prof, dt):
+    grid, v = prof.grid, state.velocity
     t_face = np.empty(grid.n + 1)
     t_face[1:-1] = 0.5 * (state.temperature[:-1] + state.temperature[1:])
     t_face[0] = state.temperature[0]
@@ -123,7 +120,7 @@ def _step_radial(state, prof, dt, grid):
     predictor[0] = 0.0
     predictor[-1] = 0.0
     v_new, phi = project_radial_faces(predictor, prof)
-    temp = _radial_upwind_temperature(state.temperature, v_new, prof, grid, dt)
+    temp = _radial_upwind_temperature(state.temperature, v_new, prof, dt)
     return AnelasticState(
         velocity=v_new,
         pressure=phi / dt,
@@ -169,7 +166,8 @@ def _cart_upwind_derivative(f: np.ndarray, vel: np.ndarray, axis: int, h: float)
     return np.where(vel > 0.0, back, fwd)
 
 
-def _step_cartesian(state, prof, dt, grid):
+def _step_cartesian(state, prof, dt):
+    grid = prof.grid
     op = CartesianWeightedLaplacian(grid, prof.rho0)
     v: StaggeredVector = state.velocity
     h = grid.h
@@ -200,7 +198,7 @@ def _step_cartesian(state, prof, dt, grid):
     predictor = StaggeredVector(*parts)
 
     rhs = op.divergence(op.rho_times(predictor))
-    phi = _solve(op, rhs, DEFAULT_TOL, 50_000)
+    phi = solve_weighted_poisson(op, rhs)
     v_new = predictor.axpy(-1.0, op.gradient(phi))
 
     # conservative upwind transport of rho0 T with the projected fluxes
@@ -251,7 +249,6 @@ class AnelasticTrajectory:
 def run_anelastic(
     init: AnelasticState,
     prof: StaticProfile,
-    grid: Grid,
     horizon: float,
     n_samples: int = 21,
     dt: float | None = None,
@@ -266,7 +263,7 @@ def run_anelastic(
     t = 0.0
     for target in times[1:]:
         while t < target - 1.0e-13:
-            state, step = step_anelastic(state, prof, min(dt, target - t), grid)
+            state, step = step_anelastic(state, prof, min(dt, target - t))
             t += step
         states.append(state)
         norms.append(_div_norms(state, prof))

@@ -4,8 +4,9 @@ Every subcommand reads the plain-text configuration (defaults, optional
 file, dotted-key overrides), runs deterministically for a given
 configuration and seed, and writes CSV/plain-text artifacts with floats
 printed at 17 significant digits.  Exit codes: 0 success, 2 validation
-failure (bad configuration, flags or data), 3 solver failure; any other
-exception is an internal error and propagates with its traceback.
+failure (bad configuration, flags or data), 3 solver failure, 141 stdout
+closed by the reader; any other exception is an internal error and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ def _setup(args):
 
 def cmd_profile(args) -> int:
     cfg, outdir = _setup(args)
-    grid, params, prof = _profile_setup(cfg)
+    prof = _profile_setup(cfg)[2]
     export_profile_csv(prof, os.path.join(outdir, "profile.csv"))
-    rep = flatness_report(prof.potential, grid, params)
+    rep = flatness_report(prof)
     residual = static_residual(prof)
     text = rep.text() + f"\nstatic residual (max norm)    = {residual:.17g}\n"
     with open(os.path.join(outdir, "flatness.txt"), "w") as fh:
@@ -85,9 +86,9 @@ def cmd_simulate_primitive(args) -> int:
     cfg, outdir = _setup(args)
     grid, params, prof = _profile_setup(cfg)
     data = configio.data_from(cfg)
-    init = init_ill_prepared(data, prof, params, grid)
+    init = init_ill_prepared(data, prof, params)
     times = np.linspace(0.0, params.horizon, configio.get_int(cfg, "run.samples"))
-    traj = run_primitive(init, prof, params, grid, times)
+    traj = run_primitive(init, prof, params, times)
     rows = zip(
         traj.times,
         traj.energy,
@@ -129,9 +130,9 @@ def cmd_simulate_anelastic(args) -> int:
             0.1 * rng.standard_normal((n, n, n + 1)),
         )
     theta20 = 1.0 + theta2
-    state = init_anelastic(v0, theta20, prof, grid)
+    state = init_anelastic(v0, theta20, prof)
     traj = run_anelastic(
-        state, prof, grid, params.horizon, n_samples=configio.get_int(cfg, "run.samples")
+        state, prof, params.horizon, n_samples=configio.get_int(cfg, "run.samples")
     )
     monitor = smoothness_monitor(traj, grid)
     rows = zip(
@@ -181,7 +182,7 @@ def cmd_simulate_acoustic(args) -> int:
     from .helmholtz import project
 
     rho1, v0, _ = data.limit_fields(grid)
-    _, phi0 = project(v0, prof, grid)
+    _, phi0 = project(v0, prof)
     s0, phi0d = ac.regularize_data(op, rho1, phi0, configio.get_float(cfg, "acoustic.delta"))
     traj = ac.evolve_acoustic(
         ac.AcousticState(s=s0, phi=phi0d),
@@ -299,7 +300,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_audit_rei(args) -> int:
     cfg, outdir = _setup(args)
-    grid, params, prof = _profile_setup(cfg)
+    _, params, prof = _profile_setup(cfg)
     data = configio.data_from(cfg)
     delta = configio.get_float(cfg, "acoustic.delta")
     beta = configio.beta_from(cfg, params)
@@ -309,8 +310,8 @@ def cmd_audit_rei(args) -> int:
         (2.0 / delta) / params.eps,
         configio.get_int(cfg, "acoustic.points_per_period"),
     )
-    init = init_ill_prepared(data, prof, params, grid)
-    traj = run_primitive(init, prof, params, grid, times)
+    init = init_ill_prepared(data, prof, params)
+    traj = run_primitive(init, prof, params, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
     rep = rei_audit(traj, sol)
     raw = rei_audit(traj, sol, form="raw", tolerance=rep.tolerance)
@@ -430,7 +431,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout is gone: send it to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a reader that stopped early
     except SOLVER_ERRORS as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

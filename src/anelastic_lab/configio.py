@@ -194,16 +194,3 @@ def eps_list_from(cfg: dict, flag_value: str | None = None) -> tuple[float, ...]
     if any(v <= 0.0 for v in values) or any(np.diff(values) >= 0.0):
         raise ConfigError("eps list must be strictly decreasing and positive")
     return values
-
-
-def default_config_text() -> str:
-    """Render the defaults as a commented config file."""
-    lines = ["# anelastic-lab configuration (defaults)"]
-    section = None
-    for key in DEFAULTS:
-        sec, _, name = key.partition(".")
-        if sec != section:
-            lines.append(f"\n[{sec}]")
-            section = sec
-        lines.append(f"{name} = {DEFAULTS[key]}")
-    return "\n".join(lines) + "\n"

@@ -116,10 +116,6 @@ class Grid:
         return w
 
     @cached_property
-    def volume(self) -> float:
-        return float(np.sum(self.weights))
-
-    @cached_property
     def field_axes(self) -> tuple[int, ...]:
         """The trailing axes that hold a field (leading axes index samples)."""
         return tuple(range(-len(self.field_shape), 0))

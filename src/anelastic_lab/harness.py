@@ -204,7 +204,7 @@ def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
     members, failure, trajs, results = len(params), None, [], []
     while members and not trajs:
         try:
-            inits = [init_ill_prepared(plan.data, prof, p, plan.grid) for p in params[:members]]
+            inits = [init_ill_prepared(plan.data, prof, p) for p in params[:members]]
             trajs = run_lockstep(inits, prof, params[:members], times)
         except SolverFailure as exc:
             members, failure = exc.member, exc
@@ -251,7 +251,7 @@ def acoustic_ansatz(data: IllPreparedData, prof: StaticProfile, eps: float, delt
     )
 
     rho1, v0, _ = data.limit_fields(prof.grid)
-    _, phi0 = project(v0, prof, prof.grid)
+    _, phi0 = project(v0, prof)
     op = assemble_operator(prof, lam_max=FrequencyWindow(delta).lam_max)
     s0, phi0d = regularize_data(op, rho1, phi0, delta)
     return spectral_solution(op, AcousticState(s=s0, phi=phi0d), eps)

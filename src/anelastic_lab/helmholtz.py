@@ -5,11 +5,12 @@ outer boundary (homogeneous Dirichlet there) and regularity at the
 origin.  Everything is discretized in flux form with rho0 at faces by
 harmonic means, which keeps the weighted Laplacian symmetric positive
 definite in the quadrature inner product; the same operator is reused by
-the acoustic module.  Linear solves run preconditioned conjugate
-gradients with a tolerance fixed ahead of every physics tolerance.  In
-radial mode the preconditioner is the exact inverse of the weighted
-Laplacian (two cumulative sums, O(n)), so CG stops after one iteration;
-in cartesian mode it is Jacobi and CG iterates.
+the acoustic module.  solve_weighted_poisson(op, rhs) is the one linear
+solve, for either geometry's operator: preconditioned conjugate gradients
+to DEFAULT_TOL, fixed ahead of every physics tolerance, capped at
+MAX_ITERATIONS.  In radial mode the preconditioner is the exact inverse
+of the weighted Laplacian (two cumulative sums, O(n)), so CG stops after
+one iteration; in cartesian mode it is Jacobi and CG iterates.
 
 In radial mode every admissible field is a discrete gradient, so H[v]
 vanishes identically up to the solver tolerance; the geometry admits no
@@ -25,9 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainError, FieldAlignmentError, Grid, harmonic_faces
+from .grids import DomainError, Grid
 
 DEFAULT_TOL = 1.0e-10
+MAX_ITERATIONS = 50_000  # CG iteration cap of every solve
 
 
 class SolverError(RuntimeError):
@@ -125,17 +127,6 @@ class RadialWeightedLaplacian:
         w = self.grid.face_areas * self.grid.h
         w[-1] *= 0.5
         return w
-
-    def dense(self) -> np.ndarray:
-        """apply as an (n, n) matrix; the tests' reference for the banded operators."""
-        n = self.grid.n
-        mat = np.zeros((n, n))
-        c, w = self.cond, self.weights
-        idx = np.arange(n)
-        mat[idx, idx] = -(c[:-1] + c[1:]) / w
-        mat[idx[:-1], idx[:-1] + 1] = c[1:-1] / w[:-1]
-        mat[idx[1:], idx[1:] - 1] = c[1:-1] / w[1:]
-        return mat
 
 
 class CartesianWeightedLaplacian:
@@ -280,15 +271,6 @@ class CartesianWeightedLaplacian:
         return total
 
 
-@dataclass
-class WeightedPoissonProblem:
-    """div(rho0 grad Phi) = rhs with decay at r_max and regularity at r = 0."""
-
-    rho0: np.ndarray
-    rhs: np.ndarray
-    max_iterations: int = 50_000
-
-
 def _cg(apply_a, rhs, dot, precondition, tol, maxiter):
     """Preconditioned CG for SPD apply_a; returns (x, relative residual, iters)."""
     rhs_norm = np.sqrt(dot(rhs, rhs))
@@ -317,16 +299,17 @@ def _cg(apply_a, rhs, dot, precondition, tol, maxiter):
     return x, res, maxiter
 
 
-def _solve(op, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
-    """Solve op.apply(phi) = rhs (op negative definite) by CG on -op."""
-    grid = op.grid
-    w = grid.weights
+def solve_weighted_poisson(op, rhs: np.ndarray) -> np.ndarray:
+    """Solve op.apply(phi) = rhs (op negative definite) by CG on -op to DEFAULT_TOL."""
+    w = op.grid.weights
 
     def dot(a, b):
         return float(np.sum(a * b * w))
 
-    phi, res, it = _cg(lambda v: -op.apply(v), -rhs, dot, op.precondition, tol, maxiter)
-    if not res <= tol:  # a NaN residual is never converged
+    phi, res, it = _cg(
+        lambda v: -op.apply(v), -rhs, dot, op.precondition, DEFAULT_TOL, MAX_ITERATIONS
+    )
+    if not res <= DEFAULT_TOL:  # a NaN residual is never converged
         raise SolverError(
             f"weighted Poisson solve stalled at relative residual {res:.3e} "
             f"after {it} iterations",
@@ -334,23 +317,6 @@ def _solve(op, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
             iterations=it,
         )
     return phi
-
-
-def solve_weighted_poisson(problem: WeightedPoissonProblem, grid: Grid) -> np.ndarray:
-    """Solve the weighted Poisson problem; Phi is pinned to 0 at the boundary."""
-    grid.check_aligned(problem.rho0, problem.rhs)
-    if np.any(problem.rho0 <= 0.0):
-        raise DomainError("coefficient rho0 must be strictly positive")
-    if not np.all(np.isfinite(problem.rhs)):
-        raise FieldAlignmentError("right-hand side contains non-finite entries")
-    op = _operator_for(grid, problem.rho0)
-    return _solve(op, problem.rhs, DEFAULT_TOL, problem.max_iterations)
-
-
-def _operator_for(grid: Grid, rho0: np.ndarray):
-    if grid.radial:
-        return RadialWeightedLaplacian(grid, harmonic_faces(rho0))
-    return CartesianWeightedLaplacian(grid, rho0)
 
 
 def centers_to_faces(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -380,17 +346,18 @@ def project_radial_faces(v_faces: np.ndarray, prof) -> tuple[np.ndarray, np.ndar
     grid = prof.grid
     op = RadialWeightedLaplacian(grid, prof.face_rho0)
     rhs = (np.diff(grid.face_areas * prof.face_rho0 * v_faces)) / grid.weights
-    phi = _solve(op, rhs, DEFAULT_TOL, 50_000)
+    phi = solve_weighted_poisson(op, rhs)
     h_faces = v_faces - op.gradient_faces(phi)
     return h_faces, phi
 
 
-def project(v, prof, grid: Grid):
-    """Weighted Helmholtz projection; returns (H[v], Phi).
+def project(v, prof):
+    """Weighted Helmholtz projection on prof.grid; returns (H[v], Phi).
 
     Radial mode takes and returns cell-centered radial components;
     cartesian mode takes and returns StaggeredVector fields.
     """
+    grid = prof.grid
     if grid.radial:
         grid.check_aligned(v)
         v_faces = centers_to_faces(v, grid)
@@ -398,6 +365,6 @@ def project(v, prof, grid: Grid):
         return faces_to_centers(h_faces, grid), phi
     op = CartesianWeightedLaplacian(grid, prof.rho0)
     rhs = op.divergence(op.rho_times(v))
-    phi = _solve(op, rhs, DEFAULT_TOL, 50_000)
+    phi = solve_weighted_poisson(op, rhs)
     grad = op.gradient(phi)
     return v.axpy(-1.0, grad), phi

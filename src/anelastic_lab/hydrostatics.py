@@ -189,18 +189,17 @@ class FlatnessReport:
         return "\n".join(lines)
 
 
-def flatness_report(spec: PotentialSpec, grid: Grid, params: ScalingParams) -> FlatnessReport:
+def flatness_report(prof: StaticProfile) -> FlatnessReport:
     """Measure the asymptotic-flatness quantities of F, A = p'(rho0) and B.
 
     B = rho0 Q''(rho0) grad rho0 is the drift coefficient of the acoustic
     operator written in divergence form.  A and B derivatives are taken
     numerically (centered differences); F uses its closed form.
     """
+    grid, spec, gamma = prof.grid, prof.potential, prof.gamma
     if not grid.radial:
         raise DomainError("flatness_report runs in radial mode")
-    prof = build_profile(spec, params, grid)
     r = grid.centers
-    gamma = params.gamma
 
     dF = spec.dr(r)
     d2F = spec.d2r(r)

@@ -1,14 +1,15 @@
 """Explicit finite-volume solver for the scaled compressible system.
 
 Conservative variables are (rho, rho u, rho Theta) on the radial grid.
-Convection uses Rusanov fluxes whose dissipation acts on the deviation
-from the static state, so the hydrostatic background is an exact discrete
-fixed point; pressure gradient and gravity are paired through the same
-face interpolants, with gravity written as (rho/rho0) times the static
-pressure gradient, which cancels the pressure term identically at
-equilibrium.  The viscous stress enters at strength eps**alpha; for a
-radial (curl-free) velocity it reduces to (4/3 + lam) grad(div u).  An
-outer sponge relaxes everything toward the static far field.
+Convection uses first-order Rusanov fluxes whose dissipation acts on the
+deviation from the static state, so the hydrostatic background is an
+exact discrete fixed point; pressure gradient and gravity are paired
+through the same face interpolants, with gravity written as (rho/rho0)
+times the static pressure gradient, which cancels the pressure term
+identically at equilibrium.  The viscous stress enters at strength
+eps**alpha; for a radial (curl-free) velocity it reduces to (4/3 + lam)
+grad(div u).  An outer sponge relaxes everything toward the static far
+field.
 
 Time stepping is forward Euler.  Each step takes the smallest of three
 limits, all computed from the state it advances: the hyperbolic limit
@@ -139,11 +140,6 @@ class GaussianBump:
         if not self.width > 0.0:
             raise DataError(f"Gaussian width must be positive, got {self.width}")
 
-    @classmethod
-    def from_mass(cls, mass: float, width: float) -> "GaussianBump":
-        amplitude = mass / (np.pi**1.5 * width**3)
-        return cls(amplitude=amplitude, width=width)
-
     def field(self, grid: Grid) -> np.ndarray:
         r = grid.radii
         return self.amplitude * np.exp(-(((r - self.center) / self.width) ** 2))
@@ -179,11 +175,11 @@ class IllPreparedData:
 
 
 def init_ill_prepared(
-    data: IllPreparedData, prof: StaticProfile, params: ScalingParams, grid: Grid
+    data: IllPreparedData, prof: StaticProfile, params: ScalingParams
 ) -> PrimitiveState:
     """Assemble rho = rho0 + eps rho1, u = u0, Theta = 1 + eps^2 theta2."""
     eps = params.eps
-    rho1, u, theta2 = data.limit_fields(grid)
+    rho1, u, theta2 = data.limit_fields(prof.grid)
     rho = prof.rho0 + eps * rho1
     if np.any(rho <= 0.0):
         raise DataError("initial density is not positive everywhere")
@@ -215,9 +211,9 @@ class PrimitiveAux:
         self.prof, self.params, self.grid = prof, tuple(params), grid
         self.gamma = gamma = base.gamma
 
-        self.rho0_ghost = float(prof.rho0_at(np.array([grid.r_max + 0.5 * grid.h]))[0])
-        self.p_ghost = self.rho0_ghost**gamma
-        c_ghost = float(np.sqrt(gamma * self.rho0_ghost ** (gamma - 1.0)))
+        rho0_ghost = float(prof.rho0_at(np.array([grid.r_max + 0.5 * grid.h]))[0])
+        self.p_ghost = rho0_ghost**gamma
+        c_ghost = float(np.sqrt(gamma * rho0_ghost ** (gamma - 1.0)))
 
         self.grad_p0 = self.pressure_gradient(prof.rho0**gamma)
         # fields minus static: the deviations the dissipation and the sponge act on
@@ -282,56 +278,25 @@ def suggested_dt(speed: np.ndarray, rho_f: np.ndarray, aux: PrimitiveAux) -> np.
     return dt
 
 
-def _muscl_edges(dev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Limited left/right deviation states at the faces 1..n (last axis)."""
-    ext = np.zeros(dev.shape[:-1] + (dev.shape[-1] + 2,))  # mirror inner, static outer
-    ext[..., 0] = dev[..., 0]
-    ext[..., 1:-1] = dev
-    slopes = np.zeros(dev.shape[:-1] + (dev.shape[-1] + 1,))  # the ghost carries no slope
-    a, b = ext[..., 1:-1] - ext[..., :-2], ext[..., 2:] - ext[..., 1:-1]
-    slopes[..., :-1] = np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)  # minmod
-    return ext[..., 1:-1] + 0.5 * slopes[..., :-1], ext[..., 2:] - 0.5 * slopes[..., 1:]
-
-
-def _rusanov_fluxes(state, u, dev, aux, muscl: bool = False):
+def _rusanov_fluxes(state, u, dev, aux):
     """Face fluxes 0.5 (X_l + X_r) - 0.5 a (D_r - D_l) in aux.fluxes, a (3, m, n+1) array.
 
     X = (mom, mom u, q u); D = (rho - rho0, mom, q - rho0) is dev without
     its outer ghost column (the static ghost: no flux, no deviation).  The
-    first-order face speed max(|u_l| + c_l, |u_r| + c_r) comes from the cell
-    speeds the step left in aux.spd.  muscl reconstructs the deviations with
-    limited slopes around the face-interpolated background, so the static
-    state stays a fixed point.
+    face speed a = max(|u_l| + c_l, |u_r| + c_r) comes from the cell speeds
+    the step left in aux.spd.
     """
-    if muscl:
-        rho0 = aux.prof.rho0
-        rho0_face = 0.5 * (rho0 + np.append(rho0[1:], aux.rho0_ghost))
-        d_l, d_r = _muscl_edges(dev[..., :-1])
-
-        def face(d):  # X and |u| + c of one side's face states
-            rho_f, q_f = np.maximum(rho0_face + d[0], RHO_FLOOR), rho0_face + d[2]
-            u_f = d[1] / rho_f
-            c_f = np.sqrt(np.maximum(aux.gamma * q_f**aux.gamma / rho_f, 0.0)) / aux.eps
-            return np.array((d[1], d[1] * u_f, q_f * u_f)), np.abs(u_f) + c_f
-
-        (x_l, spd_l), (x_r, spd_r) = face(d_l), face(d_r)
-        a = np.maximum(spd_l, spd_r)
-    else:
-        x, spd = aux.x, aux.spd
-        x[0, :, :-1] = state.mom
-        np.multiply(state.fields[1:], u, out=x[1:, :, :-1])
-        x_l, x_r, d_l, d_r = x[..., :-1], x[..., 1:], dev[..., :-1], dev[..., 1:]
-        a = np.maximum(spd[:, :-1], spd[:, 1:])
-
-    jump = np.subtract(d_r, d_l, out=aux.work)
-    jump *= 0.5 * a
-    np.subtract(0.5 * (x_l + x_r), jump, out=aux.fluxes[..., 1:])
+    x, spd = aux.x, aux.spd
+    x[0, :, :-1] = state.mom
+    np.multiply(state.fields[1:], u, out=x[1:, :, :-1])
+    jump = np.subtract(dev[..., 1:], dev[..., :-1], out=aux.work)
+    jump *= 0.5 * np.maximum(spd[:, :-1], spd[:, 1:])
+    np.subtract(0.5 * (x[..., :-1] + x[..., 1:]), jump, out=aux.fluxes[..., 1:])
     return aux.fluxes
 
 
 def step_primitive(
-    state: PrimitiveState, aux: PrimitiveAux, dt_max: np.ndarray, muscl: bool = False,
-    u: np.ndarray | None = None,
+    state: PrimitiveState, aux: PrimitiveAux, dt_max: np.ndarray, u: np.ndarray | None = None
 ) -> tuple[PrimitiveState, np.ndarray, np.ndarray, np.ndarray]:
     """One conservative forward-Euler update of every member of a stack.
 
@@ -351,7 +316,7 @@ def step_primitive(
     col, dev, work = dt[:, None], aux.dev, aux.work
     np.subtract(fields, aux.static, out=dev[..., :-1])
 
-    fluxes = _rusanov_fluxes(state, u, dev, aux, muscl=muscl)
+    fluxes = _rusanov_fluxes(state, u, dev, aux)
     area_fluxes = np.multiply(fluxes, grid.face_areas, out=aux.face_fluxes)
     np.subtract(area_fluxes[..., 1:], area_fluxes[..., :-1], out=work)
     work *= col
@@ -450,7 +415,7 @@ class PrimitiveTrajectory:
 
 
 def run_lockstep(
-    inits, prof: StaticProfile, params, sample_times: np.ndarray, muscl: bool = False
+    inits, prof: StaticProfile, params, sample_times: np.ndarray
 ) -> list[PrimitiveTrajectory]:
     """Advance members that differ only in eps to every sample time, as one stack.
 
@@ -490,7 +455,7 @@ def run_lockstep(
         s_aux = stack_aux(tuple(live.tolist()))
         while live.size:
             try:
-                state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, muscl, u)
+                state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, u)
             except SolverFailure as exc:
                 exc.member = int(live[exc.member])
                 raise
@@ -525,17 +490,10 @@ def run_lockstep(
 
 
 def run_primitive(
-    init: PrimitiveState,
-    prof: StaticProfile,
-    params: ScalingParams,
-    grid: Grid,
-    sample_times: np.ndarray,
-    muscl: bool = False,
+    init: PrimitiveState, prof: StaticProfile, params: ScalingParams, sample_times: np.ndarray
 ) -> PrimitiveTrajectory:
     """Advance one run to every sample time: run_lockstep with one member."""
-    if grid != prof.grid:
-        raise DomainError("the run's grid must be its profile's grid")
-    return run_lockstep([init], prof, [params], sample_times, muscl)[0]
+    return run_lockstep([init], prof, [params], sample_times)[0]
 
 
 CHECKPOINT_MAGIC = "anelastic-lab-checkpoint v1"
@@ -577,72 +535,3 @@ def read_checkpoint(path: str) -> tuple[PrimitiveState, dict]:
         raise DataError("checkpoint payload size does not match its header")
     state = PrimitiveState(*raw.reshape(shape), t=float(meta["time"]))
     return state, meta
-
-
-@dataclass(frozen=True)
-class CappedPower:
-    """b(Y) = Y**power up to cap, blended C^1 to a constant beyond.
-
-    The derivative is continuous with compact support, as the renormalized
-    transport identity requires.
-    """
-
-    power: float
-    cap: float
-    blend_width: float
-
-    def __post_init__(self) -> None:
-        if self.cap <= 0.0 or self.blend_width <= 0.0:
-            raise DomainError("cap and blend_width must be positive")
-
-    def b(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        yc = np.minimum(y, self.cap)
-        base = yc**self.power
-        slope = self.power * self.cap ** (self.power - 1.0)
-        x = np.clip((y - self.cap) / self.blend_width, 0.0, 1.0)
-        return base + slope * self.blend_width * x * (1.0 - 0.5 * x)
-
-    def db(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        inside = self.power * np.minimum(y, self.cap) ** (self.power - 1.0)
-        slope = self.power * self.cap ** (self.power - 1.0)
-        x = (y - self.cap) / self.blend_width
-        blend = slope * np.clip(1.0 - x, 0.0, 1.0)
-        return np.where(y <= self.cap, inside, np.where(x < 1.0, blend, 0.0))
-
-
-@dataclass
-class RenormReport:
-    """Renormalized-transport defect series and its normalization."""
-
-    mid_times: np.ndarray
-    defects: np.ndarray
-    max_defect: float
-
-
-def renorm_check(traj: PrimitiveTrajectory, b_fam: CappedPower) -> RenormReport:
-    """Measure the renormalized transport identity for b along a run.
-
-    Between consecutive samples the report compares d/dt int b(q) against
-    int (b - b' q) div u, charging the sponge sink and the outer boundary
-    convection to the budget; the residue is normalized by int |b|.
-    """
-    prof, grid, s = traj.prof, traj.grid, traj.samples
-    aux = PrimitiveAux(prof, [traj.params])
-    bq = b_fam.b(s.q)
-    dbq = b_fam.db(s.q)
-    u = s.velocity
-    total_b = integrate(bq, grid)
-    rhs = integrate((bq - dbq * s.q) * radial_divergence(u, grid), grid)
-    sponge = np.sum(aux.sig_w * dbq * (s.q - prof.rho0), axis=-1)
-    q_face = 0.5 * (s.q[:, -1] + aux.rho0_ghost)
-    flux = grid.face_areas[-1] * b_fam.b(q_face) * 0.5 * u[:, -1]
-    norm = integrate(np.abs(bq), grid)
-
-    def mean(x: np.ndarray) -> np.ndarray:
-        return 0.5 * (x[:-1] + x[1:])
-
-    defect = np.diff(total_b) / np.diff(s.t) + mean(sponge) + mean(flux) - mean(rhs)
-    defects = np.abs(defect) / np.maximum(mean(norm), 1.0e-300)
-    return RenormReport(mid_times=mean(s.t), defects=defects, max_defect=float(np.max(defects)))

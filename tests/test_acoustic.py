@@ -5,7 +5,6 @@ from anelastic_lab.acoustic import (
     BLOCK_PAD,
     AcousticState,
     FrequencyWindow,
-    acoustic_energy,
     admissible_pair,
     assemble_operator,
     crossing_time,
@@ -24,6 +23,7 @@ from anelastic_lab.grids import DomainError, Grid, lp_norm
 from anelastic_lab.helmholtz import RadialWeightedLaplacian
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile, constant_profile
 from anelastic_lab.primitive import GaussianBump
+from test_helmholtz import dense
 
 
 @pytest.fixture(scope="module")
@@ -262,20 +262,11 @@ class TestMeasurements:
         assert vals[0] > vals[1] > vals[2]
 
 
-def test_acoustic_energy_matches_solution(operator, rng):
-    init = AcousticState(
-        s=rng.standard_normal(operator.grid.n), phi=rng.standard_normal(operator.grid.n)
-    )
-    sol = spectral_solution(operator, init, 0.3)
-    direct = acoustic_energy(operator, init.s, init.phi)
-    assert direct == pytest.approx(sol.energy(0.0), rel=1.0e-12)
-
-
 def dense_oracle(prof):
     """A and the eigenpairs of the symmetrized B = S A S^-1, from the dense Laplacian."""
     grid = prof.grid
     lap = RadialWeightedLaplacian(grid, prof.face_rho0)
-    a_mat = (prof.dp / prof.rho0)[:, None] * -lap.dense()
+    a_mat = (prof.dp / prof.rho0)[:, None] * -dense(lap)
     s = np.sqrt(grid.weights * prof.inner_weight)
     b = (s[:, None] * a_mat) / s[None, :]
     evals, vecs = np.linalg.eigh(0.5 * (b + b.T))

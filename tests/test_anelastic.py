@@ -21,25 +21,23 @@ from test_helmholtz import stream_function_field
 class TestInit:
     def test_radial_velocity_annihilated(self, radial_profile, radial_grid, rng):
         v0 = rng.standard_normal(radial_grid.n)
-        state = init_anelastic(v0, np.ones(radial_grid.n), radial_profile, radial_grid)
+        state = init_anelastic(v0, np.ones(radial_grid.n), radial_profile)
         assert np.max(np.abs(state.velocity)) < 1.0e-8 * np.max(np.abs(v0))
 
     def test_unit_theta_gives_rho0(self, radial_profile, radial_grid):
-        state = init_anelastic(
-            np.zeros(radial_grid.n), np.ones(radial_grid.n), radial_profile, radial_grid
-        )
+        state = init_anelastic(np.zeros(radial_grid.n), np.ones(radial_grid.n), radial_profile)
         assert np.array_equal(state.density, radial_profile.rho0)
 
     def test_positivity_required(self, radial_profile, radial_grid):
         bad = np.ones(radial_grid.n)
         bad[3] = 0.0
         with pytest.raises(DataError):
-            init_anelastic(np.zeros(radial_grid.n), bad, radial_profile, radial_grid)
+            init_anelastic(np.zeros(radial_grid.n), bad, radial_profile)
 
     def test_cartesian_solenoidal_fixed_point(self, cart_profile, cart_grid, rng):
         lap = CartesianWeightedLaplacian(cart_grid, cart_profile.rho0)
         v0 = stream_function_field(lap, rng)
-        state = init_anelastic(v0, np.ones(cart_grid.field_shape), cart_profile, cart_grid)
+        state = init_anelastic(v0, np.ones(cart_grid.field_shape), cart_profile)
         assert state.velocity.axpy(-1.0, v0).max_abs() < 1.0e-8 * v0.max_abs()
 
 
@@ -47,11 +45,9 @@ class TestRadialStep:
     def test_hydrostatic_balance_exact(self, radial_profile, radial_grid):
         n = radial_grid.n
         c = 0.8
-        state = init_anelastic(
-            np.zeros(n), np.full(n, c), radial_profile, radial_grid
-        )
+        state = init_anelastic(np.zeros(n), np.full(n, c), radial_profile)
         for _ in range(3):
-            state, _ = step_anelastic(state, radial_profile, 0.05, radial_grid)
+            state, _ = step_anelastic(state, radial_profile, 0.05)
         assert np.max(np.abs(state.velocity)) < 1.0e-9
         assert np.max(np.abs(state.temperature - c)) < 1.0e-12
         # the pressure multiplier balances the buoyancy: grad Pi = -c grad F
@@ -61,12 +57,10 @@ class TestRadialStep:
 
     def test_geometric_rigidity_any_data(self, radial_profile, radial_grid, rng):
         theta = 1.0 + 0.2 * np.exp(-radial_grid.centers**2)
-        state = init_anelastic(
-            rng.standard_normal(radial_grid.n), theta, radial_profile, radial_grid
-        )
+        state = init_anelastic(rng.standard_normal(radial_grid.n), theta, radial_profile)
         t0 = state.temperature.copy()
         for _ in range(4):
-            state, _ = step_anelastic(state, radial_profile, 0.05, radial_grid)
+            state, _ = step_anelastic(state, radial_profile, 0.05)
         assert np.max(np.abs(state.velocity)) < 1.0e-8
         assert np.max(np.abs(state.temperature - t0)) < 1.0e-8
 
@@ -80,9 +74,9 @@ class TestRadialStep:
             density=radial_profile.rho0.copy(),
         )
         limit = CFL * radial_grid.h / 10.0
-        out, dt = step_anelastic(state, radial_profile, 1.0, radial_grid)
+        out, dt = step_anelastic(state, radial_profile, 1.0)
         assert dt == limit and out.t == limit
-        out, dt = step_anelastic(state, radial_profile, 0.5 * limit, radial_grid)
+        out, dt = step_anelastic(state, radial_profile, 0.5 * limit)
         assert dt == 0.5 * limit and out.t == 0.5 * limit
 
 
@@ -91,8 +85,8 @@ class TestCartesianStep:
         lap = CartesianWeightedLaplacian(cart_grid, cart_profile.rho0)
         v0 = stream_function_field(lap, rng)
         theta = 1.0 + 0.3 * np.exp(-cart_grid.radii**2)
-        state = init_anelastic(v0, theta, cart_profile, cart_grid)
-        traj = run_anelastic(state, cart_profile, cart_grid, horizon=0.15, n_samples=4, dt=0.05)
+        state = init_anelastic(v0, theta, cart_profile)
+        traj = run_anelastic(state, cart_profile, horizon=0.15, n_samples=4, dt=0.05)
         assert np.all(traj.divergence_defects < 1.0e-7)
         t_end = traj.states[-1].temperature
         assert t_end.max() <= theta.max() + 1.0e-10
@@ -129,7 +123,6 @@ class TestSmoothnessMonitor:
             np.zeros(radial_grid.n),
             np.ones(radial_grid.n),
             radial_profile,
-            radial_grid,
         )
         from anelastic_lab.anelastic import AnelasticTrajectory
 
@@ -149,9 +142,8 @@ class TestSmoothnessMonitor:
             np.zeros(radial_grid.n),
             np.full(radial_grid.n, 0.8),
             radial_profile,
-            radial_grid,
         )
-        traj = run_anelastic(state, radial_profile, radial_grid, 0.5, n_samples=6, dt=0.05)
+        traj = run_anelastic(state, radial_profile, 0.5, n_samples=6, dt=0.05)
         rep = smoothness_monitor(traj, radial_grid)
         # pressure appears at the first projection; constant afterwards
         pr = rep.surrogates["pressure"][1:]
@@ -163,7 +155,7 @@ class TestSmoothnessMonitor:
         lap = CartesianWeightedLaplacian(cart_grid, cart_profile.rho0)
         v0 = stream_function_field(lap, rng)
         theta = 1.0 + 0.2 * np.exp(-cart_grid.radii**2)
-        state = init_anelastic(v0, theta, cart_profile, cart_grid)
-        traj = run_anelastic(state, cart_profile, cart_grid, 0.1, n_samples=3, dt=0.05)
+        state = init_anelastic(v0, theta, cart_profile)
+        traj = run_anelastic(state, cart_profile, 0.1, n_samples=3, dt=0.05)
         rep = smoothness_monitor(traj, cart_grid)
         assert not rep.any_blowup

@@ -1,10 +1,13 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from anelastic_lab import acoustic as ac
-from anelastic_lab import cli, configio, harness
+from anelastic_lab import cli, configio, harness, hydrostatics
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError, Grid
 from anelastic_lab.harness import (
@@ -88,8 +91,8 @@ class TestSweep:
             )
             params = plan.params.with_eps(eps)
             prof = build_profile(plan.potential, params, plan.grid)
-            init = init_ill_prepared(plan.data, prof, params, plan.grid)
-            traj = run_primitive(init, prof, params, plan.grid, np.linspace(0.0, params.horizon, 17))
+            init = init_ill_prepared(plan.data, prof, params)
+            traj = run_primitive(init, prof, params, np.linspace(0.0, params.horizon, 17))
             return harness.run_case(plan, traj).n2b
 
         coarse, fine = n2b(128, 0.4), n2b(128, 0.2)
@@ -135,11 +138,6 @@ class TestConfig:
             configio.eps_list_from(cfg, "0.1,0.2")
         assert configio.eps_list_from(cfg, "0.4,0.1") == (0.4, 0.1)
 
-    def test_default_config_text_round_trips(self):
-        text = configio.default_config_text()
-        parsed = configio.parse_config_text(text)
-        assert parsed == configio.DEFAULTS
-
 
 SMALL = ["--set", "grid.n=96", "--set", "grid.r_max=8.0", "--set", "grid.r_sponge=6.0"]
 
@@ -158,6 +156,38 @@ class TestCli:
         b1 = open(os.path.join(out1, "profile.csv"), "rb").read()
         b2 = open(os.path.join(out2, "profile.csv"), "rb").read()
         assert b1 == b2
+
+    def test_profile_builds_its_profile_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = hydrostatics.build_profile
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        for module in (cli, hydrostatics):
+            monkeypatch.setattr(module, "build_profile", counting)
+        assert main(["profile", *SMALL, "--output", str(tmp_path)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, unbuffered):
+        # the reader is gone before the command prints, as in `anelastic-lab profile | head -0`
+        read, write = os.pipe()
+        os.close(read)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+        argv = ["profile", *SMALL, "--output", str(tmp_path)]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "anelastic_lab.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 141  # 128 + SIGPIPE
+        assert proc.stderr == b""
+        assert (tmp_path / "profile.csv").exists()
 
     def test_strichartz_admissibility_exit_codes(self, tmp_path):
         out = str(tmp_path / "o")

@@ -102,20 +102,21 @@ def test_envelope_constants():
 class TestFlatnessReport:
     def test_grad_f_limit(self, params):
         g = Grid("radial", 512, 16.0, 12.0)
-        rep = flatness_report(PotentialSpec(), g, params)
+        rep = flatness_report(build_profile(PotentialSpec(), params, g))
         assert rep.max_r2_grad_f <= 1.01
         assert rep.all_finite
 
     def test_zero_potential(self, params):
         g = Grid("radial", 128, 16.0, 12.0)
-        rep = flatness_report(PotentialSpec(c_f=0.0), g, params)
+        rep = flatness_report(build_profile(PotentialSpec(c_f=0.0), params, g))
         assert rep.max_r2_grad_f == 0.0
         assert rep.max_r3_hess_f == 0.0
         assert rep.max_r2_grad_a_plus_b == 0.0
 
     def test_tail_saturation(self, params):
-        rep1 = flatness_report(PotentialSpec(), Grid("radial", 256, 16.0, 12.0), params)
-        rep2 = flatness_report(PotentialSpec(), Grid("radial", 512, 32.0, 24.0), params)
+        g1, g2 = Grid("radial", 256, 16.0, 12.0), Grid("radial", 512, 32.0, 24.0)
+        rep1 = flatness_report(build_profile(PotentialSpec(), params, g1))
+        rep2 = flatness_report(build_profile(PotentialSpec(), params, g2))
         for a, b in (
             (rep1.max_r2_grad_f, rep2.max_r2_grad_f),
             (rep1.max_r3_hess_f, rep2.max_r3_hess_f),

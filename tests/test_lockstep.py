@@ -51,7 +51,7 @@ def members(eps_list, **sets):
     grid = configio.grid_from(cfg)
     params = [configio.params_from(cfg).with_eps(eps) for eps in eps_list]
     prof = build_profile(configio.potential_from(cfg), params[0], grid)
-    inits = [init_ill_prepared(configio.data_from(cfg), prof, p, grid) for p in params]
+    inits = [init_ill_prepared(configio.data_from(cfg), prof, p) for p in params]
     return prof, params, inits, np.linspace(0.0, params[0].horizon, 17)
 
 
@@ -59,7 +59,7 @@ def test_members_reproduce_their_runs_alone_bit_for_bit():
     prof, params, inits, times = members(EPS)
     together = run_lockstep(inits, prof, params, times)
     for init, p, traj in zip(inits, params, together):
-        alone = run_primitive(init, prof, p, prof.grid, times)
+        alone = run_primitive(init, prof, p, times)
         assert traj.params == p and traj.step_count == alone.step_count > 0
         assert np.array_equal(traj.samples.fields, alone.samples.fields)
         assert np.array_equal(traj.times, alone.times)
@@ -103,7 +103,7 @@ def test_sweep_makes_one_step_call_per_lockstep_iteration(monkeypatch):
     per_interval = np.zeros((3, times.size), dtype=int)
     for j, (init, p) in enumerate(zip(inits, params)):
         del calls[:]
-        run_primitive(init, prof, p, prof.grid, times)
+        run_primitive(init, prof, p, times)
         for ((eps, k),) in calls:
             per_interval[j, k] += 1
     del calls[:]
@@ -155,7 +155,7 @@ def test_mid_run_failure_keeps_the_one_by_one_partial_report(tmp_path, monkeypat
 # buffers reused, in-place arithmetic) must match it bit for bit.
 
 
-def reference_step(state, aux, dt_max, muscl):
+def reference_step(state, aux, dt_max):
     """(new fields, t, dt, outer fluxes, sponge sinks) of one forward-Euler step."""
     prof, grid, gamma, h = aux.prof, aux.grid, aux.gamma, aux.grid.h
     rho, mom, q = state.fields
@@ -172,29 +172,11 @@ def reference_step(state, aux, dt_max, muscl):
     dev = np.zeros(state.fields.shape[:-1] + (grid.n + 1,))
     np.subtract(state.fields, aux.static, out=dev[..., :-1])
 
-    if muscl:
-        rho0_face = 0.5 * (prof.rho0 + np.append(prof.rho0[1:], aux.rho0_ghost))
-        ext = np.zeros(dev.shape[:-1] + (grid.n + 2,))
-        ext[..., 0], ext[..., 1:-1] = dev[..., 0], dev[..., :-1]
-        a, b = ext[..., 1:-1] - ext[..., :-2], ext[..., 2:] - ext[..., 1:-1]
-        slopes = np.zeros(dev.shape)
-        slopes[..., :-1] = np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
-        d_l, d_r = ext[..., 1:-1] + 0.5 * slopes[..., :-1], ext[..., 2:] - 0.5 * slopes[..., 1:]
-
-        def face(d):
-            rho_f, q_f = np.maximum(rho0_face + d[0], RHO_FLOOR), rho0_face + d[2]
-            u_f = d[1] / rho_f
-            c_f = np.sqrt(np.maximum(gamma * q_f**gamma / rho_f, 0.0)) / aux.eps
-            return np.array((d[1], d[1] * u_f, q_f * u_f)), np.abs(u_f) + c_f
-
-        (x_l, spd_l), (x_r, spd_r) = face(d_l), face(d_r)
-        a = np.maximum(spd_l, spd_r)
-    else:
-        x = np.zeros(dev.shape)
-        x[0, :, :-1], x[1:, :, :-1] = mom, state.fields[1:] * u
-        spd = np.concatenate((speed, np.broadcast_to(aux.c_ghost, (len(dt), 1))), axis=-1)
-        x_l, x_r, d_l, d_r = x[..., :-1], x[..., 1:], dev[..., :-1], dev[..., 1:]
-        a = np.maximum(spd[:, :-1], spd[:, 1:])
+    x = np.zeros(dev.shape)
+    x[0, :, :-1], x[1:, :, :-1] = mom, state.fields[1:] * u
+    spd = np.concatenate((speed, np.broadcast_to(aux.c_ghost, (len(dt), 1))), axis=-1)
+    x_l, x_r, d_l, d_r = x[..., :-1], x[..., 1:], dev[..., :-1], dev[..., 1:]
+    a = np.maximum(spd[:, :-1], spd[:, 1:])
     fluxes = np.zeros(dev.shape)
     fluxes[..., 1:] = 0.5 * (x_l + x_r) - 0.5 * a * (d_r - d_l)
     new = state.fields - col * np.diff(grid.face_areas * fluxes) / grid.weights
@@ -239,18 +221,16 @@ def stacked(inits):
 
 
 @pytest.mark.parametrize(
-    "muscl, sets",
-    [(False, {}), (True, {}), (False, {"lam": 0.3}), (False, {"mu": 0.0})],
-    ids=["first-order", "muscl", "lam0.3", "mu0"],
+    "sets", [{}, {"lam": 0.3}, {"mu": 0.0}], ids=["first-order", "lam0.3", "mu0"]
 )
-def test_step_matches_the_reference_bit_for_bit(muscl, sets):
+def test_step_matches_the_reference_bit_for_bit(sets):
     prof, params, inits, _ = members(EPS[:3], **sets)
     aux = PrimitiveAux(prof, params)
     assert aux.viscous == (sets.get("mu") != 0.0)
     state, u, dt_max = stacked(inits), None, np.full(3, 1.0)
     for _ in range(40):
-        ref_new, ref_t, ref_dt, ref_flux, ref_sink = reference_step(state, aux, dt_max, muscl)
-        state, dt, flux, sink = primitive.step_primitive(state, aux, dt_max, muscl, u)
+        ref_new, ref_t, ref_dt, ref_flux, ref_sink = reference_step(state, aux, dt_max)
+        state, dt, flux, sink = primitive.step_primitive(state, aux, dt_max, u)
         assert np.array_equal(state.fields, ref_new) and np.array_equal(state.t, ref_t)
         assert np.array_equal(dt, ref_dt) and np.array_equal(flux, ref_flux)
         assert np.array_equal(sink, ref_sink)

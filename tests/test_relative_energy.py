@@ -46,7 +46,7 @@ class TestRelEnergy:
         )
         r_test = np.full(radial_grid.n, 1.2)
         val = rel_energy(state, r_test, np.zeros(radial_grid.n), params, radial_grid)
-        assert val / radial_grid.volume == pytest.approx(4.0, rel=1.0e-12)
+        assert val / radial_grid.weights.sum() == pytest.approx(4.0, rel=1.0e-12)
 
     def test_matches_refined_quadrature_oracle(self):
         # smooth analytic fields; the module value at high resolution must
@@ -122,7 +122,7 @@ class TestUniformBounds:
             q=radial_profile.rho0.copy(),
         )
         traj = run_primitive(
-            init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.3])
+            init, radial_profile, EPS02, np.array([0.0, 0.3])
         )
         rep = uniform_bounds_report(traj)
         for key in ("r2", "r3", "r5", "r6", "r7", "r8"):
@@ -134,9 +134,9 @@ class TestUniformBounds:
             vel_potential=GaussianBump(0.4, 1.5),
             theta2=GaussianBump(0.4, 1.2),
         )
-        init = init_ill_prepared(data, radial_profile, EPS02, radial_grid)
+        init = init_ill_prepared(data, radial_profile, EPS02)
         traj = run_primitive(
-            init, radial_profile, EPS02, radial_grid, np.linspace(0.0, 0.5, 11)
+            init, radial_profile, EPS02, np.linspace(0.0, 0.5, 11)
         )
         rep = uniform_bounds_report(traj)
         for key, value in rep.constants.items():
@@ -149,8 +149,8 @@ class TestUniformBounds:
 class TestResidualPressure:
     def test_mild_data_zero(self, radial_profile, radial_grid):
         data = IllPreparedData(rho1=GaussianBump(0.3, 1.0))
-        init = init_ill_prepared(data, radial_profile, EPS02, radial_grid)
-        traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.2]))
+        init = init_ill_prepared(data, radial_profile, EPS02)
+        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.2]))
         val = residual_pressure_value(traj, 0.5)
         assert val == 0.0
 
@@ -160,7 +160,7 @@ class TestResidualPressure:
             mom=np.zeros(radial_grid.n),
             q=radial_profile.rho0.copy(),
         )
-        traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
+        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
         assert 0.5 < EPS02.gamma / 3.0  # gamma = 5/3: beta = 0.5 admissible
         with pytest.raises(DomainError):
             residual_pressure_value(traj, 0.6)
@@ -175,8 +175,8 @@ class TestResidualPressure:
             params = ScalingParams(eps=eps, horizon=0.4)
             prof = build_profile(PotentialSpec(), params, g)
             data = IllPreparedData(rho1=GaussianBump(25.0, 0.8))
-            init = init_ill_prepared(data, prof, params, g)
-            traj = run_primitive(init, prof, params, g, np.linspace(0.0, 0.4, 21))
+            init = init_ill_prepared(data, prof, params)
+            traj = run_primitive(init, prof, params, np.linspace(0.0, 0.4, 21))
             values.append(residual_pressure_value(traj, 0.5))
         assert values[0] > values[1] > 0.0
         assert fit_eps_slope(eps_list, values) >= 2.0
@@ -186,8 +186,8 @@ class TestResidualPressure:
         g = Grid("radial", 128, 8.0, 6.0)
         params = ScalingParams(eps=0.2, horizon=0.4)
         prof = build_profile(PotentialSpec(), params, g)
-        init = init_ill_prepared(IllPreparedData(rho1=GaussianBump(25.0, 0.8)), prof, params, g)
-        traj = run_primitive(init, prof, params, g, np.linspace(0.0, 0.4, 17))
+        init = init_ill_prepared(IllPreparedData(rho1=GaussianBump(25.0, 0.8)), prof, params)
+        traj = run_primitive(init, prof, params, np.linspace(0.0, 0.4, 17))
         cut = prof.cutoff
         mask = g.ball_mask(3.0)
         rates = [
@@ -208,7 +208,7 @@ class TestRelEnergyReport:
             mom=np.zeros(radial_grid.n),
             q=radial_profile.rho0.copy(),
         )
-        traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
+        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
         bounds = uniform_bounds_report(traj)
         audit = REIReport(
             times=np.array([0.0, 0.1]),
@@ -248,7 +248,7 @@ class TestREIAuditBasics:
             rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
         )
         traj = run_primitive(
-            init, radial_profile, EPS02, radial_grid, np.linspace(0.0, 0.3, 7)
+            init, radial_profile, EPS02, np.linspace(0.0, 0.3, 7)
         )
         from anelastic_lab.acoustic import assemble_operator
 
@@ -266,7 +266,7 @@ class TestREIAuditBasics:
         init = PrimitiveState(
             rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
         )
-        traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
+        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.4)
         with pytest.raises(DomainError):
             rei_audit(traj, sol)
@@ -276,7 +276,7 @@ class TestREIAuditBasics:
         init = PrimitiveState(
             rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
         )
-        traj = run_primitive(init, radial_profile, EPS02, radial_grid, np.array([0.0, 0.1]))
+        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.2)
         with pytest.raises(DomainError):
             rei_audit(traj, sol, form="exotic")

@@ -47,12 +47,12 @@ def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing):
     params = ScalingParams(eps=0.4, horizon=0.2)
     prof = build_profile(PotentialSpec(), params, grid)
     bump = GaussianBump(0.3, 1.0)
-    init = init_ill_prepared(IllPreparedData(rho1=bump, vel_potential=bump), prof, params, grid)
+    init = init_ill_prepared(IllPreparedData(rho1=bump, vel_potential=bump), prof, params)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.begin_flow(0)
-        traj = primitive.run_primitive(init, prof, params, grid, np.linspace(0.0, 0.2, 3))
+        traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 3))
         tracer.end_flow()
     finally:
         tracer.uninstall()
@@ -71,8 +71,8 @@ def test_audit_reconstructs_each_field_once(tracing):
     prof = build_profile(PotentialSpec(), params, grid)
     bump = GaussianBump(0.3, 1.0)
     data = IllPreparedData(rho1=bump, vel_potential=bump)
-    init = init_ill_prepared(data, prof, params, grid)
-    traj = primitive.run_primitive(init, prof, params, grid, np.linspace(0.0, 0.2, 9))
+    init = init_ill_prepared(data, prof, params)
+    traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 9))
     sol = acoustic_ansatz(data, prof, params.eps, 0.25)
     tracer = tracing.Tracer()
     tracer.install()
