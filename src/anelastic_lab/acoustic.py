@@ -9,15 +9,16 @@ B's two bands, so applying A is an exact O(n) product.
 Only the modes a measurement can see are computed.  The frequency window
 G(sqrt(A)) vanishes above sqrt(lambda) = 2/delta, so decay, Strichartz,
 data regularization and the audit ansatz assemble the operator with
-lam_max = (2/delta)^2: a Sturm count of the bands gives the number k of
-modes below it, and block inverse iteration finds them (Golub & Van Loan,
-Matrix Computations, ch. 8), with A^-1 applied by the exact O(n) radial
-inverse of the weighted Laplacian.  The columns of the (n, k) basis are
-orthonormal in the weighted product.  The full basis (lam_max = inf) and
-the eigenvalue-only spectrum go through numpy's dense symmetric solvers
-and stop at n = EIGEN_EAGER_LIMIT.  The window solver is numpy only:
-scipy's tridiagonal routines would do the same work, but importing
-scipy.linalg loads a second BLAS and doubles the resident memory of a run.
+lam_max = (2/delta)^2.  One LAPACK driver, dstevr, works on B's two bands
+for every caller: the modes in (-|B|, lam_max] by bisection and inverse
+iteration, the full basis (lam_max = inf) by MRRR (Dhillon & Parlett,
+Linear Algebra Appl. 387:1, 2004) and the eigenvalue-only spectrum by
+dsterf, with no dense (n, n) matrix and no ceiling on n.  The columns of
+the (n, k) basis are orthonormal in the weighted product.  dstevr is
+called through ctypes in the OpenBLAS that numpy itself has loaded
+(numpy >= 2 wheels export it as scipy_dstevr_64_, with 64-bit integers):
+scipy.linalg reaches the same routine, but importing it loads a second
+BLAS and adds ~28 MB to the resident memory of a run.
 
 The wave pair (s, Phi) evolves by
 
@@ -37,6 +38,8 @@ space-time measurements reduce one (n_t, n_cells) array of the wave.
 
 from __future__ import annotations
 
+import ctypes
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,17 +48,17 @@ import numpy as np
 from .grids import DomainError, Grid, lp_norm, radial_gradient, smoothstep
 from .hydrostatics import StaticProfile
 
-EIGEN_EAGER_LIMIT = 4096
 ADMISSIBILITY_TOL = 1.0e-12
-# block inverse iteration: 2k + BLOCK_PAD vectors, stopped when every kept
-# residual |B x - theta x| is at most RESIDUAL_TOL * |B| (Gershgorin bound)
-BLOCK_PAD = 8
-RESIDUAL_TOL = 4.0e-15
-MAX_SWEEPS = 100
+# where numpy wheels keep their bundled OpenBLAS: numpy.libs/ beside the
+# package (Linux, Windows), numpy/.dylibs/ inside it (macOS)
+_LIB_DIRS = (
+    os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
+    os.path.join(os.path.dirname(np.__file__), ".dylibs"),
+)
 
 
 class EigensolverError(RuntimeError):
-    """Symmetric eigensolve failed or did not converge."""
+    """LAPACK reported a failed symmetric eigensolve."""
 
 
 @dataclass
@@ -95,17 +98,11 @@ class AcousticOperator:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
 
-def _laplacian(prof: StaticProfile):
-    from .helmholtz import RadialWeightedLaplacian
-
+def _bands(prof: StaticProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and off-diagonal e of B = S A S^-1, S = diag(sqrt(masses))."""
     if not prof.grid.radial:
         raise DomainError("the acoustic operator is assembled in radial mode")
-    return RadialWeightedLaplacian(prof.grid, prof.face_rho0)
-
-
-def _bands(prof: StaticProfile, lap) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal d and off-diagonal e of B = S A S^-1, S = diag(sqrt(masses))."""
-    c, w = lap.cond, lap.weights
+    c, w = prof.laplacian.cond, prof.laplacian.weights
     coef = prof.dp / prof.rho0
     s = np.sqrt(w * prof.inner_weight)
     d = coef * (c[:-1] + c[1:]) / w
@@ -117,103 +114,90 @@ def _bands(prof: StaticProfile, lap) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _band_product(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B x for B = tridiag(e, d, e), along the last axis of x."""
+    """B x for B = tridiag(e, d, e)."""
     out = d * x
-    out[..., :-1] += e * x[..., 1:]
-    out[..., 1:] += e * x[..., :-1]
+    out[:-1] += e * x[1:]
+    out[1:] += e * x[:-1]
     return out
 
 
-def _sturm_count(d: np.ndarray, e: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of tridiag(e, d, e) below x.
-
-    Counts the negative pivots of the LDL^T factorization of B - x I
-    (Sturm sequence); a zero pivot is nudged to the smallest normal number.
-    """
-    count, q = 0, 1.0
-    for dx, e2 in zip((d - x).tolist(), [0.0, *(e * e).tolist()]):
-        q = dx - e2 / q
-        if q < 0.0:
-            count += 1
-        elif q == 0.0:
-            q = np.finfo(float).tiny
-    return count
-
-
-def _tridiagonal(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """B as one dense (n, n) array for numpy's dense solvers, up to EIGEN_EAGER_LIMIT."""
-    n = d.size
-    if n > EIGEN_EAGER_LIMIT:
-        raise DomainError(
-            f"the dense eigensolvers (full basis, spectrum) are limited to "
-            f"n <= {EIGEN_EAGER_LIMIT}"
+def _find_dstevr():
+    """LAPACK's dstevr from the libscipy_openblas64_ library of numpy's wheel."""
+    paths = [
+        os.path.join(folder, name)
+        for folder in _LIB_DIRS
+        if os.path.isdir(folder)
+        for name in sorted(os.listdir(folder))
+        if name.startswith("libscipy_openblas64_")
+    ]
+    if not paths:
+        raise ImportError(
+            "the acoustic eigensolver needs LAPACK from the libscipy_openblas64_ "
+            f"library of a numpy>=2 wheel; none found in {', '.join(_LIB_DIRS)}"
         )
-    b = np.zeros((n, n))
-    b.flat[:: n + 1] = d
-    b.flat[1 :: n + 1] = e
-    b.flat[n :: n + 1] = e
-    return b
+    fn = ctypes.CDLL(paths[0]).scipy_dstevr_64_
+    char, size = ctypes.c_char_p, ctypes.c_size_t
+    i64 = ctypes.POINTER(ctypes.c_int64)
+    f64 = ctypes.POINTER(ctypes.c_double)
+    ints = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
+    reals = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
+    # JOBZ RANGE N D E VL VU IL IU ABSTOL M W Z LDZ ISUPPZ WORK LWORK IWORK
+    # LIWORK INFO, then the hidden lengths of the two strings
+    fn.argtypes = [char, char, i64, reals, reals, f64, f64, i64, i64, f64, i64,
+                   reals, reals, i64, ints, reals, i64, ints, i64, i64, size, size]
+    fn.restype = None
+    return fn
 
 
-def _lowest_modes(prof, lap, s, d, e, k) -> tuple[np.ndarray, np.ndarray]:
-    """The k lowest eigenpairs of B by block inverse iteration.
+_DSTEVR = _find_dstevr()
 
-    A block of 2k + BLOCK_PAD vectors is multiplied by B^-1 = S A^-1 S^-1,
-    with A^-1 h = (-L)^-1 ((rho0/p'(rho0)) h) from the exact radial inverse,
-    orthonormalized by QR and rotated by Rayleigh-Ritz on B.  Returns the
-    eigenvalues (k,) and B's orthonormal eigenvectors as rows (k, n).
+
+def _eigen(d, e, lam_max=np.inf, vectors=True):
+    """Eigenpairs of B = tridiag(e, d, e) with lambda <= lam_max, ascending.
+
+    One LAPACK dstevr call: lam_max = inf takes the whole spectrum, a
+    finite lam_max the interval (-|B|, lam_max].  Returns the eigenvalues
+    (m,) and B's orthonormal eigenvectors as columns (n, m), or None
+    without vectors.  Only the first m columns of the (n, n) output are
+    written, so untouched pages of it never become resident.
     """
     n = d.size
-    to_rhs = prof.inner_weight / s
-    e_abs = np.abs(e)
-    norm_b = np.max(np.abs(d) + np.append(e_abs, 0.0) + np.append(0.0, e_abs))
-    x = np.random.default_rng(0).standard_normal((2 * k + BLOCK_PAD, n))
-    for _ in range(MAX_SWEEPS):
-        q = np.linalg.qr((s * lap.precondition(to_rhs * x)).T)[0].T
-        bq = _band_product(d, e, q)
-        theta, rot = np.linalg.eigh(bq @ q.T)
-        x = rot.T @ q
-        res = rot[:, :k].T @ bq - theta[:k, None] * x[:k]
-        if np.max(np.sqrt(np.sum(res * res, axis=-1)), initial=0.0) <= RESIDUAL_TOL * norm_b:
-            return theta[:k], x[:k]
-    raise EigensolverError(
-        f"block inverse iteration for {k} modes did not converge in {MAX_SWEEPS} sweeps"
+    if lam_max == np.inf:
+        span, vl, vu = b"A", 0.0, 0.0
+    else:
+        norm_b = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0)
+        span, vl, vu = b"V", -norm_b, lam_max
+    z = np.empty((n, n) if vectors else (1, 1), order="F")
+    w = np.empty(n)
+    m, info = ctypes.c_int64(), ctypes.c_int64()
+    int_, real = ctypes.c_int64, ctypes.c_double
+    # dstevr overwrites D and E, and takes E with a spare last entry
+    _DSTEVR(
+        b"V" if vectors else b"N", span, int_(n), d.copy(), np.append(e, 0.0),
+        real(vl), real(vu), int_(0), int_(0), real(0.0), m, w, z, int_(z.shape[0]),
+        np.empty(2 * n, dtype=np.int64), np.empty(20 * n), int_(20 * n),
+        np.empty(10 * n, dtype=np.int64), int_(10 * n), info, 1, 1,
     )
+    if info.value != 0:
+        raise EigensolverError(f"LAPACK dstevr failed with info = {info.value}")
+    return w[: m.value], z[:, : m.value] if vectors else None
 
 
 def assemble_operator(prof: StaticProfile, lam_max: float = np.inf) -> AcousticOperator:
-    """Assemble the banded acoustic operator with its modes of lambda < lam_max.
+    """Assemble the banded acoustic operator with its modes of lambda <= lam_max.
 
     The window of parameter delta needs lam_max = (2/delta)^2 (see
-    FrequencyWindow.lam_max); those modes come from block inverse iteration
-    at any n.  lam_max = inf keeps the full basis, from a dense
-    eigendecomposition restricted to n <= EIGEN_EAGER_LIMIT; so does a
-    window whose block would span the whole space.
+    FrequencyWindow.lam_max); lam_max = inf keeps the full basis.
     """
-    grid = prof.grid
-    lap = _laplacian(prof)
-    d, e = _bands(prof, lap)
-    masses = grid.weights * prof.inner_weight
-    s = np.sqrt(masses)
-    k = _sturm_count(d, e, lam_max)
-    if 2 * k + BLOCK_PAD >= grid.n:
-        try:
-            evals, vecs = np.linalg.eigh(_tridiagonal(d, e))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise EigensolverError(f"eigh failed: {exc}") from exc
-        evals, rows = evals[:k], vecs.T[:k]
-    else:
-        evals, rows = _lowest_modes(prof, lap, s, d, e, k)
-    return AcousticOperator(grid, prof, d, e, masses, evals, (rows / s).T)
+    d, e = _bands(prof)
+    masses = prof.grid.weights * prof.inner_weight
+    evals, vecs = _eigen(d, e, lam_max)
+    return AcousticOperator(prof.grid, prof, d, e, masses, evals, vecs / np.sqrt(masses)[:, None])
 
 
 def operator_spectrum(prof: StaticProfile) -> np.ndarray:
     """Every eigenvalue of the acoustic operator, ascending, without eigenvectors."""
-    b = _tridiagonal(*_bands(prof, _laplacian(prof)))
-    try:
-        return np.linalg.eigvalsh(b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise EigensolverError(f"eigvalsh failed: {exc}") from exc
+    return _eigen(*_bands(prof), vectors=False)[0]
 
 
 @dataclass(frozen=True)

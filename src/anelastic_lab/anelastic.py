@@ -25,7 +25,6 @@ from .grids import Grid, integrate
 from .helmholtz import (
     DEFAULT_TOL,
     CartesianWeightedLaplacian,
-    RadialWeightedLaplacian,
     StaggeredVector,
     centers_to_faces,
     project,
@@ -228,6 +227,7 @@ def _step_cartesian(state, prof, dt):
 
 @dataclass
 class AnelasticTrajectory:
+    prof: StaticProfile
     times: np.ndarray
     states: list
     div_norms: np.ndarray  # || div(rho0 V) || per sample
@@ -269,7 +269,7 @@ def run_anelastic(
         norms.append(_div_norms(state, prof))
     div_norms, flux_norms = np.asarray(norms).T
     return AnelasticTrajectory(
-        times=times, states=states, div_norms=div_norms, flux_norms=flux_norms
+        prof=prof, times=times, states=states, div_norms=div_norms, flux_norms=flux_norms
     )
 
 
@@ -283,7 +283,7 @@ def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[float, float
     if grid.radial:
         rho_v = prof.face_rho0 * state.velocity
         div = np.diff(grid.face_areas * rho_v) / grid.weights
-        face_w = RadialWeightedLaplacian(grid, prof.face_rho0).face_weights
+        face_w = prof.laplacian.face_weights
         scale = float(np.sqrt(np.sum(rho_v * rho_v * face_w)))
     else:
         op = CartesianWeightedLaplacian(grid, prof.rho0)
@@ -306,13 +306,14 @@ class SmoothnessReport:
         return any(self.blowup_flags.values())
 
 
-def smoothness_monitor(traj: AnelasticTrajectory, grid: Grid) -> SmoothnessReport:
+def smoothness_monitor(traj: AnelasticTrajectory) -> SmoothnessReport:
     """Track sums of squared differences up to second order for V, Pi, R.
 
     A field is flagged when its surrogate grows beyond BLOWUP_FACTOR times
     its initial value (fields starting at zero are compared to the largest
     surrogate seen instead).
     """
+    grid = traj.prof.grid
 
     def surrogate(f: np.ndarray) -> float:
         total = float(np.sum(f * f))

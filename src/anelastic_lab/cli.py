@@ -134,7 +134,7 @@ def cmd_simulate_anelastic(args) -> int:
     traj = run_anelastic(
         state, prof, params.horizon, n_samples=configio.get_int(cfg, "run.samples")
     )
-    monitor = smoothness_monitor(traj, grid)
+    monitor = smoothness_monitor(traj)
     rows = zip(
         traj.times,
         traj.div_norms,

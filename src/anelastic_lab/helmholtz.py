@@ -102,15 +102,14 @@ class RadialWeightedLaplacian:
         return (flux[1:] - flux[:-1]) / self.weights
 
     def precondition(self, rhs: np.ndarray) -> np.ndarray:
-        """Exact solve of -apply(z) = rhs in O(n), along the last axis.
+        """Exact solve of -apply(z) = rhs in O(n).
 
         The flux vanishes at r = 0, so summing rhs * weights outward gives
         the face fluxes; Phi is pinned at r_max, so summing the face
-        gradients inward gives Phi.  A leading axis stacks right-hand
-        sides; the acoustic eigensolver inverts a block of them at once.
+        gradients inward gives Phi.
         """
-        flux = np.cumsum(rhs * self.weights, axis=-1)
-        return np.cumsum((flux / self.cond[1:])[..., ::-1], axis=-1)[..., ::-1]
+        flux = np.cumsum(rhs * self.weights)
+        return np.cumsum((flux / self.cond[1:])[::-1])[::-1]
 
     def gradient_faces(self, phi: np.ndarray) -> np.ndarray:
         """Discrete grad(Phi) on faces, with the Dirichlet outer closure."""
@@ -343,8 +342,7 @@ def project_radial_faces(v_faces: np.ndarray, prof) -> tuple[np.ndarray, np.ndar
     The radial geometry admits no nontrivial weighted-solenoidal field, so
     H[v] is zero up to the solver tolerance.
     """
-    grid = prof.grid
-    op = RadialWeightedLaplacian(grid, prof.face_rho0)
+    grid, op = prof.grid, prof.laplacian
     rhs = (np.diff(grid.face_areas * prof.face_rho0 * v_faces)) / grid.weights
     phi = solve_weighted_poisson(op, rhs)
     h_faces = v_faces - op.gradient_faces(phi)

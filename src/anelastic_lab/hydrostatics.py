@@ -21,6 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .grids import DomainError, EssResCutoff, Grid, harmonic_faces, radial_gradient
+from .helmholtz import RadialWeightedLaplacian
 from .params import ScalingParams
 
 
@@ -106,6 +107,11 @@ class StaticProfile:
         if not self.grid.radial:
             raise DomainError("face_rho0 is a radial-mode concept")
         return harmonic_faces(self.rho0)
+
+    @cached_property
+    def laplacian(self) -> RadialWeightedLaplacian:
+        """The weighted Laplacian div(rho0 grad .) of the radial projection and acoustics."""
+        return RadialWeightedLaplacian(self.grid, self.face_rho0)
 
     def rho0_at(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the closed-form profile at arbitrary radii (ghost cells)."""

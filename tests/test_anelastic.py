@@ -127,12 +127,13 @@ class TestSmoothnessMonitor:
         from anelastic_lab.anelastic import AnelasticTrajectory
 
         traj = AnelasticTrajectory(
+            prof=radial_profile,
             times=np.linspace(0.0, 1.0, 5),
             states=[state] * 5,
             div_norms=np.zeros(5),
             flux_norms=np.zeros(5),
         )
-        rep = smoothness_monitor(traj, radial_grid)
+        rep = smoothness_monitor(traj)
         for series in rep.surrogates.values():
             assert np.all(series == series[0])
         assert not rep.any_blowup
@@ -144,7 +145,7 @@ class TestSmoothnessMonitor:
             radial_profile,
         )
         traj = run_anelastic(state, radial_profile, 0.5, n_samples=6, dt=0.05)
-        rep = smoothness_monitor(traj, radial_grid)
+        rep = smoothness_monitor(traj)
         # pressure appears at the first projection; constant afterwards
         pr = rep.surrogates["pressure"][1:]
         assert (pr.max() - pr.min()) <= 1.0e-6 * pr.max()
@@ -157,5 +158,5 @@ class TestSmoothnessMonitor:
         theta = 1.0 + 0.2 * np.exp(-cart_grid.radii**2)
         state = init_anelastic(v0, theta, cart_profile)
         traj = run_anelastic(state, cart_profile, 0.1, n_samples=3, dt=0.05)
-        rep = smoothness_monitor(traj, cart_grid)
+        rep = smoothness_monitor(traj)
         assert not rep.any_blowup

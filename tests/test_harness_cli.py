@@ -15,6 +15,7 @@ from anelastic_lab.harness import (
     audit_quarantine_time,
     sweep_epsilon,
 )
+from anelastic_lab.helmholtz import RadialWeightedLaplacian
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import GaussianBump, IllPreparedData, init_ill_prepared, run_primitive
@@ -275,26 +276,32 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "decay.csv"))
 
     def test_decay_beyond_the_dense_limit(self, tmp_path):
-        # the window's modes come from inverse iteration, which has no n ceiling
+        # the window's modes come from the bands alone, with no n ceiling
         assert main(["decay", "--set", "grid.n=4608", "--output", str(tmp_path)]) == 0
 
+    def test_spectrum_at_n_8192(self, tmp_path):
+        assert main(["spectrum", "--set", "grid.n=8192", "--output", str(tmp_path)]) == 0
+        assert len((tmp_path / "spectrum.csv").read_text().splitlines()) == 8192 + 1
+
     def test_no_dense_eigenvectors_on_the_cli(self, tmp_path, monkeypatch):
-        sizes = []
-        real_eigh = np.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            sizes.append(a.shape[-1])
-            return real_eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *a, name=name, **kw: calls.append(name))
         for command in ("spectrum", "decay", "strichartz", "simulate-acoustic"):
             assert main([command, *SMALL, "--output", str(tmp_path)]) == 0
-        assert sizes and max(sizes) < 96  # Rayleigh-Ritz blocks only, never (n, n)
+        assert calls == []  # LAPACK dstevr on the bands is the only eigensolver
 
     def test_unconverged_eigensolve_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(ac, "MAX_SWEEPS", 1)
+        real = ac._DSTEVR
+
+        def failing(*args):
+            real(*args)
+            args[19].value = 5  # INFO
+
+        monkeypatch.setattr(ac, "_DSTEVR", failing)
         assert main(["decay", *SMALL, "--output", str(tmp_path)]) == 3
-        assert "did not converge" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "dstevr" in err and "info = 5" in err
 
     def test_simulate_anelastic_reports_absolute_divergence(self, tmp_path, capsys):
         code = main(
@@ -306,6 +313,19 @@ class TestCli:
         assert "max-div-defect=not-measured" in capsys.readouterr().out
         header = (tmp_path / "anelastic.csv").read_text().splitlines()[0]
         assert header == "t,div_norm,flux_norm,s_velocity,s_pressure,s_density"
+
+    def test_simulate_anelastic_builds_one_laplacian(self, tmp_path, monkeypatch):
+        # every projection and divergence norm reuses the profile's operator
+        built = []
+        real_init = RadialWeightedLaplacian.__init__
+
+        def counting_init(self, *args):
+            built.append(1)
+            real_init(self, *args)
+
+        monkeypatch.setattr(RadialWeightedLaplacian, "__init__", counting_init)
+        assert main(["simulate-anelastic", "--output", str(tmp_path)]) == 0
+        assert len(built) == 1
 
     def test_audit_rei_small(self, tmp_path):
         out = str(tmp_path / "o")
