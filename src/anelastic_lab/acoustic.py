@@ -14,11 +14,8 @@ for every caller: the modes in (-|B|, lam_max] by bisection and inverse
 iteration, the full basis (lam_max = inf) by MRRR (Dhillon & Parlett,
 Linear Algebra Appl. 387:1, 2004) and the eigenvalue-only spectrum by
 dsterf, with no dense (n, n) matrix and no ceiling on n.  The columns of
-the (n, k) basis are orthonormal in the weighted product.  dstevr is
-called through ctypes in the OpenBLAS that numpy itself has loaded
-(numpy >= 2 wheels export it as scipy_dstevr_64_, with 64-bit integers):
-scipy.linalg reaches the same routine, but importing it loads a second
-BLAS and adds ~28 MB to the resident memory of a run.
+the (n, k) basis are orthonormal in the weighted product.  dstevr comes
+from the OpenBLAS that numpy itself has loaded (see lapack).
 
 The wave pair (s, Phi) evolves by
 
@@ -39,22 +36,16 @@ space-time measurements reduce one (n_t, n_cells) array of the wave.
 from __future__ import annotations
 
 import ctypes
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from . import lapack
 from .grids import DomainError, Grid, lp_norm, radial_gradient, smoothstep
 from .hydrostatics import StaticProfile
 
 ADMISSIBILITY_TOL = 1.0e-12
-# where numpy wheels keep their bundled OpenBLAS: numpy.libs/ beside the
-# package (Linux, Windows), numpy/.dylibs/ inside it (macOS)
-_LIB_DIRS = (
-    os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs"),
-    os.path.join(os.path.dirname(np.__file__), ".dylibs"),
-)
 
 
 class EigensolverError(RuntimeError):
@@ -121,37 +112,6 @@ def _band_product(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _find_dstevr():
-    """LAPACK's dstevr from the libscipy_openblas64_ library of numpy's wheel."""
-    paths = [
-        os.path.join(folder, name)
-        for folder in _LIB_DIRS
-        if os.path.isdir(folder)
-        for name in sorted(os.listdir(folder))
-        if name.startswith("libscipy_openblas64_")
-    ]
-    if not paths:
-        raise ImportError(
-            "the acoustic eigensolver needs LAPACK from the libscipy_openblas64_ "
-            f"library of a numpy>=2 wheel; none found in {', '.join(_LIB_DIRS)}"
-        )
-    fn = ctypes.CDLL(paths[0]).scipy_dstevr_64_
-    char, size = ctypes.c_char_p, ctypes.c_size_t
-    i64 = ctypes.POINTER(ctypes.c_int64)
-    f64 = ctypes.POINTER(ctypes.c_double)
-    ints = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS,WRITEABLE")
-    reals = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
-    # JOBZ RANGE N D E VL VU IL IU ABSTOL M W Z LDZ ISUPPZ WORK LWORK IWORK
-    # LIWORK INFO, then the hidden lengths of the two strings
-    fn.argtypes = [char, char, i64, reals, reals, f64, f64, i64, i64, f64, i64,
-                   reals, reals, i64, ints, reals, i64, ints, i64, i64, size, size]
-    fn.restype = None
-    return fn
-
-
-_DSTEVR = _find_dstevr()
-
-
 def _eigen(d, e, lam_max=np.inf, vectors=True):
     """Eigenpairs of B = tridiag(e, d, e) with lambda <= lam_max, ascending.
 
@@ -172,7 +132,7 @@ def _eigen(d, e, lam_max=np.inf, vectors=True):
     m, info = ctypes.c_int64(), ctypes.c_int64()
     int_, real = ctypes.c_int64, ctypes.c_double
     # dstevr overwrites D and E, and takes E with a spare last entry
-    _DSTEVR(
+    lapack.DSTEVR(
         b"V" if vectors else b"N", span, int_(n), d.copy(), np.append(e, 0.0),
         real(vl), real(vu), int_(0), int_(0), real(0.0), m, w, z, int_(z.shape[0]),
         np.empty(2 * n, dtype=np.int64), np.empty(20 * n), int_(20 * n),

@@ -1,4 +1,4 @@
-"""Explicit finite-volume solver for the scaled compressible system.
+"""Finite-volume solver for the scaled compressible system.
 
 Conservative variables are (rho, rho u, rho Theta) on the radial grid.
 Convection uses first-order Rusanov fluxes whose dissipation acts on the
@@ -11,14 +11,20 @@ eps**alpha; for a radial (curl-free) velocity it reduces to (4/3 + lam)
 grad(div u).  An outer sponge relaxes everything toward the static far
 field.
 
-Time stepping is forward Euler.  Each step takes the smallest of three
-limits, all computed from the state it advances: the hyperbolic limit
-CFL * h / max(|u| + c), with c ~ 1/eps the scaled sound speed; the
-viscous limit CFL * h**2 * min(rho) / (2 eps**alpha (4 mu/3 + lam)); and
-the sponge limit 1 / (2 max sigma).  At the default configuration the
-viscous limit binds for eps = 0.4 and 0.2 and the hyperbolic one for
-eps = 0.1.  The 1/eps step count is the price of keeping the energy
-audit free of splitting errors.
+Time stepping is IMEX Euler (Ascher, Ruuth & Spiteri, Appl. Numer. Math.
+25:151, 1997).  Convection, pressure-gravity and the sponge take a
+forward-Euler step, which gives the new density and an explicit momentum
+mom*; the viscous force is then backward Euler in u:
+(diag rho_new - dt visc_coef L) u_new = mom*, mom_new = rho_new u_new,
+with L the face-divergence grad-div.  That is one tridiagonal LAPACK
+solve per step for the whole stack, and the viscous force sets no dt
+limit.  Each step takes the smaller of two limits, both computed from the
+state it advances: the hyperbolic limit CFL * h / max(|u| + c), with
+c ~ 1/eps the scaled sound speed, and the sponge limit 1 / (2 max sigma).
+The hyperbolic limit binds for every eps at the default configuration,
+so a member's step count grows like 1/eps.  The explicit part's
+first-order dt error moves N3 by 3-6% between CFL 0.4 and 0.1, alike at
+every eps.
 
 A run keeps its samples stacked: PrimitiveTrajectory.samples is one
 PrimitiveState whose rho, mom and q are (n_samples, n) arrays and whose t
@@ -31,13 +37,15 @@ run_primitive is its one-member case.  Each member takes its own dt and
 leaves the stack at a sample time until all have reached it, so a sweep
 runs the largest member's steps per interval instead of their sum.
 
-The step does the straightforward expressions' floating-point operations
-in their order, so it is bit for bit their result, with fewer numpy calls:
-a PrimitiveAux holds the step's grid and parameter constants and the work
-buffers of its members (run_lockstep keeps one per membership); rho_f =
-max(rho, RHO_FLOOR) is formed once per state for u, theta and the dt limit;
-differences are slices, since np.diff's wrapper costs as much as the
-subtraction on these rows; and lam == 0 skips the bulk dissipation term.
+Up to the viscous solve, the step does the straightforward expressions'
+floating-point operations in their order, so it is bit for bit their
+result, with fewer numpy calls: a PrimitiveAux holds the step's grid and
+parameter constants, the viscous operator's bands and the work buffers of
+its members (run_lockstep keeps one per membership); rho_f = max(rho,
+RHO_FLOOR) is formed once per state for u and theta; the pressure is
+q q^(gamma-1), from the power the sound speed takes; differences are
+slices, since np.diff's wrapper costs as much as the subtraction on these
+rows; and lam == 0 skips the bulk dissipation term.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .grids import (
     DomainError,
     Grid,
@@ -195,9 +204,9 @@ class PrimitiveAux:
     """Static data and step buffers of a lockstep stack whose members differ only in eps.
 
     Members share the static state, ghost cell and sponge (sig_w = sigma
-    times the cell volumes weighs its sinks) and the step's grid constants.
-    eps, eps2, visc_coef and c_ghost are (m, 1) columns and eps_alpha and
-    visc_row (visc_coef as a row) are (m,) rows of Python floats, one per
+    times the cell volumes weighs its sinks), the step's grid constants and
+    the bands of the viscous operator.  eps, eps2, visc_coef and c_ghost
+    are (m, 1) columns and eps_alpha an (m,) row of Python floats, one per
     member: numpy's array power may differ in the last bit.
     """
 
@@ -215,7 +224,8 @@ class PrimitiveAux:
         self.p_ghost = rho0_ghost**gamma
         c_ghost = float(np.sqrt(gamma * rho0_ghost ** (gamma - 1.0)))
 
-        self.grad_p0 = self.pressure_gradient(prof.rho0**gamma)
+        # the static pressure as the step forms it, q q^(gamma-1), so rho0 stays a fixed point
+        self.grad_p0 = self.pressure_gradient(prof.rho0 * prof.rho0 ** (gamma - 1.0))
         # fields minus static: the deviations the dissipation and the sponge act on
         self.static = np.array((prof.rho0, np.zeros(grid.n), prof.rho0))[:, None]
 
@@ -226,9 +236,8 @@ class PrimitiveAux:
         self.dt_sponge = 0.5 / sig_max if sig_max > 0 else np.inf
         self.viscous = 4.0 * base.mu / 3.0 + base.lam > 0.0
         # the step's constants, each the value it would otherwise recompute per step
-        self.r2, self.h_faces2 = grid.centers * grid.centers, grid.h * grid.faces[1:-1] ** 2
-        self.cfl_h, self.cfl_h2 = CFL * grid.h, CFL * 0.5 * grid.h**2
-        self.mu43, self.lam = base.mu * (4.0 / 3.0), base.lam
+        self.neg_lap = -_viscous_bands(grid)[:, None]
+        self.cfl_h, self.mu43, self.lam = CFL * grid.h, base.mu * (4.0 / 3.0), base.lam
         cols = [(p.eps, p.eps**2, p.eps**p.alpha, p.eps**p.alpha * (4.0 * p.mu / 3.0 + p.lam),
                  c_ghost / p.eps) for p in params]
         self._stack(np.array(cols).T[..., None])
@@ -239,10 +248,14 @@ class PrimitiveAux:
         flux and its wave speed is c_ghost; no flux crosses r = 0."""
         self.cols, m, n = cols, cols.shape[1], self.grid.n
         self.eps, self.eps2, _, self.visc_coef, self.c_ghost = cols
-        self.eps_alpha, self.visc_row = cols[2:4, :, 0]
+        self.eps_alpha = cols[2, :, 0]
         self.dev, self.x, self.fluxes, self.face_fluxes = np.zeros((4, 3, m, n + 1))
-        self.spd, self.face_div = np.zeros((2, m, n + 1))
+        self.spd = np.zeros((m, n + 1))
         self.spd[:, -1:], self.work = self.c_ghost, np.zeros((3, m, n))
+        # the viscous solve, one system of size m n: its bands DL, D, DU and right-hand
+        # side B, then N, NRHS, LDB and INFO; _solve_viscous reads their raw addresses
+        self.tri, self.tri_ints = np.zeros((4, m, n)), np.array([m * n, 1, m * n, 0], np.int64)
+        self.gtsv_args = None
 
     def members(self, idx) -> "PrimitiveAux":
         """The same data for the members idx only: the columns sliced, the rest shared."""
@@ -261,21 +274,38 @@ class PrimitiveAux:
         return (pf[..., 1:] - pf[..., :-1]) / self.grid.h
 
 
-def sound_speed(state: PrimitiveState, params) -> np.ndarray:
-    """Scaled characteristic speed sqrt(p'(q) Theta) / eps; params may be a PrimitiveAux."""
+def _viscous_bands(grid: Grid) -> np.ndarray:
+    """L = d/dr div, the viscous force per unit coefficient, as dgtsv's (DL, D, DU) rows.
+
+    div u at an inner face differences r^2 u across it, is 3 u'(0) = 3 u_0 / r_0
+    at the origin and copies its neighbour at the outer face, so L's last row is
+    zero.  Row DL holds L[i+1, i] and DU L[i, i+1]; their entries past the last
+    row are 0, the zero coupling of one member to the next in a stacked system.
+    """
+    r2 = grid.centers * grid.centers
+    h_faces2 = grid.h * grid.faces[1:-1] ** 2
+    right, left = r2[1:] / h_faces2, r2[:-1] / h_faces2  # an inner face's weights
+    bands = np.zeros((3, grid.n))
+    bands[0, :-2] = left[:-1]
+    bands[1, :-1] = -left - np.append(3.0 / grid.centers[0], right[:-1])
+    bands[2, :-1] = right
+    return bands / grid.h
+
+
+def sound_speed(state: PrimitiveState, params, q_pow: np.ndarray | None = None) -> np.ndarray:
+    """Scaled characteristic speed sqrt(p'(q) Theta) / eps; params may be a PrimitiveAux,
+    and q_pow is max(q, 0)**(gamma - 1) if the caller has it."""
     gamma = params.gamma
-    q = np.maximum(state.q, 0.0)
-    c2 = gamma * q ** (gamma - 1.0) * state.theta
+    if q_pow is None:
+        q_pow = np.maximum(state.q, 0.0) ** (gamma - 1.0)
+    c2 = gamma * q_pow * state.theta
     return np.sqrt(np.maximum(c2, 0.0)) / params.eps
 
 
-def suggested_dt(speed: np.ndarray, rho_f: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
-    """Per member, min of the hyperbolic (cell wave speed |u| + c), viscous (floored
-    density rho_f = max(rho, RHO_FLOOR)) and sponge limits."""
-    dt = np.minimum(aux.cfl_h / speed.max(axis=-1), aux.dt_sponge)
-    if aux.viscous:
-        dt = np.minimum(dt, aux.cfl_h2 * rho_f.min(axis=-1) / aux.visc_row)
-    return dt
+def suggested_dt(speed: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
+    """Per member, min of the hyperbolic (cell wave speed |u| + c) and sponge limits.
+    The viscous force is implicit and sets no limit."""
+    return np.minimum(aux.cfl_h / speed.max(axis=-1), aux.dt_sponge)
 
 
 def _rusanov_fluxes(state, u, dev, aux):
@@ -295,24 +325,55 @@ def _rusanov_fluxes(state, u, dev, aux):
     return aux.fluxes
 
 
+def _solve_viscous(
+    new: np.ndarray, rho_f: np.ndarray, coef: np.ndarray, aux: PrimitiveAux
+) -> int:
+    """Set mom = rho_f u in new[1], where (diag rho_f - coef L) u = new[1] per member;
+    returns dgtsv's INFO, and leaves new[1] alone unless it is 0.
+
+    The m systems are one block-diagonal system of size m n, one dgtsv call.
+    L's off-diagonal entries are positive and every column but the last sums
+    to zero or less, so the matrix is strictly column diagonally dominant
+    except in the last column, whose sub-diagonal entry is 0: dgtsv swaps no
+    rows and solves each block as it would alone.  LAPACK overwrites the
+    bands, so they are refilled on every call.
+    """
+    tri = aux.tri
+    np.multiply(aux.neg_lap, coef, out=tri[:3])
+    tri[1] += rho_f
+    np.copyto(tri[3], new[1])
+    if aux.gtsv_args is None:
+        ints, reals, size = aux.tri_ints.ctypes.data, tri.ctypes.data, 8 * tri[0].size
+        aux.gtsv_args = (ints, ints + 8, reals, reals + size, reals + 2 * size,
+                         reals + 3 * size, ints + 16, ints + 24)
+    lapack.DGTSV(*aux.gtsv_args)
+    if aux.tri_ints[3] != 0:
+        return int(aux.tri_ints[3])
+    np.multiply(tri[3], rho_f, out=new[1])
+    return 0
+
+
 def step_primitive(
     state: PrimitiveState, aux: PrimitiveAux, dt_max: np.ndarray, u: np.ndarray | None = None
 ) -> tuple[PrimitiveState, np.ndarray, np.ndarray, np.ndarray]:
-    """One conservative forward-Euler update of every member of a stack.
+    """One IMEX Euler update of every member of a stack.
 
     state.rho, mom and q are (m, n), state.t and dt_max (m,), and u is
     state.velocity if the caller has it.  u, |u| + c and the static
     deviations are computed once; dt = min(suggested_dt, dt_max) per
-    member, stable by construction.  Returns the new state with its rho_f,
-    dt (m,), the outer-face (mass, rho Theta) fluxes per unit area (2, m)
-    and the sponge's (mass, rho Theta) sink rates (2, m), for the ledgers:
-    fresh arrays, none a view of aux's buffers.
+    member.  Convection, pressure-gravity and the sponge are explicit; the
+    viscous force is then taken at the new time by one tridiagonal solve.
+    Returns the new state with its rho_f, dt (m,), the outer-face (mass,
+    rho Theta) fluxes per unit area (2, m) and the sponge's (mass, rho
+    Theta) sink rates (2, m), for the ledgers: fresh arrays, none a view of
+    aux's buffers.
     """
-    grid, fields, rho_f = aux.grid, state.fields, state.rho_f
+    grid, fields = aux.grid, state.fields
     u = state.velocity if u is None else u
+    q_pow = state.q ** (aux.gamma - 1.0)  # states are validated: q > 0
     speed = np.abs(u, out=aux.spd[:, :-1])
-    speed += sound_speed(state, aux)
-    dt = np.minimum(suggested_dt(speed, rho_f, aux), dt_max)
+    speed += sound_speed(state, aux, q_pow)
+    dt = np.minimum(suggested_dt(speed, aux), dt_max)
     col, dev, work = dt[:, None], aux.dev, aux.work
     np.subtract(fields, aux.static, out=dev[..., :-1])
 
@@ -326,16 +387,8 @@ def step_primitive(
     # pressure/gravity pairing: gravity is (rho/rho0) times the static
     # pressure gradient, so the static state cancels exactly
     new[1] -= (col / aux.eps2) * (
-        aux.pressure_gradient(state.q**aux.gamma) - (state.rho / aux.prof.rho0) * aux.grad_p0
+        aux.pressure_gradient(state.q * q_pow) - (state.rho / aux.prof.rho0) * aux.grad_p0
     )
-
-    # viscous force (4/3 + lam) eps^alpha d/dr (div u); div u at a face differences r^2 u
-    # across it, is 3 u'(0) at the origin and copies its neighbor at the outer face
-    if aux.viscous:
-        div_u, r2u = aux.face_div, u * aux.r2
-        div_u[:, 1:-1] = (r2u[:, 1:] - r2u[:, :-1]) / aux.h_faces2
-        div_u[:, 0], div_u[:, -1] = 3.0 * u[:, 0] / grid.centers[0], div_u[:, -2]
-        new[1] += col * aux.visc_coef * (div_u[:, 1:] - div_u[:, :-1]) / grid.h
 
     # sponge relaxation toward the static far field
     dev = dev[..., :-1]
@@ -348,9 +401,16 @@ def step_primitive(
         what = "nonpositive density" if nonpositive[j] else "non-finite state"
         out = PrimitiveState.of(new[:, j], float(t[j]))
         raise SolverFailure(f"{what} after update at t={out.t}", out, member=j)
+    rho_f = np.maximum(new[0], RHO_FLOOR)
+
+    # viscous force (4/3 + lam) eps^alpha d/dr (div u), backward Euler in u
+    if aux.viscous and (info := _solve_viscous(new, rho_f, col * aux.visc_coef, aux)):
+        j = (abs(info) - 1) // grid.n
+        out = PrimitiveState.of(new[:, j], float(t[j]))
+        raise SolverFailure(f"viscous solve failed (LAPACK dgtsv info = {info}) at t={out.t}",
+                            out, member=j)
     sinks = (aux.sig_w * dev[::2]).sum(axis=-1)
-    new_state = PrimitiveState.of(new, t, np.maximum(new[0], RHO_FLOOR))
-    return new_state, dt, fluxes[::2, :, -1].copy(), sinks
+    return PrimitiveState.of(new, t, rho_f), dt, fluxes[::2, :, -1].copy(), sinks
 
 
 def enthalpy(z: np.ndarray, gamma: float) -> np.ndarray:
@@ -431,28 +491,32 @@ def run_lockstep(
     if sample_times[0] != 0.0 or np.any(np.diff(sample_times) <= 0.0):
         raise DomainError("sample times must start at 0 and increase")
     nk = np.count_nonzero(grid.ball_mask(grid.default_compact_radius))  # K: a prefix of the cells
-    w_k, rho0_k = grid.weights[:nk], prof.rho0[:nk]
+    w_k = grid.weights[:nk] / prof.rho0[:nk]
     area_out = grid.face_areas[-1]
 
-    def n3_rate(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-        u = u[:, :nk]
-        return (rho[:, :nk] / rho0_k * u * u * w_k).sum(axis=-1)
+    def n3_rate(mom: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """int_K (rho/rho0) u^2 per member, as mom u w / rho0."""
+        x = mom[:, :nk] * u[:, :nk]
+        x *= w_k
+        return x.sum(axis=-1)
 
     m = len(inits)
     fields = np.stack([init.fields for init in inits], axis=1)
     t = np.array([init.t for init in inits], dtype=float)
     u = PrimitiveState.of(fields, t).velocity
     led = np.zeros((8, m))  # dissipation, N3, sponge and outflow (mass, q), the two rates
-    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[0], u)
+    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[1], u)
+    rates = np.empty((2, m))  # the live members' new rates, in its first columns
     steps = np.zeros(m, dtype=int)
     stack_aux = functools.cache(aux.members)  # one aux, with its work buffers, per membership
     samples = np.empty((3, m, sample_times.size, grid.n))
     ledger = np.empty((m, 9, sample_times.size))  # PrimitiveTrajectory series order
     for k, target in enumerate(sample_times):
-        live = np.flatnonzero(t < target - 1.0e-13)
+        edge = target - 1.0e-13  # a member within round-off of the target has reached it
+        live = np.flatnonzero(t < edge)
         state, s_led = PrimitiveState.of(fields[:, live], t[live]), led[:, live]
         u, taken = None, 0
-        s_aux = stack_aux(tuple(live.tolist()))
+        s_aux, s_rates = stack_aux(tuple(live.tolist())), rates[:, : live.size]
         while live.size:
             try:
                 state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, u)
@@ -461,13 +525,14 @@ def run_lockstep(
                 raise
             taken += 1
             u = state.velocity
-            rates = np.array((viscous_dissipation_rate(u, s_aux), n3_rate(state.rho, u)))
-            s_led[:2] += 0.5 * dt * (s_led[6:] + rates)
-            s_led[6:] = rates
+            s_rates[0] = viscous_dissipation_rate(u, s_aux)
+            s_rates[1] = n3_rate(state.mom, u)
+            s_led[:2] += 0.5 * dt * (s_led[6:] + s_rates)
+            s_led[6:] = s_rates
             s_led[2:4] += dt * sink
             s_led[4:6] += dt * area_out * flux
-            moving = state.t < target - 1.0e-13
-            if not moving.all():
+            if max(state.t.tolist()) >= edge:
+                moving = state.t < edge
                 gone, done = live[~moving], ~moving
                 fields[:, gone], t[gone] = state.fields[:, done], state.t[done]
                 led[:, gone] = s_led[:, done]
@@ -476,7 +541,7 @@ def run_lockstep(
                 if live.size:
                     rho_f, s_aux = state.rho_f[moving], stack_aux(tuple(live.tolist()))
                     state = PrimitiveState.of(state.fields[:, moving], state.t[moving], rho_f)
-                    s_led, u = s_led[:, moving], u[moving]
+                    s_led, u, s_rates = s_led[:, moving], u[moving], rates[:, : live.size]
         samples[:, :, k] = fields
         ledger[:, (1, 8, 4, 5, 6, 7), k] = led[:6].T
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from anelastic_lab import acoustic as ac
+from anelastic_lab import lapack
 from anelastic_lab.acoustic import (
     AcousticState,
     FrequencyWindow,
@@ -318,7 +319,7 @@ class TestWindowOperator:
 
 
 class TestLapackBinding:
-    """dstevr comes from the OpenBLAS numpy has already loaded, never from scipy."""
+    """LAPACK comes from the OpenBLAS numpy has already loaded, never from scipy."""
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/maps")
     def test_one_openblas_and_no_scipy(self, tmp_path):
@@ -336,7 +337,7 @@ class TestLapackBinding:
         assert done.returncode == 0, done.stderr
 
     def test_missing_library_names_the_search_path(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ac, "_LIB_DIRS", (str(tmp_path / "numpy.libs"), str(tmp_path)))
+        monkeypatch.setattr(lapack, "_LIB_DIRS", (str(tmp_path / "numpy.libs"), str(tmp_path)))
         with pytest.raises(ImportError, match="numpy>=2") as err:
-            ac._find_dstevr()
+            lapack._find_library()
         assert str(tmp_path / "numpy.libs") in str(err.value)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anelastic_lab import acoustic as ac
-from anelastic_lab import cli, configio, harness, hydrostatics
+from anelastic_lab import cli, configio, harness, hydrostatics, lapack
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError, Grid
 from anelastic_lab.harness import (
@@ -292,13 +292,13 @@ class TestCli:
         assert calls == []  # LAPACK dstevr on the bands is the only eigensolver
 
     def test_unconverged_eigensolve_exits_3(self, tmp_path, monkeypatch, capsys):
-        real = ac._DSTEVR
+        real = lapack.DSTEVR
 
         def failing(*args):
             real(*args)
             args[19].value = 5  # INFO
 
-        monkeypatch.setattr(ac, "_DSTEVR", failing)
+        monkeypatch.setattr(lapack, "DSTEVR", failing)
         assert main(["decay", *SMALL, "--output", str(tmp_path)]) == 3
         err = capsys.readouterr().err
         assert "dstevr" in err and "info = 5" in err

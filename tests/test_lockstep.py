@@ -3,16 +3,20 @@
 run_lockstep advances members that differ only in eps together, each with
 its own dt, dropping a member from the stack once it reaches the sample
 time.  Every member must reproduce its run alone exactly, the sweep must
-make one step call per lockstep iteration, and a member failing mid-run
-must leave the partial report a one-by-one sweep would write.  The fused
-step must equal a plain reference bit for bit and return no view of the
-work buffers its aux reuses.
+make one step call per lockstep iteration, and a member failing mid-run,
+in the update or in the stack's one viscous solve, must leave the partial
+report a one-by-one sweep would write.  The fused step must equal a plain
+reference bit for bit up to the viscous solve, which must match a dense
+solve, and return no view of the work buffers its aux reuses.  The
+implicit viscous force must leave a stiff run at the hyperbolic dt.
 """
+
+import ctypes
 
 import numpy as np
 import pytest
 
-from anelastic_lab import configio, primitive
+from anelastic_lab import configio, lapack, primitive
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError
 from anelastic_lab.harness import SweepPlan, sweep_epsilon
@@ -150,23 +154,69 @@ def test_mid_run_failure_keeps_the_one_by_one_partial_report(tmp_path, monkeypat
     assert partial == full[:2]  # header + the eps = 0.4 row, byte for byte
 
 
+def failing_viscous_solve(monkeypatch, size, info):
+    """Make dgtsv report INFO = info on the stacks whose system has size unknowns."""
+    real = lapack.DGTSV
+
+    def failing(*args):  # raw addresses: N NRHS DL D DU B LDB INFO
+        real(*args)
+        if ctypes.c_int64.from_address(args[0]).value == size:
+            ctypes.c_int64.from_address(args[7]).value = info
+
+    monkeypatch.setattr(lapack, "DGTSV", failing)
+
+
+def test_failed_viscous_solve_names_the_member(monkeypatch):
+    prof, params, inits, _ = members(EPS[:3])
+    n = prof.grid.n
+    failing_viscous_solve(monkeypatch, 3 * n, n + 5)  # a zero pivot in the second block
+    with pytest.raises(SolverFailure, match=f"dgtsv info = {n + 5}") as failure:
+        primitive.step_primitive(stacked(inits), PrimitiveAux(prof, params), np.full(3, 1.0))
+    assert failure.value.member == 1 and failure.value.state.rho.shape == (n,)
+
+
+def test_failed_viscous_solve_keeps_the_one_by_one_partial_report(tmp_path, monkeypatch, capsys):
+    argv = ["sweep", "--eps", "0.4,0.2,0.1", *SMALL]
+    assert main([*argv, "--output", str(tmp_path / "full")]) == 0
+    full = (tmp_path / "full" / "convergence.csv").read_text().splitlines()
+    # once the eps = 0.4 member has left the stack, eps = 0.2 is its first block
+    failing_viscous_solve(monkeypatch, 2 * 64, 7)
+    assert main([*argv, "--output", str(tmp_path / "partial")]) == 3
+    err = capsys.readouterr().err
+    assert "sweep failed at eps=0.2" in err and "dgtsv info = 7" in err
+    partial = (tmp_path / "partial" / "convergence.csv").read_text().splitlines()
+    assert partial == full[:2]  # header + the eps = 0.4 row, byte for byte
+
+
+def test_stiff_viscosity_runs_at_the_hyperbolic_dt():
+    # at mu = 20 an explicit viscous limit CFL h^2 min(rho) / (2 eps^alpha 4 mu / 3)
+    # would take about five times the steps of the hyperbolic one
+    (prof, [p], [init], times), inviscid = members((0.2,), mu=20.0), members((0.2,), mu=0.0)
+    traj = run_primitive(init, prof, p, times)
+    alone = run_primitive(inviscid[2][0], inviscid[0], inviscid[1][0], times)
+    viscous_dt = CFL * 0.5 * prof.grid.h**2 * prof.rho0.min() / (p.eps**p.alpha * 4.0 * p.mu / 3.0)
+    assert traj.times[-1] == p.horizon and np.isfinite(traj.samples.fields).all()
+    assert traj.step_count <= 1.05 * alone.step_count < 0.25 * p.horizon / viscous_dt
+    assert np.all(np.diff(traj.energy) <= 1.0e-3 * traj.energy[0])  # c08's tolerance
+
+
 # A plain reference for the step and the dissipation rate, written with
 # np.diff and fresh temporaries: the fused kernel (constants hoisted,
-# buffers reused, in-place arithmetic) must match it bit for bit.
+# buffers reused, in-place arithmetic) must match it bit for bit up to the
+# viscous solve, and the solve must match a dense one per member.
 
 
 def reference_step(state, aux, dt_max):
-    """(new fields, t, dt, outer fluxes, sponge sinks) of one forward-Euler step."""
+    """(new fields, t, dt, outer fluxes, sponge sinks) of one IMEX Euler step,
+    with the explicit momentum mom* in place of the new momentum."""
     prof, grid, gamma, h = aux.prof, aux.grid, aux.gamma, aux.grid.h
     rho, mom, q = state.fields
     u = mom / np.maximum(rho, RHO_FLOOR)
     theta = np.where(rho < VACUUM_CUT, 1.0, q / np.maximum(rho, RHO_FLOOR))
-    c2 = gamma * np.maximum(q, 0.0) ** (gamma - 1.0) * theta
+    q_pow = np.maximum(q, 0.0) ** (gamma - 1.0)
+    c2 = gamma * q_pow * theta
     speed = np.abs(u) + np.sqrt(np.maximum(c2, 0.0)) / aux.eps
     dt = np.minimum(CFL * h / speed.max(axis=-1), aux.dt_sponge)
-    if aux.viscous:
-        rho_min = np.maximum(rho, RHO_FLOOR).min(axis=-1)
-        dt = np.minimum(dt, CFL * 0.5 * h**2 * rho_min / aux.visc_coef[:, 0])
     dt = np.minimum(dt, dt_max)
     col = dt[:, None]
     dev = np.zeros(state.fields.shape[:-1] + (grid.n + 1,))
@@ -186,18 +236,33 @@ def reference_step(state, aux, dt_max):
         outer = 0.5 * (p[..., -1:] + aux.p_ghost)
         return np.diff(np.concatenate((first, inner, outer), axis=-1)) / h
 
-    grad_p0 = pressure_gradient(prof.rho0**gamma)
-    new[1] -= (col / aux.eps2) * (pressure_gradient(q**gamma) - (rho / prof.rho0) * grad_p0)
-    if aux.viscous:
-        r = grid.centers
-        face_div = np.empty(u.shape[:-1] + (grid.n + 1,))
-        face_div[..., 1:-1] = np.diff(r * r * u) / (h * grid.faces[1:-1] ** 2)
-        face_div[..., 0] = 3.0 * u[..., 0] / r[0]
-        face_div[..., -1] = face_div[..., -2]
-        new[1] += col * aux.visc_coef * np.diff(face_div) / h
+    rho0 = prof.rho0
+    grad_p0 = pressure_gradient(rho0 * rho0 ** (gamma - 1.0))
+    new[1] -= (col / aux.eps2) * (pressure_gradient(q * q_pow) - (rho / rho0) * grad_p0)
     new -= (col * aux.sigma) * dev[..., :-1]
     sinks = (aux.sig_w * dev[::2, :, :-1]).sum(axis=-1)
     return new, state.t + dt, dt, fluxes[::2, :, -1], sinks
+
+
+def grad_div(u, grid):
+    """d/dr (div u): div u at a face differences r^2 u across it, is 3 u'(0) at
+    the origin and copies its neighbour at the outer face."""
+    r, h = grid.centers, grid.h
+    face_div = np.empty(u.shape[:-1] + (grid.n + 1,))
+    face_div[..., 1:-1] = np.diff(r * r * u) / (h * grid.faces[1:-1] ** 2)
+    face_div[..., 0] = 3.0 * u[..., 0] / r[0]
+    face_div[..., -1] = face_div[..., -2]
+    return np.diff(face_div) / h
+
+
+def reference_solve(mom_star, rho, dt, aux):
+    """mom = rho_f u with (diag rho_f - dt visc_coef L) u = mom*, a dense solve per member."""
+    lap = grad_div(np.eye(aux.grid.n), aux.grid).T  # column j is L e_j
+    rho_f = np.maximum(rho, RHO_FLOOR)
+    mom = np.empty_like(mom_star)
+    for j, coef in enumerate(dt * aux.visc_coef[:, 0]):
+        mom[j] = rho_f[j] * np.linalg.solve(np.diag(rho_f[j]) - coef * lap, mom_star[j])
+    return mom
 
 
 def reference_dissipation_rate(u, aux):
@@ -231,7 +296,13 @@ def test_step_matches_the_reference_bit_for_bit(sets):
     for _ in range(40):
         ref_new, ref_t, ref_dt, ref_flux, ref_sink = reference_step(state, aux, dt_max)
         state, dt, flux, sink = primitive.step_primitive(state, aux, dt_max, u)
-        assert np.array_equal(state.fields, ref_new) and np.array_equal(state.t, ref_t)
+        assert np.array_equal(state.fields[::2], ref_new[::2]) and np.array_equal(state.t, ref_t)
+        if aux.viscous:
+            ref_mom = reference_solve(ref_new[1], ref_new[0], ref_dt, aux)
+            scale = np.abs(ref_mom).max(axis=-1)
+            assert np.all(np.abs(state.mom - ref_mom).max(axis=-1) <= 1.0e-12 * scale)
+        else:
+            assert np.array_equal(state.mom, ref_new[1])
         assert np.array_equal(dt, ref_dt) and np.array_equal(flux, ref_flux)
         assert np.array_equal(sink, ref_sink)
         u = state.velocity

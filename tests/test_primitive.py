@@ -121,11 +121,21 @@ class TestStep:
         state = init_ill_prepared(acoustic_data(), radial_profile, EPS02)
         aux = PrimitiveAux(radial_profile, [EPS02])
         speed = np.abs(state.velocity) + sound_speed(state, EPS02)
-        limit = suggested_dt(speed[None], state.rho[None], aux)[0]
+        limit = suggested_dt(speed[None], aux)[0]
         out, dt, _, _ = step_one(state, aux, 2.0 * limit)
         assert dt == limit and out.t == limit
         out, dt, _, _ = step_one(state, aux, 0.5 * limit)
         assert dt == 0.5 * limit and out.t == 0.5 * limit
+
+    def test_viscosity_sets_no_dt_limit(self, radial_profile, radial_grid):
+        state = init_ill_prepared(acoustic_data(), radial_profile, EPS02)
+        speed = (np.abs(state.velocity) + sound_speed(state, EPS02))[None]
+        inviscid = ScalingParams(eps=0.2, horizon=1.0, mu=0.0)
+        viscous_aux, inviscid_aux = (PrimitiveAux(radial_profile, [p]) for p in (EPS02, inviscid))
+        assert viscous_aux.viscous and not inviscid_aux.viscous
+        limit = suggested_dt(speed, viscous_aux)
+        assert np.array_equal(limit, suggested_dt(speed, inviscid_aux))
+        assert step_one(state, viscous_aux, np.inf)[1] == step_one(state, inviscid_aux, np.inf)[1]
 
     def test_outer_fluxes_close_step_budgets(self, radial_profile, radial_grid):
         # data sitting on the sponge and the outer face, so every ledger term is live
@@ -221,9 +231,9 @@ class TestRun:
         real_sound_speed = primitive.sound_speed
         real_velocity = PrimitiveState.velocity.fget
 
-        def counting_sound_speed(state, params):
+        def counting_sound_speed(state, params, *q_pow):
             calls["sound_speed"] += 1
-            return real_sound_speed(state, params)
+            return real_sound_speed(state, params, *q_pow)
 
         def counting_velocity(state):
             calls["velocity"] += 1
