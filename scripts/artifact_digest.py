@@ -7,10 +7,13 @@
 Runs profile, sweep, audit-rei, simulate-primitive, simulate-anelastic,
 simulate-acoustic, spectrum, decay and strichartz through cli.main, each
 into its own directory under one temporary directory, with every --set
-passed on to every command.  Prints `sha256  command/file` for each file
-a command writes and `sha256  command/stdout` for its captured standard
-output followed by its exit status.  BLAS runs on one thread, so the
-digest depends only on the source and the overrides.
+passed on to every command.  A tenth run, simulate-anelastic-cartesian,
+is `simulate-anelastic --experimental` on the cartesian staggered grid at
+n = 8 with 9 samples (under a second); its three --sets come after the
+user's, so they win.  Prints `sha256  run/file` for each file a run
+writes and `sha256  run/stdout` for its captured standard output followed
+by its exit status.  BLAS runs on one thread, so the digest depends only
+on the source and the overrides.
 
 With --against REF the digest is taken twice with the same overrides, in
 fresh interpreters: once with this checkout's `src/` and once with the
@@ -46,6 +49,14 @@ COMMANDS = (
     "decay",
     "strichartz",
 )
+# (digest label, leading arguments, trailing --sets) of every run
+RUNS = tuple((command, [command], []) for command in COMMANDS) + (
+    (
+        "simulate-anelastic-cartesian",
+        ["simulate-anelastic", "--experimental"],
+        ["--set", "grid.geometry=cartesian", "--set", "grid.n=8", "--set", "run.samples=9"],
+    ),
+)
 
 
 def _sha256(data: bytes) -> str:
@@ -53,22 +64,22 @@ def _sha256(data: bytes) -> str:
 
 
 def digest(overrides: list[str], src: Path = ROOT / "src") -> list[str]:
-    """The digest lines of all nine commands run from src with the given --set overrides."""
+    """The digest lines of every run from src with the given --set overrides."""
     sys.path.insert(0, str(src))
     from anelastic_lab.cli import main
 
     sets = [arg for item in overrides for arg in ("--set", item)]
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for command in COMMANDS:
-            outdir = Path(tmp) / command
+        for label, head, tail in RUNS:
+            outdir = Path(tmp) / label
             captured = io.StringIO()
             with contextlib.redirect_stdout(captured):
-                code = main([command, *sets, "--output", str(outdir)])
+                code = main([*head, *sets, *tail, "--output", str(outdir)])
             captured.write(f"exit status {code}\n")
             for path in sorted(outdir.iterdir()):
-                lines.append(f"{_sha256(path.read_bytes())}  {command}/{path.name}")
-            lines.append(f"{_sha256(captured.getvalue().encode())}  {command}/stdout")
+                lines.append(f"{_sha256(path.read_bytes())}  {label}/{path.name}")
+            lines.append(f"{_sha256(captured.getvalue().encode())}  {label}/stdout")
     return lines
 
 

@@ -11,8 +11,9 @@ projection tolerance; the density R = rho0 / T is derived.
 In radial geometry every admissible velocity is a gradient, so V vanishes
 identically for all time, temperature is frozen, and grad Pi balances
 -T grad F exactly; the epsilon-sweep harness uses this as its closed-form
-reference.  The cartesian mode exists for experiments with a nontrivial
-solenoidal velocity and is not on the acceptance path.
+reference.  The cartesian mode stores V on the staggered (MAC) faces and
+admits a nontrivial solenoidal velocity; its weighted projection is an
+acceptance gate (c03), and simulate-anelastic runs it with --experimental.
 """
 
 from __future__ import annotations
@@ -21,15 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid, integrate
+from .grids import along, integrate, mean_cells, mean_faces, upwind_faces
 from .helmholtz import (
     DEFAULT_TOL,
-    CartesianWeightedLaplacian,
     StaggeredVector,
     centers_to_faces,
     project,
     project_radial_faces,
-    solve_weighted_poisson,
 )
 from .hydrostatics import StaticProfile
 from .primitive import DataError
@@ -69,27 +68,36 @@ def init_anelastic(v0, theta20: np.ndarray, prof: StaticProfile) -> AnelasticSta
     )
 
 
-def _radial_upwind_temperature(
-    temp: np.ndarray, v_faces: np.ndarray, prof: StaticProfile, dt: float
+def _upwind_derivative(f: np.ndarray, vel: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """First-order upwind d f / d axis; a difference reaching past either end is 0."""
+    lower, upper = along(axis, f.ndim)[:2]
+    d = (f[upper] - f[lower]) / h
+    fwd = np.zeros(f.shape)
+    fwd[lower] = d
+    back = np.zeros(f.shape)
+    back[upper] = d
+    return np.where(vel > 0.0, back, fwd)
+
+
+def _predict(
+    face: np.ndarray,
+    adv: np.ndarray,
+    temperature: np.ndarray,
+    prof: StaticProfile,
+    axis: int,
+    dt: float,
 ) -> np.ndarray:
-    """Conservative upwind transport of rho0 T by the solenoidal face flux."""
-    grid = prof.grid
-    mass_flux = grid.face_areas * prof.face_rho0 * v_faces
-    t_up = np.empty(grid.n + 1)
-    t_up[1:-1] = np.where(v_faces[1:-1] > 0.0, temp[:-1], temp[1:])
-    t_up[0] = temp[0]
-    t_up[-1] = temp[-1]
-    return temp - dt * np.diff(mass_flux * t_up) / (prof.rho0 * grid.weights)
+    """Face velocity along axis after explicit advection adv and buoyancy -T grad F.
 
-
-def _radial_advect_faces(v_faces: np.ndarray, grid: Grid) -> np.ndarray:
-    """First-order upwind V dV/dr on interior faces."""
-    h = grid.h
-    out = np.zeros_like(v_faces)
-    back = (v_faces[1:-1] - v_faces[:-2]) / h
-    fwd = (v_faces[2:] - v_faces[1:-1]) / h
-    out[1:-1] = v_faces[1:-1] * np.where(v_faces[1:-1] > 0.0, back, fwd)
-    return out
+    The boundary faces carry no flow.
+    """
+    inner, first, last = along(axis, face.ndim)[2:]
+    grad_f = np.zeros(face.shape)
+    grad_f[inner] = np.diff(prof.F, axis=axis) / prof.grid.h
+    pred = face + dt * (-adv - mean_faces(temperature, axis) * grad_f)
+    pred[first] = 0.0
+    pred[last] = 0.0
+    return pred
 
 
 def step_anelastic(
@@ -104,125 +112,50 @@ def step_anelastic(
     vmax = float(np.max(np.abs(v))) if grid.radial else v.max_abs()
     dt = min(dt_max, CFL * grid.h / vmax) if vmax > 0.0 else dt_max
     step = _step_radial if grid.radial else _step_cartesian
-    return step(state, prof, dt), dt
+    v_new, phi, temp = step(state, prof, dt)
+    new = AnelasticState(
+        velocity=v_new,
+        pressure=phi / dt,
+        temperature=temp,
+        density=prof.rho0 / temp,
+        t=state.t + dt,
+    )
+    return new, dt
 
 
 def _step_radial(state, prof, dt):
+    """(V, Phi, T) at the new time; T moves by conservative upwinding of rho0 T."""
     grid, v = prof.grid, state.velocity
-    t_face = np.empty(grid.n + 1)
-    t_face[1:-1] = 0.5 * (state.temperature[:-1] + state.temperature[1:])
-    t_face[0] = state.temperature[0]
-    t_face[-1] = state.temperature[-1]
-    grad_f = np.zeros(grid.n + 1)
-    grad_f[1:-1] = np.diff(prof.F) / grid.h
-    predictor = v + dt * (-_radial_advect_faces(v, grid) - t_face * grad_f)
-    predictor[0] = 0.0
-    predictor[-1] = 0.0
-    v_new, phi = project_radial_faces(predictor, prof)
-    temp = _radial_upwind_temperature(state.temperature, v_new, prof, dt)
-    return AnelasticState(
-        velocity=v_new,
-        pressure=phi / dt,
-        temperature=temp,
-        density=prof.rho0 / temp,
-        t=state.t + dt,
-    )
-
-
-def _axis_slices(axis, sl):
-    out = [slice(None)] * 3
-    out[axis] = sl
-    return tuple(out)
-
-
-def _cart_face_avg(field: np.ndarray, axis: int) -> np.ndarray:
-    """Cell field to faces along axis (copy at boundary faces)."""
-    n = field.shape[axis]
-    lo = field[_axis_slices(axis, slice(0, n - 1))]
-    hi = field[_axis_slices(axis, slice(1, n))]
-    shape = list(field.shape)
-    shape[axis] = n + 1
-    out = np.empty(shape)
-    out[_axis_slices(axis, slice(1, n))] = 0.5 * (lo + hi)
-    out[_axis_slices(axis, 0)] = field[_axis_slices(axis, 0)]
-    out[_axis_slices(axis, n)] = field[_axis_slices(axis, n - 1)]
-    return out
-
-
-def _cart_upwind_derivative(f: np.ndarray, vel: np.ndarray, axis: int, h: float):
-    """First-order upwind d f / d axis with zero-gradient extension."""
-    fwd = np.empty_like(f)
-    back = np.empty_like(f)
-    n = f.shape[axis]
-    fwd[_axis_slices(axis, slice(0, n - 1))] = (
-        f[_axis_slices(axis, slice(1, n))] - f[_axis_slices(axis, slice(0, n - 1))]
-    ) / h
-    fwd[_axis_slices(axis, n - 1)] = 0.0
-    back[_axis_slices(axis, slice(1, n))] = (
-        f[_axis_slices(axis, slice(1, n))] - f[_axis_slices(axis, slice(0, n - 1))]
-    ) / h
-    back[_axis_slices(axis, 0)] = 0.0
-    return np.where(vel > 0.0, back, fwd)
+    adv = v * _upwind_derivative(v, v, -1, grid.h)
+    v_new, phi = project_radial_faces(_predict(v, adv, state.temperature, prof, -1, dt), prof)
+    mass_flux = grid.face_areas * prof.face_rho0 * v_new
+    t_up = upwind_faces(state.temperature, v_new)
+    temp = state.temperature - dt * np.diff(mass_flux * t_up) / (prof.rho0 * grid.weights)
+    return v_new, phi, temp
 
 
 def _step_cartesian(state, prof, dt):
-    grid = prof.grid
-    op = CartesianWeightedLaplacian(grid, prof.rho0)
-    v: StaggeredVector = state.velocity
-    h = grid.h
-
-    # cell-centered velocity for the advective derivatives
-    uc = [
-        0.5 * (v.fx[:-1, :, :] + v.fx[1:, :, :]),
-        0.5 * (v.fy[:, :-1, :] + v.fy[:, 1:, :]),
-        0.5 * (v.fz[:, :, :-1] + v.fz[:, :, 1:]),
-    ]
-
+    """(V, Phi, T) at the new time; advection uses cell-centered velocities."""
+    h, v = prof.grid.h, state.velocity
+    faces = (v.fx, v.fy, v.fz)
+    uc = [mean_cells(face, axis) for axis, face in enumerate(faces)]
     parts = []
-    for comp, (face, axis) in enumerate(((v.fx, 0), (v.fy, 1), (v.fz, 2))):
-        adv = np.zeros_like(uc[comp])
+    for axis, face in enumerate(faces):
+        adv = np.zeros_like(uc[axis])
         for ax in range(3):
-            adv += uc[ax] * _cart_upwind_derivative(uc[comp], uc[ax], ax, h)
-        t_face = _cart_face_avg(state.temperature, axis)
-        df = np.zeros_like(face)
-        n = grid.n
-        df[_axis_slices(axis, slice(1, n))] = (
-            np.diff(prof.F, axis=axis) / h
-        )
-        adv_face = _cart_face_avg(adv, axis)
-        pred = face + dt * (-adv_face - t_face * df)
-        pred[_axis_slices(axis, 0)] = 0.0
-        pred[_axis_slices(axis, n)] = 0.0
-        parts.append(pred)
-    predictor = StaggeredVector(*parts)
-
-    rhs = op.divergence(op.rho_times(predictor))
-    phi = solve_weighted_poisson(op, rhs)
-    v_new = predictor.axpy(-1.0, op.gradient(phi))
+            adv += uc[ax] * _upwind_derivative(uc[axis], uc[ax], ax, h)
+        parts.append(_predict(face, mean_faces(adv, axis), state.temperature, prof, axis, dt))
+    v_new, phi = project(StaggeredVector(*parts), prof)
 
     # conservative upwind transport of rho0 T with the projected fluxes
-    flux_tot = np.zeros(grid.field_shape)
+    flux_tot = np.zeros(prof.grid.field_shape)
     for axis, (face, rho_face) in enumerate(
-        ((v_new.fx, op.rho_faces[0]), (v_new.fy, op.rho_faces[1]), (v_new.fz, op.rho_faces[2]))
+        zip((v_new.fx, v_new.fy, v_new.fz), prof.laplacian.rho_faces)
     ):
-        n = grid.n
-        t_up = np.empty_like(face)
-        t_lo = state.temperature[_axis_slices(axis, slice(0, n - 1))]
-        t_hi = state.temperature[_axis_slices(axis, slice(1, n))]
-        inner = _axis_slices(axis, slice(1, n))
-        t_up[inner] = np.where(face[inner] > 0.0, t_lo, t_hi)
-        t_up[_axis_slices(axis, 0)] = state.temperature[_axis_slices(axis, 0)]
-        t_up[_axis_slices(axis, n)] = state.temperature[_axis_slices(axis, n - 1)]
-        flux = rho_face * face * t_up
+        flux = rho_face * face * upwind_faces(state.temperature, face, axis)
         flux_tot += np.diff(flux, axis=axis) / h
     temp = state.temperature - dt * flux_tot / prof.rho0
-    return AnelasticState(
-        velocity=v_new,
-        pressure=phi / dt,
-        temperature=temp,
-        density=prof.rho0 / temp,
-        t=state.t + dt,
-    )
+    return v_new, phi, temp
 
 
 @dataclass
@@ -286,7 +219,7 @@ def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[float, float
         face_w = prof.laplacian.face_weights
         scale = float(np.sqrt(np.sum(rho_v * rho_v * face_w)))
     else:
-        op = CartesianWeightedLaplacian(grid, prof.rho0)
+        op = prof.laplacian
         rho_v = op.rho_times(state.velocity)
         div = op.divergence(rho_v)
         scale = float(np.sqrt(op.face_inner(rho_v, rho_v)))
@@ -334,13 +267,11 @@ def smoothness_monitor(traj: AnelasticTrajectory) -> SmoothnessReport:
     series: dict = {name: [] for name in names}
     for state in traj.states:
         if grid.radial:
-            vmag = 0.5 * (state.velocity[:-1] + state.velocity[1:])
+            vmag = mean_cells(state.velocity)
         else:
             v = state.velocity
             vmag = np.sqrt(
-                (0.5 * (v.fx[:-1] + v.fx[1:])) ** 2
-                + (0.5 * (v.fy[:, :-1] + v.fy[:, 1:])) ** 2
-                + (0.5 * (v.fz[:, :, :-1] + v.fz[:, :, 1:])) ** 2
+                mean_cells(v.fx, 0) ** 2 + mean_cells(v.fy, 1) ** 2 + mean_cells(v.fz, 2) ** 2
             )
         series["velocity"].append(surrogate(vmag))
         series["pressure"].append(surrogate(state.pressure))

@@ -1,10 +1,15 @@
-"""Grids, quadrature, norms and the essential/residual cutoff.
+"""Grids, quadrature, norms, face transfers and the essential/residual cutoff.
 
 Two geometry modes are supported.  The radial mode stores fields as
 functions of r = |x| on cells of width h = r_max / n with 3D spherical
 quadrature weights 4*pi*r_i**2*h; vector fields carry the radial component
-only.  The cartesian mode is a low resolution box [-r_max, r_max]**3 used
-for experiments that need a nontrivial solenoidal velocity.
+only.  The cartesian mode is a low resolution box [-r_max, r_max]**3 that
+admits a nontrivial solenoidal velocity, stored on the staggered faces.
+
+The four face transfers (harmonic_faces, mean_faces, upwind_faces and
+mean_cells) serve both geometries: each acts along one axis, by default
+the last, so a radial row is the 1-D case and a cartesian field takes
+axis = 0, 1 or 2.
 
 The quadrature, norm and radial difference helpers accept stacked input:
 an array whose trailing axes are the field shape, such as the (n_samples, n)
@@ -16,7 +21,7 @@ row-by-row calls return.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -219,13 +224,68 @@ class EssResCutoff:
     __call__ = chi
 
 
-def harmonic_faces(f: np.ndarray) -> np.ndarray:
-    """Radial face values of a positive cell field by harmonic means; boundary faces copy cells."""
-    out = np.empty(f.size + 1)
-    out[1:-1] = 2.0 * f[:-1] * f[1:] / (f[:-1] + f[1:])
-    out[0] = f[0]
-    out[-1] = f[-1]
+@lru_cache(maxsize=None)
+def along(axis: int, ndim: int) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """Index tuples (lower, upper, inner, first, last) along axis of an ndim array.
+
+    lower and upper drop the last and the first entry, inner both; first
+    and last pick the boundary layers.  A negative axis counts from the
+    end, so axis = -1 indexes a radial row and any stack of rows.  The
+    tuples name the axis by its position, without an Ellipsis, which
+    numpy indexes faster.
+    """
+    lead = (slice(None),) * (axis % ndim)
+    return tuple(
+        (*lead, sl) for sl in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1)
+    )
+
+
+def _faces_of(f: np.ndarray, axis: int, first: tuple, last: tuple) -> np.ndarray:
+    """A face field of the cell field f, one entry longer along axis.
+
+    Its boundary faces copy the boundary cells; the inner faces are left
+    for the caller to fill.
+    """
+    shape = list(f.shape)
+    shape[axis] += 1
+    out = np.empty(shape)
+    out[first], out[last] = f[first], f[last]
     return out
+
+
+def harmonic_faces(f: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Face values of a positive cell field by harmonic means; boundary faces copy cells."""
+    lower, upper, inner, first, last = along(axis, f.ndim)
+    a, b = f[lower], f[upper]
+    out = _faces_of(f, axis, first, last)
+    out[inner] = 2.0 * a * b / (a + b)
+    return out
+
+
+def mean_faces(f: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Face values of a cell field by arithmetic means; boundary faces copy cells."""
+    lower, upper, inner, first, last = along(axis, f.ndim)
+    out = _faces_of(f, axis, first, last)
+    out[inner] = 0.5 * (f[lower] + f[upper])
+    return out
+
+
+def upwind_faces(f: np.ndarray, vel: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Face values of a cell field taken from the cell upstream of the face velocity.
+
+    A positive face velocity takes the lower cell, any other the upper
+    one; boundary faces copy cells.
+    """
+    lower, upper, inner, first, last = along(axis, f.ndim)
+    out = _faces_of(f, axis, first, last)
+    out[inner] = np.where(vel[inner] > 0.0, f[lower], f[upper])
+    return out
+
+
+def mean_cells(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Cell values of a face field by arithmetic means of each cell's two faces."""
+    lower, upper = along(axis, v.ndim)[:2]
+    return 0.5 * (v[lower] + v[upper])
 
 
 def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarray:
@@ -256,9 +316,8 @@ def radial_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     if not grid.radial:
         raise DomainError("radial_divergence needs a radial grid")
     grid.check_aligned(v)
-    v_f = np.empty(np.shape(v)[:-1] + (grid.n + 1,))
+    v_f = mean_faces(v)
     v_f[..., 0] = 0.0  # odd symmetry at the origin
-    v_f[..., 1:-1] = 0.5 * (v[..., :-1] + v[..., 1:])
     v_f[..., -1] = 1.5 * v[..., -1] - 0.5 * v[..., -2]
     flux = grid.face_areas * v_f
     return (flux[..., 1:] - flux[..., :-1]) / grid.shell_volumes

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainError, Grid
+from .grids import DomainError, Grid, along, harmonic_faces, mean_cells, mean_faces
 
 DEFAULT_TOL = 1.0e-10
 MAX_ITERATIONS = 50_000  # CG iteration cap of every solve
@@ -55,16 +55,10 @@ class StaggeredVector:
             np.zeros((n + 1, n, n)), np.zeros((n, n + 1, n)), np.zeros((n, n, n + 1))
         )
 
-    def copy(self) -> "StaggeredVector":
-        return StaggeredVector(self.fx.copy(), self.fy.copy(), self.fz.copy())
-
     def axpy(self, a: float, other: "StaggeredVector") -> "StaggeredVector":
         return StaggeredVector(
             self.fx + a * other.fx, self.fy + a * other.fy, self.fz + a * other.fz
         )
-
-    def scale(self, a: float) -> "StaggeredVector":
-        return StaggeredVector(a * self.fx, a * self.fy, a * self.fz)
 
     def max_abs(self) -> float:
         return max(
@@ -128,8 +122,21 @@ class RadialWeightedLaplacian:
         return w
 
 
+def _scale_boundary(f: np.ndarray, axis: int, factor: float) -> np.ndarray:
+    """Multiply the first and last layer of the face field f along axis by factor, in place."""
+    first, last = along(axis, f.ndim)[3:]
+    f[first] *= factor
+    f[last] *= factor
+    return f
+
+
 class CartesianWeightedLaplacian:
-    """Flux-form div(rho0 grad .) on the cartesian box, Dirichlet outside."""
+    """Flux-form div(rho0 grad .) on the cartesian box, Dirichlet outside.
+
+    Boundary faces sit half a cell from the outermost centers and from the
+    Dirichlet value 0 beyond them: their conductance doubles, their face
+    measure halves, and the face density stays the plain cell value.
+    """
 
     def __init__(self, grid: Grid, rho0: np.ndarray):
         if grid.radial:
@@ -138,80 +145,25 @@ class CartesianWeightedLaplacian:
         self.grid = grid
         self.rho0 = rho0
         self.h = grid.h
-        self.rho_faces = tuple(self._face_rho(rho0, axis) for axis in range(3))
-        # boundary faces get the half-cell factor in the conductance; the
-        # face density itself stays the plain cell value
-        self.cond = []
-        for axis in range(3):
-            c = self.rho_faces[axis] / self.h**2
-            first = [slice(None)] * 3
-            first[axis] = 0
-            last = [slice(None)] * 3
-            last[axis] = -1
-            c[tuple(first)] *= 2.0
-            c[tuple(last)] *= 2.0
-            self.cond.append(c)
-        self.cond = tuple(self.cond)
-
-    def _face_rho(self, rho: np.ndarray, axis: int) -> np.ndarray:
-        n = self.grid.n
-        shape = [n, n, n]
-        shape[axis] = n + 1
-        out = np.empty(shape)
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        inner = [slice(None)] * 3
-        lo[axis] = slice(0, n - 1)
-        hi[axis] = slice(1, n)
-        inner[axis] = slice(1, n)
-        a = rho[tuple(lo)]
-        b = rho[tuple(hi)]
-        out[tuple(inner)] = 2.0 * a * b / (a + b)
-        first = [slice(None)] * 3
-        last = [slice(None)] * 3
-        first[axis] = 0
-        last[axis] = n
-        cell_first = [slice(None)] * 3
-        cell_last = [slice(None)] * 3
-        cell_first[axis] = 0
-        cell_last[axis] = n - 1
-        out[tuple(first)] = rho[tuple(cell_first)]
-        out[tuple(last)] = rho[tuple(cell_last)]
-        return out
+        self.rho_faces = tuple(harmonic_faces(rho0, axis) for axis in range(3))
+        self.cond = tuple(
+            _scale_boundary(rho / self.h**2, axis, 2.0) for axis, rho in enumerate(self.rho_faces)
+        )
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         self.grid.check_aligned(phi)
         out = np.zeros_like(phi)
-        for axis in range(3):
-            c = self.cond[axis]
-            dphi = np.diff(phi, axis=axis)
-            inner = [slice(None)] * 3
-            inner[axis] = slice(1, -1)
-            flux = np.zeros_like(c)
-            flux[tuple(inner)] = c[tuple(inner)] * dphi
-            first = [slice(None)] * 3
-            first[axis] = 0
-            last = [slice(None)] * 3
-            last[axis] = -1
-            cell_first = [slice(None)] * 3
-            cell_first[axis] = 0
-            cell_last = [slice(None)] * 3
-            cell_last[axis] = -1
-            flux[tuple(first)] = c[tuple(first)] * phi[tuple(cell_first)]
-            flux[tuple(last)] = c[tuple(last)] * (0.0 - phi[tuple(cell_last)])
+        for axis, c in enumerate(self.cond):
+            flux = c * np.diff(phi, axis=axis, prepend=0.0, append=0.0)
             out += np.diff(flux, axis=axis)
         return out
 
     @cached_property
     def diagonal(self) -> np.ndarray:
         out = np.zeros(self.grid.field_shape)
-        for axis in range(3):
-            c = self.cond[axis]
-            lo = [slice(None)] * 3
-            hi = [slice(None)] * 3
-            lo[axis] = slice(0, -1)
-            hi[axis] = slice(1, None)
-            out -= c[tuple(lo)] + c[tuple(hi)]
+        for axis, c in enumerate(self.cond):
+            lower, upper = along(axis, c.ndim)[:2]
+            out -= c[lower] + c[upper]
         return out
 
     def precondition(self, rhs: np.ndarray) -> np.ndarray:
@@ -219,25 +171,14 @@ class CartesianWeightedLaplacian:
         return rhs / -self.diagonal
 
     def gradient(self, phi: np.ndarray) -> StaggeredVector:
-        parts = []
-        for axis in range(3):
-            c = self.cond[axis]
-            g = np.zeros_like(c)
-            inner = [slice(None)] * 3
-            inner[axis] = slice(1, -1)
-            g[tuple(inner)] = np.diff(phi, axis=axis) / self.h
-            first = [slice(None)] * 3
-            first[axis] = 0
-            last = [slice(None)] * 3
-            last[axis] = -1
-            cell_first = [slice(None)] * 3
-            cell_first[axis] = 0
-            cell_last = [slice(None)] * 3
-            cell_last[axis] = -1
-            g[tuple(first)] = 2.0 * phi[tuple(cell_first)] / self.h
-            g[tuple(last)] = -2.0 * phi[tuple(cell_last)] / self.h
-            parts.append(g)
-        return StaggeredVector(*parts)
+        """Discrete grad(Phi) on faces, with the Dirichlet closure at the boundary faces."""
+        return StaggeredVector(
+            *(
+                _scale_boundary(np.diff(phi, axis=axis, prepend=0.0, append=0.0), axis, 2.0)
+                / self.h
+                for axis in range(3)
+            )
+        )
 
     def rho_times(self, v: StaggeredVector) -> StaggeredVector:
         return StaggeredVector(
@@ -253,20 +194,18 @@ class CartesianWeightedLaplacian:
         out += np.diff(v.fz, axis=2) / self.h
         return out
 
-    def face_weights(self, axis: int) -> np.ndarray:
-        w = np.full(self.cond[axis].shape, self.h**3)
-        first = [slice(None)] * 3
-        first[axis] = 0
-        last = [slice(None)] * 3
-        last[axis] = -1
-        w[tuple(first)] = 0.5 * self.h**3
-        w[tuple(last)] = 0.5 * self.h**3
-        return w
+    @cached_property
+    def face_weights(self) -> tuple[np.ndarray, ...]:
+        """Face measure of each axis making the divergence the negative gradient adjoint."""
+        return tuple(
+            _scale_boundary(np.full(c.shape, self.h**3), axis, 0.5)
+            for axis, c in enumerate(self.cond)
+        )
 
     def face_inner(self, a: StaggeredVector, b: StaggeredVector) -> float:
         total = 0.0
-        for axis, (pa, pb) in enumerate(((a.fx, b.fx), (a.fy, b.fy), (a.fz, b.fz))):
-            total += float(np.sum(pa * pb * self.face_weights(axis)))
+        for pa, pb, w in zip((a.fx, a.fy, a.fz), (b.fx, b.fy, b.fz), self.face_weights):
+            total += float(np.sum(pa * pb * w))
         return total
 
 
@@ -325,15 +264,10 @@ def centers_to_faces(v: np.ndarray, grid: Grid) -> np.ndarray:
     against a zero far-field ghost.
     """
     grid.check_aligned(v)
-    out = np.empty(grid.n + 1)
+    out = mean_faces(v)
     out[0] = 0.0
-    out[1:-1] = 0.5 * (v[:-1] + v[1:])
-    out[-1] = 0.5 * v[-1]
+    out[-1] *= 0.5  # the mean with the zero ghost
     return out
-
-
-def faces_to_centers(v_faces: np.ndarray, grid: Grid) -> np.ndarray:
-    return 0.5 * (v_faces[:-1] + v_faces[1:])
 
 
 def project_radial_faces(v_faces: np.ndarray, prof) -> tuple[np.ndarray, np.ndarray]:
@@ -358,10 +292,9 @@ def project(v, prof):
     grid = prof.grid
     if grid.radial:
         grid.check_aligned(v)
-        v_faces = centers_to_faces(v, grid)
-        h_faces, phi = project_radial_faces(v_faces, prof)
-        return faces_to_centers(h_faces, grid), phi
-    op = CartesianWeightedLaplacian(grid, prof.rho0)
+        h_faces, phi = project_radial_faces(centers_to_faces(v, grid), prof)
+        return mean_cells(h_faces), phi
+    op = prof.laplacian
     rhs = op.divergence(op.rho_times(v))
     phi = solve_weighted_poisson(op, rhs)
     grad = op.gradient(phi)

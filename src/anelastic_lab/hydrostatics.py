@@ -21,12 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .grids import DomainError, EssResCutoff, Grid, harmonic_faces, radial_gradient
-from .helmholtz import RadialWeightedLaplacian
+from .helmholtz import CartesianWeightedLaplacian, RadialWeightedLaplacian
 from .params import ScalingParams
-
-
-class UnsupportedExponentError(DomainError):
-    """The adiabatic exponent is outside the range the closed form needs."""
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,14 @@ class StaticProfile:
         return harmonic_faces(self.rho0)
 
     @cached_property
-    def laplacian(self) -> RadialWeightedLaplacian:
-        """The weighted Laplacian div(rho0 grad .) of the radial projection and acoustics."""
-        return RadialWeightedLaplacian(self.grid, self.face_rho0)
+    def laplacian(self) -> RadialWeightedLaplacian | CartesianWeightedLaplacian:
+        """The weighted Laplacian div(rho0 grad .) of the projection, built once.
+
+        The radial operator also carries the acoustic operator's coefficients.
+        """
+        if self.grid.radial:
+            return RadialWeightedLaplacian(self.grid, self.face_rho0)
+        return CartesianWeightedLaplacian(self.grid, self.rho0)
 
     def rho0_at(self, r: np.ndarray) -> np.ndarray:
         """Evaluate the closed-form profile at arbitrary radii (ghost cells)."""
@@ -127,8 +128,6 @@ def _profile_closed_form(F: np.ndarray, gamma: float, rho_bar: float) -> np.ndar
 
 def build_profile(spec: PotentialSpec, params: ScalingParams, grid: Grid) -> StaticProfile:
     """Construct the static profile on the grid from the closed form."""
-    if params.gamma <= 1.0:
-        raise UnsupportedExponentError(f"gamma must exceed 1, got {params.gamma}")
     F = spec.value(grid.radii)
     rho0 = _profile_closed_form(F, params.gamma, params.rho_bar)
     return StaticProfile(

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 
 class ParameterError(ValueError):
@@ -30,7 +29,6 @@ class ScalingParams:
     mu: float = 1.0
     rho_bar: float = 1.0
     horizon: float = 2.5
-    warn_only: bool = False
 
     def __post_init__(self) -> None:
         problems = []
@@ -49,20 +47,7 @@ class ScalingParams:
         if not self.horizon > 0.0:
             problems.append(f"horizon must be positive, got {self.horizon}")
         if problems:
-            message = "; ".join(problems)
-            if self.warn_only:
-                warnings.warn(message, stacklevel=2)
-            else:
-                raise ParameterError(message)
+            raise ParameterError("; ".join(problems))
 
     def with_eps(self, eps: float) -> "ScalingParams":
-        return ScalingParams(
-            eps=eps,
-            alpha=self.alpha,
-            gamma=self.gamma,
-            lam=self.lam,
-            mu=self.mu,
-            rho_bar=self.rho_bar,
-            horizon=self.horizon,
-            warn_only=self.warn_only,
-        )
+        return replace(self, eps=eps)

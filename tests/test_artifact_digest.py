@@ -26,6 +26,7 @@ EXPECTED = {
     "spectrum": ("spectrum.csv",),
     "decay": ("decay.csv",),
     "strichartz": ("strichartz.csv",),
+    "simulate-anelastic-cartesian": ("anelastic.csv",),
 }
 
 

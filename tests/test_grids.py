@@ -8,11 +8,15 @@ from anelastic_lab.grids import (
     EssResCutoff,
     FieldAlignmentError,
     Grid,
+    harmonic_faces,
     integrate,
     lp_norm,
+    mean_cells,
+    mean_faces,
     radial_divergence,
     radial_gradient,
     smoothstep,
+    upwind_faces,
     weighted_inner,
 )
 
@@ -255,3 +259,66 @@ class TestRadialOperators:
         v = g.centers.copy()
         d = radial_divergence(v, g)
         assert np.max(np.abs(d[:-1] - 3.0)) < 1.0e-9
+
+
+def pairs(f):
+    return zip(f[:-1], f[1:])
+
+
+# each face transfer's definition on one line of cells f (faces v), element by element
+FACE_KERNELS = {
+    "harmonic_faces": (
+        harmonic_faces,
+        ("cells",),
+        lambda f: [f[0], *(2.0 * a * b / (a + b) for a, b in pairs(f)), f[-1]],
+    ),
+    "mean_faces": (
+        mean_faces,
+        ("cells",),
+        lambda f: [f[0], *(0.5 * (a + b) for a, b in pairs(f)), f[-1]],
+    ),
+    "upwind_faces": (
+        upwind_faces,
+        ("cells", "faces"),
+        lambda f, v: [f[0], *(a if s > 0.0 else b for (a, b), s in zip(pairs(f), v[1:-1])), f[-1]],
+    ),
+    "mean_cells": (mean_cells, ("faces",), lambda v: [0.5 * (a + b) for a, b in pairs(v)]),
+}
+
+
+def line_by_line(one_d, axis, *fields):
+    """Apply a 1-D definition to every line of the fields along axis."""
+    lines = [np.moveaxis(f, axis, -1) for f in fields]
+    lead = lines[0].shape[:-1]
+    out = np.array([one_d(*(line[idx] for line in lines)) for idx in np.ndindex(lead)])
+    return np.moveaxis(out.reshape(*lead, -1), -1, axis)
+
+
+def kernel_fields(axis, rng):
+    """A positive cell field of distinct extents and a signed face field along axis."""
+    shape = [5, 6, 7]
+    cells = rng.uniform(0.5, 2.0, shape)
+    shape[axis] += 1
+    faces = rng.standard_normal(shape)
+    faces[faces < -1.0] = 0.0  # zero velocity takes the upper cell
+    return {"cells": cells, "faces": faces}
+
+
+class TestFaceKernels:
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2])
+    @pytest.mark.parametrize("name", sorted(FACE_KERNELS))
+    def test_kernel_is_its_1d_definition_along_each_axis(self, name, axis, rng):
+        kernel, takes, one_d = FACE_KERNELS[name]
+        fields = [kernel_fields(axis, rng)[kind] for kind in takes]
+        got = kernel(*fields, axis)
+        assert np.array_equal(got, line_by_line(one_d, axis, *fields))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_upwind_takes_the_cell_the_face_velocity_comes_from(self, axis, rng):
+        cells = kernel_fields(axis, rng)["cells"]
+        vel = np.ones(mean_faces(cells, axis).shape)
+        lines = np.moveaxis(cells, axis, -1)
+        forward = np.moveaxis(upwind_faces(cells, vel, axis), axis, -1)
+        backward = np.moveaxis(upwind_faces(cells, -vel, axis), axis, -1)
+        assert np.array_equal(forward[..., 1:-1], lines[..., :-1])
+        assert np.array_equal(backward[..., 1:-1], lines[..., 1:])

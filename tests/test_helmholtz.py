@@ -190,10 +190,11 @@ class TestCartesianProjection:
         v = self.random_field(cart_grid.n, rng)
         w = self.random_field(cart_grid.n, rng)
         a, b = 1.7, -0.4
-        combo, _ = project(v.scale(a).axpy(b, w), cart_profile)
+        zero = StaggeredVector.zeros(cart_grid.n)
+        combo, _ = project(zero.axpy(a, v).axpy(b, w), cart_profile)
         hv, _ = project(v, cart_profile)
         hw, _ = project(w, cart_profile)
-        expect = hv.scale(a).axpy(b, hw)
+        expect = zero.axpy(a, hv).axpy(b, hw)
         assert combo.axpy(-1.0, expect).max_abs() < 1.0e-7 * max(combo.max_abs(), 1.0)
 
     def test_constant_coefficient_profile(self, cart_grid, params, rng):

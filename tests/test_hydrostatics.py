@@ -1,12 +1,10 @@
 import csv
 
 import numpy as np
-import pytest
 
 from anelastic_lab.grids import Grid
 from anelastic_lab.hydrostatics import (
     PotentialSpec,
-    UnsupportedExponentError,
     _profile_closed_form,
     build_profile,
     export_profile_csv,
@@ -30,13 +28,6 @@ def test_monatomic_spot_value():
     # gamma = 5/3, rho_bar = 1, F = 2.5: (1 + (2/5) 2.5)^(3/2) = 2 sqrt(2)
     val = _profile_closed_form(np.array([2.5]), 5.0 / 3.0, 1.0)[0]
     assert abs(val - 2.0 ** 1.5) < 1.0e-14
-
-
-def test_gamma_at_most_one_rejected(radial_grid):
-    with pytest.warns(UserWarning):
-        params = ScalingParams(gamma=1.0, warn_only=True)
-    with pytest.raises(UnsupportedExponentError):
-        build_profile(PotentialSpec(), params, radial_grid)
 
 
 def test_static_residual_zero_for_flat(flat_profile):

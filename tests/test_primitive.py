@@ -47,10 +47,6 @@ class TestScalingParams:
         with pytest.raises(ParameterError):
             ScalingParams(alpha=1.5)
 
-    def test_warn_only(self):
-        with pytest.warns(UserWarning):
-            ScalingParams(gamma=1.4, warn_only=True)
-
     def test_with_eps(self):
         p = EPS02.with_eps(0.1)
         assert p.eps == 0.1 and p.gamma == EPS02.gamma
