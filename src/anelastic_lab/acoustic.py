@@ -189,20 +189,12 @@ class FrequencyWindow:
         return (2.0 / self.delta) ** 2
 
 
-def _window_values(op: AcousticOperator, window) -> np.ndarray:
-    """G(sqrt(lambda)) per mode; window is a callable of sqrt(lambda) or a number."""
-    if callable(window):
-        return np.asarray(window(op.omegas), dtype=float)
-    return np.full_like(op.evals, float(window))
-
-
 def functional_calculus(op: AcousticOperator, window, h: np.ndarray) -> np.ndarray:
     """Apply G(sqrt(A)) to h through the eigenbasis.
 
-    window may be a FrequencyWindow, any callable of sqrt(lambda), or a
-    plain number (constant calculus).
+    window may be a FrequencyWindow or any callable of sqrt(lambda).
     """
-    return op.reconstruct(_window_values(op, window) * op.coeffs(h))
+    return op.reconstruct(window(op.omegas) * op.coeffs(h))
 
 
 def spatial_cutoff(delta: float, grid: Grid) -> np.ndarray:
@@ -365,7 +357,7 @@ def _windowed_modes(op, window, h, T, points_per_period, clock=1.0):
     array of the wave's coefficients on the modes the window keeps, vecs
     those (n, k_active) modes; the wave is coeffs @ vecs.T.
     """
-    g = _window_values(op, window)
+    g = window(op.omegas)  # G(sqrt(lambda)) per mode
     active = g > 1.0e-13
     omegas = op.omegas[active]
     times = time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)

@@ -8,6 +8,10 @@ Temperature moves by conservative first-order upwinding of rho0 * T with
 the projected face fluxes, so its extrema cannot expand beyond the
 projection tolerance; the density R = rho0 / T is derived.
 
+A run keeps its samples stacked, as the primitive run does; the
+divergence norms, the density and each smoothness surrogate are one
+array pass over the stack, bit for bit what each sample alone gives.
+
 In radial geometry every admissible velocity is a gradient, so V vanishes
 identically for all time, temperature is frozen, and grad Pi balances
 -T grad F exactly; the epsilon-sweep harness uses this as its closed-form
@@ -39,13 +43,17 @@ BLOWUP_FACTOR = 1.0e3  # smoothness surrogate growth that flags a blow-up
 
 @dataclass
 class AnelasticState:
-    """Velocity (faces), pressure multiplier, temperature and density."""
+    """Velocity (faces), pressure multiplier, temperature and density.
+
+    Stacked samples carry a leading sample axis and their times in t.  The
+    step leaves density unset; init and the stacked samples set rho0 / T.
+    """
 
     velocity: object  # ndarray (n+1,) radial, StaggeredVector cartesian
     pressure: np.ndarray
     temperature: np.ndarray
-    density: np.ndarray
-    t: float = 0.0
+    density: np.ndarray | None = None
+    t: float | np.ndarray = 0.0
 
 
 def init_anelastic(v0, theta20: np.ndarray, prof: StaticProfile) -> AnelasticState:
@@ -91,10 +99,8 @@ def _predict(
 
     The boundary faces carry no flow.
     """
-    inner, first, last = along(axis, face.ndim)[2:]
-    grad_f = np.zeros(face.shape)
-    grad_f[inner] = np.diff(prof.F, axis=axis) / prof.grid.h
-    pred = face + dt * (-adv - mean_faces(temperature, axis) * grad_f)
+    first, last = along(axis, face.ndim)[3:]
+    pred = face + dt * (-adv - mean_faces(temperature, axis) * prof.face_grad_F[axis])
     pred[first] = 0.0
     pred[last] = 0.0
     return pred
@@ -113,14 +119,7 @@ def step_anelastic(
     dt = min(dt_max, CFL * grid.h / vmax) if vmax > 0.0 else dt_max
     step = _step_radial if grid.radial else _step_cartesian
     v_new, phi, temp = step(state, prof, dt)
-    new = AnelasticState(
-        velocity=v_new,
-        pressure=phi / dt,
-        temperature=temp,
-        density=prof.rho0 / temp,
-        t=state.t + dt,
-    )
-    return new, dt
+    return AnelasticState(velocity=v_new, pressure=phi / dt, temperature=temp, t=state.t + dt), dt
 
 
 def _step_radial(state, prof, dt):
@@ -160,11 +159,16 @@ def _step_cartesian(state, prof, dt):
 
 @dataclass
 class AnelasticTrajectory:
+    """Stacked samples (samples.t holds the sample times) and their norms."""
+
     prof: StaticProfile
-    times: np.ndarray
-    states: list
+    samples: AnelasticState
     div_norms: np.ndarray  # || div(rho0 V) || per sample
     flux_norms: np.ndarray  # || rho0 V || per sample
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.samples.t
 
     @property
     def divergence_defects(self) -> np.ndarray:
@@ -179,51 +183,64 @@ class AnelasticTrajectory:
         return out
 
 
+def _fields(state: AnelasticState) -> tuple[np.ndarray, ...]:
+    """The velocity components, pressure and temperature of a state."""
+    v = state.velocity
+    components = (v.fx, v.fy, v.fz) if isinstance(v, StaggeredVector) else (v,)
+    return (*components, state.pressure, state.temperature)
+
+
 def run_anelastic(
     init: AnelasticState,
     prof: StaticProfile,
     horizon: float,
     n_samples: int = 21,
-    dt: float | None = None,
 ) -> AnelasticTrajectory:
-    """March the limit system, recording || div(rho0 V) || and || rho0 V ||."""
+    """March the limit system with steps of at most the sample spacing.
+
+    The samples are stacked as they are reached; || div(rho0 V) ||,
+    || rho0 V || and the density are computed once over the stack.
+    """
     times = np.linspace(0.0, horizon, n_samples)
-    if dt is None:
-        dt = times[1] - times[0] if n_samples > 1 else horizon
-    state = init
-    states = [init]
-    norms = [_div_norms(init, prof)]
-    t = 0.0
-    for target in times[1:]:
+    dt = times[1] - times[0] if n_samples > 1 else horizon
+    stacks = [np.empty((n_samples, *f.shape)) for f in _fields(init)]
+    state, t = init, 0.0
+    for k, target in enumerate(times):
         while t < target - 1.0e-13:
             state, step = step_anelastic(state, prof, min(dt, target - t))
             t += step
-        states.append(state)
-        norms.append(_div_norms(state, prof))
-    div_norms, flux_norms = np.asarray(norms).T
+        for stack, f in zip(stacks, _fields(state)):
+            stack[k] = f
+    *components, pressure, temperature = stacks
+    samples = AnelasticState(
+        velocity=components[0] if prof.grid.radial else StaggeredVector(*components),
+        pressure=pressure,
+        temperature=temperature,
+        density=prof.rho0 / temperature,
+        t=times,
+    )
+    div_norms, flux_norms = _div_norms(samples, prof)
     return AnelasticTrajectory(
-        prof=prof, times=times, states=states, div_norms=div_norms, flux_norms=flux_norms
+        prof=prof, samples=samples, div_norms=div_norms, flux_norms=flux_norms
     )
 
 
-def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[float, float]:
-    """(|| div(rho0 V) ||_2, || rho0 V ||_2).
+def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[np.ndarray, np.ndarray]:
+    """(|| div(rho0 V) ||_2, || rho0 V ||_2), one value per sample when stacked.
 
     Cell quadrature for the divergence, the Laplacian's face measure for
     rho0 V, so their ratio does not scale with h.
     """
-    grid = prof.grid
+    grid, op = prof.grid, prof.laplacian
     if grid.radial:
         rho_v = prof.face_rho0 * state.velocity
         div = np.diff(grid.face_areas * rho_v) / grid.weights
-        face_w = prof.laplacian.face_weights
-        scale = float(np.sqrt(np.sum(rho_v * rho_v * face_w)))
+        flux_sq = np.sum(rho_v * rho_v * op.face_weights, axis=-1)
     else:
-        op = prof.laplacian
         rho_v = op.rho_times(state.velocity)
         div = op.divergence(rho_v)
-        scale = float(np.sqrt(op.face_inner(rho_v, rho_v)))
-    return float(np.sqrt(integrate(div * div, grid))), scale
+        flux_sq = op.face_inner(rho_v, rho_v)
+    return np.sqrt(integrate(div * div, grid)), np.sqrt(flux_sq)
 
 
 @dataclass
@@ -242,42 +259,35 @@ class SmoothnessReport:
 def smoothness_monitor(traj: AnelasticTrajectory) -> SmoothnessReport:
     """Track sums of squared differences up to second order for V, Pi, R.
 
-    A field is flagged when its surrogate grows beyond BLOWUP_FACTOR times
-    its initial value (fields starting at zero are compared to the largest
-    surrogate seen instead).
+    Each surrogate is one pass over the stacked samples, summed over the
+    field axes.  A field is flagged when its surrogate grows beyond
+    BLOWUP_FACTOR times its initial value (fields starting at zero are
+    compared to the largest surrogate seen instead).
     """
-    grid = traj.prof.grid
+    grid, samples = traj.prof.grid, traj.samples
+    axes = grid.field_axes
 
-    def surrogate(f: np.ndarray) -> float:
-        total = float(np.sum(f * f))
+    def surrogate(f: np.ndarray) -> np.ndarray:
+        total = np.sum(f * f, axis=axes)
         work = f
         for _ in range(2):
-            if grid.radial:
-                work = np.diff(work) / grid.h
-                total += float(np.sum(work * work))
-            else:
-                grads = [
-                    np.diff(work, axis=ax) / grid.h for ax in range(3)
-                ]
-                total += sum(float(np.sum(g * g)) for g in grads)
-                work = grads[0]
+            grads = [np.diff(work, axis=ax) / grid.h for ax in axes]
+            total += sum(np.sum(g * g, axis=axes) for g in grads)
+            work = grads[0]
         return total
 
-    names = ("velocity", "pressure", "density")
-    series: dict = {name: [] for name in names}
-    for state in traj.states:
-        if grid.radial:
-            vmag = mean_cells(state.velocity)
-        else:
-            v = state.velocity
-            vmag = np.sqrt(
-                mean_cells(v.fx, 0) ** 2 + mean_cells(v.fy, 1) ** 2 + mean_cells(v.fz, 2) ** 2
-            )
-        series["velocity"].append(surrogate(vmag))
-        series["pressure"].append(surrogate(state.pressure))
-        series["density"].append(surrogate(state.density))
-
-    surrogates = {k: np.asarray(v) for k, v in series.items()}
+    v = samples.velocity
+    if grid.radial:
+        vmag = mean_cells(v)
+    else:
+        vmag = np.sqrt(
+            mean_cells(v.fx, -3) ** 2 + mean_cells(v.fy, -2) ** 2 + mean_cells(v.fz, -1) ** 2
+        )
+    surrogates = {
+        "velocity": surrogate(vmag),
+        "pressure": surrogate(samples.pressure),
+        "density": surrogate(samples.density),
+    }
     flags = {}
     for k, arr in surrogates.items():
         base = arr[0] if arr[0] > 0.0 else float(np.max(arr))

@@ -150,34 +150,23 @@ def integrate(f: np.ndarray, grid: Grid) -> float | np.ndarray:
     return float(total) if total.ndim == 0 else total
 
 
-def lp_norm(
-    f: np.ndarray, p: float, grid: Grid, radius: float | None = None
-) -> float | np.ndarray:
-    """L^p norm with the 3D volume measure, optionally restricted to a ball.
+def lp_norm(f: np.ndarray, p: float, grid: Grid) -> float | np.ndarray:
+    """L^p norm with the 3D volume measure.
 
-    p = np.inf gives the max norm over the (possibly restricted) cells.
-    The final 1/p root is taken value by value: numpy's array power is not
-    bit-identical to its scalar power, and stacked norms must equal the
-    norms of their rows.
+    p = np.inf gives the max norm over the cells.  The final 1/p root is
+    taken value by value: numpy's array power is not bit-identical to its
+    scalar power, and stacked norms must equal the norms of their rows.
     """
     grid.check_aligned(f)
     if p != np.inf and p < 1.0:
         raise DomainError(f"lp_norm needs p >= 1 or p = inf, got {p}")
     a = np.abs(np.asarray(f, dtype=float))
-    w = grid.weights
     axes = grid.field_axes
-    if radius is not None:
-        mask = grid.ball_mask(radius)
-        # indexing trailing axes leaves the rows strided; C order keeps each
-        # row's sum the pairwise sum of a single field
-        a = np.ascontiguousarray(a[..., mask])
-        w = np.broadcast_to(w, grid.field_shape)[mask]
-        axes = (-1,)
     if p == np.inf:
         top = np.max(a, axis=axes, initial=0.0)
         return float(top) if top.ndim == 0 else top
     a **= p  # in place: stacked input makes every temporary n_samples fields large
-    a *= w
+    a *= grid.weights
     sums = np.sum(a, axis=axes)
     if sums.ndim == 0:
         return float(sums ** (1.0 / p))

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acoustic import EigensolverError
+from .acoustic import (
+    AcousticState,
+    EigensolverError,
+    FrequencyWindow,
+    assemble_operator,
+    regularize_data,
+    spectral_solution,
+)
 from .grids import DomainError, Grid, lp_norm
 from .helmholtz import SolverError, project
 from .hydrostatics import PotentialSpec, StaticProfile, build_profile
@@ -242,14 +249,6 @@ def acoustic_ansatz(data: IllPreparedData, prof: StaticProfile, eps: float, delt
     the initial potential solves the weighted Poisson problem of the limit
     velocity; both are regularized at parameter delta before evolution.
     """
-    from .acoustic import (
-        AcousticState,
-        FrequencyWindow,
-        assemble_operator,
-        regularize_data,
-        spectral_solution,
-    )
-
     rho1, v0, _ = data.limit_fields(prof.grid)
     _, phi0 = project(v0, prof)
     op = assemble_operator(prof, lam_max=FrequencyWindow(delta).lam_max)

@@ -188,10 +188,10 @@ class CartesianWeightedLaplacian:
         )
 
     def divergence(self, v: StaggeredVector) -> np.ndarray:
-        """Compact divergence of a face field (values outside the box are 0)."""
-        out = np.diff(v.fx, axis=0) / self.h
-        out += np.diff(v.fy, axis=1) / self.h
-        out += np.diff(v.fz, axis=2) / self.h
+        """Compact divergence of a face field (values outside the box are 0), per leading index."""
+        out = np.diff(v.fx, axis=-3) / self.h
+        out += np.diff(v.fy, axis=-2) / self.h
+        out += np.diff(v.fz, axis=-1) / self.h
         return out
 
     @cached_property
@@ -202,11 +202,12 @@ class CartesianWeightedLaplacian:
             for axis, c in enumerate(self.cond)
         )
 
-    def face_inner(self, a: StaggeredVector, b: StaggeredVector) -> float:
+    def face_inner(self, a: StaggeredVector, b: StaggeredVector) -> float | np.ndarray:
+        """Face scalar product, one value per leading index of stacked components."""
         total = 0.0
         for pa, pb, w in zip((a.fx, a.fy, a.fz), (b.fx, b.fy, b.fz), self.face_weights):
-            total += float(np.sum(pa * pb * w))
-        return total
+            total += np.sum(pa * pb * w, axis=(-3, -2, -1))
+        return float(total) if np.ndim(total) == 0 else total
 
 
 def _cg(apply_a, rhs, dot, precondition, tol, maxiter):

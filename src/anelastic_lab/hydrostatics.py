@@ -105,6 +105,16 @@ class StaticProfile:
         return harmonic_faces(self.rho0)
 
     @cached_property
+    def face_grad_F(self) -> tuple[np.ndarray, ...]:
+        """dF on the faces of each field axis, 0 on its boundary faces (the anelastic buoyancy)."""
+        F = self.F
+        return tuple(
+            np.diff(F, axis=ax, prepend=np.take(F, [0], ax), append=np.take(F, [-1], ax))
+            / self.grid.h
+            for ax in self.grid.field_axes
+        )
+
+    @cached_property
     def laplacian(self) -> RadialWeightedLaplacian | CartesianWeightedLaplacian:
         """The weighted Laplacian div(rho0 grad .) of the projection, built once.
 

@@ -265,7 +265,6 @@ def rei_audit(
     traj: PrimitiveTrajectory,
     acoustic: SpectralWaveSolution,
     u_scale: float = 1.0,
-    tolerance: float | None = None,
     form: str = "grouped",
 ) -> REIReport:
     """Evaluate both sides of the relative energy inequality on a run.
@@ -397,11 +396,10 @@ def rei_audit(
     lhs = e_series - e_series[0] + diss
     defect = lhs - rhs_total
 
-    if tolerance is None:
-        # budget: one percent of the larger of the initial relative energy
-        # and the run's total energy reservoir (the scale every dissipation
-        # mechanism draws from), frozen after static-case calibration
-        tolerance = 1.0e-2 * max(e_series[0], float(traj.energy[0])) + 1.0e-12
+    # budget: one percent of the larger of the initial relative energy
+    # and the run's total energy reservoir (the scale every dissipation
+    # mechanism draws from), frozen after static-case calibration
+    tolerance = 1.0e-2 * max(e_series[0], float(traj.energy[0])) + 1.0e-12
     return REIReport(
         times=times,
         rel_energy=e_series,

@@ -4,6 +4,7 @@ import pytest
 from anelastic_lab.anelastic import (
     CFL,
     AnelasticState,
+    AnelasticTrajectory,
     _div_norms,
     init_anelastic,
     run_anelastic,
@@ -86,9 +87,9 @@ class TestCartesianStep:
         v0 = stream_function_field(lap, rng)
         theta = 1.0 + 0.3 * np.exp(-cart_grid.radii**2)
         state = init_anelastic(v0, theta, cart_profile)
-        traj = run_anelastic(state, cart_profile, horizon=0.15, n_samples=4, dt=0.05)
+        traj = run_anelastic(state, cart_profile, horizon=0.15, n_samples=4)
         assert np.all(traj.divergence_defects < 1.0e-7)
-        t_end = traj.states[-1].temperature
+        t_end = traj.samples.temperature[-1]
         assert t_end.max() <= theta.max() + 1.0e-10
         assert t_end.min() >= theta.min() - 1.0e-10
 
@@ -124,14 +125,15 @@ class TestSmoothnessMonitor:
             np.ones(radial_grid.n),
             radial_profile,
         )
-        from anelastic_lab.anelastic import AnelasticTrajectory
-
+        samples = AnelasticState(
+            velocity=np.tile(state.velocity, (5, 1)),
+            pressure=np.tile(state.pressure, (5, 1)),
+            temperature=np.tile(state.temperature, (5, 1)),
+            density=np.tile(state.density, (5, 1)),
+            t=np.linspace(0.0, 1.0, 5),
+        )
         traj = AnelasticTrajectory(
-            prof=radial_profile,
-            times=np.linspace(0.0, 1.0, 5),
-            states=[state] * 5,
-            div_norms=np.zeros(5),
-            flux_norms=np.zeros(5),
+            prof=radial_profile, samples=samples, div_norms=np.zeros(5), flux_norms=np.zeros(5)
         )
         rep = smoothness_monitor(traj)
         for series in rep.surrogates.values():
@@ -144,7 +146,7 @@ class TestSmoothnessMonitor:
             np.full(radial_grid.n, 0.8),
             radial_profile,
         )
-        traj = run_anelastic(state, radial_profile, 0.5, n_samples=6, dt=0.05)
+        traj = run_anelastic(state, radial_profile, 0.5, n_samples=11)
         rep = smoothness_monitor(traj)
         # pressure appears at the first projection; constant afterwards
         pr = rep.surrogates["pressure"][1:]
@@ -157,6 +159,61 @@ class TestSmoothnessMonitor:
         v0 = stream_function_field(lap, rng)
         theta = 1.0 + 0.2 * np.exp(-cart_grid.radii**2)
         state = init_anelastic(v0, theta, cart_profile)
-        traj = run_anelastic(state, cart_profile, 0.1, n_samples=3, dt=0.05)
+        traj = run_anelastic(state, cart_profile, 0.1, n_samples=3)
         rep = smoothness_monitor(traj)
         assert not rep.any_blowup
+
+
+def _sample(samples: AnelasticState, k: int) -> AnelasticState:
+    """Sample k of a stacked state, as a state of its own."""
+    v = samples.velocity
+    if not isinstance(v, StaggeredVector):
+        vel = v[k].copy()
+    else:
+        vel = StaggeredVector(v.fx[k].copy(), v.fy[k].copy(), v.fz[k].copy())
+    return AnelasticState(
+        vel, samples.pressure[k].copy(), samples.temperature[k].copy(), t=samples.t[k]
+    )
+
+
+def _surrogate_alone(f: np.ndarray, grid: Grid) -> float:
+    """The smoothness surrogate of one field, summed one axis family at a time."""
+    total = float(np.sum(f * f))
+    work = f
+    for _ in range(2):
+        grads = [np.diff(work, axis=ax) / grid.h for ax in range(f.ndim)]
+        total += sum(float(np.sum(g * g)) for g in grads)
+        work = grads[0]
+    return total
+
+
+@pytest.mark.parametrize("geometry", ["radial", "cartesian"])
+def test_stacked_samples_match_each_sample_alone(geometry, params, rng):
+    grid = Grid(geometry, 8, 8.0, 6.0)
+    prof = build_profile(PotentialSpec(), params, grid)
+    if grid.radial:
+        v0 = rng.standard_normal(grid.n)
+    else:
+        z = StaggeredVector.zeros(grid.n)
+        v0 = StaggeredVector(*(rng.standard_normal(f.shape) for f in (z.fx, z.fy, z.fz)))
+    theta = 1.0 + 0.3 * np.exp(-grid.radii**2)
+    traj = run_anelastic(init_anelastic(v0, theta, prof), prof, 0.15, n_samples=4)
+    samples = traj.samples
+    assert np.array_equal(samples.t, traj.times)
+    rep = smoothness_monitor(traj)
+    for k in range(traj.times.size):
+        alone = _sample(samples, k)
+        assert _div_norms(alone, prof) == (traj.div_norms[k], traj.flux_norms[k])
+        density = prof.rho0 / alone.temperature
+        assert np.array_equal(samples.density[k], density)
+        v = alone.velocity
+        if grid.radial:
+            vmag = 0.5 * (v[:-1] + v[1:])
+        else:
+            vmag = np.sqrt(
+                (0.5 * (v.fx[:-1] + v.fx[1:])) ** 2
+                + (0.5 * (v.fy[:, :-1] + v.fy[:, 1:])) ** 2
+                + (0.5 * (v.fz[:, :, :-1] + v.fz[:, :, 1:])) ** 2
+            )
+        for name, field in (("velocity", vmag), ("pressure", alone.pressure), ("density", density)):
+            assert rep.surrogates[name][k] == _surrogate_alone(field, grid)
