@@ -390,6 +390,9 @@ def measure_local_decay(
     """
     times, c, vecs = _windowed_modes(op, window, h, T, points_per_period)
     mask = op.grid.ball_mask(ball_radius)
+    if not mask.any():  # NaN too
+        raise DomainError(f"acoustic.ball_radius = {ball_radius:g} holds no cell: "
+                          f"the first cell centre is r = {op.grid.centers[0]:g}")
     ball = vecs[mask]
     gram = ball.T @ (op.grid.weights[mask][:, None] * ball)
     series = np.sum((c @ gram) * c.conj(), axis=-1).real

@@ -35,7 +35,13 @@ The runner is lockstep: run_lockstep advances members that differ only
 in eps as one (m, n) stack, one fused step call per iteration, and
 run_primitive is its one-member case.  Each member takes its own dt and
 leaves the stack at a sample time until all have reached it, so a sweep
-runs the largest member's steps per interval instead of their sum.
+runs the largest member's steps per interval instead of their sum.  The
+ledger (dissipation and N3 rates and trapezoids, sponge sinks, outflow)
+is folded once per block of steps, not per step: the rates are taken on
+the block's stacked velocities, where every row reduces alone along its
+own last axis, and the increments are added onto the carried ledger by
+np.add.accumulate, which adds in sequence, so it is bit for bit the
+per-step ledger.
 
 Up to the viscous solve, the step does the straightforward expressions'
 floating-point operations in their order, so it is bit for bit their
@@ -71,6 +77,10 @@ from .params import ScalingParams
 RHO_FLOOR = 1.0e-12
 VACUUM_CUT = 1.0e-10
 CFL = 0.4
+# Steps per diagnostic block of run_lockstep.  At the default sweep (3 members,
+# n = 512) its buffers and the fold's temporaries peak at 0.86 MB, and a fold's
+# fixed cost is shared by up to 16 steps: ~4 folds per sample interval of ~48 steps.
+_BLOCK = 16
 
 
 class DataError(ValueError):
@@ -482,7 +492,9 @@ def run_lockstep(
     Rows reduce along their own C-contiguous last axis, so each member is
     bit for bit its run alone.  The dissipation and N3 rates (N3 on the ball
     of radius grid.default_compact_radius) use the trapezoidal rule; a
-    SolverFailure names the failing member.
+    SolverFailure names the failing member.  An iteration keeps the step's
+    u, N3 integrand, dt, sinks and fluxes as one row of a block, which is
+    folded into the ledger when it is full or a member reaches the sample time.
     """
     for j, init in enumerate(inits):
         init.validate(member=j)
@@ -491,47 +503,59 @@ def run_lockstep(
     if sample_times[0] != 0.0 or np.any(np.diff(sample_times) <= 0.0):
         raise DomainError("sample times must start at 0 and increase")
     nk = np.count_nonzero(grid.ball_mask(grid.default_compact_radius))  # K: a prefix of the cells
-    w_k = grid.weights[:nk] / prof.rho0[:nk]
-    area_out = grid.face_areas[-1]
-
-    def n3_rate(mom: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """int_K (rho/rho0) u^2 per member, as mom u w / rho0."""
-        x = mom[:, :nk] * u[:, :nk]
-        x *= w_k
-        return x.sum(axis=-1)
+    w_k, area_out = grid.weights[:nk] / prof.rho0[:nk], grid.face_areas[-1]
 
     m = len(inits)
     fields = np.stack([init.fields for init in inits], axis=1)
     t = np.array([init.t for init in inits], dtype=float)
     u = PrimitiveState.of(fields, t).velocity
     led = np.zeros((8, m))  # dissipation, N3, sponge and outflow (mass, q), the two rates
-    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[1], u)
-    rates = np.empty((2, m))  # the live members' new rates, in its first columns
+    led[6], led[7] = viscous_dissipation_rate(u, aux), (fields[1, :, :nk] * u[:, :nk] * w_k).sum(-1)
+    # per step of the block its u, N3 integrand mom u on K and (dt, sinks, fluxes);
+    # the live members are the first columns
+    blk_u, blk_k = np.empty((_BLOCK, m, grid.n)), np.empty((_BLOCK, m, nk))
+    blk_s = np.empty((_BLOCK, 5, m))
     steps = np.zeros(m, dtype=int)
     stack_aux = functools.cache(aux.members)  # one aux, with its work buffers, per membership
     samples = np.empty((3, m, sample_times.size, grid.n))
     ledger = np.empty((m, 9, sample_times.size))  # PrimitiveTrajectory series order
+
+    def fold(s_led, s_aux, rows):
+        """Add the block's first rows onto s_led, the live members' (8, j) ledger."""
+        j = s_led.shape[1]
+        blk, x, inc = blk_s[:rows, :, :j], blk_k[:rows, :j], np.empty((rows + 1, 8, j))
+        x *= w_k
+        # row 0 is the carried ledger, row i + 1 step i's increments and new rates
+        inc[0], inc[1:, 7] = s_led, x.sum(axis=-1)
+        inc[1:, 6] = viscous_dissipation_rate(blk_u[:rows, :j], s_aux)
+        dt = blk[:, :1]  # per-step operand order: (0.5 dt)(prev + rate), dt sink, (dt area) flux
+        np.multiply(0.5 * dt, inc[:-1, 6:] + inc[1:, 6:], out=inc[1:, :2])
+        np.multiply(dt, blk[:, 1:3], out=inc[1:, 2:4])
+        np.multiply(dt * area_out, blk[:, 3:], out=inc[1:, 4:6])
+        s_led[:6], s_led[6:] = np.add.accumulate(inc[:, :6])[-1], inc[-1, 6:]
+
     for k, target in enumerate(sample_times):
         edge = target - 1.0e-13  # a member within round-off of the target has reached it
         live = np.flatnonzero(t < edge)
         state, s_led = PrimitiveState.of(fields[:, live], t[live]), led[:, live]
-        u, taken = None, 0
-        s_aux, s_rates = stack_aux(tuple(live.tolist())), rates[:, : live.size]
+        u, taken, row = None, 0, 0
+        s_aux = stack_aux(tuple(live.tolist()))
         while live.size:
             try:
                 state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, u)
             except SolverFailure as exc:
                 exc.member = int(live[exc.member])
                 raise
-            taken += 1
-            u = state.velocity
-            s_rates[0] = viscous_dissipation_rate(u, s_aux)
-            s_rates[1] = n3_rate(state.mom, u)
-            s_led[:2] += 0.5 * dt * (s_led[6:] + s_rates)
-            s_led[6:] = s_rates
-            s_led[2:4] += dt * sink
-            s_led[4:6] += dt * area_out * flux
-            if max(state.t.tolist()) >= edge:
+            taken, j = taken + 1, live.size
+            u = np.divide(state.mom, state.rho_f, out=blk_u[row, :j])
+            np.multiply(state.mom[:, :nk], u[:, :nk], out=blk_k[row, :j])
+            blk_s[row, 0, :j], blk_s[row, 1:3, :j], blk_s[row, 3:, :j] = dt, sink, flux
+            row += 1
+            reached = max(state.t.tolist()) >= edge
+            if reached or row == _BLOCK:
+                fold(s_led, s_aux, row)
+                row = 0
+            if reached:
                 moving = state.t < edge
                 gone, done = live[~moving], ~moving
                 fields[:, gone], t[gone] = state.fields[:, done], state.t[done]
@@ -541,7 +565,7 @@ def run_lockstep(
                 if live.size:
                     rho_f, s_aux = state.rho_f[moving], stack_aux(tuple(live.tolist()))
                     state = PrimitiveState.of(state.fields[:, moving], state.t[moving], rho_f)
-                    s_led, u, s_rates = s_led[:, moving], u[moving], rates[:, : live.size]
+                    s_led, u = s_led[:, moving], u[moving]
         samples[:, :, k] = fields
         ledger[:, (1, 8, 4, 5, 6, 7), k] = led[:6].T
 

@@ -343,3 +343,20 @@ def test_members_equals_a_fresh_aux(idx):
             assert np.array_equal(other, value), name
         else:
             assert other is value or other == value, name
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+def test_folded_ledger_equals_the_per_step_ledger(monkeypatch, rows):
+    # one row per block is the per-step ledger; with 3 samples an interval holds
+    # more steps than the default block, and members leave the stack mid-block
+    prof, params, inits, times = members(EPS)
+    times = times[::8]
+    default = run_lockstep(inits, prof, params, times)
+    assert default[-1].step_count > 2 * (times.size - 1) * primitive._BLOCK
+    monkeypatch.setattr(primitive, "_BLOCK", rows)
+    for traj, folded in zip(default, run_lockstep(inits, prof, params, times)):
+        assert folded.step_count == traj.step_count
+        assert np.array_equal(folded.samples.fields, traj.samples.fields)
+        assert np.array_equal(folded.times, traj.times)
+        for name in SERIES:
+            assert np.array_equal(getattr(folded, name), getattr(traj, name)), name

@@ -1,7 +1,7 @@
 """The benchmark trace wraps library functions by name.
 
-A rename of a traced function, a time loop that calls the dt limit or
-the dissipation rate more than once per step, an audit that rebuilds
+A rename of a traced function, a time loop that calls the dt limit more
+than once per step or takes a state's dissipation rate twice, an audit that rebuilds
 the acoustic wave once per sample instead of once per field, or a decay
 run that diagonalizes the whole operator instead of the window's modes,
 fails here instead of silently breaking the benchmark's per-layer metrics.
@@ -42,12 +42,20 @@ def test_every_target_installs_and_uninstalls(tracing):
     assert primitive.step_primitive is original
 
 
-def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing):
+def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing, monkeypatch):
     grid = Grid("radial", 64, 8.0, 6.0)
     params = ScalingParams(eps=0.4, horizon=0.2)
     prof = build_profile(PotentialSpec(), params, grid)
     bump = GaussianBump(0.3, 1.0)
     init = init_ill_prepared(IllPreparedData(rho1=bump, vel_potential=bump), prof, params)
+    rows = []  # states per dissipation-rate call: the rate takes a block of steps at once
+    real_rate = primitive.viscous_dissipation_rate
+
+    def counting_rate(u, aux):
+        rows.append(int(np.prod(u.shape[:-1])))
+        return real_rate(u, aux)
+
+    monkeypatch.setattr(primitive, "viscous_dissipation_rate", counting_rate)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -62,7 +70,8 @@ def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing):
     # the trace buckets steps by the eps it reads off run_primitive's arguments
     assert metrics["primitive.steps.eps0.4"] == steps
     assert metrics["primitive.dt_calls_per_step"] == 1.0
-    assert metrics["primitive.diss_calls_per_step"] == (steps + 1) / steps
+    # each state's rate is evaluated exactly once: the initial state's, then one per step
+    assert sum(rows) == steps + 1
 
 
 def test_audit_reconstructs_each_field_once(tracing):
