@@ -351,12 +351,12 @@ class TestCli:
         (["audit-rei", "--set", "acoustic.delta=0"], "acoustic.delta"),
         (["audit-rei", "--set", "acoustic.delta=1"], "acoustic.delta"),
         (["decay", "--set", "acoustic.delta=nan"], "acoustic.delta"),
+        (["sweep", "--set", "sweep.beta=nan"], "sweep.beta"),
+        (["audit-rei", "--set", "sweep.beta=0.6"], "sweep.beta"),
         # a ball that holds no cell: SMALL's first cell centre is h/2 = 1/24
         (["decay", "--set", "acoustic.ball_radius=-1"], "acoustic.ball_radius"),
         (["decay", "--set", "acoustic.ball_radius=0.02"], "acoustic.ball_radius"),
         (["decay", "--set", "acoustic.ball_radius=nan"], "acoustic.ball_radius"),
-        (["sweep", "--set", "sweep.beta=nan"], "sweep.beta"),
-        (["audit-rei", "--set", "sweep.beta=0.6"], "sweep.beta"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, key):
