@@ -2,12 +2,18 @@
 """Run the benchmark and fold its results into BENCH_<label>.json at the root.
 
     python3 scripts/bench.py LABEL [--workload NAME[:SEEDS] ...] [--trace NAME ...]
-                             [--seconds S] [--against REF]
+                             [--against REF]
 
 Each --workload runs `perfbench/run.py --workload NAME --seed N --trace 0`
 for every seed N of SEEDS (`1-10`, `1,4,7` or `3`; default `1-10`); the
 default is all four workloads of BENCHMARK.json on seeds 1-10.  Each
 --trace NAME adds one traced (`--trace 1`) seed-0 run of that workload.
+Every run lasts BENCHMARK.json's run_seconds, so all recorded pairs share
+one run length.
+
+The script measures committed code only: it refuses to run while `src/`,
+`perfbench/` or `BENCHMARK.json` differ from HEAD, so the checkout's side
+is the commit named in the BENCH file.
 
 With --against REF every run is a pair: the same command on this checkout
 and on the git ref REF, exported with `git archive` into a temporary
@@ -65,20 +71,22 @@ def plan_of(args) -> list[tuple[str, int, int]]:
     return plan + [(name, 0, 1) for name in args.trace]
 
 
-def refuse_other_benchmark(ref: str) -> str | None:
-    """Why REF's benchmark differs from this checkout's, or None if it does not."""
-    if git("diff", "--quiet", ref, "--", "perfbench", "BENCHMARK.json", check=False).returncode:
+def refusal(ref: str | None) -> str | None:
+    """Why the runs would not measure committed code under one benchmark, or None."""
+    dirty = git("status", "--porcelain", "--", "src", "perfbench", "BENCHMARK.json").stdout
+    if dirty.strip():
+        return f"src/, perfbench/ or BENCHMARK.json differ from HEAD:\n{dirty.decode()}"
+    if ref and git("diff", "--quiet", ref, "--", "perfbench", "BENCHMARK.json",
+                   check=False).returncode:
         return f"perfbench/ or BENCHMARK.json differ between {ref} and this checkout"
-    untracked = git("ls-files", "--others", "--exclude-standard", "perfbench").stdout.strip()
-    if untracked:
-        return f"perfbench/ holds untracked files: {untracked.decode().split()}"
     return None
 
 
-def run_one(root: Path, out: Path, workload: str, seed: int, trace: int, seconds: float) -> dict:
+def run_one(root: Path, out: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run from the checkout at root: its JSON line plus its run record."""
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace), "--out", str(out)]
+           "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", str(trace),
+           "--out", str(out)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines:
@@ -130,18 +138,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", metavar="NAME[:SEEDS]")
     parser.add_argument("--trace", action="append", default=[], metavar="NAME",
                         help="add one traced seed-0 run of NAME")
-    parser.add_argument("--seconds", type=float, default=SPEC["run_seconds"])
     parser.add_argument("--against", metavar="REF", help="alternate each run with one at REF")
     args = parser.parse_args(argv)
     plan = plan_of(args)
-    head = git("rev-parse", "HEAD").stdout.decode().strip()
-    dirty = bool(git("status", "--porcelain", "--", "src", "perfbench").stdout.strip())
-    sides = {"change": {"git_sha": head, "src_or_perfbench_uncommitted": dirty}}
+    why = refusal(args.against)
+    if why:
+        print(f"bench: refusing to run: {why}", file=sys.stderr)
+        return 2
+    sides = {"change": {"git_sha": git("rev-parse", "HEAD").stdout.decode().strip()}}
     if args.against:
-        why = refuse_other_benchmark(args.against)
-        if why:
-            print(f"bench: refusing to pair: {why}", file=sys.stderr)
-            return 2
         sha = git("rev-parse", "--verify", f"{args.against}^{{commit}}").stdout.decode().strip()
         sides["ref"] = {"ref": args.against, "git_sha": sha}
 
@@ -157,7 +162,7 @@ def main(argv=None) -> int:
             order = ["ref", "change"] if pair % 2 == 0 else ["change", "ref"]
             for side in order if args.against else ["change"]:
                 out = Path(tmp) / f"out-{side}"
-                run = run_one(roots[side], out, workload, seed, trace, args.seconds)
+                run = run_one(roots[side], out, workload, seed, trace)
                 runs.append({"side": side, "pair": pair, **run})
                 shown = run["metrics"].get("wall_s", run["metrics"].get("primitive.steps"))
                 print(f"{workload:<10} seed {seed:>2} trace {trace} {side:<6} {shown:.4g} "
@@ -168,7 +173,7 @@ def main(argv=None) -> int:
         "label": args.label,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "argv": sys.argv[1:] if argv is None else argv,
-        "seconds": args.seconds,
+        "seconds": SPEC["run_seconds"],
         "sides": sides,
         "host": {
             "nproc": len(os.sched_getaffinity(0)),

@@ -505,12 +505,17 @@ def run_lockstep(
     nk = np.count_nonzero(grid.ball_mask(grid.default_compact_radius))  # K: a prefix of the cells
     w_k, area_out = grid.weights[:nk] / prof.rho0[:nk], grid.face_areas[-1]
 
+    def n3_rate(x: np.ndarray) -> np.ndarray:
+        """int_K (rho/rho0) u^2 per row, from (and over) x = mom u on K, as x w / rho0."""
+        x *= w_k
+        return x.sum(axis=-1)
+
     m = len(inits)
     fields = np.stack([init.fields for init in inits], axis=1)
     t = np.array([init.t for init in inits], dtype=float)
     u = PrimitiveState.of(fields, t).velocity
     led = np.zeros((8, m))  # dissipation, N3, sponge and outflow (mass, q), the two rates
-    led[6], led[7] = viscous_dissipation_rate(u, aux), (fields[1, :, :nk] * u[:, :nk] * w_k).sum(-1)
+    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[1, :, :nk] * u[:, :nk])
     # per step of the block its u, N3 integrand mom u on K and (dt, sinks, fluxes);
     # the live members are the first columns
     blk_u, blk_k = np.empty((_BLOCK, m, grid.n)), np.empty((_BLOCK, m, nk))
@@ -523,10 +528,9 @@ def run_lockstep(
     def fold(s_led, s_aux, rows):
         """Add the block's first rows onto s_led, the live members' (8, j) ledger."""
         j = s_led.shape[1]
-        blk, x, inc = blk_s[:rows, :, :j], blk_k[:rows, :j], np.empty((rows + 1, 8, j))
-        x *= w_k
+        blk, inc = blk_s[:rows, :, :j], np.empty((rows + 1, 8, j))
         # row 0 is the carried ledger, row i + 1 step i's increments and new rates
-        inc[0], inc[1:, 7] = s_led, x.sum(axis=-1)
+        inc[0], inc[1:, 7] = s_led, n3_rate(blk_k[:rows, :j])
         inc[1:, 6] = viscous_dissipation_rate(blk_u[:rows, :j], s_aux)
         dt = blk[:, :1]  # per-step operand order: (0.5 dt)(prev + rate), dt sink, (dt area) flux
         np.multiply(0.5 * dt, inc[:-1, 6:] + inc[1:, 6:], out=inc[1:, :2])
