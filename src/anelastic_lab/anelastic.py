@@ -1,23 +1,25 @@
-"""Weighted-projection solver for the limit system.
+"""The anelastic limit system: a radial closed form and a cartesian time loop.
 
 The limit flow keeps div(rho0 V) = 0 while temperature is transported and
-feeds back through the buoyancy -T grad F.  Each step is a predictor
-(explicit advection plus buoyancy) followed by the weighted Helmholtz
-projection, whose potential divided by dt is the pressure multiplier.
-Temperature moves by conservative first-order upwinding of rho0 * T with
-the projected face fluxes, so its extrema cannot expand beyond the
-projection tolerance; the density R = rho0 / T is derived.
+feeds back through the buoyancy -T grad F.  In radial geometry the flux
+rho0 V vanishes at r = 0, so the only admissible velocity is V = 0:
+temperature is frozen and grad Pi balances -T grad F.  run_anelastic
+writes that closed form and takes no step; the epsilon-sweep harness
+uses it as its reference.
+
+The cartesian mode stores V on the staggered (MAC) faces and admits a
+nontrivial solenoidal velocity, so only it has a time loop.  Each step is
+a predictor (explicit advection plus buoyancy) followed by the weighted
+Helmholtz projection, whose potential divided by dt is the pressure
+multiplier.  Temperature moves by conservative first-order upwinding of
+rho0 * T with the projected face fluxes, so its extrema cannot expand
+beyond the projection tolerance; the density R = rho0 / T is derived.
+The projection is an acceptance gate (c03), and simulate-anelastic runs
+the loop with --experimental.
 
 A run keeps its samples stacked, as the primitive run does; the
 divergence norms, the density and each smoothness surrogate are one
 array pass over the stack, bit for bit what each sample alone gives.
-
-In radial geometry every admissible velocity is a gradient, so V vanishes
-identically for all time, temperature is frozen, and grad Pi balances
--T grad F exactly; the epsilon-sweep harness uses this as its closed-form
-reference.  The cartesian mode stores V on the staggered (MAC) faces and
-admits a nontrivial solenoidal velocity; its weighted projection is an
-acceptance gate (c03), and simulate-anelastic runs it with --experimental.
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import along, integrate, mean_cells, mean_faces, upwind_faces
-from .helmholtz import (
-    DEFAULT_TOL,
-    StaggeredVector,
-    centers_to_faces,
-    project,
-    project_radial_faces,
-)
+from .grids import DomainError, along, integrate, mean_cells, mean_faces, upwind_faces
+from .helmholtz import DEFAULT_TOL, StaggeredVector, project
 from .hydrostatics import StaticProfile
 from .primitive import DataError
 
@@ -57,14 +53,17 @@ class AnelasticState:
 
 
 def init_anelastic(v0, theta20: np.ndarray, prof: StaticProfile) -> AnelasticState:
-    """Project the raw velocity and set temperature/density from theta20."""
+    """Project the raw velocity and set temperature/density from theta20.
+
+    A radial velocity projects to V = 0, which is set without a solve.
+    """
     grid = prof.grid
     grid.check_aligned(theta20)
-    if np.any(theta20 <= 0.0):
+    if not np.all(theta20 > 0.0):  # NaN fails too
         raise DataError("initial temperature must be strictly positive")
     if grid.radial:
         grid.check_aligned(v0)
-        v_faces, _ = project_radial_faces(centers_to_faces(v0, grid), prof)
+        v_faces = np.zeros(grid.n + 1)
     else:
         v_faces = project(v0, prof)[0]
     return AnelasticState(
@@ -87,74 +86,46 @@ def _upwind_derivative(f: np.ndarray, vel: np.ndarray, axis: int, h: float) -> n
     return np.where(vel > 0.0, back, fwd)
 
 
-def _predict(
-    face: np.ndarray,
-    adv: np.ndarray,
-    temperature: np.ndarray,
-    prof: StaticProfile,
-    axis: int,
-    dt: float,
-) -> np.ndarray:
-    """Face velocity along axis after explicit advection adv and buoyancy -T grad F.
-
-    The boundary faces carry no flow.
-    """
-    first, last = along(axis, face.ndim)[3:]
-    pred = face + dt * (-adv - mean_faces(temperature, axis) * prof.face_grad_F[axis])
-    pred[first] = 0.0
-    pred[last] = 0.0
-    return pred
-
-
 def step_anelastic(
     state: AnelasticState, prof: StaticProfile, dt_max: float
 ) -> tuple[AnelasticState, float]:
-    """Predict with advection and buoyancy, project, then move temperature.
+    """One cartesian step: predict with advection and buoyancy, project, move temperature.
 
     The step takes dt = min(dt_max, CFL * h / max |V|), so it is stable by
-    construction, and returns the new state and that dt.
+    construction, and returns the new state and that dt.  Advection uses
+    cell-centered velocities; the boundary faces of the predictor carry no
+    flow.  Radial runs take no step (see run_anelastic).
     """
     grid, v = prof.grid, state.velocity
-    vmax = float(np.max(np.abs(v))) if grid.radial else v.max_abs()
+    if grid.radial:
+        raise DomainError("the anelastic step runs in cartesian mode; radial runs are closed form")
+    vmax = v.max_abs()
     dt = min(dt_max, CFL * grid.h / vmax) if vmax > 0.0 else dt_max
-    step = _step_radial if grid.radial else _step_cartesian
-    v_new, phi, temp = step(state, prof, dt)
-    return AnelasticState(velocity=v_new, pressure=phi / dt, temperature=temp, t=state.t + dt), dt
-
-
-def _step_radial(state, prof, dt):
-    """(V, Phi, T) at the new time; T moves by conservative upwinding of rho0 T."""
-    grid, v = prof.grid, state.velocity
-    adv = v * _upwind_derivative(v, v, -1, grid.h)
-    v_new, phi = project_radial_faces(_predict(v, adv, state.temperature, prof, -1, dt), prof)
-    mass_flux = grid.face_areas * prof.face_rho0 * v_new
-    t_up = upwind_faces(state.temperature, v_new)
-    temp = state.temperature - dt * np.diff(mass_flux * t_up) / (prof.rho0 * grid.weights)
-    return v_new, phi, temp
-
-
-def _step_cartesian(state, prof, dt):
-    """(V, Phi, T) at the new time; advection uses cell-centered velocities."""
-    h, v = prof.grid.h, state.velocity
     faces = (v.fx, v.fy, v.fz)
     uc = [mean_cells(face, axis) for axis, face in enumerate(faces)]
     parts = []
     for axis, face in enumerate(faces):
         adv = np.zeros_like(uc[axis])
         for ax in range(3):
-            adv += uc[ax] * _upwind_derivative(uc[axis], uc[ax], ax, h)
-        parts.append(_predict(face, mean_faces(adv, axis), state.temperature, prof, axis, dt))
+            adv += uc[ax] * _upwind_derivative(uc[axis], uc[ax], ax, grid.h)
+        pred = face + dt * (
+            -mean_faces(adv, axis) - mean_faces(state.temperature, axis) * prof.face_grad_F[axis]
+        )
+        first, last = along(axis, pred.ndim)[3:]
+        pred[first] = 0.0
+        pred[last] = 0.0
+        parts.append(pred)
     v_new, phi = project(StaggeredVector(*parts), prof)
 
     # conservative upwind transport of rho0 T with the projected fluxes
-    flux_tot = np.zeros(prof.grid.field_shape)
+    flux_tot = np.zeros(grid.field_shape)
     for axis, (face, rho_face) in enumerate(
         zip((v_new.fx, v_new.fy, v_new.fz), prof.laplacian.rho_faces)
     ):
         flux = rho_face * face * upwind_faces(state.temperature, face, axis)
-        flux_tot += np.diff(flux, axis=axis) / h
+        flux_tot += np.diff(flux, axis=axis) / grid.h
     temp = state.temperature - dt * flux_tot / prof.rho0
-    return v_new, phi, temp
+    return AnelasticState(velocity=v_new, pressure=phi / dt, temperature=temp, t=state.t + dt), dt
 
 
 @dataclass
@@ -174,8 +145,8 @@ class AnelasticTrajectory:
     def divergence_defects(self) -> np.ndarray:
         """|| div(rho0 V) || / || rho0 V ||, NaN where || rho0 V || <= DEFAULT_TOL.
 
-        Below the projection tolerance V is solver round-off (always, in
-        radial mode) and the ratio measures nothing.
+        Below the projection tolerance V is zero (always, in radial mode) or
+        solver round-off, and the ratio measures nothing.
         """
         out = np.full(self.div_norms.shape, np.nan)
         live = self.flux_norms > DEFAULT_TOL
@@ -183,11 +154,44 @@ class AnelasticTrajectory:
         return out
 
 
+def _radial_samples(init: AnelasticState, prof: StaticProfile, times) -> AnelasticState:
+    """The radial closed form at each time: V = 0, T frozen, grad Pi = -T grad F.
+
+    Pi is summed inward from 0 in the outer cell: the potential of one
+    projection of the buoyancy predictor, whose outer face carries no flow,
+    divided by dt.  Sample 0 keeps the initial state's pressure.
+    """
+    pi = np.zeros(prof.grid.n)
+    pi[:-1] = np.cumsum((mean_faces(init.temperature)[1:-1] * np.diff(prof.F))[::-1])[::-1]
+    pressure = np.tile(pi, (times.size, 1))
+    pressure[0] = init.pressure
+    return AnelasticState(
+        velocity=np.zeros((times.size, prof.grid.n + 1)),
+        pressure=pressure,
+        temperature=np.tile(init.temperature, (times.size, 1)),
+        t=times,
+    )
+
+
 def _fields(state: AnelasticState) -> tuple[np.ndarray, ...]:
-    """The velocity components, pressure and temperature of a state."""
+    """The velocity components, pressure and temperature of a cartesian state."""
     v = state.velocity
-    components = (v.fx, v.fy, v.fz) if isinstance(v, StaggeredVector) else (v,)
-    return (*components, state.pressure, state.temperature)
+    return v.fx, v.fy, v.fz, state.pressure, state.temperature
+
+
+def _cartesian_samples(init: AnelasticState, prof: StaticProfile, times) -> AnelasticState:
+    """March with steps of at most the sample spacing, stacking each sample as it is reached."""
+    dt = times[1] - times[0] if times.size > 1 else times[-1]
+    stacks = [np.empty((times.size, *f.shape)) for f in _fields(init)]
+    state, t = init, 0.0
+    for k, target in enumerate(times):
+        while t < target - 1.0e-13:
+            state, step = step_anelastic(state, prof, min(dt, target - t))
+            t += step
+        for stack, f in zip(stacks, _fields(state)):
+            stack[k] = f
+    fx, fy, fz, pressure, temperature = stacks
+    return AnelasticState(StaggeredVector(fx, fy, fz), pressure, temperature, t=times)
 
 
 def run_anelastic(
@@ -196,29 +200,15 @@ def run_anelastic(
     horizon: float,
     n_samples: int = 21,
 ) -> AnelasticTrajectory:
-    """March the limit system with steps of at most the sample spacing.
+    """Sample the limit flow at n_samples times spread evenly over [0, horizon].
 
-    The samples are stacked as they are reached; || div(rho0 V) ||,
-    || rho0 V || and the density are computed once over the stack.
+    Radial runs write the closed form; cartesian runs march.  The samples
+    are stacked; || div(rho0 V) ||, || rho0 V || and the density are
+    computed once over the stack.
     """
     times = np.linspace(0.0, horizon, n_samples)
-    dt = times[1] - times[0] if n_samples > 1 else horizon
-    stacks = [np.empty((n_samples, *f.shape)) for f in _fields(init)]
-    state, t = init, 0.0
-    for k, target in enumerate(times):
-        while t < target - 1.0e-13:
-            state, step = step_anelastic(state, prof, min(dt, target - t))
-            t += step
-        for stack, f in zip(stacks, _fields(state)):
-            stack[k] = f
-    *components, pressure, temperature = stacks
-    samples = AnelasticState(
-        velocity=components[0] if prof.grid.radial else StaggeredVector(*components),
-        pressure=pressure,
-        temperature=temperature,
-        density=prof.rho0 / temperature,
-        t=times,
-    )
+    samples = (_radial_samples if prof.grid.radial else _cartesian_samples)(init, prof, times)
+    samples.density = prof.rho0 / samples.temperature
     div_norms, flux_norms = _div_norms(samples, prof)
     return AnelasticTrajectory(
         prof=prof, samples=samples, div_norms=div_norms, flux_norms=flux_norms

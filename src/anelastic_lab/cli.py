@@ -149,7 +149,7 @@ def cmd_simulate_anelastic(args) -> int:
     defects = traj.divergence_defects
     if np.any(np.isfinite(defects)):
         ratio = f"{np.nanmax(defects):.17g}"
-    else:  # V is solver round-off; a ratio would divide it by itself
+    else:  # V is zero or solver round-off; a ratio would divide it by itself
         ratio = f"not-measured(|rho0V|<={DEFAULT_TOL:g})"
     print(
         f"simulate-anelastic: samples={traj.times.size} "

@@ -99,6 +99,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
 
 # open interval the bounded float keys must lie in
 FLOAT_RANGE = {"acoustic.delta": (0.0, 1.0)}
+# keys that may be infinite: a Strichartz pair may take p = inf as its endpoint
+INFINITE_OK = frozenset({"acoustic.p", "acoustic.q"})
 
 
 def get_float(cfg: dict, key: str) -> float:
@@ -106,9 +108,11 @@ def get_float(cfg: dict, key: str) -> float:
         value = float(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from exc
+    if np.isnan(value) or (np.isinf(value) and key not in INFINITE_OK):
+        raise ConfigError(f"{key} = {value:g} is not a finite number")
     if key in FLOAT_RANGE:
         lo, hi = FLOAT_RANGE[key]
-        if not lo < value < hi:  # NaN fails too
+        if not lo < value < hi:
             raise ConfigError(f"{key} = {value:g} must lie in ({lo:g}, {hi:g})")
     return value
 
@@ -184,13 +188,14 @@ def data_from(cfg: dict) -> IllPreparedData:
 
 
 def eps_list_from(cfg: dict, flag_value: str | None = None) -> tuple[float, ...]:
-    raw = flag_value if flag_value is not None else cfg["sweep.eps_list"]
+    name, raw = ("--eps", flag_value) if flag_value is not None else (
+        "sweep.eps_list", cfg["sweep.eps_list"])
     try:
         values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"bad eps list {raw!r}") from exc
+        raise ConfigError(f"{name}: bad eps list {raw!r}") from exc
     if len(values) < 2:
-        raise ConfigError("eps list needs at least two entries")
-    if any(v <= 0.0 for v in values) or any(np.diff(values) >= 0.0):
-        raise ConfigError("eps list must be strictly decreasing and positive")
+        raise ConfigError(f"{name}: eps list needs at least two entries")
+    if not all(0.0 < v < np.inf for v in values) or any(np.diff(values) >= 0.0):
+        raise ConfigError(f"{name}: eps list must be finite, positive and strictly decreasing")
     return values

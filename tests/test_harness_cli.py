@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anelastic_lab import acoustic as ac
-from anelastic_lab import cli, configio, harness, hydrostatics, lapack
+from anelastic_lab import anelastic, cli, configio, harness, helmholtz, hydrostatics, lapack
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError, Grid
 from anelastic_lab.harness import (
@@ -197,6 +197,11 @@ class TestCli:
         assert ok == 0
         assert bad == 2
 
+    def test_strichartz_takes_the_infinite_p_endpoint(self, tmp_path):
+        # 1/p + 3/q = 1/2 at p = inf, q = 6: the one infinite config value allowed
+        argv = ["strichartz", "--set", "acoustic.p=inf", "--set", "acoustic.q=6", *SMALL]
+        assert main([*argv, "--output", str(tmp_path)]) == 0
+
     def test_unknown_config_key_exit_code(self, tmp_path):
         out = str(tmp_path / "o")
         code = main(["profile", "--set", "grid.bogus=1", "--output", out])
@@ -309,7 +314,7 @@ class TestCli:
              "--set", "params.horizon=0.3", "--output", str(tmp_path)]
         )
         assert code == 0
-        # radial V is round-off: no ratio is printed, the norms are written
+        # radial V is zero: no ratio is printed, the norms are written
         assert "max-div-defect=not-measured" in capsys.readouterr().out
         header = (tmp_path / "anelastic.csv").read_text().splitlines()[0]
         assert header == "t,div_norm,flux_norm,s_velocity,s_pressure,s_density"
@@ -326,6 +331,24 @@ class TestCli:
         monkeypatch.setattr(RadialWeightedLaplacian, "__init__", counting_init)
         assert main(["simulate-anelastic", "--output", str(tmp_path)]) == 0
         assert len(built) == 1
+
+    def test_radial_simulate_anelastic_takes_no_step_and_no_solve(self, tmp_path, monkeypatch):
+        calls = {"step_anelastic": 0, "_cg": 0}
+        for module, name in ((anelastic, "step_anelastic"), (helmholtz, "_cg")):
+            real = getattr(module, name)
+
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        assert main(["simulate-anelastic", *SMALL, "--output", str(tmp_path / "r")]) == 0
+        assert calls == {"step_anelastic": 0, "_cg": 0}
+        # the counters see the cartesian time loop, which steps and solves
+        cartesian = ["--experimental", "--set", "grid.geometry=cartesian", "--set", "grid.n=8",
+                     "--set", "run.samples=2", "--set", "params.horizon=0.05"]
+        assert main(["simulate-anelastic", *cartesian, "--output", str(tmp_path / "c")]) == 0
+        assert calls["step_anelastic"] > 0 and calls["_cg"] > calls["step_anelastic"]
 
     def test_audit_rei_small(self, tmp_path):
         out = str(tmp_path / "o")
@@ -357,6 +380,17 @@ class TestCli:
         (["decay", "--set", "acoustic.ball_radius=-1"], "acoustic.ball_radius"),
         (["decay", "--set", "acoustic.ball_radius=0.02"], "acoustic.ball_radius"),
         (["decay", "--set", "acoustic.ball_radius=nan"], "acoustic.ball_radius"),
+        # non-finite values of any key but acoustic.p and acoustic.q
+        (["simulate-primitive", "--set", "params.mu=nan"], "params.mu"),
+        (["simulate-primitive", "--set", "params.lam=inf"], "params.lam"),
+        (["profile", "--set", "potential.c_f=nan"], "potential.c_f"),
+        (["decay", "--set", "data.rho1_width=inf"], "data.rho1_width"),
+        (["simulate-anelastic", "--set", "data.theta2_amp=nan"], "data.theta2_amp"),
+        (["simulate-anelastic", "--set", "potential.c_f=nan"], "potential.c_f"),
+        (["simulate-anelastic", "--set", "params.horizon=inf"], "params.horizon"),
+        (["strichartz", "--set", "acoustic.p=nan"], "acoustic.p"),
+        (["sweep", "--set", "sweep.eps_list=0.4,nan"], "sweep.eps_list"),
+        (["sweep", "--eps", "inf,0.4"], "--eps"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, key):
