@@ -91,6 +91,17 @@ class TestRadialClosedForm:
 
 
 class TestCartesianStep:
+    def test_smoke_divergence_and_extrema(self, cart_profile, cart_grid, rng):
+        lap = CartesianWeightedLaplacian(cart_grid, cart_profile.rho0)
+        v0 = stream_function_field(lap, rng)
+        theta = 1.0 + 0.3 * np.exp(-cart_grid.radii**2)
+        state = init_anelastic(v0, theta, cart_profile)
+        traj = run_anelastic(state, cart_profile, horizon=0.15, n_samples=4)
+        assert np.all(traj.divergence_defects < 1.0e-7)
+        t_end = traj.samples.temperature[-1]
+        assert t_end.max() <= theta.max() + 1.0e-10
+        assert t_end.min() >= theta.min() - 1.0e-10
+
     def test_dt_is_the_advective_limit_capped_by_dt_max(self, cart_profile, cart_grid):
         v = StaggeredVector.zeros(cart_grid.n)
         v.fx[5, 3, 3] = 10.0
