@@ -117,6 +117,7 @@ class TestCartesianStep:
         out, dt = step_anelastic(state, cart_profile, 0.5 * limit)
         assert dt == 0.5 * limit and out.t == 0.5 * limit
 
+
 class TestDivDefect:
     def test_cartesian_ratio_independent_of_resolution(self, params):
         # a fixed smooth face field with div(rho0 V) != 0: the relative
