@@ -219,18 +219,16 @@ def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[np.ndarray, 
     """(|| div(rho0 V) ||_2, || rho0 V ||_2), one value per sample when stacked.
 
     Cell quadrature for the divergence, the Laplacian's face measure for
-    rho0 V, so their ratio does not scale with h.
+    rho0 V, so their ratio does not scale with h.  Radial V is exactly 0,
+    and so are both norms.
     """
-    grid, op = prof.grid, prof.laplacian
+    grid = prof.grid
     if grid.radial:
-        rho_v = prof.face_rho0 * state.velocity
-        div = np.diff(grid.face_areas * rho_v) / grid.weights
-        flux_sq = np.sum(rho_v * rho_v * op.face_weights, axis=-1)
-    else:
-        rho_v = op.rho_times(state.velocity)
-        div = op.divergence(rho_v)
-        flux_sq = op.face_inner(rho_v, rho_v)
-    return np.sqrt(integrate(div * div, grid)), np.sqrt(flux_sq)
+        return np.zeros(state.velocity.shape[:-1]), np.zeros(state.velocity.shape[:-1])
+    op = prof.laplacian
+    rho_v = op.rho_times(state.velocity)
+    div = op.divergence(rho_v)
+    return np.sqrt(integrate(div * div, grid)), np.sqrt(op.face_inner(rho_v, rho_v))
 
 
 @dataclass

@@ -187,6 +187,11 @@ def cmd_simulate_acoustic(args) -> int:
         params.horizon,
         n_samples=configio.get_int(cfg, "run.samples"),
     )
+    if not np.isfinite(traj.energies[0]):
+        raise DataError(
+            f"initial acoustic energy is {traj.energies[0]:g}; "
+            "lower data.rho1_amp or data.vel_amp"
+        )
     st = traj.state
     rows = zip(st.t, traj.energies, lp_norm(st.s, 2.0, grid), lp_norm(st.phi, 2.0, grid))
     _write_rows(
@@ -218,8 +223,11 @@ def _windowed_datum(cfg, grid, op):
     window = ac.FrequencyWindow(delta)
     h = ac.functional_calculus(op, window, data.rho1.field(grid))
     norm = op.norm(h)
-    if norm == 0.0:
-        raise DataError("windowed datum vanishes; widen the window or the data")
+    if not 0.0 < norm < np.inf:  # NaN fails too
+        raise DataError(
+            f"windowed datum has norm {norm:g}, not in (0, inf); "
+            "widen the window or the data, or lower data.rho1_amp"
+        )
     return window, h / norm
 
 

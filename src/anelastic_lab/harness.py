@@ -246,8 +246,9 @@ def acoustic_ansatz(data: IllPreparedData, prof: StaticProfile, eps: float, delt
     """Regularized acoustic solution for the relative-energy ansatz.
 
     The initial perturbation density is the limit profile of the data and
-    the initial potential solves the weighted Poisson problem of the limit
-    velocity; both are regularized at parameter delta before evolution.
+    the initial potential is the gradient part of the limit velocity's
+    weighted Helmholtz decomposition, in radial mode its inward integral;
+    both are regularized at parameter delta before evolution.
     """
     rho1, v0, _ = data.limit_fields(prof.grid)
     _, phi0 = project(v0, prof)

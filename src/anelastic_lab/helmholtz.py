@@ -4,19 +4,16 @@ The potential solves div(rho0 grad Phi) = div(rho0 v) with decay at the
 outer boundary (homogeneous Dirichlet there) and regularity at the
 origin.  Everything is discretized in flux form with rho0 at faces by
 harmonic means, which keeps the weighted Laplacian symmetric positive
-definite in the quadrature inner product; the same operator is reused by
-the acoustic module.  solve_weighted_poisson(op, rhs) is the one linear
-solve, for either geometry's operator: preconditioned conjugate gradients
-to DEFAULT_TOL, fixed ahead of every physics tolerance, capped at
-MAX_ITERATIONS.  In radial mode the preconditioner is the exact inverse
-of the weighted Laplacian (two cumulative sums, O(n)), so CG stops after
-one iteration; in cartesian mode it is Jacobi and CG iterates.
+definite in the quadrature inner product.
 
-In radial mode every admissible field is a discrete gradient, so H[v]
-vanishes identically up to the solver tolerance; the geometry admits no
-nontrivial weighted-solenoidal radial field.  The cartesian mode stores
-vector fields on a staggered (face) layout, which makes the discrete
-divergence exactly the negative adjoint of the discrete gradient.
+In radial mode the flux rho0 * area * H[v] vanishes at r = 0, hence on
+every face: grad(Phi) = v face by face, rho0 drops out, and Phi is the
+inward integral of v (O(n), no solve).  The cartesian mode stores vector
+fields on a staggered (face) layout, which makes the discrete divergence
+exactly the negative adjoint of the discrete gradient; its potential is
+the one linear solve, solve_weighted_poisson: Jacobi-preconditioned
+conjugate gradients to DEFAULT_TOL, fixed ahead of every physics
+tolerance, capped at MAX_ITERATIONS.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ MAX_ITERATIONS = 50_000  # CG iteration cap of every solve
 
 
 class SolverError(RuntimeError):
-    """Iterative solve failed to reach its tolerance."""
+    """No finite potential: the cartesian CG stalled, or the radial sum met a NaN or overflowed."""
 
     def __init__(self, message: str, residual: float, iterations: int):
         super().__init__(message)
@@ -72,38 +69,21 @@ class RadialWeightedLaplacian:
     """Flux-form div(rho0 grad .) on a radial grid, Dirichlet at r_max.
 
     Face 0 sits at r = 0 and carries no flux (zero area); the outer face
-    enforces Phi(r_max) = 0 through a half-cell gradient.
+    enforces Phi(r_max) = 0 through a half-cell gradient.  The acoustic
+    operator reads the conductances cond and the cell weights; the
+    projection reads only gradient_faces.
     """
 
     def __init__(self, grid: Grid, rho0_faces: np.ndarray):
         if not grid.radial:
             raise DomainError("RadialWeightedLaplacian needs a radial grid")
         self.grid = grid
-        self.rho_faces = rho0_faces
         h = grid.h
         cond = grid.face_areas * rho0_faces / h
         cond[0] = 0.0
         cond[-1] *= 2.0  # half-cell Dirichlet closure at the outer face
         self.cond = cond
         self.weights = grid.weights
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        self.grid.check_aligned(phi)
-        flux = np.empty(self.grid.n + 1)
-        flux[0] = 0.0
-        flux[1:-1] = self.cond[1:-1] * (phi[1:] - phi[:-1])
-        flux[-1] = self.cond[-1] * (0.0 - phi[-1])
-        return (flux[1:] - flux[:-1]) / self.weights
-
-    def precondition(self, rhs: np.ndarray) -> np.ndarray:
-        """Exact solve of -apply(z) = rhs in O(n).
-
-        The flux vanishes at r = 0, so summing rhs * weights outward gives
-        the face fluxes; Phi is pinned at r_max, so summing the face
-        gradients inward gives Phi.
-        """
-        flux = np.cumsum(rhs * self.weights)
-        return np.cumsum((flux / self.cond[1:])[::-1])[::-1]
 
     def gradient_faces(self, phi: np.ndarray) -> np.ndarray:
         """Discrete grad(Phi) on faces, with the Dirichlet outer closure."""
@@ -113,13 +93,6 @@ class RadialWeightedLaplacian:
         out[1:-1] = (phi[1:] - phi[:-1]) / h
         out[-1] = -2.0 * phi[-1] / h
         return out
-
-    @cached_property
-    def face_weights(self) -> np.ndarray:
-        """Face measure making the divergence the negative gradient adjoint."""
-        w = self.grid.face_areas * self.grid.h
-        w[-1] *= 0.5
-        return w
 
 
 def _scale_boundary(f: np.ndarray, axis: int, factor: float) -> np.ndarray:
@@ -239,7 +212,7 @@ def _cg(apply_a, rhs, dot, precondition, tol, maxiter):
 
 
 def solve_weighted_poisson(op, rhs: np.ndarray) -> np.ndarray:
-    """Solve op.apply(phi) = rhs (op negative definite) by CG on -op to DEFAULT_TOL."""
+    """Solve the cartesian op.apply(phi) = rhs (op negative definite) by CG on -op."""
     w = op.grid.weights
 
     def dot(a, b):
@@ -274,14 +247,23 @@ def centers_to_faces(v: np.ndarray, grid: Grid) -> np.ndarray:
 def project_radial_faces(v_faces: np.ndarray, prof) -> tuple[np.ndarray, np.ndarray]:
     """Weighted projection of a radial face field; returns (H[v], Phi).
 
-    The radial geometry admits no nontrivial weighted-solenoidal field, so
-    H[v] is zero up to the solver tolerance.
+    grad(Phi) = v on every face, so Phi is v summed inward from Phi = 0 at
+    r_max, over half a cell at the outer face:
+    Phi_i = -h (v_n / 2 + sum_{j=i+1}^{n-1} v_j).  H[v] is zero up to
+    round-off.  Phi[0] sums every face, so it alone shows an overflow or
+    a NaN.
     """
-    grid, op = prof.grid, prof.laplacian
-    rhs = (np.diff(grid.face_areas * prof.face_rho0 * v_faces)) / grid.weights
-    phi = solve_weighted_poisson(op, rhs)
-    h_faces = v_faces - op.gradient_faces(phi)
-    return h_faces, phi
+    op = prof.laplacian
+    steps = -op.grid.h * v_faces[1:]
+    steps[-1] *= 0.5
+    phi = np.cumsum(steps[::-1])[::-1]
+    if not np.isfinite(phi[0]):
+        raise SolverError(
+            f"radial Helmholtz potential is not finite (Phi(0) = {phi[0]:g})",
+            residual=float("nan"),
+            iterations=0,
+        )
+    return v_faces - op.gradient_faces(phi), phi
 
 
 def project(v, prof):

@@ -116,9 +116,10 @@ class StaticProfile:
 
     @cached_property
     def laplacian(self) -> RadialWeightedLaplacian | CartesianWeightedLaplacian:
-        """The weighted Laplacian div(rho0 grad .) of the projection, built once.
+        """The weighted Laplacian div(rho0 grad .) of the geometry, built once.
 
-        The radial operator also carries the acoustic operator's coefficients.
+        The radial operator carries the acoustic operator's coefficients and
+        the projection's face gradient; the cartesian one is the projection's.
         """
         if self.grid.radial:
             return RadialWeightedLaplacian(self.grid, self.face_rho0)

@@ -319,8 +319,7 @@ class TestCli:
         header = (tmp_path / "anelastic.csv").read_text().splitlines()[0]
         assert header == "t,div_norm,flux_norm,s_velocity,s_pressure,s_density"
 
-    def test_simulate_anelastic_builds_one_laplacian(self, tmp_path, monkeypatch):
-        # every projection and divergence norm reuses the profile's operator
+    def count_laplacians(self, monkeypatch):
         built = []
         real_init = RadialWeightedLaplacian.__init__
 
@@ -329,8 +328,46 @@ class TestCli:
             real_init(self, *args)
 
         monkeypatch.setattr(RadialWeightedLaplacian, "__init__", counting_init)
+        return built
+
+    def test_radial_simulate_anelastic_builds_no_laplacian(self, tmp_path, monkeypatch):
+        # the closed form and its zero divergence norms need no operator
+        built = self.count_laplacians(monkeypatch)
         assert main(["simulate-anelastic", "--output", str(tmp_path)]) == 0
-        assert len(built) == 1
+        assert built == []
+
+    def test_audit_rei_builds_one_laplacian(self, tmp_path, monkeypatch):
+        # the projection and the acoustic operator share the profile's operator
+        built = self.count_laplacians(monkeypatch)
+        argv = ["audit-rei", *SMALL, "--set", "params.horizon=0.4", "--output", str(tmp_path)]
+        assert main(argv) == 0
+        assert built == [1]
+
+    def test_radial_commands_make_no_solve(self, tmp_path, monkeypatch):
+        calls = {"solve_weighted_poisson": 0, "_cg": 0}
+        for name in calls:
+            real = getattr(helmholtz, name)
+
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(helmholtz, name, counting)
+        short = [*SMALL, "--set", "params.horizon=0.2", "--set", "run.samples=3"]
+        for argv in (
+            ["sweep", "--eps", "0.4,0.2", *SMALL, "--set", "sweep.samples=5",
+             "--set", "params.horizon=0.2"],
+            ["audit-rei", *SMALL, "--set", "params.horizon=0.4"],
+            ["simulate-acoustic", *short],
+            ["simulate-anelastic", *short],
+        ):
+            assert main([*argv, "--output", str(tmp_path / argv[0])]) == 0
+        assert calls == {"solve_weighted_poisson": 0, "_cg": 0}
+        # the counters see the cartesian projection
+        cartesian = ["--experimental", "--set", "grid.geometry=cartesian", "--set", "grid.n=8",
+                     "--set", "run.samples=2", "--set", "params.horizon=0.05"]
+        assert main(["simulate-anelastic", *cartesian, "--output", str(tmp_path / "c")]) == 0
+        assert calls["_cg"] == calls["solve_weighted_poisson"] > 0
 
     def test_radial_simulate_anelastic_takes_no_step_and_no_solve(self, tmp_path, monkeypatch):
         calls = {"step_anelastic": 0, "_cg": 0}
@@ -391,6 +428,10 @@ class TestCli:
         (["strichartz", "--set", "acoustic.p=nan"], "acoustic.p"),
         (["sweep", "--set", "sweep.eps_list=0.4,nan"], "sweep.eps_list"),
         (["sweep", "--eps", "inf,0.4"], "--eps"),
+        # data whose windowed norm or initial acoustic energy overflows
+        (["decay", "--set", "data.rho1_amp=1e200"], "data.rho1_amp"),
+        (["simulate-acoustic", "--set", "data.rho1_amp=1e160"], "data.rho1_amp"),
+        (["simulate-acoustic", "--set", "data.vel_amp=1e155"], "data.vel_amp"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, key):
