@@ -180,13 +180,14 @@ def cmd_simulate_acoustic(args) -> int:
     rho1, v0, _ = data.limit_fields(grid)
     _, phi0 = project(v0, prof)
     s0, phi0d = ac.regularize_data(op, rho1, phi0, configio.get_float(cfg, "acoustic.delta"))
-    traj = ac.evolve_acoustic(
-        ac.AcousticState(s=s0, phi=phi0d),
-        op,
-        params.eps,
-        params.horizon,
-        n_samples=configio.get_int(cfg, "run.samples"),
-    )
+    with np.errstate(over="ignore"):  # an overflowing energy is reported just below
+        traj = ac.evolve_acoustic(
+            ac.AcousticState(s=s0, phi=phi0d),
+            op,
+            params.eps,
+            params.horizon,
+            n_samples=configio.get_int(cfg, "run.samples"),
+        )
     if not np.isfinite(traj.energies[0]):
         raise DataError(
             f"initial acoustic energy is {traj.energies[0]:g}; "
@@ -222,7 +223,8 @@ def _windowed_datum(cfg, grid, op):
     delta = configio.get_float(cfg, "acoustic.delta")
     window = ac.FrequencyWindow(delta)
     h = ac.functional_calculus(op, window, data.rho1.field(grid))
-    norm = op.norm(h)
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        norm = op.norm(h)
     if not 0.0 < norm < np.inf:  # NaN fails too
         raise DataError(
             f"windowed datum has norm {norm:g}, not in (0, inf); "
@@ -318,8 +320,6 @@ def cmd_audit_rei(args) -> int:
     traj = run_primitive(init, prof, params, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
     rep = rei_audit(traj, sol)
-    raw = rei_audit(traj, sol, form="raw")
-    raw_pert = rei_audit(traj, sol, form="raw", u_scale=1.1)
     run_record = RelEnergyReport(
         audit=rep,
         bounds=uniform_bounds_report(traj),
@@ -343,9 +343,9 @@ def cmd_audit_rei(args) -> int:
     )
     text = (
         run_record.summary_text()
-        + f"\nraw ansatz max-defect      = {raw.max_defect:.17g}"
-        + f"\nraw perturbed max-defect   = {raw_pert.max_defect:.17g}"
-        + f"\nperturbed strictly larger  = {raw_pert.max_defect > raw.max_defect}"
+        + f"\nraw ansatz max-defect      = {rep.raw_max_defect:.17g}"
+        + f"\nraw perturbed max-defect   = {rep.raw_perturbed_max_defect:.17g}"
+        + f"\nperturbed strictly larger  = {rep.raw_perturbed_max_defect > rep.raw_max_defect}"
     )
     with open(os.path.join(outdir, "rei_summary.txt"), "w") as fh:
         fh.write(text + "\n")

@@ -428,10 +428,16 @@ class TestCli:
         (["strichartz", "--set", "acoustic.p=nan"], "acoustic.p"),
         (["sweep", "--set", "sweep.eps_list=0.4,nan"], "sweep.eps_list"),
         (["sweep", "--eps", "inf,0.4"], "--eps"),
-        # data whose windowed norm or initial acoustic energy overflows
-        (["decay", "--set", "data.rho1_amp=1e200"], "data.rho1_amp"),
-        (["simulate-acoustic", "--set", "data.rho1_amp=1e160"], "data.rho1_amp"),
-        (["simulate-acoustic", "--set", "data.vel_amp=1e155"], "data.vel_amp"),
+        # data whose windowed norm or initial acoustic energy overflows: the
+        # validation line is all they print, no numpy overflow warning
+        *(
+            pytest.param(argv, key, marks=pytest.mark.filterwarnings("error"))
+            for argv, key in (
+                (["decay", "--set", "data.rho1_amp=1e200"], "data.rho1_amp"),
+                (["simulate-acoustic", "--set", "data.rho1_amp=1e160"], "data.rho1_amp"),
+                (["simulate-acoustic", "--set", "data.vel_amp=1e155"], "data.vel_amp"),
+            )
+        ),
     ],
 )
 def test_bad_input_exits_2(tmp_path, capsys, argv, key):

@@ -217,6 +217,8 @@ class TestRelEnergyReport:
             rhs_groups={"velocity": np.zeros(2)},
             defect=np.zeros(2),
             tolerance=1.0,
+            raw_max_defect=0.0,
+            raw_perturbed_max_defect=0.0,
         )
         rec = RelEnergyReport(audit=audit, bounds=bounds, residual_pressure=0.0)
         assert "residual-pressure value" in rec.summary_text()
@@ -227,6 +229,8 @@ class TestRelEnergyReport:
             rhs_groups={"velocity": np.zeros(2)},
             defect=np.zeros(2),
             tolerance=1.0,
+            raw_max_defect=0.0,
+            raw_perturbed_max_defect=0.0,
         )
         with pytest.raises(DomainError):
             RelEnergyReport(audit=bad, bounds=bounds, residual_pressure=0.0)
@@ -260,6 +264,9 @@ class TestREIAuditBasics:
         assert np.max(np.abs(rep.defect)) < 1.0e-9
         assert np.max(np.abs(rep.lhs)) < 1.0e-9
         assert rep.passed
+        # the raw shape's known answer: zero for U = 0 and for any multiple of it
+        assert abs(rep.raw_max_defect) < 1.0e-9
+        assert abs(rep.raw_perturbed_max_defect) < 1.0e-9
 
     def test_eps_mismatch_rejected(self, radial_profile, radial_grid, operator):
         n = radial_grid.n
@@ -270,13 +277,3 @@ class TestREIAuditBasics:
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.4)
         with pytest.raises(DomainError):
             rei_audit(traj, sol)
-
-    def test_unknown_form_rejected(self, radial_profile, radial_grid, operator):
-        n = radial_grid.n
-        init = PrimitiveState(
-            rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
-        )
-        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
-        sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.2)
-        with pytest.raises(DomainError):
-            rei_audit(traj, sol, form="exotic")

@@ -92,8 +92,26 @@ def test_audit_reconstructs_each_field_once(tracing):
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.flow_spans(0))
-    # s, grad Phi and d/dt grad Phi, each evaluated once on all 9 sample times
+    # s, grad Phi, d/dt grad Phi and div(rho0 grad Phi), each evaluated once
+    # on all 9 sample times for both shapes and both test velocities
     assert 0 < metrics["acoustic.reconstruct_calls"] <= 4
+
+
+def test_cli_audit_makes_one_pass(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_flow(0)
+        small = ["--set", "grid.n=96", "--set", "grid.r_max=8.0", "--set", "grid.r_sponge=6.0"]
+        argv = ["audit-rei", *small, "--output", str(tmp_path)]
+        assert cli.main(argv) == 0
+        tracer.end_flow()
+    finally:
+        tracer.uninstall()
+    spans = tracer.flow_spans(0)
+    # the grouped report and both raw defects come from one audit call
+    assert sum(rec[0] == "relative_energy.rei_audit" for rec in spans) == 1
+    assert tracing.layer_metrics(spans)["acoustic.reconstruct_calls"] == 4
 
 
 def test_decay_assembles_only_the_window_modes(tracing, tmp_path, monkeypatch):
