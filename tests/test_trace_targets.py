@@ -2,7 +2,8 @@
 
 A rename of a traced function, a time loop that calls the dt limit more
 than once per step or takes a state's dissipation rate twice, an audit that rebuilds
-the acoustic wave once per sample instead of once per field, or a decay
+the acoustic wave once per sample instead of once per field, an `audit-rei`
+that audits its run more than once, or a decay
 run that diagonalizes the whole operator instead of the window's modes,
 fails here instead of silently breaking the benchmark's per-layer metrics.
 """
