@@ -316,25 +316,6 @@ def spectral_solution(
     )
 
 
-@dataclass
-class AcousticTrajectory:
-    state: AcousticState  # stacked (n_samples, n) fields; state.t holds the times
-    energies: np.ndarray
-
-
-def evolve_acoustic(
-    init: AcousticState,
-    op: AcousticOperator,
-    eps: float,
-    horizon: float,
-    n_samples: int = 129,
-) -> AcousticTrajectory:
-    """Evolve the acoustic pair spectrally and sample it on a uniform time mesh."""
-    times = np.linspace(0.0, horizon, n_samples)
-    sol = spectral_solution(op, init, eps)
-    return AcousticTrajectory(state=sol.state(times), energies=sol.energy(times))
-
-
 def crossing_time(prof: StaticProfile) -> float:
     """Sponge-crossing time R_sp / sqrt(gamma rho_bar**(gamma-1))."""
     c_far = np.sqrt(prof.gamma * prof.rho_bar ** (prof.gamma - 1.0))

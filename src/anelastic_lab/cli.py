@@ -4,7 +4,7 @@ Every subcommand reads the plain-text configuration (defaults, optional
 file, dotted-key overrides), runs deterministically for a given
 configuration and seed, and writes CSV/plain-text artifacts with floats
 printed at 17 significant digits.  Exit codes: 0 success, 2 validation
-failure (bad configuration, flags or data), 3 solver failure, 141 stdout
+failure (bad configuration or data), 3 solver failure, 141 stdout
 closed by the reader; any other exception is an internal error and
 propagates with its traceback.
 """
@@ -30,8 +30,8 @@ from .harness import (
     audit_quarantine_time,
     sweep_epsilon,
 )
-from .helmholtz import DEFAULT_TOL, StaggeredVector, project
-from .hydrostatics import build_profile, export_profile_csv, flatness_report, static_residual
+from .helmholtz import DEFAULT_TOL, StaggeredVector
+from .hydrostatics import build_profile, flatness_report, static_residual
 from .params import ParameterError
 from .primitive import (
     DataError,
@@ -72,9 +72,13 @@ def _setup(args):
 def cmd_profile(args) -> int:
     cfg, outdir = _setup(args)
     prof = _profile_setup(cfg)[2]
-    export_profile_csv(prof, os.path.join(outdir, "profile.csv"))
-    rep = flatness_report(prof)
+    rep = flatness_report(prof)  # radial mode only, so a cartesian run writes nothing
     residual = static_residual(prof)
+    _write_rows(
+        os.path.join(outdir, "profile.csv"),
+        ["r", "F", "rho0", "dp"],
+        zip(prof.grid.centers, prof.F, prof.rho0, prof.dp),
+    )
     text = rep.text() + f"\nstatic residual (max norm)    = {residual:.17g}\n"
     with open(os.path.join(outdir, "flatness.txt"), "w") as fh:
         fh.write(text)
@@ -167,40 +171,42 @@ def _profile_setup(cfg):
 
 
 def _acoustic_setup(cfg):
-    """Profile and the acoustic operator holding the modes the window can see."""
+    """Profile, frequency window, the acoustic operator holding the modes the
+    window can see, and the windowed density datum of unit norm."""
     grid, params, prof = _profile_setup(cfg)
     window = ac.FrequencyWindow(configio.get_float(cfg, "acoustic.delta"))
-    return grid, params, prof, ac.assemble_operator(prof, lam_max=window.lam_max)
+    op = ac.assemble_operator(prof, lam_max=window.lam_max)
+    h = ac.functional_calculus(op, window, configio.data_from(cfg).rho1.field(grid))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        norm = op.norm(h)
+    if not 0.0 < norm < np.inf:  # NaN fails too
+        raise DataError(
+            f"windowed datum has norm {norm:g}, not in (0, inf); "
+            "widen the window or the data, or lower data.rho1_amp"
+        )
+    return prof, window, op, h / norm
 
 
 def cmd_simulate_acoustic(args) -> int:
     cfg, outdir = _setup(args)
-    grid, params, prof, op = _acoustic_setup(cfg)
-    data = configio.data_from(cfg)
-    rho1, v0, _ = data.limit_fields(grid)
-    _, phi0 = project(v0, prof)
-    s0, phi0d = ac.regularize_data(op, rho1, phi0, configio.get_float(cfg, "acoustic.delta"))
+    grid, params, prof = _profile_setup(cfg)
+    delta = configio.get_float(cfg, "acoustic.delta")
+    sol = acoustic_ansatz(configio.data_from(cfg), prof, params.eps, delta)
+    times = np.linspace(0.0, params.horizon, configio.get_int(cfg, "run.samples"))
     with np.errstate(over="ignore"):  # an overflowing energy is reported just below
-        traj = ac.evolve_acoustic(
-            ac.AcousticState(s=s0, phi=phi0d),
-            op,
-            params.eps,
-            params.horizon,
-            n_samples=configio.get_int(cfg, "run.samples"),
-        )
-    if not np.isfinite(traj.energies[0]):
+        st, energies = sol.state(times), sol.energy(times)
+    if not np.isfinite(energies[0]):
         raise DataError(
-            f"initial acoustic energy is {traj.energies[0]:g}; "
+            f"initial acoustic energy is {energies[0]:g}; "
             "lower data.rho1_amp or data.vel_amp"
         )
-    st = traj.state
-    rows = zip(st.t, traj.energies, lp_norm(st.s, 2.0, grid), lp_norm(st.phi, 2.0, grid))
+    rows = zip(times, energies, lp_norm(st.s, 2.0, grid), lp_norm(st.phi, 2.0, grid))
     _write_rows(
         os.path.join(outdir, "acoustic.csv"), ["t", "energy", "s_l2", "phi_l2"], rows
     )
-    drift = np.max(np.abs(traj.energies - traj.energies[0]))
+    drift = np.max(np.abs(energies - energies[0]))
     print(
-        f"simulate-acoustic: E0={traj.energies[0]:.17g} "
+        f"simulate-acoustic: E0={energies[0]:.17g} "
         f"max-energy-drift={drift:.17g}"
     )
     return 0
@@ -218,25 +224,9 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _windowed_datum(cfg, grid, op):
-    data = configio.data_from(cfg)
-    delta = configio.get_float(cfg, "acoustic.delta")
-    window = ac.FrequencyWindow(delta)
-    h = ac.functional_calculus(op, window, data.rho1.field(grid))
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        norm = op.norm(h)
-    if not 0.0 < norm < np.inf:  # NaN fails too
-        raise DataError(
-            f"windowed datum has norm {norm:g}, not in (0, inf); "
-            "widen the window or the data, or lower data.rho1_amp"
-        )
-    return window, h / norm
-
-
 def cmd_decay(args) -> int:
     cfg, outdir = _setup(args)
-    grid, params, prof, op = _acoustic_setup(cfg)
-    window, h = _windowed_datum(cfg, grid, op)
+    prof, window, op, h = _acoustic_setup(cfg)
     t_star = ac.crossing_time(prof)
     ppp = configio.get_int(cfg, "acoustic.points_per_period")
     radius = configio.get_float(cfg, "acoustic.ball_radius")
@@ -253,8 +243,8 @@ def cmd_decay(args) -> int:
 
 def cmd_strichartz(args) -> int:
     cfg, outdir = _setup(args)
-    p = args.p if args.p is not None else configio.get_float(cfg, "acoustic.p")
-    q = args.q if args.q is not None else configio.get_float(cfg, "acoustic.q")
+    p = configio.get_float(cfg, "acoustic.p")
+    q = configio.get_float(cfg, "acoustic.q")
     for key, value in (("acoustic.p", p), ("acoustic.q", q)):
         if not value > 0.0:
             raise configio.ConfigError(f"{key} = {value:g} must be positive")
@@ -262,8 +252,7 @@ def cmd_strichartz(args) -> int:
         raise ConfigUsageError(
             f"(p, q) = ({p:g}, {q:g}) violates the wave admissibility 1/p + 3/q = 1/2"
         )
-    grid, params, prof, op = _acoustic_setup(cfg)
-    window, h = _windowed_datum(cfg, grid, op)
+    prof, window, op, h = _acoustic_setup(cfg)
     t_star = ac.crossing_time(prof)
     meas = ac.measure_strichartz(
         op, window, h, p, q, t_star, configio.get_int(cfg, "acoustic.points_per_period")
@@ -281,7 +270,7 @@ def cmd_sweep(args) -> int:
     grid = configio.grid_from(cfg)
     params = configio.params_from(cfg)
     plan = SweepPlan(
-        eps_list=configio.eps_list_from(cfg, args.eps),
+        eps_list=configio.eps_list_from(cfg),
         data=configio.data_from(cfg),
         potential=configio.potential_from(cfg),
         params=params,
@@ -414,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate-anelastic":
             p.add_argument("--experimental", action="store_true",
                            help="allow the cartesian nontrivial-velocity mode")
-        if name == "strichartz":
-            p.add_argument("--p", type=float, default=None)
-            p.add_argument("--q", type=float, default=None)
-        if name == "sweep":
-            p.add_argument("--eps", default=None, help="comma-separated descending list")
     return parser
 
 

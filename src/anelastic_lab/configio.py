@@ -187,15 +187,16 @@ def data_from(cfg: dict) -> IllPreparedData:
     )
 
 
-def eps_list_from(cfg: dict, flag_value: str | None = None) -> tuple[float, ...]:
-    name, raw = ("--eps", flag_value) if flag_value is not None else (
-        "sweep.eps_list", cfg["sweep.eps_list"])
+def eps_list_from(cfg: dict) -> tuple[float, ...]:
+    raw = cfg["sweep.eps_list"]
     try:
         values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"{name}: bad eps list {raw!r}") from exc
+        raise ConfigError(f"sweep.eps_list: bad eps list {raw!r}") from exc
     if len(values) < 2:
-        raise ConfigError(f"{name}: eps list needs at least two entries")
+        raise ConfigError("sweep.eps_list: eps list needs at least two entries")
     if not all(0.0 < v < np.inf for v in values) or any(np.diff(values) >= 0.0):
-        raise ConfigError(f"{name}: eps list must be finite, positive and strictly decreasing")
+        raise ConfigError(
+            "sweep.eps_list: eps list must be finite, positive and strictly decreasing"
+        )
     return values

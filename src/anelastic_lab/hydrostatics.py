@@ -14,7 +14,6 @@ checks measure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -240,14 +239,3 @@ def flatness_report(prof: StaticProfile) -> FlatnessReport:
         envelope_low=spec.envelope_constants(spec.a)[0],
         envelope_up=spec.envelope_constants(spec.a)[1],
     )
-
-
-def export_profile_csv(prof: StaticProfile, path: str) -> None:
-    """Write (r, F, rho0, p'(rho0)) rows for plotting."""
-    if not prof.grid.radial:
-        raise DomainError("profile export is radial-mode only")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "F", "rho0", "dp"])
-        for r, F, rho, dp in zip(prof.grid.centers, prof.F, prof.rho0, prof.dp):
-            writer.writerow([f"{v:.17g}" for v in (r, F, rho, dp)])

@@ -89,7 +89,6 @@ def stress_contraction(
     da = radial_gradient(a, grid, parity="odd")
     db = radial_gradient(b, grid, parity="odd")
     diva = radial_divergence(a, grid)
-    divb = radial_divergence(b, grid)
     r = grid.centers
     s_rr = params.mu * (2.0 * da - (2.0 / 3.0) * diva) + params.lam * diva
     s_tt = params.mu * (2.0 * a / r - (2.0 / 3.0) * diva) + params.lam * diva
@@ -305,9 +304,6 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
 
     # the ansatz fields at every sample time, one stacked (n_samples, n) array each
     s_all = acoustic.s(times)
-    r_all = prof.rho0 + eps * s_all
-    if np.any(r_all <= 0.0):
-        raise DomainError("ansatz density rho0 + eps s lost positivity")
     grad_phi_all = acoustic.grad_phi(times)
     dt_grad_phi_all = acoustic.dt_grad_phi(times)
     div_rho_grad_phi_all = acoustic.div_rho_grad_phi(times)
@@ -316,7 +312,10 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
     for j in range(0, times.size, AUDIT_CHUNK):
         rows = slice(j, j + AUDIT_CHUNK)
         state = traj.samples.row(rows)
-        s, r_field = s_all[rows], r_all[rows]
+        s = s_all[rows]
+        r_field = prof.rho0 + eps * s
+        if np.any(r_field <= 0.0):
+            raise DomainError("ansatz density rho0 + eps s lost positivity")
         u, theta, q = state.velocity, state.theta, state.q
         d2h_r = gamma * r_field ** (gamma - 2.0)
         grad_s = radial_gradient(s, grid, parity="even")

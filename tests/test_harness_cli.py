@@ -134,10 +134,10 @@ class TestConfig:
         assert cfg["grid.n"] == "128"
 
     def test_eps_list_validation(self):
-        cfg = configio.load_config()
         with pytest.raises(configio.ConfigError):
-            configio.eps_list_from(cfg, "0.1,0.2")
-        assert configio.eps_list_from(cfg, "0.4,0.1") == (0.4, 0.1)
+            configio.eps_list_from(configio.load_config(None, ["sweep.eps_list=0.1,0.2"]))
+        cfg = configio.load_config(None, ["sweep.eps_list=0.4,0.1"])
+        assert configio.eps_list_from(cfg) == (0.4, 0.1)
 
 
 SMALL = ["--set", "grid.n=96", "--set", "grid.r_max=8.0", "--set", "grid.r_sponge=6.0"]
@@ -192,8 +192,9 @@ class TestCli:
 
     def test_strichartz_admissibility_exit_codes(self, tmp_path):
         out = str(tmp_path / "o")
-        ok = main(["strichartz", "--p", "4", "--q", "12", *SMALL, "--output", out])
-        bad = main(["strichartz", "--p", "4", "--q", "10", *SMALL, "--output", out])
+        argv = ["strichartz", "--set", "acoustic.p=4", *SMALL, "--output", out]
+        ok = main([*argv, "--set", "acoustic.q=12"])
+        bad = main([*argv, "--set", "acoustic.q=10"])
         assert ok == 0
         assert bad == 2
 
@@ -212,8 +213,8 @@ class TestCli:
         code = main(
             [
                 "sweep",
-                "--eps",
-                "0.4,0.2",
+                "--set",
+                "sweep.eps_list=0.4,0.2",
                 *SMALL,
                 "--set",
                 "sweep.samples=11",
@@ -355,7 +356,7 @@ class TestCli:
             monkeypatch.setattr(helmholtz, name, counting)
         short = [*SMALL, "--set", "params.horizon=0.2", "--set", "run.samples=3"]
         for argv in (
-            ["sweep", "--eps", "0.4,0.2", *SMALL, "--set", "sweep.samples=5",
+            ["sweep", "--set", "sweep.eps_list=0.4,0.2", *SMALL, "--set", "sweep.samples=5",
              "--set", "params.horizon=0.2"],
             ["audit-rei", *SMALL, "--set", "params.horizon=0.4"],
             ["simulate-acoustic", *short],
@@ -404,7 +405,7 @@ class TestCli:
         (["simulate-primitive", "--set", "run.samples=-1"], "run.samples"),
         (["sweep", "--set", "sweep.samples=1"], "sweep.samples"),
         (["decay", "--set", "acoustic.points_per_period=0"], "acoustic.points_per_period"),
-        (["strichartz", "--p", "0"], "acoustic.p"),
+        (["strichartz", "--set", "acoustic.p=0"], "acoustic.p"),
         (["strichartz", "--set", "acoustic.q=-12"], "acoustic.q"),
         (["simulate-anelastic", "--set", "data.vel_width=0"], "data.vel_width"),
         (["simulate-primitive", "--set", "data.vel_width=0"], "data.vel_width"),
@@ -427,7 +428,7 @@ class TestCli:
         (["simulate-anelastic", "--set", "params.horizon=inf"], "params.horizon"),
         (["strichartz", "--set", "acoustic.p=nan"], "acoustic.p"),
         (["sweep", "--set", "sweep.eps_list=0.4,nan"], "sweep.eps_list"),
-        (["sweep", "--eps", "inf,0.4"], "--eps"),
+        (["sweep", "--set", "sweep.eps_list=inf,0.4"], "sweep.eps_list"),
         # data whose windowed norm or initial acoustic energy overflows: the
         # validation line is all they print, no numpy overflow warning
         *(
@@ -443,6 +444,19 @@ class TestCli:
 def test_bad_input_exits_2(tmp_path, capsys, argv, key):
     assert main([*argv, *SMALL, "--output", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "--eps", "0.4,0.2"], ["strichartz", "--p", "4"], ["strichartz", "--q", "12"]],
+    ids=["sweep-eps", "strichartz-p", "strichartz-q"],
+)
+def test_inputs_come_from_the_configuration_only(tmp_path, capsys, argv):
+    # sweep.eps_list, acoustic.p and acoustic.q are set with --set, not with flags of their own
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, *SMALL, "--output", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 def test_internal_error_is_not_a_validation_failure(tmp_path, monkeypatch):
@@ -472,7 +486,7 @@ def test_solver_failure_keeps_partial_sweep_report(tmp_path, monkeypatch, capsys
         return real_run_case(plan, traj)
 
     monkeypatch.setattr(harness, "run_case", fails_second)
-    argv = ["sweep", "--eps", "0.4,0.2", *SMALL, "--set", "sweep.samples=5",
+    argv = ["sweep", "--set", "sweep.eps_list=0.4,0.2", *SMALL, "--set", "sweep.samples=5",
             "--set", "params.horizon=0.2", "--output", str(tmp_path)]
     assert main(argv) == 3
     assert "sweep aborted" in capsys.readouterr().err

@@ -2,12 +2,13 @@ import csv
 
 import numpy as np
 
+from anelastic_lab import configio
+from anelastic_lab.cli import main
 from anelastic_lab.grids import Grid
 from anelastic_lab.hydrostatics import (
     PotentialSpec,
     _profile_closed_form,
     build_profile,
-    export_profile_csv,
     flatness_report,
     static_residual,
 )
@@ -115,12 +116,17 @@ class TestFlatnessReport:
             assert abs(a - b) / a < 0.01
 
 
-def test_profile_csv_export(tmp_path, radial_profile):
-    path = tmp_path / "profile.csv"
-    export_profile_csv(radial_profile, str(path))
-    with open(path) as fh:
+def test_profile_csv_export(tmp_path):
+    sets = ["grid.n=96", "grid.r_max=8.0", "grid.r_sponge=6.0"]
+    argv = ["profile", *(arg for item in sets for arg in ("--set", item))]
+    assert main([*argv, "--output", str(tmp_path)]) == 0
+    with open(tmp_path / "profile.csv") as fh:
         rows = list(csv.reader(fh))
+    cfg = configio.load_config(None, sets)
+    prof = build_profile(
+        configio.potential_from(cfg), configio.params_from(cfg), configio.grid_from(cfg)
+    )
     assert rows[0] == ["r", "F", "rho0", "dp"]
-    assert len(rows) == radial_profile.grid.n + 1
+    assert len(rows) == prof.grid.n + 1
     r0, F0, rho0, dp0 = (float(v) for v in rows[1])
-    assert abs(rho0 - radial_profile.rho0[0]) < 1.0e-15
+    assert abs(rho0 - prof.rho0[0]) < 1.0e-15

@@ -144,7 +144,7 @@ def test_mid_run_failure_names_the_member(monkeypatch):
 
 
 def test_mid_run_failure_keeps_the_one_by_one_partial_report(tmp_path, monkeypatch, capsys):
-    argv = ["sweep", "--eps", "0.4,0.2,0.1", *SMALL]
+    argv = ["sweep", "--set", "sweep.eps_list=0.4,0.2,0.1", *SMALL]
     assert main([*argv, "--output", str(tmp_path / "full")]) == 0
     full = (tmp_path / "full" / "convergence.csv").read_text().splitlines()
     poison_second_member(monkeypatch)
@@ -176,7 +176,7 @@ def test_failed_viscous_solve_names_the_member(monkeypatch):
 
 
 def test_failed_viscous_solve_keeps_the_one_by_one_partial_report(tmp_path, monkeypatch, capsys):
-    argv = ["sweep", "--eps", "0.4,0.2,0.1", *SMALL]
+    argv = ["sweep", "--set", "sweep.eps_list=0.4,0.2,0.1", *SMALL]
     assert main([*argv, "--output", str(tmp_path / "full")]) == 0
     full = (tmp_path / "full" / "convergence.csv").read_text().splitlines()
     # once the eps = 0.4 member has left the stack, eps = 0.2 is its first block

@@ -277,3 +277,14 @@ class TestREIAuditBasics:
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.4)
         with pytest.raises(DomainError):
             rei_audit(traj, sol)
+
+    def test_nonpositive_ansatz_density_rejected(self, radial_profile, radial_grid, operator):
+        n = radial_grid.n
+        init = PrimitiveState(
+            rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
+        )
+        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
+        s0 = -3.0 * radial_profile.rho0 / EPS02.eps  # rho0 + eps s = -2 rho0 at t = 0
+        sol = spectral_solution(operator, AcousticState(s=s0, phi=np.zeros(n)), EPS02.eps)
+        with pytest.raises(DomainError, match="lost positivity"):
+            rei_audit(traj, sol)
