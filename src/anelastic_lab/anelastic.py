@@ -235,7 +235,6 @@ def _div_norms(state: AnelasticState, prof: StaticProfile) -> tuple[np.ndarray, 
 class SmoothnessReport:
     """Discrete Sobolev-type surrogates of the limit fields over time."""
 
-    times: np.ndarray
     surrogates: dict
     blowup_flags: dict
 
@@ -280,4 +279,4 @@ def smoothness_monitor(traj: AnelasticTrajectory) -> SmoothnessReport:
     for k, arr in surrogates.items():
         base = arr[0] if arr[0] > 0.0 else float(np.max(arr))
         flags[k] = bool(base > 0.0 and float(np.max(arr)) > BLOWUP_FACTOR * base)
-    return SmoothnessReport(times=traj.times, surrogates=surrogates, blowup_flags=flags)
+    return SmoothnessReport(surrogates=surrogates, blowup_flags=flags)

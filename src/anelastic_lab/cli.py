@@ -23,29 +23,35 @@ from . import configio
 from .anelastic import init_anelastic, run_anelastic, smoothness_monitor
 from .grids import DomainError, lp_norm
 from .harness import (
-    SOLVER_ERRORS,
     SweepError,
     SweepPlan,
     acoustic_ansatz,
     audit_quarantine_time,
     sweep_epsilon,
 )
-from .helmholtz import DEFAULT_TOL, StaggeredVector
+from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
 from .params import ParameterError
 from .primitive import (
     DataError,
+    SolverFailure,
     init_ill_prepared,
     run_primitive,
     write_checkpoint,
 )
 from .relative_energy import (
-    RelEnergyReport,
     rei_audit,
     residual_pressure_value,
     uniform_bounds_report,
 )
 
+# the entry points: each command runs the cmd_* function of its name, dashes as underscores
+__all__ = [
+    "build_parser", "main", "cmd_profile", "cmd_simulate_primitive", "cmd_simulate_anelastic",
+    "cmd_simulate_acoustic", "cmd_spectrum", "cmd_decay", "cmd_strichartz", "cmd_sweep",
+    "cmd_audit_rei", "cmd_report",
+]
+COMMANDS = tuple(n.removeprefix("cmd_").replace("_", "-") for n in __all__ if n.startswith("cmd_"))
 FMT = "%.17g"
 
 
@@ -54,12 +60,18 @@ def _fmt(x: float) -> str:
 
 
 def _write_rows(path: str, header: list[str], rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+
+
+def _write_text(outdir: str, name: str, text: str) -> None:
+    """Write text and a final newline to outdir/name, then print it."""
+    with open(os.path.join(outdir, name), "w") as fh:
+        fh.write(text + "\n")
+    print(text)
 
 
 def _setup(args):
@@ -79,10 +91,8 @@ def cmd_profile(args) -> int:
         ["r", "F", "rho0", "dp"],
         zip(prof.grid.centers, prof.F, prof.rho0, prof.dp),
     )
-    text = rep.text() + f"\nstatic residual (max norm)    = {residual:.17g}\n"
-    with open(os.path.join(outdir, "flatness.txt"), "w") as fh:
-        fh.write(text)
-    print(text, end="")
+    text = rep.text() + f"\nstatic residual (max norm)    = {residual:.17g}"
+    _write_text(outdir, "flatness.txt", text)
     return 0
 
 
@@ -117,7 +127,7 @@ def cmd_simulate_anelastic(args) -> int:
     cfg, outdir = _setup(args)
     grid, params, prof = _profile_setup(cfg)
     if not grid.radial and not args.experimental:
-        raise ConfigUsageError(
+        raise configio.ConfigError(
             "cartesian anelastic runs are experimental; pass --experimental"
         )
     _, u0, theta2 = configio.data_from(cfg).limit_fields(grid)
@@ -249,7 +259,7 @@ def cmd_strichartz(args) -> int:
         if not value > 0.0:
             raise configio.ConfigError(f"{key} = {value:g} must be positive")
     if not ac.admissible_pair(p, q):
-        raise ConfigUsageError(
+        raise configio.ConfigError(
             f"(p, q) = ({p:g}, {q:g}) violates the wave admissibility 1/p + 3/q = 1/2"
         )
     prof, window, op, h = _acoustic_setup(cfg)
@@ -286,10 +296,7 @@ def cmd_sweep(args) -> int:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return 3
     report.write_csv(outdir)
-    text = report.summary_text()
-    with open(os.path.join(outdir, "summary.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
+    _write_text(outdir, "summary.txt", report.summary_text())
     return 0
 
 
@@ -309,11 +316,14 @@ def cmd_audit_rei(args) -> int:
     traj = run_primitive(init, prof, params, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
     rep = rei_audit(traj, sol)
-    run_record = RelEnergyReport(
-        audit=rep,
-        bounds=uniform_bounds_report(traj),
-        residual_pressure=residual_pressure_value(traj, beta),
-    )
+    text = "\n".join((
+        rep.summary_text(),
+        uniform_bounds_report(traj).text(),
+        f"residual-pressure value    = {residual_pressure_value(traj, beta):.17g}",
+        f"raw ansatz max-defect      = {rep.raw_max_defect:.17g}",
+        f"raw perturbed max-defect   = {rep.raw_perturbed_max_defect:.17g}",
+        f"perturbed strictly larger  = {rep.raw_perturbed_max_defect > rep.raw_max_defect}",
+    ))
     rows = zip(
         rep.times,
         rep.lhs,
@@ -330,15 +340,7 @@ def cmd_audit_rei(args) -> int:
          "rhs_acoustic_source", "rhs_theta", "defect"],
         rows,
     )
-    text = (
-        run_record.summary_text()
-        + f"\nraw ansatz max-defect      = {rep.raw_max_defect:.17g}"
-        + f"\nraw perturbed max-defect   = {rep.raw_perturbed_max_defect:.17g}"
-        + f"\nperturbed strictly larger  = {rep.raw_perturbed_max_defect > rep.raw_max_defect}"
-    )
-    with open(os.path.join(outdir, "rei_summary.txt"), "w") as fh:
-        fh.write(text + "\n")
-    print(text)
+    _write_text(outdir, "rei_summary.txt", text)
     return 0 if rep.passed else 3
 
 
@@ -362,64 +364,41 @@ def cmd_report(args) -> int:
     return 0
 
 
-class ConfigUsageError(ValueError):
-    """CLI-level validation failure."""
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anelastic-lab",
         description="Numerical laboratory for a gravitationally stratified "
         "low-Mach limit and its anelastic target system",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="configuration file (key = value with [sections])")
-        p.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="SECTION.KEY=VALUE",
-            help="override one configuration entry (repeatable)",
-        )
-        p.add_argument("--output", help="output directory (default from config)")
-
-    for name, fn in (
-        ("profile", cmd_profile),
-        ("simulate-primitive", cmd_simulate_primitive),
-        ("simulate-anelastic", cmd_simulate_anelastic),
-        ("simulate-acoustic", cmd_simulate_acoustic),
-        ("spectrum", cmd_spectrum),
-        ("decay", cmd_decay),
-        ("strichartz", cmd_strichartz),
-        ("sweep", cmd_sweep),
-        ("audit-rei", cmd_audit_rei),
-        ("report", cmd_report),
-    ):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
-        if name == "simulate-anelastic":
-            p.add_argument("--experimental", action="store_true",
-                           help="allow the cartesian nontrivial-velocity mode")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="configuration file (key = value with [sections])")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="SECTION.KEY=VALUE",
+        help="override one configuration entry (repeatable)",
+    )
+    parser.add_argument("--output", help="output directory (default from config)")
+    parser.add_argument("--experimental", action="store_true",
+                        help="simulate-anelastic only: allow the cartesian nontrivial-velocity mode")
     return parser
 
 
-VALIDATION_ERRORS = (
-    configio.ConfigError,
-    ConfigUsageError,
-    DomainError,
-    ParameterError,
-    DataError,
-)
+# numerical breakdowns exit 3 and bad input exits 2; anything else is a bug
+SOLVER_ERRORS = (SolverError, SolverFailure, ac.EigensolverError)
+VALIDATION_ERRORS = (configio.ConfigError, DomainError, ParameterError, DataError)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.experimental and args.command != "simulate-anelastic":
+        parser.error(f"--experimental applies to simulate-anelastic only, not {args.command}")
+    # looked up per call, so a replaced cli.cmd_* attribute is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        code = args.fn(args)
+        code = command(args)
         sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
         return code
     except BrokenPipeError:

@@ -26,14 +26,13 @@ import numpy as np
 
 from .acoustic import (
     AcousticState,
-    EigensolverError,
     FrequencyWindow,
     assemble_operator,
     regularize_data,
     spectral_solution,
 )
 from .grids import DomainError, Grid, lp_norm
-from .helmholtz import SolverError, project
+from .helmholtz import project
 from .hydrostatics import PotentialSpec, StaticProfile, build_profile
 from .params import ScalingParams
 from .primitive import (
@@ -53,9 +52,6 @@ from .relative_energy import (
 )
 
 FMT = "%.17g"
-
-# numerical breakdowns (exit 3); anything else is bad input or a bug
-SOLVER_ERRORS = (SolverError, SolverFailure, EigensolverError)
 
 
 class SweepError(RuntimeError):
@@ -184,7 +180,6 @@ class ConvergenceReport:
         return "\n".join(lines)
 
     def write_csv(self, outdir: str) -> None:
-        os.makedirs(outdir, exist_ok=True)
         with open(os.path.join(outdir, "convergence.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["eps", "n1", "n2a", "n2b", "n3", "r12"])
@@ -208,18 +203,14 @@ def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
     params = [plan.params.with_eps(eps) for eps in plan.eps_list]
     prof = build_profile(plan.potential, plan.params, plan.grid)  # independent of eps
     times = np.linspace(0.0, plan.params.horizon, plan.n_samples)
-    members, failure, trajs, results = len(params), None, [], []
+    members, failure, trajs = len(params), None, []
     while members and not trajs:
         try:
             inits = [init_ill_prepared(plan.data, prof, p) for p in params[:members]]
             trajs = run_lockstep(inits, prof, params[:members], times)
         except SolverFailure as exc:
             members, failure = exc.member, exc
-    try:
-        for traj in trajs:
-            results.append(run_case(plan, traj))
-    except SOLVER_ERRORS as exc:
-        failure = exc
+    results = [run_case(plan, traj) for traj in trajs]
     if failure is not None:
         partial = _assemble(results) if results else None
         eps = plan.eps_list[len(results)]

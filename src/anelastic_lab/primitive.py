@@ -207,6 +207,12 @@ def init_ill_prepared(
         raise DataError("initial potential temperature is not positive")
     state = PrimitiveState(rho=rho, mom=rho * u, q=rho * theta, t=0.0)
     state.validate()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported just below
+        energy = total_energy(state, prof, params)
+    if not np.isfinite(energy):
+        raise DataError(
+            f"initial energy is {energy:g}; lower data.rho1_amp or data.vel_amp"
+        )
     return state
 
 

@@ -219,6 +219,10 @@ class REIReport:
     raw_max_defect: float  # of the raw shape against U
     raw_perturbed_max_defect: float  # of the raw shape against RAW_PERTURBATION * U
 
+    def __post_init__(self) -> None:
+        if np.any(self.rel_energy < 0.0):
+            raise DomainError("relative energy series must be nonnegative")
+
     @property
     def max_defect(self) -> float:
         return float(np.max(self.defect))
@@ -241,25 +245,6 @@ class REIReport:
 
 RAW_PERTURBATION = 1.1  # scale of the raw shape's perturbed test velocity
 AUDIT_CHUNK = 16  # samples per row block of the audit
-
-
-@dataclass
-class RelEnergyReport:
-    """One run's audited record: energy series, bounds, pressure estimate."""
-
-    audit: "REIReport"
-    bounds: BoundsReport
-    residual_pressure: float
-
-    def __post_init__(self) -> None:
-        if np.any(self.audit.rel_energy < 0.0):
-            raise DomainError("relative energy series must be nonnegative")
-
-    def summary_text(self) -> str:
-        lines = [self.audit.summary_text()]
-        lines.append(self.bounds.text())
-        lines.append(f"residual-pressure value    = {self.residual_pressure:.17g}")
-        return "\n".join(lines)
 
 
 def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIReport:

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -395,7 +396,12 @@ class TestCli:
         )
         assert code == 0
         assert os.path.exists(os.path.join(out, "rei.csv"))
-        assert os.path.exists(os.path.join(out, "rei_summary.txt"))
+        lines = open(os.path.join(out, "rei_summary.txt")).read().splitlines()
+        # audit summary, bounds table, residual pressure, then the three raw lines
+        assert lines[0].startswith("rei-audit samples=")
+        assert lines[1].startswith("bound   measured-lhs")
+        assert lines[-4].startswith("residual-pressure value    = ")
+        assert lines[-1].startswith("perturbed strictly larger  = ")
 
 
 @pytest.mark.parametrize(
@@ -437,6 +443,10 @@ class TestCli:
                 (["decay", "--set", "data.rho1_amp=1e200"], "data.rho1_amp"),
                 (["simulate-acoustic", "--set", "data.rho1_amp=1e160"], "data.rho1_amp"),
                 (["simulate-acoustic", "--set", "data.vel_amp=1e155"], "data.vel_amp"),
+                # primitive data whose initial total energy overflows
+                (["simulate-primitive", "--set", "data.rho1_amp=1e308"], "data.rho1_amp"),
+                (["audit-rei", "--set", "data.vel_amp=1e200"], "data.vel_amp"),
+                (["sweep", "--set", "data.rho1_amp=1e308"], "data.rho1_amp"),
             )
         ),
     ],
@@ -459,6 +469,30 @@ def test_inputs_come_from_the_configuration_only(tmp_path, capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
+def test_experimental_is_for_simulate_anelastic_only(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["profile", "--experimental", *SMALL, "--output", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert "--experimental" in capsys.readouterr().err
+    assert not (tmp_path / "profile.csv").exists()
+
+
+def test_one_parser_per_call(tmp_path, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["report", "--output", str(tmp_path)]) == 0
+    assert built == [1]
+    # options may come before the command as well
+    assert main(["--output", str(tmp_path), "report"]) == 0
+    assert built == [1, 1]
+
+
 def test_internal_error_is_not_a_validation_failure(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
@@ -475,21 +509,3 @@ def test_internal_error_in_sweep_member_propagates(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "run_case", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["sweep", *SMALL, "--output", str(tmp_path)])
-
-
-def test_solver_failure_keeps_partial_sweep_report(tmp_path, monkeypatch, capsys):
-    real_run_case = harness.run_case
-
-    def fails_second(plan, traj):
-        if traj.params.eps != plan.eps_list[0]:
-            raise ac.EigensolverError("eigensolve failed")
-        return real_run_case(plan, traj)
-
-    monkeypatch.setattr(harness, "run_case", fails_second)
-    argv = ["sweep", "--set", "sweep.eps_list=0.4,0.2", *SMALL, "--set", "sweep.samples=5",
-            "--set", "params.horizon=0.2", "--output", str(tmp_path)]
-    assert main(argv) == 3
-    assert "sweep aborted" in capsys.readouterr().err
-    rows = (tmp_path / "convergence.csv").read_text().strip().splitlines()
-    assert len(rows) == 2  # header + the eps = 0.4 member
-    assert rows[1].startswith("0.40000000000000002,")

@@ -200,40 +200,26 @@ class TestResidualPressure:
 
 
 class TestRelEnergyReport:
-    def test_summary_and_nonnegativity_guard(self, radial_profile, radial_grid):
-        from anelastic_lab.relative_energy import RelEnergyReport, REIReport
+    def test_summary_and_nonnegativity_guard(self):
+        from anelastic_lab.relative_energy import REIReport
 
-        init = PrimitiveState(
-            rho=radial_profile.rho0.copy(),
-            mom=np.zeros(radial_grid.n),
-            q=radial_profile.rho0.copy(),
+        def report(rel_energy):
+            return REIReport(
+                times=np.array([0.0, 0.1]),
+                rel_energy=rel_energy,
+                lhs=np.zeros(2),
+                rhs_groups={"velocity": np.zeros(2)},
+                defect=np.zeros(2),
+                tolerance=1.0,
+                raw_max_defect=0.0,
+                raw_perturbed_max_defect=0.0,
+            )
+
+        assert report(np.zeros(2)).summary_text() == (
+            "rei-audit samples=2 max-defect=0 tolerance=1 pass=True rhs[velocity]=0"
         )
-        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
-        bounds = uniform_bounds_report(traj)
-        audit = REIReport(
-            times=np.array([0.0, 0.1]),
-            rel_energy=np.zeros(2),
-            lhs=np.zeros(2),
-            rhs_groups={"velocity": np.zeros(2)},
-            defect=np.zeros(2),
-            tolerance=1.0,
-            raw_max_defect=0.0,
-            raw_perturbed_max_defect=0.0,
-        )
-        rec = RelEnergyReport(audit=audit, bounds=bounds, residual_pressure=0.0)
-        assert "residual-pressure value" in rec.summary_text()
-        bad = REIReport(
-            times=np.array([0.0, 0.1]),
-            rel_energy=np.array([0.0, -1.0]),
-            lhs=np.zeros(2),
-            rhs_groups={"velocity": np.zeros(2)},
-            defect=np.zeros(2),
-            tolerance=1.0,
-            raw_max_defect=0.0,
-            raw_perturbed_max_defect=0.0,
-        )
-        with pytest.raises(DomainError):
-            RelEnergyReport(audit=bad, bounds=bounds, residual_pressure=0.0)
+        with pytest.raises(DomainError, match="nonnegative"):
+            report(np.array([0.0, -1.0]))
 
 
 class TestFitSlope:

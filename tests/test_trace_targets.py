@@ -110,6 +110,8 @@ def test_cli_audit_makes_one_pass(tracing, tmp_path):
     finally:
         tracer.uninstall()
     spans = tracer.flow_spans(0)
+    # main runs the traced cmd_audit_rei, which it looks up at call time
+    assert sum(rec[0] == "cli.cmd_audit_rei" for rec in spans) == 1
     # the grouped report and both raw defects come from one audit call
     assert sum(rec[0] == "relative_energy.rei_audit" for rec in spans) == 1
     assert tracing.layer_metrics(spans)["acoustic.reconstruct_calls"] == 4
