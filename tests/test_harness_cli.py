@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anelastic_lab import acoustic as ac
 from anelastic_lab import anelastic, cli, configio, harness, helmholtz, hydrostatics, lapack
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError, Grid
