@@ -7,7 +7,7 @@ that drive the limit: relative energy, uniform bounds, local pressure
 decay, dispersive decay and the convergence norms themselves.
 """
 
-from .grids import EssResCutoff, Grid, integrate, lp_norm, weighted_inner
+from .grids import EssResCutoff, Grid, integrate, lp_norm
 from .hydrostatics import (
     PotentialSpec,
     StaticProfile,
@@ -28,5 +28,4 @@ __all__ = [
     "integrate",
     "lp_norm",
     "static_residual",
-    "weighted_inner",
 ]

@@ -1,7 +1,8 @@
 """Command-line interface of the laboratory.
 
 Every subcommand reads the plain-text configuration (defaults, optional
-file, dotted-key overrides), runs deterministically for a given
+file, dotted-key overrides); `configio` parses and checks all of it
+before the command starts.  A command runs deterministically for a given
 configuration and seed, and writes CSV/plain-text artifacts with floats
 printed at 17 significant digits.  Exit codes: 0 success, 2 validation
 failure (bad configuration or data), 3 solver failure, 141 stdout
@@ -74,10 +75,14 @@ def _write_text(outdir: str, name: str, text: str) -> None:
     print(text)
 
 
-def _setup(args):
+def _setup(args, write: bool = True):
+    """Configuration and output directory; made if the command writes, else it must exist."""
     cfg = configio.load_config(args.config, args.set)
     outdir = args.output or cfg["output.dir"]
-    os.makedirs(outdir, exist_ok=True)
+    if write:
+        os.makedirs(outdir, exist_ok=True)
+    elif not os.path.isdir(outdir):
+        raise configio.ConfigError(f"output directory {outdir} does not exist")
     return cfg, outdir
 
 
@@ -101,7 +106,7 @@ def cmd_simulate_primitive(args) -> int:
     grid, params, prof = _profile_setup(cfg)
     data = configio.data_from(cfg)
     init = init_ill_prepared(data, prof, params)
-    times = np.linspace(0.0, params.horizon, configio.get_int(cfg, "run.samples"))
+    times = np.linspace(0.0, params.horizon, cfg["run.samples"])
     traj = run_primitive(init, prof, params, times)
     rows = zip(
         traj.times,
@@ -134,7 +139,7 @@ def cmd_simulate_anelastic(args) -> int:
     if grid.radial:
         v0 = u0
     else:
-        rng = np.random.default_rng(configio.get_int(cfg, "run.seed"))
+        rng = np.random.default_rng(cfg["run.seed"])
         n = grid.n
         v0 = StaggeredVector(
             0.1 * rng.standard_normal((n + 1, n, n)),
@@ -143,9 +148,7 @@ def cmd_simulate_anelastic(args) -> int:
         )
     theta20 = 1.0 + theta2
     state = init_anelastic(v0, theta20, prof)
-    traj = run_anelastic(
-        state, prof, params.horizon, n_samples=configio.get_int(cfg, "run.samples")
-    )
+    traj = run_anelastic(state, prof, params.horizon, n_samples=cfg["run.samples"])
     monitor = smoothness_monitor(traj)
     rows = zip(
         traj.times,
@@ -184,7 +187,7 @@ def _acoustic_setup(cfg):
     """Profile, frequency window, the acoustic operator holding the modes the
     window can see, and the windowed density datum of unit norm."""
     grid, params, prof = _profile_setup(cfg)
-    window = ac.FrequencyWindow(configio.get_float(cfg, "acoustic.delta"))
+    window = ac.FrequencyWindow(cfg["acoustic.delta"])
     op = ac.assemble_operator(prof, lam_max=window.lam_max)
     h = ac.functional_calculus(op, window, configio.data_from(cfg).rho1.field(grid))
     with np.errstate(over="ignore"):  # an overflow is reported just below
@@ -200,9 +203,8 @@ def _acoustic_setup(cfg):
 def cmd_simulate_acoustic(args) -> int:
     cfg, outdir = _setup(args)
     grid, params, prof = _profile_setup(cfg)
-    delta = configio.get_float(cfg, "acoustic.delta")
-    sol = acoustic_ansatz(configio.data_from(cfg), prof, params.eps, delta)
-    times = np.linspace(0.0, params.horizon, configio.get_int(cfg, "run.samples"))
+    sol = acoustic_ansatz(configio.data_from(cfg), prof, params.eps, cfg["acoustic.delta"])
+    times = np.linspace(0.0, params.horizon, cfg["run.samples"])
     with np.errstate(over="ignore"):  # an overflowing energy is reported just below
         st, energies = sol.state(times), sol.energy(times)
     if not np.isfinite(energies[0]):
@@ -238,8 +240,7 @@ def cmd_decay(args) -> int:
     cfg, outdir = _setup(args)
     prof, window, op, h = _acoustic_setup(cfg)
     t_star = ac.crossing_time(prof)
-    ppp = configio.get_int(cfg, "acoustic.points_per_period")
-    radius = configio.get_float(cfg, "acoustic.ball_radius")
+    ppp, radius = cfg["acoustic.points_per_period"], cfg["acoustic.ball_radius"]
     m1 = ac.measure_local_decay(op, window, radius, h, t_star, ppp)
     m2 = ac.measure_local_decay(op, window, radius, h, 2.0 * t_star, ppp)
     _write_rows(os.path.join(outdir, "decay.csv"), ["t", "localized_sq_norm"], zip(m2.times, m2.series))
@@ -253,20 +254,10 @@ def cmd_decay(args) -> int:
 
 def cmd_strichartz(args) -> int:
     cfg, outdir = _setup(args)
-    p = configio.get_float(cfg, "acoustic.p")
-    q = configio.get_float(cfg, "acoustic.q")
-    for key, value in (("acoustic.p", p), ("acoustic.q", q)):
-        if not value > 0.0:
-            raise configio.ConfigError(f"{key} = {value:g} must be positive")
-    if not ac.admissible_pair(p, q):
-        raise configio.ConfigError(
-            f"(p, q) = ({p:g}, {q:g}) violates the wave admissibility 1/p + 3/q = 1/2"
-        )
+    p, q = cfg["acoustic.p"], cfg["acoustic.q"]
     prof, window, op, h = _acoustic_setup(cfg)
     t_star = ac.crossing_time(prof)
-    meas = ac.measure_strichartz(
-        op, window, h, p, q, t_star, configio.get_int(cfg, "acoustic.points_per_period")
-    )
+    meas = ac.measure_strichartz(op, window, h, p, q, t_star, cfg["acoustic.points_per_period"])
     _write_rows(os.path.join(outdir, "strichartz.csv"), ["t", "lq_norm"], zip(meas.times, meas.series))
     print(
         f"strichartz: p={p:g} q={q:g} value={meas.value:.17g} "
@@ -277,16 +268,14 @@ def cmd_strichartz(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg, outdir = _setup(args)
-    grid = configio.grid_from(cfg)
-    params = configio.params_from(cfg)
     plan = SweepPlan(
-        eps_list=configio.eps_list_from(cfg),
+        grid=configio.grid_from(cfg),
+        params=configio.params_from(cfg),
+        eps_list=cfg["sweep.eps_list"],
         data=configio.data_from(cfg),
         potential=configio.potential_from(cfg),
-        params=params,
-        grid=grid,
-        n_samples=configio.get_int(cfg, "sweep.samples"),
-        beta=configio.beta_from(cfg, params),
+        n_samples=cfg["sweep.samples"],
+        beta=cfg["sweep.beta"],
     )
     try:
         report = sweep_epsilon(plan)
@@ -304,13 +293,12 @@ def cmd_audit_rei(args) -> int:
     cfg, outdir = _setup(args)
     _, params, prof = _profile_setup(cfg)
     data = configio.data_from(cfg)
-    delta = configio.get_float(cfg, "acoustic.delta")
-    beta = configio.beta_from(cfg, params)
+    delta, beta = cfg["acoustic.delta"], cfg["sweep.beta"]
     horizon = min(params.horizon, audit_quarantine_time(prof, params))
     times = ac.time_mesh(
         horizon,
         (2.0 / delta) / params.eps,
-        configio.get_int(cfg, "acoustic.points_per_period"),
+        cfg["acoustic.points_per_period"],
     )
     init = init_ill_prepared(data, prof, params)
     traj = run_primitive(init, prof, params, times)
@@ -345,7 +333,7 @@ def cmd_audit_rei(args) -> int:
 
 
 def cmd_report(args) -> int:
-    cfg, outdir = _setup(args)
+    outdir = _setup(args, write=False)[1]
     found = False
     for name in sorted(os.listdir(outdir)):
         if name.endswith(".txt"):

@@ -1,56 +1,98 @@
 """Plain-text key=value configuration with [section] headers.
 
 Lines are `key = value` under a `[section]` header; `#` starts a comment.
-Every key must be known; unknown keys fail validation with the offending
-names listed.  Command-line overrides use the same dotted names.
+Command-line overrides use the same dotted names.
+
+This module is the one place that knows each key.  DEFAULTS holds its
+default, and the default's type is the key's type: str, int, float, or a
+tuple of floats written as a comma-separated list.  The `params.*` and
+`potential.*` defaults are the field defaults of ScalingParams and
+PotentialSpec.  BOUNDS holds the range of each bounded key, and
+`_check_across` the two rules that tie keys together.  `load_config`
+parses and checks every key, whichever command runs, and returns the
+parsed values; any bad value, unknown key or unreadable file raises a
+ConfigError that names the key or the path.  The objects built from the
+values (Grid, ScalingParams, ...) still check their own arguments.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import fields
 
+from .acoustic import admissible_pair
 from .grids import Grid
 from .hydrostatics import PotentialSpec
 from .params import ScalingParams
-from .primitive import DataError, GaussianBump, IllPreparedData
+from .primitive import GaussianBump, IllPreparedData
 
 
 class ConfigError(ValueError):
     """Configuration file or override is invalid."""
 
 
-DEFAULTS: dict[str, str] = {
+def _field_defaults(section: str, cls) -> dict:
+    return {f"{section}.{f.name}": f.default for f in fields(cls)}
+
+
+DEFAULTS: dict[str, object] = {
     "grid.geometry": "radial",
-    "grid.n": "512",
-    "grid.r_max": "16.0",
-    "grid.r_sponge": "12.0",
-    "potential.c_f": "1.0",
-    "potential.a": "1.0",
-    "params.eps": "0.2",
-    "params.alpha": "1.0",
-    "params.gamma": str(5.0 / 3.0),
-    "params.lam": "0.0",
-    "params.mu": "1.0",
-    "params.rho_bar": "1.0",
-    "params.horizon": "2.5",
-    "data.rho1_amp": "0.4",
-    "data.rho1_width": "1.2",
-    "data.vel_amp": "0.4",
-    "data.vel_width": "1.5",
-    "data.theta2_amp": "0.4",
-    "data.theta2_width": "1.2",
-    "acoustic.delta": "0.25",
-    "acoustic.ball_radius": "2.5",
-    "acoustic.p": "4.0",
-    "acoustic.q": "12.0",
-    "acoustic.points_per_period": "24",
-    "sweep.eps_list": "0.4,0.2,0.1",
-    "sweep.samples": "65",
-    "sweep.beta": "0.5",
-    "run.seed": "0",
-    "run.samples": "65",
+    "grid.n": 512,
+    "grid.r_max": 16.0,
+    "grid.r_sponge": 12.0,
+    **_field_defaults("potential", PotentialSpec),
+    **_field_defaults("params", ScalingParams),
+    "data.rho1_amp": 0.4,
+    "data.rho1_width": 1.2,
+    "data.vel_amp": 0.4,
+    "data.vel_width": 1.5,
+    "data.theta2_amp": 0.4,
+    "data.theta2_width": 1.2,
+    "acoustic.delta": 0.25,
+    "acoustic.ball_radius": 2.5,
+    "acoustic.p": 4.0,
+    "acoustic.q": 12.0,
+    "acoustic.points_per_period": 24,
+    "sweep.eps_list": (0.4, 0.2, 0.1),
+    "sweep.samples": 65,
+    "sweep.beta": 0.5,
+    "run.seed": 0,
+    "run.samples": 65,
     "output.dir": "out",
 }
+
+# The interval each bounded number must lie in; each entry of an eps list
+# lies in its interval, and the list falls strictly.  A number without an
+# entry must be finite, so only the Strichartz exponents admit inf (p = inf
+# is an admissible endpoint).  NaN lies in no interval.
+BOUNDS = {
+    "data.rho1_width": "(0, inf)",
+    "data.vel_width": "(0, inf)",
+    "data.theta2_width": "(0, inf)",
+    "acoustic.delta": "(0, 1)",
+    "acoustic.p": "(0, inf]",
+    "acoustic.q": "(0, inf]",
+    "acoustic.points_per_period": "[1, inf)",
+    "sweep.eps_list": "(0, inf)",
+    "sweep.samples": "[2, inf)",
+    "run.seed": "[0, inf)",
+    "run.samples": "[1, inf)",
+}
+FINITE = "(-inf, inf)"
+
+
+def _interval(text: str):
+    lo, hi = (float(end) for end in text[1:-1].split(","))
+    return text[0] == "[", lo, hi, text[-1] == "]"
+
+
+_INTERVALS = {text: _interval(text) for text in {FINITE, *BOUNDS.values()}}
+
+
+def _inside(value: float, text: str) -> bool:
+    lo_closed, lo, hi, hi_closed = _INTERVALS[text]
+    return (lo <= value if lo_closed else lo < value) and (
+        value <= hi if hi_closed else value < hi
+    )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -72,131 +114,103 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def load_config(path: str | None = None, overrides: list[str] | None = None) -> dict[str, str]:
-    """Merge defaults, an optional file, and dotted-key overrides."""
-    cfg = dict(DEFAULTS)
-    unknown = []
-    if path is not None:
-        with open(path) as fh:
-            for key, value in parse_config_text(fh.read()).items():
-                if key not in DEFAULTS:
-                    unknown.append(key)
-                else:
-                    cfg[key] = value
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ConfigError(f"configuration file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"configuration file {path}: not UTF-8 text (byte {exc.start})"
+        ) from exc
+
+
+_NOUNS = {int: "an integer", float: "a number", tuple: "a comma-separated list of numbers"}
+
+
+def _parse(key: str, raw: str):
+    kind = type(DEFAULTS[key])
+    try:
+        if kind is tuple:
+            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {raw!r} is not {_NOUNS[kind]}") from exc
+
+
+def _check(key: str, value) -> None:
+    if isinstance(value, str):
+        return
+    bound = BOUNDS.get(key, FINITE)
+    if isinstance(value, tuple):
+        if len(value) < 2:
+            raise ConfigError(f"{key}: eps list needs at least two entries")
+        if not all(_inside(v, bound) for v in value) or any(
+            a <= b for a, b in zip(value, value[1:])
+        ):
+            raise ConfigError(
+                f"{key}: eps list must lie in {bound} and be strictly decreasing"
+            )
+    elif not _inside(value, bound):
+        if bound == FINITE:
+            raise ConfigError(f"{key} = {value:g} is not a finite number")
+        raise ConfigError(f"{key} = {value:g} must lie in {bound}")
+
+
+def _check_across(cfg: dict) -> None:
+    """beta in (0, gamma/3), as the residual-pressure estimate needs, and a
+    wave-admissible Strichartz pair."""
+    beta, gamma = cfg["sweep.beta"], cfg["params.gamma"]
+    if not 0.0 < beta < gamma / 3.0:
+        raise ConfigError(
+            f"sweep.beta = {beta:g} must lie in (0, params.gamma/3 = {gamma / 3.0:g})"
+        )
+    p, q = cfg["acoustic.p"], cfg["acoustic.q"]
+    if not admissible_pair(p, q):
+        raise ConfigError(
+            f"acoustic.p, acoustic.q = {p:g}, {q:g} violate the wave admissibility "
+            "1/p + 3/q = 1/2"
+        )
+
+
+def load_config(path: str | None = None, overrides: list[str] | None = None) -> dict:
+    """Defaults, then an optional file, then dotted-key overrides, each
+    value parsed to its key's type; raises ConfigError on any bad input."""
+    raw = parse_config_text(_read(path)) if path is not None else {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            unknown.append(key)
-        else:
-            cfg[key] = value.strip()
+        raw[key.strip()] = value.strip()
+    unknown = raw.keys() - DEFAULTS.keys()
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(sorted(unknown)))
+    cfg = DEFAULTS | {key: _parse(key, value) for key, value in raw.items()}
+    for key, value in cfg.items():
+        _check(key, value)
+    _check_across(cfg)
     return cfg
 
 
-# open interval the bounded float keys must lie in
-FLOAT_RANGE = {"acoustic.delta": (0.0, 1.0)}
-# keys that may be infinite: a Strichartz pair may take p = inf as its endpoint
-INFINITE_OK = frozenset({"acoustic.p", "acoustic.q"})
-
-
-def get_float(cfg: dict, key: str) -> float:
-    try:
-        value = float(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not a number") from exc
-    if np.isnan(value) or (np.isinf(value) and key not in INFINITE_OK):
-        raise ConfigError(f"{key} = {value:g} is not a finite number")
-    if key in FLOAT_RANGE:
-        lo, hi = FLOAT_RANGE[key]
-        if not lo < value < hi:
-            raise ConfigError(f"{key} = {value:g} must lie in ({lo:g}, {hi:g})")
-    return value
-
-
-# smallest admissible value of the integer keys that count or seed something
-INT_MINIMUM = {
-    "run.samples": 1,
-    "run.seed": 0,
-    "sweep.samples": 2,
-    "acoustic.points_per_period": 1,
-}
-
-
-def get_int(cfg: dict, key: str) -> int:
-    try:
-        value = int(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} = {cfg[key]!r} is not an integer") from exc
-    if key in INT_MINIMUM and value < INT_MINIMUM[key]:
-        raise ConfigError(f"{key} = {value} is below its minimum {INT_MINIMUM[key]}")
-    return value
+def _build(cls, section: str, cfg: dict):
+    return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in fields(cls)})
 
 
 def grid_from(cfg: dict) -> Grid:
-    return Grid(
-        geometry=cfg["grid.geometry"],
-        n=get_int(cfg, "grid.n"),
-        r_max=get_float(cfg, "grid.r_max"),
-        r_sponge=get_float(cfg, "grid.r_sponge"),
-    )
+    return _build(Grid, "grid", cfg)
 
 
-def params_from(cfg: dict, eps: float | None = None) -> ScalingParams:
-    return ScalingParams(
-        eps=eps if eps is not None else get_float(cfg, "params.eps"),
-        alpha=get_float(cfg, "params.alpha"),
-        gamma=get_float(cfg, "params.gamma"),
-        lam=get_float(cfg, "params.lam"),
-        mu=get_float(cfg, "params.mu"),
-        rho_bar=get_float(cfg, "params.rho_bar"),
-        horizon=get_float(cfg, "params.horizon"),
-    )
-
-
-def beta_from(cfg: dict, params: ScalingParams) -> float:
-    """Residual-pressure exponent sweep.beta, checked against (0, gamma/3)."""
-    beta = get_float(cfg, "sweep.beta")
-    if not 0.0 < beta < params.gamma / 3.0:
-        raise ConfigError(
-            f"sweep.beta = {beta:g} must lie in (0, gamma/3 = {params.gamma / 3.0:g})"
-        )
-    return beta
+def params_from(cfg: dict) -> ScalingParams:
+    return _build(ScalingParams, "params", cfg)
 
 
 def potential_from(cfg: dict) -> PotentialSpec:
-    return PotentialSpec(c_f=get_float(cfg, "potential.c_f"), a=get_float(cfg, "potential.a"))
-
-
-def _bump(cfg: dict, name: str) -> GaussianBump:
-    width_key = f"data.{name}_width"
-    try:
-        return GaussianBump(get_float(cfg, f"data.{name}_amp"), get_float(cfg, width_key))
-    except DataError as exc:
-        raise ConfigError(f"{width_key}: {exc}") from exc
+    return _build(PotentialSpec, "potential", cfg)
 
 
 def data_from(cfg: dict) -> IllPreparedData:
-    return IllPreparedData(
-        rho1=_bump(cfg, "rho1"),
-        vel_potential=_bump(cfg, "vel"),
-        theta2=_bump(cfg, "theta2"),
-    )
-
-
-def eps_list_from(cfg: dict) -> tuple[float, ...]:
-    raw = cfg["sweep.eps_list"]
-    try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"sweep.eps_list: bad eps list {raw!r}") from exc
-    if len(values) < 2:
-        raise ConfigError("sweep.eps_list: eps list needs at least two entries")
-    if not all(0.0 < v < np.inf for v in values) or any(np.diff(values) >= 0.0):
-        raise ConfigError(
-            "sweep.eps_list: eps list must be finite, positive and strictly decreasing"
-        )
-    return values
+    return IllPreparedData(*(
+        GaussianBump(cfg[f"data.{name}_amp"], cfg[f"data.{name}_width"])
+        for name in ("rho1", "vel", "theta2")
+    ))

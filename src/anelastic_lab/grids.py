@@ -173,13 +173,6 @@ def lp_norm(f: np.ndarray, p: float, grid: Grid) -> float | np.ndarray:
     return np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)
 
 
-def weighted_inner(u: np.ndarray, v: np.ndarray, prof) -> float:
-    """Scalar product with density rho0 / p'(rho0), the acoustic weight."""
-    g = prof.grid
-    g.check_aligned(u, v)
-    return float(np.sum(u * v * prof.inner_weight * g.weights))
-
-
 @dataclass(frozen=True)
 class EssResCutoff:
     """C^1 cutoff chi(Y): one on [y_lo, y_hi], zero outside the widened band.

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anelastic_lab import acoustic as ac
 from anelastic_lab import lapack
@@ -48,6 +50,14 @@ class TestOperator:
         v = rng.standard_normal(operator.grid.n)
         defect = abs(operator.inner(operator.apply(u), v) - operator.inner(u, operator.apply(v)))
         assert defect <= 1.0e-10 * operator.norm(u) * operator.norm(v)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_positive_definite(self, operator, seed):
+        u = np.random.default_rng(seed).standard_normal(operator.grid.n)
+        if np.all(u == 0.0):
+            return
+        assert operator.inner(u, u) > 0.0
 
     def test_nonnegative_spectrum(self, operator):
         assert operator.evals[0] >= -1.0e-8 * operator.evals[-1]

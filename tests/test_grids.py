@@ -17,7 +17,6 @@ from anelastic_lab.grids import (
     radial_gradient,
     smoothstep,
     upwind_faces,
-    weighted_inner,
 )
 
 
@@ -131,39 +130,6 @@ class TestStackedFields:
                 call()
         with pytest.raises(FieldAlignmentError):
             integrate(np.ones((radial_grid.n, 5)), radial_grid)
-
-
-class TestWeightedInner:
-    def test_constant_coefficients(self, flat_profile, radial_grid):
-        ones = np.ones(radial_grid.n)
-        val = weighted_inner(ones, ones, flat_profile)
-        volume = radial_grid.weights.sum()
-        assert abs(val - 0.6 * volume) < 1.0e-10 * volume
-
-    def test_odd_even_orthogonality(self, cart_profile, cart_grid):
-        x = cart_grid.centers[:, None, None]
-        odd = x * np.exp(-cart_grid.radii**2)
-        even = np.exp(-cart_grid.radii**2)
-        num = weighted_inner(odd, even, cart_profile)
-        scale = np.sqrt(
-            weighted_inner(odd, odd, cart_profile) * weighted_inner(even, even, cart_profile)
-        )
-        assert abs(num) < 1.0e-12 * scale
-
-    def test_composes_from_integrate(self, radial_profile, radial_grid, rng):
-        u = rng.standard_normal(radial_grid.n)
-        v = rng.standard_normal(radial_grid.n)
-        direct = weighted_inner(u, v, radial_profile)
-        composed = integrate(u * v * radial_profile.rho0 / radial_profile.dp, radial_grid)
-        assert abs(direct - composed) < 1.0e-12 * (1.0 + abs(direct))
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_positive_definite(self, radial_profile, radial_grid, seed):
-        u = np.random.default_rng(seed).standard_normal(radial_grid.n)
-        if np.all(u == 0.0):
-            return
-        assert weighted_inner(u, u, radial_profile) > 0.0
 
 
 class TestEssResSplit:

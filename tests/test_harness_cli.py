@@ -78,10 +78,8 @@ class TestSweep:
         dissipation (ROADMAP item 5) is expected to flip the first
         assertion.
         """
-        cfg = dict(configio.DEFAULTS)
-
         def n2b(n, eps):
-            cfg["grid.n"] = str(n)
+            cfg = configio.load_config(None, [f"grid.n={n}"])
             plan = SweepPlan(
                 eps_list=(0.4, 0.2),
                 data=configio.data_from(cfg),
@@ -111,9 +109,17 @@ class TestConfig:
         cfg = configio.load_config()
         assert cfg["grid.geometry"] == "radial"
         configio.grid_from(cfg)
-        configio.params_from(cfg)
-        configio.potential_from(cfg)
         configio.data_from(cfg)
+        # the params.* and potential.* defaults are the dataclasses' own
+        assert configio.params_from(cfg) == ScalingParams()
+        assert configio.potential_from(cfg) == PotentialSpec()
+
+    def test_values_take_the_type_of_their_default(self):
+        text = {k: ",".join(map(repr, v)) if isinstance(v, tuple) else str(v)
+                for k, v in configio.DEFAULTS.items()}
+        cfg = configio.load_config(None, [f"{k}={v}" for k, v in text.items()])
+        assert cfg == configio.DEFAULTS
+        assert all(type(cfg[k]) is type(v) for k, v in configio.DEFAULTS.items())
 
     def test_parse_sections_and_comments(self):
         text = "# comment\n[grid]\nn = 64  # inline\n\n[params]\neps = 0.3\n"
@@ -131,13 +137,33 @@ class TestConfig:
         path = tmp_path / "ok.cfg"
         path.write_text("[grid]\nn = 64\n")
         cfg = configio.load_config(str(path), ["grid.n=128"])
-        assert cfg["grid.n"] == "128"
+        assert cfg["grid.n"] == 128
 
     def test_eps_list_validation(self):
-        with pytest.raises(configio.ConfigError):
-            configio.eps_list_from(configio.load_config(None, ["sweep.eps_list=0.1,0.2"]))
-        cfg = configio.load_config(None, ["sweep.eps_list=0.4,0.1"])
-        assert configio.eps_list_from(cfg) == (0.4, 0.1)
+        for bad in ("0.1,0.2", "0.4", "0.4,0.4", "0.4,-0.1", "0.4,nan", "inf,0.4", "0.4,x"):
+            with pytest.raises(configio.ConfigError, match="sweep.eps_list"):
+                configio.load_config(None, [f"sweep.eps_list={bad}"])
+        cfg = configio.load_config(None, ["sweep.eps_list=0.4, 0.1"])
+        assert cfg["sweep.eps_list"] == (0.4, 0.1)
+
+    # the command-line cases are in test_bad_input_exits_2
+    @pytest.mark.parametrize(
+        "item",
+        ["grid.n=64.0", "params.eps=x", "params.lam=-inf", "acoustic.q=-inf",
+         "data.theta2_width=-1", "sweep.beta=0"],
+    )
+    def test_bad_value_names_its_key(self, item):
+        with pytest.raises(configio.ConfigError, match=item.partition("=")[0]):
+            configio.load_config(None, [item])
+
+    def test_cross_key_rules(self):
+        # beta's upper bound gamma/3 moves with gamma
+        assert configio.load_config(None, ["params.gamma=2", "sweep.beta=0.6"])["sweep.beta"] == 0.6
+        # p = inf is the admissible endpoint with q = 6, the one infinite value allowed
+        cfg = configio.load_config(None, ["acoustic.p=inf", "acoustic.q=6"])
+        assert cfg["acoustic.p"] == np.inf
+        with pytest.raises(configio.ConfigError, match="acoustic.p"):
+            configio.load_config(None, ["acoustic.p=inf"])
 
 
 SMALL = ["--set", "grid.n=96", "--set", "grid.r_max=8.0", "--set", "grid.r_sponge=6.0"]
@@ -448,11 +474,31 @@ class TestCli:
                 (["sweep", "--set", "data.rho1_amp=1e308"], "data.rho1_amp"),
             )
         ),
+        # keys the command does not read are checked all the same
+        (["report", "--set", "grid.n=abc"], "grid.n"),
+        (["profile", "--set", "acoustic.delta=abc"], "acoustic.delta"),
+        (["profile", "--set", "sweep.beta=0.6"], "sweep.beta"),
+        (["spectrum", "--set", "acoustic.q=10"], "acoustic.q"),
+        (["sweep", "--set", "run.seed=-3"], "run.seed"),
+        # a --config that cannot be read: missing, a directory, not UTF-8
+        (["profile", "--config", "missing.cfg"], "missing.cfg"),
+        (["profile", "--config", "cfgdir"], "cfgdir"),
+        (["profile", "--config", "latin1.cfg"], "latin1.cfg"),
+        # report reads its directory and makes none
+        (["report", "--output", "nothere"], "nothere"),
     ],
 )
-def test_bad_input_exits_2(tmp_path, capsys, argv, key):
-    assert main([*argv, *SMALL, "--output", str(tmp_path)]) == 2
-    assert key in capsys.readouterr().err
+def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, key):
+    # argv comes last, so its --set and --output win over SMALL's and tmp_path;
+    # its relative paths name files in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfgdir").mkdir()
+    (tmp_path / "latin1.cfg").write_bytes("[grid]\nn = 64  # ½\n".encode("latin-1"))
+    assert main(["--output", str(tmp_path), *SMALL, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "nothere").exists()
 
 
 @pytest.mark.parametrize(

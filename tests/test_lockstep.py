@@ -44,10 +44,9 @@ SMALL = ["--set", "grid.n=64", "--set", "sweep.samples=17"]
 
 def small_config(**sets):
     """The default configuration at n = 64, with params.KEY=VALUE set by keyword."""
-    cfg = dict(configio.DEFAULTS)
-    cfg["grid.n"] = "64"
-    cfg.update({f"params.{key}": str(value) for key, value in sets.items()})
-    return cfg
+    return configio.load_config(
+        None, ["grid.n=64", *(f"params.{key}={value}" for key, value in sets.items())]
+    )
 
 
 def members(eps_list, **sets):

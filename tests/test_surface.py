@@ -3,8 +3,10 @@
 A public function or class, or a public method, that nothing in
 `src/anelastic_lab` refers to outside its own definition is surface that
 only tests reach: an option or path no command exercises.  Each one must
-be referenced elsewhere in `src/`, exported through an `__all__`, or
-wrapped by the benchmark tracer (`perfbench/tracing.py` TARGETS).  The
+be referenced elsewhere in `src/`, listed in `cli.__all__` (the entry
+points), or wrapped by the benchmark tracer (`perfbench/tracing.py`
+TARGETS).  The package `__init__`'s `__all__` does not count: exporting a
+name is not using it.  The
 check is by name, so a method counts as reached when any attribute of
 that name is read; ALLOWED lists the rest, each with its reason.
 """
@@ -61,7 +63,7 @@ def exported(tree: ast.Module) -> set[str]:
 def unreached() -> list[str]:
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     refs = {module: list(references(tree)) for module, tree in trees.items()}
-    exports = set().union(*(exported(tree) for tree in trees.values()))
+    exports = exported(trees["cli"])
     traced = traced_targets()
     missing = []
     for module, tree in trees.items():
