@@ -6,9 +6,9 @@ only tests reach: an option or path no command exercises.  Each one must
 be referenced elsewhere in `src/`, listed in `cli.__all__` (the entry
 points), or wrapped by the benchmark tracer (`perfbench/tracing.py`
 TARGETS).  The package `__init__`'s `__all__` does not count: exporting a
-name is not using it.  The
-check is by name, so a method counts as reached when any attribute of
-that name is read; ALLOWED lists the rest, each with its reason.
+name is not using it.  The check is by name, so a method counts as
+reached when any attribute of that name is read; ALLOWED lists the rest,
+each with its reason.
 """
 
 import ast
