@@ -7,11 +7,14 @@ This module is the one place that knows each key.  DEFAULTS holds its
 default, and the default's type is the key's type: str, int, float, or a
 tuple of floats written as a comma-separated list.  The `params.*` and
 `potential.*` defaults are the field defaults of ScalingParams and
-PotentialSpec.  BOUNDS holds the range of each bounded key, and
-`_check_across` the two rules that tie keys together.  `load_config`
+PotentialSpec.  BOUNDS holds the range of each bounded number, CHOICES
+the allowed values of a text key, and `_check_across` the two rules that
+tie keys together; every key is checked alone before the rules run, so a
+bad value is blamed on its own key.  `load_config`
 parses and checks every key, whichever command runs, and returns the
 parsed values; any bad value, unknown key or unreadable file raises a
-ConfigError that names the key or the path.  The objects built from the
+ConfigError that names the key or the path, and an unknown key's message
+says whether the file or an override set it.  The objects built from the
 values (Grid, ScalingParams, ...) still check their own arguments.
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import fields
 
 from .acoustic import admissible_pair
-from .grids import Grid
+from .grids import GEOMETRIES, Grid
 from .hydrostatics import PotentialSpec
 from .params import ScalingParams
 from .primitive import GaussianBump, IllPreparedData
@@ -65,6 +68,8 @@ DEFAULTS: dict[str, object] = {
 # entry must be finite, so only the Strichartz exponents admit inf (p = inf
 # is an admissible endpoint).  NaN lies in no interval.
 BOUNDS = {
+    "grid.n": "[4, inf)",
+    "params.gamma": "(1.5, inf)",
     "data.rho1_width": "(0, inf)",
     "data.vel_width": "(0, inf)",
     "data.theta2_width": "(0, inf)",
@@ -78,6 +83,7 @@ BOUNDS = {
     "run.samples": "[1, inf)",
 }
 FINITE = "(-inf, inf)"
+CHOICES = {"grid.geometry": GEOMETRIES}
 
 
 def _interval(text: str):
@@ -95,7 +101,8 @@ def _inside(value: float, text: str) -> bool:
     )
 
 
-def parse_config_text(text: str) -> dict[str, str]:
+def parse_config_text(text: str, source: str = "") -> dict[str, str]:
+    """`section.key` -> raw value; a syntax error's message starts with source."""
     out: dict[str, str] = {}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,7 +113,7 @@ def parse_config_text(text: str) -> dict[str, str]:
             section = line[1:-1].strip()
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
+            raise ConfigError(f"{source}line {lineno}: expected key = value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
         name = f"{section}.{key}" if section else key
@@ -141,6 +148,8 @@ def _parse(key: str, raw: str):
 
 def _check(key: str, value) -> None:
     if isinstance(value, str):
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{key} = {value!r} must be one of {', '.join(CHOICES[key])}")
         return
     bound = BOUNDS.get(key, FINITE)
     if isinstance(value, tuple):
@@ -177,15 +186,17 @@ def _check_across(cfg: dict) -> None:
 def load_config(path: str | None = None, overrides: list[str] | None = None) -> dict:
     """Defaults, then an optional file, then dotted-key overrides, each
     value parsed to its key's type; raises ConfigError on any bad input."""
-    raw = parse_config_text(_read(path)) if path is not None else {}
+    raw = {} if path is None else parse_config_text(_read(path), f"configuration file {path}: ")
+    source = dict.fromkeys(raw, f"in {path}")
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form section.key=value")
         key, _, value = item.partition("=")
-        raw[key.strip()] = value.strip()
-    unknown = raw.keys() - DEFAULTS.keys()
+        raw[key.strip()], source[key.strip()] = value.strip(), "from --set"
+    unknown = sorted(raw.keys() - DEFAULTS.keys())
     if unknown:
-        raise ConfigError("unknown configuration keys: " + ", ".join(sorted(unknown)))
+        raise ConfigError("unknown configuration keys: "
+                          + ", ".join(f"{key} ({source[key]})" for key in unknown))
     cfg = DEFAULTS | {key: _parse(key, value) for key, value in raw.items()}
     for key, value in cfg.items():
         _check(key, value)

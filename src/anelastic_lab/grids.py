@@ -40,6 +40,9 @@ def smoothstep(x: np.ndarray | float) -> np.ndarray | float:
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
+GEOMETRIES = ("radial", "cartesian")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid in radial-3D or cartesian-3D mode.
@@ -56,7 +59,7 @@ class Grid:
     r_sponge: float
 
     def __post_init__(self) -> None:
-        if self.geometry not in ("radial", "cartesian"):
+        if self.geometry not in GEOMETRIES:
             raise DomainError(f"unknown geometry {self.geometry!r}")
         if self.n < 4:
             raise DomainError("need at least 4 cells per axis")

@@ -486,6 +486,14 @@ class TestCli:
         (["profile", "--config", "latin1.cfg"], "latin1.cfg"),
         # report reads its directory and makes none
         (["report", "--output", "nothere"], "nothere"),
+        # values the built objects would reject are blamed on their own key
+        (["profile", "--set", "grid.n=3"], "grid.n = 3"),
+        (["profile", "--set", "grid.geometry=polar"], "grid.geometry = 'polar'"),
+        (["profile", "--set", "params.gamma=1.2"], "params.gamma = 1.2"),
+        # a --config syntax error names the file; an unknown key names where it was set
+        (["profile", "--config", "syntax.cfg"], "configuration file syntax.cfg: line 2"),
+        (["profile", "--config", "unknown.cfg"], "grid.wavelets (in unknown.cfg)"),
+        (["profile", "--set", "grid.wavelets=on"], "grid.wavelets (from --set)"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, key):
@@ -494,6 +502,8 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, key):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cfgdir").mkdir()
     (tmp_path / "latin1.cfg").write_bytes("[grid]\nn = 64  # ½\n".encode("latin-1"))
+    (tmp_path / "syntax.cfg").write_text("[grid]\nn 64\n")
+    (tmp_path / "unknown.cfg").write_text("[grid]\nwavelets = on\n")
     assert main(["--output", str(tmp_path), *SMALL, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and err.count("\n") == 1

@@ -158,6 +158,38 @@ class TestStep:
         with pytest.raises(SolverFailure):
             state.validate()
 
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("eps", [0.4, 0.1])
+    @pytest.mark.parametrize("mu", [1.0, 0.0])
+    def test_cfl_lies_inside_the_linear_stability_limit(self, monkeypatch, n, eps, mu):
+        # measured at n = 8 to 512: the radius stays below 1 up to CFL 0.7 and exceeds
+        # it at 0.9, and already at 0.8 without viscosity
+        params = ScalingParams(eps=eps, mu=mu)
+        prof = build_profile(PotentialSpec(), params, Grid("radial", n, 16.0, 12.0))
+        assert step_spectral_radius(monkeypatch, prof, params, primitive.CFL) < 1.0
+        assert step_spectral_radius(monkeypatch, prof, params, 0.9) > 1.1
+
+
+def step_spectral_radius(monkeypatch, prof, params, cfl, delta=1.0e-7) -> float:
+    """max |eig(J)|, J the central-difference Jacobian of step_primitive about the
+    static state at dt = CFL h / max c.  CFL is set a hair above cfl, so the
+    perturbed states' own limit never undercuts dt_max and dt stays fixed.  The
+    3n columns are 3n identical members of one stack, each bumped in one entry."""
+    n = prof.grid.n
+    static = np.array((prof.rho0, np.zeros(n), prof.rho0))
+    dt = cfl * prof.grid.h / sound_speed(PrimitiveState(*static), params).max()
+    monkeypatch.setattr(primitive, "CFL", cfl * (1.0 + 1.0e-6))
+    aux = PrimitiveAux(prof, [params] * (3 * n))
+    bumps = delta * np.eye(3 * n).reshape(3 * n, 3, n).transpose(1, 0, 2)
+    outs = []
+    for sign in (1.0, -1.0):
+        stack = PrimitiveState.of(static[:, None] + sign * bumps, np.zeros(3 * n))
+        out, dts, _, _ = step_primitive(stack, aux, np.full(3 * n, dt))
+        assert np.all(dts == dt)
+        outs.append(out.fields.transpose(1, 0, 2).reshape(3 * n, 3 * n))
+    jac = (outs[0] - outs[1]).T / (2.0 * delta)
+    return float(np.abs(np.linalg.eigvals(jac)).max())
+
 
 @pytest.fixture(scope="module")
 def short_run(radial_profile, radial_grid):
