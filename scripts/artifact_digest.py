@@ -13,7 +13,8 @@ n = 8 with 9 samples (under a second); its three --sets come after the
 user's, so they win.  Prints `sha256  run/file` for each file a run
 writes and `sha256  run/stdout` for its captured standard output followed
 by its exit status.  BLAS runs on one thread, so the digest depends only
-on the source and the overrides.
+on the source and the overrides; that includes simulate-primitive's
+final_state.npz, whose zip entries np.savez writes with a fixed date.
 
 With --against REF the digest is taken twice with the same overrides, in
 fresh interpreters: once with this checkout's `src/` and once with the

@@ -359,7 +359,7 @@ def measure_local_decay(
     ball_radius: float,
     h: np.ndarray,
     T: float,
-    points_per_period: int = 24,
+    points_per_period: int,
 ) -> DecayMeasurement:
     """Time integral of the squared localized norm of the windowed wave.
 
@@ -401,7 +401,7 @@ def measure_strichartz(
     p: float,
     q: float,
     T: float,
-    points_per_period: int = 24,
+    points_per_period: int,
 ) -> StrichartzMeasurement:
     """Space-time L^p_t L^q_x norm of the windowed wave up to time T.
 
@@ -432,7 +432,7 @@ def dispersive_smallness(
     ball_radius: float,
     T: float,
     eps: float,
-    points_per_period: int = 24,
+    points_per_period: int,
 ) -> float:
     """Time-averaged sup norm over a ball of the eps-rescaled windowed wave.
 

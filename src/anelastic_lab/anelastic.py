@@ -198,7 +198,7 @@ def run_anelastic(
     init: AnelasticState,
     prof: StaticProfile,
     horizon: float,
-    n_samples: int = 21,
+    n_samples: int,
 ) -> AnelasticTrajectory:
     """Sample the limit flow at n_samples times spread evenly over [0, horizon].
 

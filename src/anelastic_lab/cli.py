@@ -4,10 +4,11 @@ Every subcommand reads the plain-text configuration (defaults, optional
 file, dotted-key overrides); `configio` parses and checks all of it
 before the command starts.  A command runs deterministically for a given
 configuration and seed, and writes CSV/plain-text artifacts with floats
-printed at 17 significant digits.  Exit codes: 0 success, 2 validation
-failure (bad configuration or data), 3 solver failure, 141 stdout
-closed by the reader; any other exception is an internal error and
-propagates with its traceback.
+printed at 17 significant digits, and a primitive run's last state as
+final_state.npz.  Exit codes: 0 success, 2 validation failure (bad
+configuration or data), 3 solver failure (a failed primitive run first
+writes the state it failed on), 141 stdout closed by the reader; any
+other exception is an internal error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .harness import (
 from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
 from .params import ParameterError
-from .primitive import (
-    DataError,
-    SolverFailure,
-    init_ill_prepared,
-    run_primitive,
-    write_checkpoint,
-)
+from .primitive import DataError, SolverFailure, init_ill_prepared, run_primitive
 from .relative_energy import (
     rei_audit,
     residual_pressure_value,
@@ -75,6 +70,23 @@ def _write_text(outdir: str, name: str, text: str) -> None:
     print(text)
 
 
+def _write_state(outdir: str, state, grid, params) -> None:
+    """Write a primitive state's (3, n) fields, its time t and the grid and parameters
+    it ran on to outdir/final_state.npz, which np.load(path, allow_pickle=False) reads."""
+    meta = {key: getattr(grid, key) for key in ("geometry", "n", "r_max", "r_sponge")}
+    meta |= {key: getattr(params, key) for key in ("eps", "alpha", "gamma", "lam", "mu", "rho_bar")}
+    np.savez(os.path.join(outdir, "final_state.npz"), fields=state.fields, t=state.t, **meta)
+
+
+def _run_primitive(outdir: str, init, prof, params, times):
+    """run_primitive; a SolverFailure first leaves the failing state in outdir."""
+    try:
+        return run_primitive(init, prof, params, times)
+    except SolverFailure as exc:
+        _write_state(outdir, exc.state, prof.grid, params)
+        raise
+
+
 def _setup(args, write: bool = True):
     """Configuration and output directory; made if the command writes, else it must exist."""
     cfg = configio.load_config(args.config, args.set)
@@ -107,7 +119,7 @@ def cmd_simulate_primitive(args) -> int:
     data = configio.data_from(cfg)
     init = init_ill_prepared(data, prof, params)
     times = np.linspace(0.0, params.horizon, cfg["run.samples"])
-    traj = run_primitive(init, prof, params, times)
+    traj = _run_primitive(outdir, init, prof, params, times)
     rows = zip(
         traj.times,
         traj.energy,
@@ -120,7 +132,7 @@ def cmd_simulate_primitive(args) -> int:
         ["t", "energy", "dissipation", "mass", "mass_defect"],
         rows,
     )
-    write_checkpoint(os.path.join(outdir, "final_state.bin"), traj.samples.row(-1), grid, params)
+    _write_state(outdir, traj.samples.row(-1), grid, params)
     print(
         f"simulate-primitive: steps={traj.step_count} "
         f"E0={traj.energy[0]:.17g} E_end={traj.energy[-1]:.17g}"
@@ -301,7 +313,7 @@ def cmd_audit_rei(args) -> int:
         cfg["acoustic.points_per_period"],
     )
     init = init_ill_prepared(data, prof, params)
-    traj = run_primitive(init, prof, params, times)
+    traj = _run_primitive(outdir, init, prof, params, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
     rep = rei_audit(traj, sol)
     text = "\n".join((

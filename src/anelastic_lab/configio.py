@@ -8,7 +8,7 @@ default, and the default's type is the key's type: str, int, float, or a
 tuple of floats written as a comma-separated list.  The `params.*` and
 `potential.*` defaults are the field defaults of ScalingParams and
 PotentialSpec.  BOUNDS holds the range of each bounded number, CHOICES
-the allowed values of a text key, and `_check_across` the two rules that
+the allowed values of a text key, and `_check_across` the three rules that
 tie keys together; every key is checked alone before the rules run, so a
 bad value is blamed on its own key.  `load_config`
 parses and checks every key, whichever command runs, and returns the
@@ -63,13 +63,24 @@ DEFAULTS: dict[str, object] = {
     "output.dir": "out",
 }
 
-# The interval each bounded number must lie in; each entry of an eps list
+# The interval each bounded number must lie in, the one the object built
+# from it checks; an end may be a fraction (4/3).  Each entry of an eps list
 # lies in its interval, and the list falls strictly.  A number without an
 # entry must be finite, so only the Strichartz exponents admit inf (p = inf
 # is an admissible endpoint).  NaN lies in no interval.
 BOUNDS = {
     "grid.n": "[4, inf)",
+    "grid.r_max": "(0, inf)",
+    "grid.r_sponge": "(0, inf)",
+    "potential.c_f": "[0, inf)",
+    "potential.a": "(0, inf)",
+    "params.eps": "(0, inf)",
+    "params.alpha": "(0, 4/3)",
     "params.gamma": "(1.5, inf)",
+    "params.lam": "[0, inf)",
+    "params.mu": "[0, inf)",
+    "params.rho_bar": "(0, inf)",
+    "params.horizon": "(0, inf)",
     "data.rho1_width": "(0, inf)",
     "data.vel_width": "(0, inf)",
     "data.theta2_width": "(0, inf)",
@@ -86,8 +97,13 @@ FINITE = "(-inf, inf)"
 CHOICES = {"grid.geometry": GEOMETRIES}
 
 
+def _end(text: str) -> float:
+    num, _, den = text.partition("/")
+    return float(num) / float(den or 1)
+
+
 def _interval(text: str):
-    lo, hi = (float(end) for end in text[1:-1].split(","))
+    lo, hi = (_end(end) for end in text[1:-1].split(","))
     return text[0] == "[", lo, hi, text[-1] == "]"
 
 
@@ -168,8 +184,13 @@ def _check(key: str, value) -> None:
 
 
 def _check_across(cfg: dict) -> None:
-    """beta in (0, gamma/3), as the residual-pressure estimate needs, and a
-    wave-admissible Strichartz pair."""
+    """The sponge inside the domain, beta in (0, gamma/3), as the
+    residual-pressure estimate needs, and a wave-admissible Strichartz pair."""
+    r_sponge, r_max = cfg["grid.r_sponge"], cfg["grid.r_max"]
+    if not r_sponge < r_max:
+        raise ConfigError(
+            f"grid.r_sponge = {r_sponge:g} must lie below grid.r_max = {r_max:g}"
+        )
     beta, gamma = cfg["sweep.beta"], cfg["params.gamma"]
     if not 0.0 < beta < gamma / 3.0:
         raise ConfigError(

@@ -43,6 +43,7 @@ from .primitive import (
     run_lockstep,
 )
 from .relative_energy import (
+    CONSTANT_FLOOR,
     SLOPE_FLOOR,
     BoundsReport,
     constants_spread,
@@ -71,8 +72,8 @@ class SweepPlan:
     potential: PotentialSpec
     params: ScalingParams
     grid: Grid
-    n_samples: int = 65
-    beta: float = 0.5
+    n_samples: int
+    beta: float
 
     def __post_init__(self) -> None:
         eps = np.asarray(self.eps_list, dtype=float)
@@ -175,7 +176,12 @@ class ConvergenceReport:
             lines.append(f"r12 slope: {self.r12_slope:.4g}")
         else:
             lines.append("r12 slope: not exercised (r12 = 0 for every eps)")
-        spreads = ", ".join(f"{k}={v:.3g}" for k, v in self.bound_spreads().items())
+        spreads = ", ".join(
+            f"{k}=not exercised"
+            if all(rep.constants[k] <= CONSTANT_FLOOR for rep in self.bounds)
+            else f"{k}={v:.3g}"
+            for k, v in self.bound_spreads().items()
+        )
         lines.append(f"bound-constant spreads: {spreads}")
         return "\n".join(lines)
 

@@ -46,12 +46,6 @@ class StaggeredVector:
     fy: np.ndarray
     fz: np.ndarray
 
-    @classmethod
-    def zeros(cls, n: int) -> "StaggeredVector":
-        return cls(
-            np.zeros((n + 1, n, n)), np.zeros((n, n + 1, n)), np.zeros((n, n, n + 1))
-        )
-
     def axpy(self, a: float, other: "StaggeredVector") -> "StaggeredVector":
         return StaggeredVector(
             self.fx + a * other.fx, self.fy + a * other.fy, self.fz + a * other.fz

@@ -602,43 +602,3 @@ def run_primitive(
     """Advance one run to every sample time: run_lockstep with one member."""
     return run_lockstep([init], prof, [params], sample_times)[0]
 
-
-CHECKPOINT_MAGIC = "anelastic-lab-checkpoint v1"
-
-
-def write_checkpoint(
-    path: str, state: PrimitiveState, grid: Grid, params: ScalingParams
-) -> None:
-    """Binary state dump with a small text header describing grid and params."""
-    floats = [(key, getattr(grid, key)) for key in ("r_max", "r_sponge")]
-    floats += [(key, getattr(params, key)) for key in ("eps", "alpha", "gamma", "lam", "mu")]
-    floats += [("rho_bar", params.rho_bar), ("time", state.t)]
-    header = "\n".join(
-        [CHECKPOINT_MAGIC, f"geometry {grid.geometry}", f"n {grid.n}"]
-        + [f"{key} {value:.17g}" for key, value in floats]
-        + ["fields rho mom q"]
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n\x00")
-        fh.write(np.ascontiguousarray(state.fields, dtype=np.float64).tobytes())
-
-
-def read_checkpoint(path: str) -> tuple[PrimitiveState, dict]:
-    """Load a checkpoint; returns the state and the parsed header entries."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    sep = blob.index(b"\x00")
-    header_lines = blob[:sep].decode("ascii").strip().split("\n")
-    if header_lines[0] != CHECKPOINT_MAGIC:
-        raise DataError(f"not a checkpoint file: {path}")
-    meta = dict(line.partition(" ")[::2] for line in header_lines[1:])
-    missing = [key for key in ("geometry", "n", "time") if key not in meta]
-    if missing:
-        raise DataError(f"checkpoint header of {path} lacks {', '.join(missing)}")
-    n = int(meta["n"])
-    shape = (3, n) if meta["geometry"] == "radial" else (3, n, n, n)
-    raw = np.frombuffer(blob[sep + 1 :], dtype=np.float64)
-    if raw.size != np.prod(shape):
-        raise DataError("checkpoint payload size does not match its header")
-    state = PrimitiveState(*raw.reshape(shape), t=float(meta["time"]))
-    return state, meta

@@ -160,12 +160,15 @@ def uniform_bounds_report(traj: PrimitiveTrajectory) -> BoundsReport:
     return BoundsReport(lhs=lhs, constants=constants)
 
 
+CONSTANT_FLOOR = 1.0e-14  # an implied constant at or below it counts as zero
+
+
 def constants_spread(reports: list[BoundsReport], key: str) -> float:
     """max/min ratio of one implied constant across a sweep; 1.0 if all zero."""
     vals = np.array([rep.constants[key] for rep in reports], dtype=float)
-    if np.all(vals <= 1.0e-14):
+    if np.all(vals <= CONSTANT_FLOOR):
         return 1.0
-    lo = np.min(vals[vals > 1.0e-14])
+    lo = np.min(vals[vals > CONSTANT_FLOOR])
     return float(np.max(vals) / lo)
 
 

@@ -47,6 +47,7 @@ from anelastic_lab.primitive import (
 from anelastic_lab.relative_energy import rei_audit, rel_energy, residual_pressure_value, fit_eps_slope
 
 GAMMA = 5.0 / 3.0
+PPP = configio.DEFAULTS["acoustic.points_per_period"]
 
 
 def verdict(number: int, name: str, ok: bool, detail: str, started: float) -> None:
@@ -72,6 +73,7 @@ def sweep_report():
         params=ScalingParams(eps=0.2, alpha=1.0, horizon=2.5),
         grid=Grid("radial", 512, 16.0, 12.0),
         n_samples=65,
+        beta=0.5,
     )
     t0 = time.time()
     report = sweep_epsilon(plan)
@@ -88,8 +90,7 @@ def rei_pipeline():
     data = canonical_data()
     delta = 0.25
     horizon = min(params.horizon, audit_quarantine_time(prof, params))
-    points_per_period = int(configio.DEFAULTS["acoustic.points_per_period"])
-    times = time_mesh(horizon, (2.0 / delta) / params.eps, points_per_period)
+    times = time_mesh(horizon, (2.0 / delta) / params.eps, PPP)
     init = init_ill_prepared(data, prof, params)
     traj = run_primitive(init, prof, params, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
@@ -240,8 +241,8 @@ def test_c06_local_decay(decay_operator):
     h = functional_calculus(op, window, GaussianBump(1.0, 0.75).field(op.grid))
     h = h / op.norm(h)
     t_star = crossing_time(op.prof)
-    m1 = measure_local_decay(op, window, 2.5, h, t_star)
-    m2 = measure_local_decay(op, window, 2.5, h, 2.0 * t_star)
+    m1 = measure_local_decay(op, window, 2.5, h, t_star, PPP)
+    m2 = measure_local_decay(op, window, 2.5, h, 2.0 * t_star, PPP)
     ratio = m2.value / m1.value
     verdict(6, "local decay saturation", ratio <= 1.05, f"ratio={ratio:.6f}", t0)
 
@@ -253,7 +254,7 @@ def test_c07_strichartz(decay_operator):
     accepted = admissible_pair(4.0, 12.0)
     rejected = False
     try:
-        measure_strichartz(op, window, np.ones(op.grid.n), 4.0, 10.0, 1.0)
+        measure_strichartz(op, window, np.ones(op.grid.n), 4.0, 10.0, 1.0, PPP)
     except DomainError:
         rejected = True
     t_star = crossing_time(op.prof)
@@ -261,7 +262,7 @@ def test_c07_strichartz(decay_operator):
     for width, center in ((0.6, 0.0), (1.2, 0.0), (0.9, 1.5)):
         h = functional_calculus(op, window, GaussianBump(1.0, width, center).field(op.grid))
         h = h / op.norm(h)
-        ratios.append(measure_strichartz(op, window, h, 4.0, 12.0, t_star).ratio)
+        ratios.append(measure_strichartz(op, window, h, 4.0, 12.0, t_star, PPP).ratio)
     spread = max(ratios) / min(ratios)
     ok = accepted and rejected and spread <= 10.0
     verdict(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anelastic_lab import acoustic as ac
+from anelastic_lab import configio
 from anelastic_lab import lapack
 from anelastic_lab.acoustic import (
     AcousticState,
@@ -29,6 +30,8 @@ from anelastic_lab.helmholtz import RadialWeightedLaplacian
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile, constant_profile
 from anelastic_lab.primitive import GaussianBump
 from test_helmholtz import dense
+
+PPP = configio.DEFAULTS["acoustic.points_per_period"]
 
 
 @pytest.fixture(scope="module")
@@ -221,20 +224,20 @@ class TestMeasurements:
         win = FrequencyWindow(0.3)
         high = lambda z: 1.0 * (z > 2.5 / 0.3)  # noqa: E731
         h = functional_calculus(operator, high, GaussianBump(1.0, 0.3).field(operator.grid))
-        m = measure_local_decay(operator, win, 2.5, h, 5.0)
+        m = measure_local_decay(operator, win, 2.5, h, 5.0, PPP)
         assert m.value < 1.0e-10
 
     def test_saturation(self, operator):
         win, h = self.window_and_datum(operator)
         t_star = crossing_time(operator.prof)
-        m1 = measure_local_decay(operator, win, 2.5, h, t_star)
-        m2 = measure_local_decay(operator, win, 2.5, h, 2.0 * t_star)
+        m1 = measure_local_decay(operator, win, 2.5, h, t_star, PPP)
+        m2 = measure_local_decay(operator, win, 2.5, h, 2.0 * t_star, PPP)
         assert m2.value / m1.value <= 1.05
 
     def test_quadratic_homogeneity(self, operator):
         win, h = self.window_and_datum(operator)
-        m1 = measure_local_decay(operator, win, 2.5, h, 3.0)
-        m2 = measure_local_decay(operator, win, 2.5, 2.0 * h, 3.0)
+        m1 = measure_local_decay(operator, win, 2.5, h, 3.0, PPP)
+        m2 = measure_local_decay(operator, win, 2.5, 2.0 * h, 3.0, PPP)
         assert m2.value == pytest.approx(4.0 * m1.value, rel=1.0e-12)
 
     def test_admissibility(self):
@@ -244,11 +247,11 @@ class TestMeasurements:
     def test_strichartz_rejects_inadmissible(self, operator):
         win, h = self.window_and_datum(operator)
         with pytest.raises(DomainError):
-            measure_strichartz(operator, win, h, 4.0, 10.0, 1.0)
+            measure_strichartz(operator, win, h, 4.0, 10.0, 1.0, PPP)
 
     def test_strichartz_zero_data(self, operator):
         win = FrequencyWindow(0.3)
-        m = measure_strichartz(operator, win, np.zeros(operator.grid.n), 4.0, 12.0, 1.0)
+        m = measure_strichartz(operator, win, np.zeros(operator.grid.n), 4.0, 12.0, 1.0, PPP)
         assert m.value == 0.0
 
     def test_constant_stability(self, operator):
@@ -260,14 +263,14 @@ class TestMeasurements:
                 operator, win, GaussianBump(1.0, width, center).field(operator.grid)
             )
             h = h / operator.norm(h)
-            ratios.append(measure_strichartz(operator, win, h, 4.0, 12.0, t_star).ratio)
+            ratios.append(measure_strichartz(operator, win, h, 4.0, 12.0, t_star, PPP).ratio)
         assert max(ratios) / min(ratios) <= 10.0
 
     def test_dispersive_smallness_monotone(self, operator):
         win = FrequencyWindow(0.3)
         h = functional_calculus(operator, win, GaussianBump(1.0, 0.6).field(operator.grid))
         h = h / operator.norm(h)
-        vals = [dispersive_smallness(operator, win, h, 1.5, 0.9, eps) for eps in (0.4, 0.2, 0.1)]
+        vals = [dispersive_smallness(operator, win, h, 1.5, 0.9, eps, PPP) for eps in (0.4, 0.2, 0.1)]
         assert vals[0] > vals[1] > vals[2]
 
 

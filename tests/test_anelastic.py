@@ -20,7 +20,7 @@ from anelastic_lab.helmholtz import (
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.primitive import DataError
 
-from test_helmholtz import stream_function_field
+from test_helmholtz import stream_function_field, zero_field
 
 
 class TestInit:
@@ -103,7 +103,7 @@ class TestCartesianStep:
         assert t_end.min() >= theta.min() - 1.0e-10
 
     def test_dt_is_the_advective_limit_capped_by_dt_max(self, cart_profile, cart_grid):
-        v = StaggeredVector.zeros(cart_grid.n)
+        v = zero_field(cart_grid.n)
         v.fx[5, 3, 3] = 10.0
         state = AnelasticState(
             velocity=v,
@@ -128,7 +128,7 @@ class TestDivDefect:
             prof = build_profile(PotentialSpec(), params, grid)
             faces = -grid.r_max + np.arange(n + 1) * grid.h
             x, y, z = np.meshgrid(faces, grid.centers, grid.centers, indexing="ij")
-            v = StaggeredVector.zeros(n)
+            v = zero_field(n)
             v.fx[...] = np.exp(-(x**2 + y**2 + z**2) / 8.0)
             state = AnelasticState(
                 velocity=v,
@@ -218,7 +218,7 @@ def test_stacked_samples_match_each_sample_alone(geometry, params, rng):
     if grid.radial:
         v0 = rng.standard_normal(grid.n)
     else:
-        z = StaggeredVector.zeros(grid.n)
+        z = zero_field(grid.n)
         v0 = StaggeredVector(*(rng.standard_normal(f.shape) for f in (z.fx, z.fy, z.fz)))
     theta = 1.0 + 0.3 * np.exp(-grid.radii**2)
     traj = run_anelastic(init_anelastic(v0, theta, prof), prof, 0.15, n_samples=4)

@@ -20,7 +20,7 @@ EXPECTED = {
     "profile": ("flatness.txt", "profile.csv"),
     "sweep": ("bounds.csv", "convergence.csv", "summary.txt"),
     "audit-rei": ("rei.csv", "rei_summary.txt"),
-    "simulate-primitive": ("diagnostics.csv", "final_state.bin"),
+    "simulate-primitive": ("diagnostics.csv", "final_state.npz"),
     "simulate-anelastic": ("anelastic.csv",),
     "simulate-acoustic": ("acoustic.csv",),
     "spectrum": ("spectrum.csv",),

@@ -33,6 +33,7 @@ def tiny_plan(**kw):
         params=ScalingParams(eps=0.2, horizon=0.5),
         grid=Grid("radial", 96, 8.0, 6.0),
         n_samples=11,
+        beta=0.5,
     )
     defaults.update(kw)
     return SweepPlan(**defaults)
@@ -54,6 +55,10 @@ class TestSweep:
         assert rep.n1_slope > 0.0 and rep.n3_slope > 0.0
         text = rep.summary_text()
         assert "N1 decreasing=True" in text
+        # at lam = 0 the r4 and r7 constants are 0 for every eps: no spread is printed for them
+        spreads = text.splitlines()[-1]
+        assert "r4=not exercised" in spreads and "r7=not exercised" in spreads
+        assert spreads.count("not exercised") == 2
 
     def test_plan_validation(self):
         with pytest.raises(DomainError):
@@ -75,7 +80,7 @@ class TestSweep:
         The eps^2-rescaled temperature distance N2b grows as eps falls at
         fixed n and agrees at equal h/eps: the Rusanov dissipation, of
         speed ~c/eps, diffuses Theta at O(h/eps).  A Theta-preserving
-        dissipation (ROADMAP item 5) is expected to flip the first
+        dissipation (ROADMAP item 2) is expected to flip the first
         assertion.
         """
         def n2b(n, eps):
@@ -87,6 +92,7 @@ class TestSweep:
                 params=configio.params_from(cfg),
                 grid=configio.grid_from(cfg),
                 n_samples=17,
+                beta=cfg["sweep.beta"],
             )
             params = plan.params.with_eps(eps)
             prof = build_profile(plan.potential, params, plan.grid)
@@ -270,9 +276,29 @@ class TestCli:
         )
         assert code == 0
         assert os.path.exists(os.path.join(out, "diagnostics.csv"))
-        assert os.path.exists(os.path.join(out, "final_state.bin"))
+        assert os.path.exists(os.path.join(out, "final_state.npz"))
         assert main(["report", "--output", out]) == 0
         assert "diagnostics.csv" in capsys.readouterr().out
+
+    def test_final_state_is_the_last_sample(self, tmp_path, monkeypatch):
+        runs = []
+
+        def recording(*args):
+            runs.append(run_primitive(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_primitive", recording)
+        sets = [*SMALL, "--set", "params.horizon=0.3", "--set", "params.lam=0.25"]
+        assert main(["simulate-primitive", *sets, "--output", str(tmp_path)]) == 0
+        (traj,) = runs
+        last = traj.samples.row(-1)
+        with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
+            assert np.array_equal(saved["fields"], last.fields) and saved["t"] == last.t == 0.3
+            assert (str(saved["geometry"]), int(saved["n"])) == ("radial", 96)
+            assert (saved["r_max"], saved["r_sponge"]) == (8.0, 6.0)
+            for key in ("eps", "alpha", "gamma", "lam", "mu", "rho_bar"):
+                assert saved[key] == getattr(traj.params, key)
+            assert len(saved.files) == 12
 
     def test_simulate_acoustic(self, tmp_path):
         out = str(tmp_path / "o")
@@ -494,6 +520,12 @@ class TestCli:
         (["profile", "--config", "syntax.cfg"], "configuration file syntax.cfg: line 2"),
         (["profile", "--config", "unknown.cfg"], "grid.wavelets (in unknown.cfg)"),
         (["profile", "--set", "grid.wavelets=on"], "grid.wavelets (from --set)"),
+        # grid, params and potential keys are blamed on their own key, the sponge on both
+        (["profile", "--set", "grid.r_sponge=20"], "grid.r_sponge = 20 must lie below grid.r_max = 8"),
+        (["profile", "--set", "grid.r_max=-1"], "grid.r_max = -1 must lie in (0, inf)"),
+        (["profile", "--set", "params.alpha=2"], "params.alpha = 2 must lie in (0, 4/3)"),
+        (["profile", "--set", "params.eps=0"], "params.eps = 0 must lie in (0, inf)"),
+        (["profile", "--set", "potential.a=0"], "potential.a = 0 must lie in (0, inf)"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, key):

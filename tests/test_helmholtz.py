@@ -16,6 +16,13 @@ from anelastic_lab.helmholtz import (
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 
 
+def zero_field(n: int) -> StaggeredVector:
+    """The zero face field of the n**3 cartesian grid (MAC layout)."""
+    return StaggeredVector(
+        np.zeros((n + 1, n, n)), np.zeros((n, n + 1, n)), np.zeros((n, n, n + 1))
+    )
+
+
 def stream_function_field(lap: CartesianWeightedLaplacian, rng) -> StaggeredVector:
     """Face field with div(rho0 v) = 0 exactly (discrete curl over rho0).
 
@@ -27,7 +34,7 @@ def stream_function_field(lap: CartesianWeightedLaplacian, rng) -> StaggeredVect
     xx, yy = np.meshgrid(x, x, indexing="ij")
     psi_corner = np.exp(-4.0 * (xx**2 + yy**2)) + 0.1 * rng.standard_normal((n + 1, n + 1))
     psi = np.repeat(psi_corner[:, :, None], n, axis=2)
-    v = StaggeredVector.zeros(n)
+    v = zero_field(n)
     v.fx[:, :, :] = np.diff(psi, axis=1) / lap.h / lap.rho_faces[0]
     v.fy[:, :, :] = -np.diff(psi, axis=0) / lap.h / lap.rho_faces[1]
     return v
@@ -176,7 +183,7 @@ class TestCartesianProjection:
         v = self.random_field(cart_grid.n, rng)
         w = self.random_field(cart_grid.n, rng)
         a, b = 1.7, -0.4
-        zero = StaggeredVector.zeros(cart_grid.n)
+        zero = zero_field(cart_grid.n)
         combo, _ = project(zero.axpy(a, v).axpy(b, w), cart_profile)
         hv, _ = project(v, cart_profile)
         hw, _ = project(w, cart_profile)

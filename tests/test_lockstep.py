@@ -5,7 +5,8 @@ its own dt, dropping a member from the stack once it reaches the sample
 time.  Every member must reproduce its run alone exactly, the sweep must
 make one step call per lockstep iteration, and a member failing mid-run,
 in the update or in the stack's one viscous solve, must leave the partial
-report a one-by-one sweep would write.  The fused step must equal a plain
+report a one-by-one sweep would write, and a failed single run must leave
+the state it failed on.  The fused step must equal a plain
 reference bit for bit up to the viscous solve, which must match a dense
 solve, and return no view of the work buffers its aux reuses.  The
 implicit viscous force must leave a stiff run at the hyperbolic dt.
@@ -16,7 +17,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from anelastic_lab import configio, lapack, primitive
+from anelastic_lab import cli, configio, lapack, primitive
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError
 from anelastic_lab.harness import SweepPlan, sweep_epsilon
@@ -100,6 +101,7 @@ def test_sweep_makes_one_step_call_per_lockstep_iteration(monkeypatch):
         params=configio.params_from(cfg),
         grid=configio.grid_from(cfg),
         n_samples=17,
+        beta=cfg["sweep.beta"],
     )
     prof, params, inits, times = members(EPS[:3])
     calls = recording_steps(monkeypatch, times)
@@ -185,6 +187,27 @@ def test_failed_viscous_solve_keeps_the_one_by_one_partial_report(tmp_path, monk
     assert "sweep failed at eps=0.2" in err and "dgtsv info = 7" in err
     partial = (tmp_path / "partial" / "convergence.csv").read_text().splitlines()
     assert partial == full[:2]  # header + the eps = 0.4 row, byte for byte
+
+
+@pytest.mark.parametrize("command", ["simulate-primitive", "audit-rei"])
+def test_failed_primitive_run_leaves_its_state(tmp_path, monkeypatch, capsys, command):
+    failures = []
+
+    def recording(*args):
+        try:
+            return run_primitive(*args)
+        except SolverFailure as exc:
+            failures.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "run_primitive", recording)
+    failing_viscous_solve(monkeypatch, 64, 7)  # the one member's system, at its first step
+    assert main([command, *SMALL, "--output", str(tmp_path)]) == 3
+    assert "dgtsv info = 7" in capsys.readouterr().err
+    (exc,) = failures
+    with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
+        assert np.array_equal(saved["fields"], exc.state.fields)
+        assert saved["t"] == exc.state.t > 0.0
 
 
 def test_stiff_viscosity_runs_at_the_hyperbolic_dt():

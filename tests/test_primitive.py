@@ -13,13 +13,11 @@ from anelastic_lab.primitive import (
     PrimitiveState,
     SolverFailure,
     init_ill_prepared,
-    read_checkpoint,
     run_primitive,
     sound_speed,
     step_primitive,
     suggested_dt,
     total_energy,
-    write_checkpoint,
 )
 
 EPS02 = ScalingParams(eps=0.2, horizon=1.0)
@@ -339,21 +337,3 @@ class TestRenormalization:
             defects.append(renorm_defect(traj, np.square, lambda y: 2.0 * y))
         assert defects[0] / defects[1] >= 1.8
 
-
-def test_checkpoint_roundtrip(tmp_path, radial_profile, radial_grid):
-    init = init_ill_prepared(acoustic_data(), radial_profile, EPS02)
-    path = str(tmp_path / "state.bin")
-    write_checkpoint(path, init, radial_grid, EPS02)
-    state, meta = read_checkpoint(path)
-    assert np.array_equal(state.rho, init.rho)
-    assert np.array_equal(state.mom, init.mom)
-    assert np.array_equal(state.q, init.q)
-    assert meta["geometry"] == "radial"
-    assert float(meta["eps"]) == EPS02.eps
-
-
-def test_checkpoint_truncated_header(tmp_path):
-    path = tmp_path / "state.bin"
-    path.write_bytes(b"anelastic-lab-checkpoint v1\ngeometry radial\n\x00")
-    with pytest.raises(DataError, match="n, time"):
-        read_checkpoint(str(path))

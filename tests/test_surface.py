@@ -7,8 +7,9 @@ be referenced elsewhere in `src/`, listed in `cli.__all__` (the entry
 points), or wrapped by the benchmark tracer (`perfbench/tracing.py`
 TARGETS).  The package `__init__`'s `__all__` does not count: exporting a
 name is not using it.  The check is by name, so a method counts as
-reached when any attribute of that name is read; ALLOWED lists the rest,
-each with its reason.
+reached when any attribute of that name is read, except an attribute of
+numpy (`np.zeros` reaches no `zeros` of the library); ALLOWED lists the
+rest, each with its reason.
 """
 
 import ast
@@ -19,7 +20,6 @@ SRC = ROOT / "src" / "anelastic_lab"
 
 ALLOWED = {
     "hydrostatics.constant_profile": "the flat reference profile the acceptance gates use",
-    "primitive.read_checkpoint": "the only reader of the checkpoint simulate-primitive writes",
 }
 
 
@@ -43,11 +43,13 @@ def definitions(module: str, tree: ast.Module):
 
 
 def references(tree: ast.Module):
-    """(name, line) of every name and attribute read in the module."""
+    """(name, line) of every name and attribute read in the module, but numpy's attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (
+            isinstance(node.value, ast.Name) and node.value.id == "np"
+        ):
             yield node.attr, node.lineno
 
 
