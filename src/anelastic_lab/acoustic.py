@@ -170,10 +170,6 @@ class FrequencyWindow:
 
     delta: float
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-
     def value(self, z: np.ndarray) -> np.ndarray:
         z = np.abs(np.asarray(z, dtype=float))
         d = self.delta
@@ -199,8 +195,6 @@ def functional_calculus(op: AcousticOperator, window, h: np.ndarray) -> np.ndarr
 
 def spatial_cutoff(delta: float, grid: Grid) -> np.ndarray:
     """psi_delta: one inside |x| < 1/delta, zero beyond 2/delta."""
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     return smoothstep((2.0 / delta - grid.radii) / (1.0 / delta))
 
 

@@ -25,6 +25,7 @@ from . import configio
 from .anelastic import init_anelastic, run_anelastic, smoothness_monitor
 from .grids import DomainError, lp_norm
 from .harness import (
+    FMT,
     SweepError,
     SweepPlan,
     acoustic_ansatz,
@@ -33,7 +34,6 @@ from .harness import (
 )
 from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
-from .params import ParameterError
 from .primitive import DataError, SolverFailure, init_ill_prepared, run_primitive
 from .relative_energy import (
     rei_audit,
@@ -48,7 +48,6 @@ __all__ = [
     "cmd_audit_rei", "cmd_report",
 ]
 COMMANDS = tuple(n.removeprefix("cmd_").replace("_", "-") for n in __all__ if n.startswith("cmd_"))
-FMT = "%.17g"
 
 
 def _fmt(x: float) -> str:
@@ -91,8 +90,13 @@ def _setup(args, write: bool = True):
     """Configuration and output directory; made if the command writes, else it must exist."""
     cfg = configio.load_config(args.config, args.set)
     outdir = args.output or cfg["output.dir"]
+    if not outdir:
+        raise configio.ConfigError("output.dir = '' names no output directory")
     if write:
-        os.makedirs(outdir, exist_ok=True)
+        try:
+            os.makedirs(outdir, exist_ok=True)
+        except OSError as exc:
+            raise configio.ConfigError(f"output directory {outdir}: {exc.strerror}") from exc
     elif not os.path.isdir(outdir):
         raise configio.ConfigError(f"output directory {outdir} does not exist")
     return cfg, outdir
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # numerical breakdowns exit 3 and bad input exits 2; anything else is a bug
 SOLVER_ERRORS = (SolverError, SolverFailure, ac.EigensolverError)
-VALIDATION_ERRORS = (configio.ConfigError, DomainError, ParameterError, DataError)
+VALIDATION_ERRORS = (configio.ConfigError, DomainError, DataError)
 
 
 def main(argv: list[str] | None = None) -> int:

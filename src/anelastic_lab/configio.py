@@ -14,8 +14,7 @@ bad value is blamed on its own key.  `load_config`
 parses and checks every key, whichever command runs, and returns the
 parsed values; any bad value, unknown key or unreadable file raises a
 ConfigError that names the key or the path, and an unknown key's message
-says whether the file or an override set it.  The objects built from the
-values (Grid, ScalingParams, ...) still check their own arguments.
+says whether the file or an override set it.
 """
 
 from __future__ import annotations
@@ -63,11 +62,11 @@ DEFAULTS: dict[str, object] = {
     "output.dir": "out",
 }
 
-# The interval each bounded number must lie in, the one the object built
-# from it checks; an end may be a fraction (4/3).  Each entry of an eps list
-# lies in its interval, and the list falls strictly.  A number without an
-# entry must be finite, so only the Strichartz exponents admit inf (p = inf
-# is an admissible endpoint).  NaN lies in no interval.
+# The interval each bounded number must lie in; an end may be a fraction
+# (4/3).  Each entry of an eps list lies in its interval, and the list falls
+# strictly.  A number without an entry must be finite, so only the Strichartz
+# exponents admit inf (p = inf is an admissible endpoint).  NaN lies in no
+# interval.
 BOUNDS = {
     "grid.n": "[4, inf)",
     "grid.r_max": "(0, inf)",

@@ -50,21 +50,14 @@ class Grid:
     In radial mode the n cells cover (0, r_max) with centers (i + 1/2) h,
     h = r_max / n.  In cartesian mode the n**3 cells cover the box of
     half-width r_max, so h = 2 r_max / n per axis.  r_sponge marks where
-    the absorbing sponge of the evolution codes starts.
+    the absorbing sponge of the evolution codes starts.  `configio` checks
+    the fields' ranges when it loads the configuration.
     """
 
     geometry: str
     n: int
     r_max: float
     r_sponge: float
-
-    def __post_init__(self) -> None:
-        if self.geometry not in GEOMETRIES:
-            raise DomainError(f"unknown geometry {self.geometry!r}")
-        if self.n < 4:
-            raise DomainError("need at least 4 cells per axis")
-        if not 0.0 < self.r_sponge < self.r_max:
-            raise DomainError("require 0 < r_sponge < r_max")
 
     @property
     def radial(self) -> bool:

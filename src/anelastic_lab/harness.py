@@ -75,13 +75,6 @@ class SweepPlan:
     n_samples: int
     beta: float
 
-    def __post_init__(self) -> None:
-        eps = np.asarray(self.eps_list, dtype=float)
-        if eps.size < 2:
-            raise DomainError("a sweep needs at least two eps values")
-        if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-            raise DomainError("eps list must be strictly decreasing and positive")
-
 
 @dataclass
 class CaseResult:

@@ -31,10 +31,6 @@ class PotentialSpec:
     c_f: float = 1.0
     a: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.c_f < 0.0 or self.a <= 0.0:
-            raise DomainError("require c_f >= 0 and a > 0")
-
     def value(self, r: np.ndarray) -> np.ndarray:
         return self.c_f / np.sqrt(self.a**2 + np.asarray(r, dtype=float) ** 2)
 

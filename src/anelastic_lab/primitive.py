@@ -163,10 +163,6 @@ class GaussianBump:
     width: float
     center: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not self.width > 0.0:
-            raise DataError(f"Gaussian width must be positive, got {self.width}")
-
     def field(self, grid: Grid) -> np.ndarray:
         r = grid.radii
         return self.amplitude * np.exp(-(((r - self.center) / self.width) ** 2))

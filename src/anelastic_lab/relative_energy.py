@@ -178,8 +178,6 @@ def residual_pressure_value(traj: PrimitiveTrajectory, beta: float) -> float:
     K is the ball of radius grid.default_compact_radius.
     """
     params, grid = traj.params, traj.grid
-    if not 0.0 < beta < params.gamma / 3.0:
-        raise DomainError(f"beta must lie in (0, gamma/3), got {beta}")
     mask = grid.ball_mask(grid.default_compact_radius)
     q = np.ascontiguousarray(traj.samples.q[:, mask])  # rows sum as single samples do
     res_q = (1.0 - traj.prof.cutoff.chi(q)) * q

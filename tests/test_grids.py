@@ -190,14 +190,6 @@ class TestGridBasics:
         assert np.all(radial_grid.weights > 0.0)
         assert np.all(cart_grid.weights > 0.0)
 
-    def test_invalid_geometry(self):
-        with pytest.raises(DomainError):
-            Grid("cylindrical", 32, 1.0, 0.5)
-
-    def test_sponge_inside_domain(self):
-        with pytest.raises(DomainError):
-            Grid("radial", 32, 1.0, 1.5)
-
     def test_smoothstep_clamps(self):
         assert smoothstep(-1.0) == 0.0
         assert smoothstep(2.0) == 1.0

@@ -9,7 +9,7 @@ import pytest
 
 from anelastic_lab import anelastic, cli, configio, harness, helmholtz, hydrostatics, lapack
 from anelastic_lab.cli import main
-from anelastic_lab.grids import DomainError, Grid
+from anelastic_lab.grids import Grid
 from anelastic_lab.harness import (
     SweepPlan,
     audit_quarantine_time,
@@ -59,12 +59,6 @@ class TestSweep:
         spreads = text.splitlines()[-1]
         assert "r4=not exercised" in spreads and "r7=not exercised" in spreads
         assert spreads.count("not exercised") == 2
-
-    def test_plan_validation(self):
-        with pytest.raises(DomainError):
-            tiny_plan(eps_list=(0.2, 0.4))
-        with pytest.raises(DomainError):
-            tiny_plan(eps_list=(0.2,))
 
     def test_csv_output(self, tmp_path):
         rep = sweep_epsilon(tiny_plan())
@@ -161,6 +155,24 @@ class TestConfig:
     def test_bad_value_names_its_key(self, item):
         with pytest.raises(configio.ConfigError, match=item.partition("=")[0]):
             configio.load_config(None, [item])
+
+    def test_readme_lists_the_bounds(self):
+        # the README's `| key | bound |` table names each bounded key once, with its interval;
+        # the eps list's row goes on to say the list falls strictly
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.strip() == "| key | bound |")
+        listed = {}
+        for line in lines[start + 2:]:
+            if not line.strip().startswith("|"):
+                break
+            keys, bound = (cell.strip() for cell in line.strip().strip("|").split("|"))
+            for key in keys.split(", "):
+                assert key.strip("`") not in listed
+                listed[key.strip("`")] = bound
+        assert listed.keys() == configio.BOUNDS.keys()
+        for key, bound in configio.BOUNDS.items():
+            text = listed[key]
+            assert text == bound or (key == "sweep.eps_list" and text.startswith(bound + " ")), key
 
     def test_cross_key_rules(self):
         # beta's upper bound gamma/3 moves with gamma
@@ -526,6 +538,17 @@ class TestCli:
         (["profile", "--set", "params.alpha=2"], "params.alpha = 2 must lie in (0, 4/3)"),
         (["profile", "--set", "params.eps=0"], "params.eps = 0 must lie in (0, inf)"),
         (["profile", "--set", "potential.a=0"], "potential.a = 0 must lie in (0, inf)"),
+        # the finite end of each remaining bound
+        (["profile", "--set", "potential.c_f=-1"], "potential.c_f = -1 must lie in [0, inf)"),
+        (["simulate-primitive", "--set", "params.lam=-1"], "params.lam = -1 must lie in [0, inf)"),
+        (["simulate-primitive", "--set", "params.mu=-1"], "params.mu = -1 must lie in [0, inf)"),
+        (["profile", "--set", "params.rho_bar=0"], "params.rho_bar = 0 must lie in (0, inf)"),
+        (["sweep", "--set", "params.horizon=0"], "params.horizon = 0 must lie in (0, inf)"),
+        (["decay", "--set", "data.rho1_width=0"], "data.rho1_width = 0 must lie in (0, inf)"),
+        (["audit-rei", "--set", "data.theta2_width=0"], "data.theta2_width = 0 must lie in (0, inf)"),
+        # an output directory that cannot be made; an empty --output falls back to output.dir
+        (["profile", "--set", "output.dir=", "--output", ""], "output.dir = ''"),
+        (["profile", "--output", "some_file/sub"], "output directory some_file/sub"),
     ],
 )
 def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, key):
@@ -536,6 +559,7 @@ def test_bad_input_exits_2(tmp_path, monkeypatch, capsys, argv, key):
     (tmp_path / "latin1.cfg").write_bytes("[grid]\nn = 64  # ½\n".encode("latin-1"))
     (tmp_path / "syntax.cfg").write_text("[grid]\nn 64\n")
     (tmp_path / "unknown.cfg").write_text("[grid]\nwavelets = on\n")
+    (tmp_path / "some_file").write_text("")
     assert main(["--output", str(tmp_path), *SMALL, *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and err.count("\n") == 1

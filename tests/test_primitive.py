@@ -4,7 +4,7 @@ import pytest
 from anelastic_lab import primitive
 from anelastic_lab.grids import Grid, integrate, lp_norm, radial_divergence
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile, constant_profile
-from anelastic_lab.params import ParameterError, ScalingParams
+from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
     DataError,
     GaussianBump,
@@ -39,12 +39,6 @@ def acoustic_data(amp=0.4):
 
 
 class TestScalingParams:
-    def test_hypothesis_range_enforced(self):
-        with pytest.raises(ParameterError):
-            ScalingParams(gamma=1.4)
-        with pytest.raises(ParameterError):
-            ScalingParams(alpha=1.5)
-
     def test_with_eps(self):
         p = EPS02.with_eps(0.1)
         assert p.eps == 0.1 and p.gamma == EPS02.gamma

@@ -154,17 +154,6 @@ class TestResidualPressure:
         val = residual_pressure_value(traj, 0.5)
         assert val == 0.0
 
-    def test_beta_range_enforced(self, radial_profile, radial_grid):
-        init = PrimitiveState(
-            rho=radial_profile.rho0.copy(),
-            mom=np.zeros(radial_grid.n),
-            q=radial_profile.rho0.copy(),
-        )
-        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
-        assert 0.5 < EPS02.gamma / 3.0  # gamma = 5/3: beta = 0.5 admissible
-        with pytest.raises(DomainError):
-            residual_pressure_value(traj, 0.6)
-
     def test_strong_data_slope(self):
         # amplitude chosen so rho Theta leaves the essential band at every
         # eps in the mini sweep
