@@ -299,8 +299,6 @@ class SpectralWaveSolution:
 def spectral_solution(
     op: AcousticOperator, init: AcousticState, eps: float
 ) -> SpectralWaveSolution:
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
     sigma0 = (op.prof.dp / op.prof.rho0) * init.s
     return SpectralWaveSolution(
         op=op,

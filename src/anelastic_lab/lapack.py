@@ -11,6 +11,18 @@ resident memory of a run.
   argument is a raw address (ctypes.c_void_p): the step passes buffers it
   allocated once, and an ndpointer check would cost several microseconds
   per argument on each call.
+
+Importing the module also sets the library's thread count to 1, whatever
+OPENBLAS_NUM_THREADS says, so every BLAS call of a run stays on the
+calling thread.  The only dense products the laboratory forms are small,
+(206 x 30) @ (30 x 512) in the relative-energy audit and
+(282 x 30) @ (30 x 2048) in the Strichartz measurement at n = 2048, and
+two threads make them dearer, not cheaper.  On a 2-core x86-64 host with
+numpy 2.4 each product took 10-17 ms on two threads against 0.2 ms and
+1 ms on one, and after each product the idle helper thread spun on the
+second core, so a `dispersion` benchmark flow spent 0.25 s of CPU in
+0.145 s of wall time.  The arithmetic does not depend on the count: the
+artifacts are byte-identical on one thread and on two.
 """
 
 from __future__ import annotations
@@ -65,3 +77,8 @@ DSTEVR = _bind(_LIB, "dstevr", [
 ])
 # N NRHS DL D DU B LDB INFO
 DGTSV = _bind(_LIB, "dgtsv", [ctypes.c_void_p] * 8)
+
+# run every BLAS call on the calling thread; see the module docstring
+_set_num_threads = _LIB.scipy_openblas_set_num_threads64_
+_set_num_threads.argtypes, _set_num_threads.restype = [ctypes.c_int], None
+_set_num_threads(1)
