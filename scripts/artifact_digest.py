@@ -15,6 +15,9 @@ writes and `sha256  run/stdout` for its captured standard output followed
 by its exit status.  BLAS runs on one thread, so the digest depends only
 on the source and the overrides; that includes simulate-primitive's
 final_state.npz, whose zip entries np.savez writes with a fixed date.
+anelastic_lab.lapack sets that thread count at import, but the script
+still sets OPENBLAS_NUM_THREADS=1: --against REF may export a ref older
+than that setting.
 
 With --against REF the digest is taken twice with the same overrides, in
 fresh interpreters: once with this checkout's `src/` and once with the
@@ -25,7 +28,9 @@ the exit status is 1 if any does.
 
 import os
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads: one summation order
+# before numpy loads: one summation order also for refs whose lapack.py does
+# not yet set the thread count itself
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402

@@ -1,4 +1,5 @@
-"""The two LAPACK routines the laboratory calls, from numpy's own OpenBLAS.
+"""The two LAPACK routines the laboratory calls, from numpy's own OpenBLAS,
+and that library's thread count.
 
 numpy >= 2 wheels bundle OpenBLAS as libscipy_openblas64_, which exports
 LAPACK with 64-bit integers under scipy_<name>_64_ symbols.  Both routines
@@ -20,8 +21,8 @@ calling thread.  The only dense products the laboratory forms are small,
 two threads make them dearer, not cheaper.  On a 2-core x86-64 host with
 numpy 2.4 each product took 10-17 ms on two threads against 0.2 ms and
 1 ms on one, and after each product the idle helper thread spun on the
-second core, so a `dispersion` benchmark flow spent 0.25 s of CPU in
-0.145 s of wall time.  The arithmetic does not depend on the count: the
+second core, so a `dispersion` benchmark flow spent 0.31 s of CPU in
+0.17 s of wall time (0.17 s of CPU on one thread).  The arithmetic does not depend on the count: the
 artifacts are byte-identical on one thread and on two.
 """
 

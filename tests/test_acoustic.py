@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anelastic_lab import acoustic as ac
 from anelastic_lab import configio
 from anelastic_lab import lapack
 from anelastic_lab.acoustic import (
@@ -348,6 +347,37 @@ class TestLapackBinding:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
+
+    def test_blas_runs_on_the_calling_thread(self):
+        # the caller imports numpy first and asks for two threads, as perfbench's worker does
+        script = (
+            "import ctypes\n"
+            "import numpy\n"
+            "import anelastic_lab.cli\n"
+            "from anelastic_lab import lapack\n"
+            "get = lapack._LIB.scipy_openblas_get_num_threads64_\n"
+            "get.restype = ctypes.c_int\n"
+            "assert get() == 1, get()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS="2")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_decay_does_not_depend_on_openblas_num_threads(self, tmp_path):
+        """A guard, not a regression test: decay's output was already the same
+        on one and two threads before the library pinned its thread count."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            done = subprocess.run(
+                [sys.executable, "-m", "anelastic_lab.cli", "decay", "--set", "grid.n=256",
+                 "--output", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            runs.append((done.stdout, (out / "decay.csv").read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_missing_library_names_the_search_path(self, tmp_path, monkeypatch):
         monkeypatch.setattr(lapack, "_LIB_DIRS", (str(tmp_path / "numpy.libs"), str(tmp_path)))
