@@ -1,15 +1,17 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anelastic_lab import configio
+from anelastic_lab import cli, configio
 from anelastic_lab import lapack
 from anelastic_lab.acoustic import (
+    _BLOCK_CELLS,
     AcousticState,
     FrequencyWindow,
     admissible_pair,
@@ -23,6 +25,7 @@ from anelastic_lab.acoustic import (
     spatial_cutoff,
     operator_spectrum,
     spectral_solution,
+    _windowed_modes,
 )
 from anelastic_lab.grids import DomainError, Grid, lp_norm
 from anelastic_lab.helmholtz import RadialWeightedLaplacian
@@ -31,6 +34,12 @@ from anelastic_lab.primitive import GaussianBump
 from test_helmholtz import dense
 
 PPP = configio.DEFAULTS["acoustic.points_per_period"]
+
+
+def default_strichartz_case(n):
+    """The strichartz command's operator, window, unit datum and T* at grid.n = n."""
+    prof, win, op, h = cli._acoustic_setup(configio.load_config(None, [f"grid.n={n}"]))
+    return op, win, h, crossing_time(prof)
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +273,42 @@ class TestMeasurements:
             h = h / operator.norm(h)
             ratios.append(measure_strichartz(operator, win, h, 4.0, 12.0, t_star, PPP).ratio)
         assert max(ratios) / min(ratios) <= 10.0
+
+    def test_strichartz_p_inf_is_the_largest_lq_norm(self, operator):
+        win, h = self.window_and_datum(operator)
+        m = measure_strichartz(operator, win, h, np.inf, 6.0, crossing_time(operator.prof), PPP)
+        assert m.value == m.series.max()
+
+    def test_strichartz_q_inf_is_the_largest_cell_of_each_row(self, operator):
+        win, h = self.window_and_datum(operator)
+        t_star = crossing_time(operator.prof)
+        m = measure_strichartz(operator, win, h, 2.0, np.inf, t_star, PPP)
+        _, c, vecs = _windowed_modes(operator, win, h, t_star, PPP)
+        assert np.array_equal(m.series, np.abs(c @ vecs.T).max(axis=-1))
+
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_strichartz_blocks_keep_every_bit(self, n):
+        op, win, h, t_star = default_strichartz_case(n)
+        m = measure_strichartz(op, win, h, 4.0, 12.0, t_star, PPP)
+        rows = _BLOCK_CELLS // n
+        # n = 2048: 282 times in blocks of 32, the last one ragged; n = 64: one block
+        assert (m.times.size % rows != 0) if n == 2048 else (m.times.size <= rows)
+        _, c, vecs = _windowed_modes(op, win, h, t_star, PPP)
+        ref = np.sum(np.abs(c @ vecs.T) ** 12.0 * op.grid.weights, axis=-1) ** (1.0 / 12.0)
+        assert np.array_equal(m.series, ref)
+
+    def test_strichartz_working_set_does_not_grow_with_time(self):
+        op, win, h, t_star = default_strichartz_case(2048)
+        peaks = []
+        for T in (t_star, 2.0 * t_star):
+            tracemalloc.start()
+            try:
+                measure_strichartz(op, win, h, 4.0, 12.0, T, PPP)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        # one (n_t, n) complex wave at n = 2048 is 8.8 MiB over [0, T*], 17.6 MiB over [0, 2T*]
+        assert abs(peaks[1] - peaks[0]) < 0.5 and max(peaks) < 6.0, peaks
 
     def test_dispersive_smallness_monotone(self, operator):
         win = FrequencyWindow(0.3)

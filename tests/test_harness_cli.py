@@ -242,10 +242,13 @@ class TestCli:
         assert ok == 0
         assert bad == 2
 
-    def test_strichartz_takes_the_infinite_p_endpoint(self, tmp_path):
-        # 1/p + 3/q = 1/2 at p = inf, q = 6: the one infinite config value allowed
+    def test_strichartz_takes_the_infinite_p_endpoint(self, tmp_path, capsys):
+        # 1/p + 3/q = 1/2 at p = inf, q = 6: the L^inf_t norm is the largest lq_norm
         argv = ["strichartz", "--set", "acoustic.p=inf", "--set", "acoustic.q=6", *SMALL]
         assert main([*argv, "--output", str(tmp_path)]) == 0
+        value = float(capsys.readouterr().out.split("value=")[1].split()[0])
+        rows = (tmp_path / "strichartz.csv").read_text().splitlines()[1:]
+        assert value == max(float(row.split(",")[1]) for row in rows)
 
     def test_unknown_config_key_exit_code(self, tmp_path):
         out = str(tmp_path / "o")
