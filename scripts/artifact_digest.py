@@ -19,6 +19,10 @@ anelastic_lab.lapack sets that thread count at import, but the script
 still sets OPENBLAS_NUM_THREADS=1: --against REF may export a ref older
 than that setting.
 
+The default configuration has no bulk viscosity (params.lam = 0), so the
+bulk branches of the dissipation rate, the bounds and the audit do not
+reach the digest; check a change to them with `--set params.lam=0.5`.
+
 With --against REF the digest is taken twice with the same overrides, in
 fresh interpreters: once with this checkout's `src/` and once with the
 `src/` of the git ref REF, exported into a temporary directory.  Only the

@@ -277,10 +277,17 @@ def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarr
     grid.check_aligned(f)
     sign, two_h = (1.0 if parity == "even" else -1.0), 2.0 * grid.h
     out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / two_h
+    inner = np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    inner /= two_h
     out[..., 0] = (f[..., 1] - sign * f[..., 0]) / two_h
     out[..., -1] = (f[..., -1] - f[..., -2]) / grid.h
     return out
+
+
+def radial_strain(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(du/dr, u/r), the distinct entries of grad(u e_r) = diag(du/dr, u/r, u/r) for an odd
+    u (the ghost below r = 0 negates the first cell), as two fresh arrays."""
+    return radial_gradient(u, grid, parity="odd"), u / grid.centers
 
 
 def radial_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grids import DomainError, EssResCutoff, Grid, harmonic_faces, radial_gradient
+from .grids import DomainError, EssResCutoff, Grid, harmonic_faces, radial_gradient, radial_strain
 from .helmholtz import CartesianWeightedLaplacian, RadialWeightedLaplacian
 from .params import ScalingParams
 
@@ -204,8 +204,8 @@ def flatness_report(prof: StaticProfile) -> FlatnessReport:
     """Measure the asymptotic-flatness quantities of F, A = p'(rho0) and B.
 
     B = rho0 Q''(rho0) grad rho0 is the drift coefficient of the acoustic
-    operator written in divergence form.  A and B derivatives are taken
-    numerically (centered differences); F uses its closed form.
+    operator written in divergence form.  Hess A = grad(A' e_r) and grad B are
+    the `radial_strain`s of radial vectors; F uses its closed form.
     """
     grid, spec, gamma = prof.grid, prof.potential, prof.gamma
     if not grid.radial:
@@ -220,18 +220,19 @@ def flatness_report(prof: StaticProfile) -> FlatnessReport:
     B = prof.rho0 * gamma * (gamma - 2.0) * prof.rho0 ** (gamma - 3.0) * prof.grad_rho0
 
     dA = radial_gradient(A, grid, parity="even")
-    d2A = radial_gradient(dA, grid, parity="odd")
-    hess_a = np.sqrt(d2A**2 + 2.0 * (dA / r) ** 2)
-    dB = radial_gradient(B, grid, parity="odd")
-    grad_b = np.sqrt(dB**2 + 2.0 * (B / r) ** 2)
+    d2A, dA_r = radial_strain(dA, grid)
+    hess_a = np.sqrt(d2A**2 + 2.0 * dA_r**2)
+    dB, B_r = radial_strain(B, grid)
+    grad_b = np.sqrt(dB**2 + 2.0 * B_r**2)
 
     # second differences at the two outermost cells are one-sided; skip them
     sl = slice(0, grid.n - 2)
+    envelope_low, envelope_up = spec.envelope_constants(spec.a)
     return FlatnessReport(
         max_r2_grad_f=float(np.max(r * r * np.abs(dF))),
         max_r3_hess_f=float(np.max(r**3 * hess_f)),
         max_r2_grad_a_plus_b=float(np.max((r * r * (np.abs(dA) + np.abs(B)))[sl])),
         max_r3_hess_a_plus_grad_b=float(np.max((r**3 * (hess_a + grad_b))[sl])),
-        envelope_low=spec.envelope_constants(spec.a)[0],
-        envelope_up=spec.envelope_constants(spec.a)[1],
+        envelope_low=envelope_low,
+        envelope_up=envelope_up,
     )

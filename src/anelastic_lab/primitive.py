@@ -76,7 +76,7 @@ from .grids import (
     Grid,
     integrate,
     radial_divergence,
-    radial_gradient,
+    radial_strain,
     smoothstep,
 )
 from .hydrostatics import StaticProfile
@@ -301,6 +301,7 @@ def _viscous_bands(grid: Grid) -> np.ndarray:
     at the origin and copies its neighbour at the outer face, so L's last row is
     zero.  Row DL holds L[i+1, i] and DU L[i, i+1]; their entries past the last
     row are 0, the zero coupling of one member to the next in a stacked system.
+    It keeps its own face divergence: `radial_divergence` in its place would change the scheme.
     """
     r2 = grid.centers * grid.centers
     h_faces2 = grid.h * grid.faces[1:-1] ** 2
@@ -456,10 +457,14 @@ def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
     """eps^alpha int S(grad u) : grad u for each member's radial velocity row of u.
 
     With lam = 0 the bulk term lam (div u)^2 would add +0.0 to a non-negative
-    density, which changes no bit, so it is skipped.
+    density, which changes no bit, so it is skipped.  The density is formed in
+    place: the fold passes whole blocks of steps.
     """
     grid = aux.grid
-    dens = aux.mu43 * (radial_gradient(u, grid, parity="odd") - u / grid.centers) ** 2
+    dens, u_r = radial_strain(u, grid)
+    dens -= u_r
+    dens **= 2
+    dens *= aux.mu43
     if aux.lam != 0.0:
         dens += aux.lam * radial_divergence(u, grid) ** 2
     return aux.eps_alpha * integrate(dens, grid)

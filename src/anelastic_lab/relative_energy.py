@@ -29,6 +29,7 @@ from .grids import (
     lp_norm,
     radial_divergence,
     radial_gradient,
+    radial_strain,
 )
 from .params import ScalingParams
 from .primitive import PrimitiveState, PrimitiveTrajectory, enthalpy
@@ -58,18 +59,18 @@ def rel_energy(
 
 def _velocity_rates(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample integrals of the radial velocity's squared deviatoric strain,
-    squared divergence and |u|^2 + |grad u|^2, from one du/dr and one div u.
+    squared divergence and |u|^2 + |grad u|^2, from one strain and one div u.
 
-    The deviatoric strain is grad u + grad u^T - (2/3) div u I.  Squares and
-    sums are formed in place, because with stacked samples every temporary
-    is n_samples fields large.
+    The deviatoric strain is grad u + grad u^T - (2/3) div u I, grad u from
+    `radial_strain`.  Squares and sums are formed in place, because with
+    stacked samples every temporary is n_samples fields large.
     """
-    du = radial_gradient(u, grid, parity="odd")
+    du, u_r = radial_strain(u, grid)
     d = radial_divergence(u, grid)
     div = integrate(d**2, grid)
     d *= 2.0 / 3.0
     t_r = 2.0 * du - d
-    t_perp = 2.0 * u / grid.centers - d
+    t_perp = 2.0 * u_r - d
     del d
     t_r **= 2
     t_perp **= 2
@@ -78,21 +79,22 @@ def _velocity_rates(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, 
     dev = integrate(t_r, grid)
     del t_r
     du **= 2
-    du += 2.0 * (u / grid.centers) ** 2
+    du += 2.0 * u_r**2
     return dev, div, integrate(u * u + du, grid)
 
 
 def stress_contraction(
-    a: np.ndarray, b: np.ndarray, params: ScalingParams, grid: Grid
+    grad_a: tuple, div_a: np.ndarray, grad_b: tuple, params: ScalingParams
 ) -> np.ndarray:
-    """S(grad a) : grad b for radial fields, including the bulk part."""
-    da = radial_gradient(a, grid, parity="odd")
-    db = radial_gradient(b, grid, parity="odd")
-    diva = radial_divergence(a, grid)
-    r = grid.centers
-    s_rr = params.mu * (2.0 * da - (2.0 / 3.0) * diva) + params.lam * diva
-    s_tt = params.mu * (2.0 * a / r - (2.0 / 3.0) * diva) + params.lam * diva
-    return s_rr * db + 2.0 * s_tt * (b / r)
+    """S(grad a) : grad b for radial fields a and b, including the bulk part.
+
+    grad_a and grad_b are the `radial_strain` pairs (da/dr, a/r) and (db/dr,
+    b/r), and div_a is `radial_divergence(a)`: the caller forms each once.
+    """
+    (da, a_r), (db, b_r) = grad_a, grad_b
+    s_rr = params.mu * (2.0 * da - (2.0 / 3.0) * div_a) + params.lam * div_a
+    s_tt = params.mu * (2.0 * a_r - (2.0 / 3.0) * div_a) + params.lam * div_a
+    return s_rr * db + 2.0 * s_tt * b_r
 
 
 @dataclass
@@ -280,12 +282,11 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
     d2h_rho0 = gamma * prof.rho0 ** (gamma - 2.0)
     d3h_rho0 = gamma * (gamma - 2.0) * prof.rho0 ** (gamma - 3.0)
 
-    scales = (1.0, RAW_PERTURBATION)
-    # row k belongs to the test velocity scales[k] * U
-    e_series = np.empty((len(scales), times.size))
-    diss_rates = np.empty((len(scales), times.size))
+    # row k of the test stack belongs to the test velocity scales[k] * U
+    scales = np.array([1.0, RAW_PERTURBATION])[:, None, None]
+    e_series, diss_rates = np.empty((2, 2, times.size))
     # raw rates of the velocity, pressure-time and pressure-divergence terms
-    raw_rates = np.empty((len(scales), 3, times.size))
+    raw_rates = np.empty((2, 3, times.size))
     rates = {name: np.empty(times.size) for name in REI_GROUPS}
 
     # the ansatz fields at every sample time, one stacked (n_samples, n) array each
@@ -312,29 +313,29 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
         pressure_gap = q**gamma - r_field**gamma
         drag = state.rho * grad_f
 
-        tests = []
-        for k, scale in enumerate(scales):
-            u_test = scale * grad_phi_all[rows]
-            dt_grad_phi = scale * dt_grad_phi_all[rows]
-            diff = u_test - u
-            e_series[k, rows] = rel_energy(state, r_field, u_test, params, grid)
-            diss_rates[k, rows] = visc_scale * integrate(
-                stress_contraction(u - u_test, u - u_test, params, grid), grid
-            )
-            du_test = radial_gradient(u_test, grid, parity="odd")
-            div_u_test = radial_divergence(u_test, grid)
-            visc = visc_scale * stress_contraction(u_test, diff, params, grid)
-            tests.append((u_test, dt_grad_phi, diff, du_test, div_u_test, visc))
+        # both test velocities as one (2, rows, n) stack; diff = U - u is
+        # exactly -(u - U), so S(diff) : grad diff is the dissipation of u - U
+        u_test = scales * grad_phi_all[rows]
+        dt_grad_phi = scales * dt_grad_phi_all[rows]
+        diff = u_test - u
+        strain_test, div_u_test = radial_strain(u_test, grid), radial_divergence(u_test, grid)
+        strain_diff, div_diff = radial_strain(diff, grid), radial_divergence(diff, grid)
+        e_series[:, rows] = rel_energy(state, r_field, u_test, params, grid)
+        diss_rates[:, rows] = visc_scale * integrate(
+            stress_contraction(strain_diff, div_diff, strain_diff, params), grid
+        )
+        visc = visc_scale * stress_contraction(strain_test, div_u_test, strain_diff, params)
 
-            g1 = state.rho * (dt_grad_phi + u * du_test) * diff + visc
-            raw_rates[k, 0, rows] = integrate(g1, grid)
-            g2 = time_gap + grad_hp * (r_field * u_test - q * u)
-            raw_rates[k, 1, rows] = integrate(g2, grid) / eps**2
-            g3 = div_u_test * pressure_gap + drag * diff
-            raw_rates[k, 2, rows] = -integrate(g3, grid) / eps**2
+        g1 = state.rho * (dt_grad_phi + u * strain_test[0]) * diff + visc
+        raw_rates[:, 0, rows] = integrate(g1, grid)
+        g2 = time_gap + grad_hp * (r_field * u_test - q * u)
+        raw_rates[:, 1, rows] = integrate(g2, grid) / eps**2
+        g3 = div_u_test * pressure_gap + drag * diff
+        raw_rates[:, 2, rows] = -integrate(g3, grid) / eps**2
 
-        # the grouped shape, against U itself
-        u_test, dt_grad_phi, diff, du_test, div_u_test, visc = tests[0]
+        # the grouped shape, against U itself: row 0 of the stack
+        u_test, dt_grad_phi, diff = u_test[0], dt_grad_phi[0], diff[0]
+        du_test, div_u_test, visc = strain_test[0][0], div_u_test[0], visc[0]
         g_vel = state.rho * u * du_test * diff + visc  # limit velocity is steady
         rates["velocity"][rows] = integrate(g_vel, grid)
 

@@ -275,6 +275,15 @@ class TestCli:
         lines = open(os.path.join(out, "convergence.csv")).read().strip().splitlines()
         assert len(lines) == 3
 
+    def test_sweep_with_bulk_viscosity_exercises_every_bound(self, tmp_path):
+        # lam > 0 runs the bulk-viscosity branches of the rate and the bounds
+        out = str(tmp_path / "o")
+        sets = ("params.lam=0.5", "data.rho1_amp=5", "sweep.eps_list=0.5,0.4,0.3", "grid.n=128")
+        code = main(["sweep", *(a for item in sets for a in ("--set", item)), "--output", out])
+        assert code == 0
+        summary = open(os.path.join(out, "summary.txt")).read()
+        assert "not exercised" not in summary
+
     def test_simulate_primitive_and_report(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = main(

@@ -3,23 +3,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anelastic_lab import grids, relative_energy
 from anelastic_lab.acoustic import AcousticState, spectral_solution
-from anelastic_lab.grids import DomainError, Grid, integrate, lp_norm
+from anelastic_lab.grids import (
+    DomainError,
+    Grid,
+    integrate,
+    lp_norm,
+    radial_divergence,
+    radial_strain,
+)
+from anelastic_lab.harness import acoustic_ansatz
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
     GaussianBump,
     IllPreparedData,
+    PrimitiveAux,
     PrimitiveState,
     init_ill_prepared,
     run_primitive,
+    viscous_dissipation_rate,
 )
 from anelastic_lab.relative_energy import (
+    _velocity_rates,
     fit_eps_slope,
     h_bracket,
     rei_audit,
     rel_energy,
     residual_pressure_value,
+    stress_contraction,
     uniform_bounds_report,
 )
 
@@ -188,6 +201,32 @@ class TestResidualPressure:
         assert residual_pressure_value(traj, 0.5) == expected
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_pure_dilation_strain(radial_profile, radial_grid, lam):
+    # u = c r: grad u = c I, div u = 3c, so the deviatoric strain and the
+    # shear part of S(grad u) : grad u vanish and only 9 lam c^2 is left
+    g, c = radial_grid, np.array([[0.5], [-2.0]])  # two stacked velocities
+    u = c * g.centers
+    du, u_r = radial_strain(u, g)
+    div = radial_divergence(u, g)
+    one = np.ones_like(u)
+    assert np.allclose(du, c * one, rtol=1.0e-12, atol=0.0)
+    assert np.allclose(u_r, c * one, rtol=1.0e-12, atol=0.0)
+    assert np.allclose(div, 3.0 * c * one, rtol=1.0e-12, atol=0.0)
+    params = ScalingParams(eps=0.4, lam=lam)
+    contraction = stress_contraction((du, u_r), div, (du, u_r), params)
+    assert np.allclose(contraction, 9.0 * lam * c**2 * one, rtol=1.0e-11, atol=1.0e-12)
+    dev, div_rate, _ = _velocity_rates(u, g)
+    sum_w = g.weights.sum()
+    assert np.all(np.abs(dev) <= 1.0e-20 * sum_w)
+    assert np.allclose(div_rate, 9.0 * c[:, 0] ** 2 * sum_w, rtol=1.0e-11)
+    # one member per stacked velocity, at eps = 0.4 and 0.2
+    aux = PrimitiveAux(radial_profile, [params, params.with_eps(0.2)])
+    expected = aux.eps_alpha * 9.0 * lam * c[:, 0] ** 2 * sum_w
+    rate = viscous_dissipation_rate(u, aux)
+    assert np.allclose(rate, expected, rtol=1.0e-11, atol=1.0e-20 * sum_w)
+
+
 class TestRelEnergyReport:
     def test_summary_and_nonnegativity_guard(self):
         from anelastic_lab.relative_energy import REIReport
@@ -242,6 +281,33 @@ class TestREIAuditBasics:
         # the raw shape's known answer: zero for U = 0 and for any multiple of it
         assert abs(rep.raw_max_defect) < 1.0e-9
         assert abs(rep.raw_perturbed_max_defect) < 1.0e-9
+
+    def test_audit_forms_each_test_strain_once(self, monkeypatch):
+        g = Grid("radial", 64, 8.0, 6.0)
+        params = ScalingParams(eps=0.4, horizon=0.2)
+        prof = build_profile(PotentialSpec(), params, g)
+        bump = GaussianBump(0.3, 1.0)
+        data = IllPreparedData(rho1=bump, vel_potential=bump)
+        traj = run_primitive(
+            init_ill_prepared(data, prof, params), prof, params, np.linspace(0.0, 0.2, 20)
+        )
+        sol = acoustic_ansatz(data, prof, params.eps, 0.25)
+        calls = {"radial_gradient": 0, "radial_divergence": 0}
+        for name in calls:
+            real = getattr(grids, name)
+
+            def counting(*args, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            # radial_strain looks the gradient up in grids, the audit in its own namespace
+            monkeypatch.setattr(grids, name, counting)
+            monkeypatch.setattr(relative_energy, name, counting)
+        rei_audit(traj, sol)
+        # 20 samples make two chunks; each differences grad s and the strains of
+        # the (2, rows, n) stacks U and U - u once, and takes div U, div(U - u)
+        # and div(s U)
+        assert calls == {"radial_gradient": 6, "radial_divergence": 6}
 
     def test_eps_mismatch_rejected(self, radial_profile, radial_grid, operator):
         n = radial_grid.n
