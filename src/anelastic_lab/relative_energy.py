@@ -247,7 +247,7 @@ class REIReport:
 
 
 RAW_PERTURBATION = 1.1  # scale of the raw shape's perturbed test velocity
-AUDIT_CHUNK = 16  # samples per row block of the audit
+AUDIT_CHUNK = 8  # samples per row block of the audit: its (2, rows, n) test stacks are 16 fields
 
 
 def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIReport:
