@@ -277,8 +277,7 @@ def radial_gradient(f: np.ndarray, grid: Grid, parity: str = "even") -> np.ndarr
     grid.check_aligned(f)
     sign, two_h = (1.0 if parity == "even" else -1.0), 2.0 * grid.h
     out = np.empty_like(f)
-    inner = np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
-    inner /= two_h
+    np.divide(f[..., 2:] - f[..., :-2], two_h, out=out[..., 1:-1])
     out[..., 0] = (f[..., 1] - sign * f[..., 0]) / two_h
     out[..., -1] = (f[..., -1] - f[..., -2]) / grid.h
     return out

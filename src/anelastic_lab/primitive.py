@@ -463,6 +463,7 @@ def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
     grid = aux.grid
     dens, u_r = radial_strain(u, grid)
     dens -= u_r
+    del u_r
     dens **= 2
     dens *= aux.mu43
     if aux.lam != 0.0:

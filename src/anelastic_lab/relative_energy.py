@@ -65,22 +65,23 @@ def _velocity_rates(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, 
     `radial_strain`.  Squares and sums are formed in place, because with
     stacked samples every temporary is n_samples fields large.
     """
-    du, u_r = radial_strain(u, grid)
     d = radial_divergence(u, grid)
     div = integrate(d**2, grid)
     d *= 2.0 / 3.0
-    t_r = 2.0 * du - d
-    t_perp = 2.0 * u_r - d
+    du, u_r = radial_strain(u, grid)
+    grad_sq = du**2
+    grad_sq += 2.0 * u_r**2
+    du *= 2.0
+    du -= d  # the radial entry of the deviatoric strain
+    u_r *= 2.0
+    u_r -= d  # the two angular entries
     del d
-    t_r **= 2
-    t_perp **= 2
-    t_r += 2.0 * t_perp
-    del t_perp
-    dev = integrate(t_r, grid)
-    del t_r
     du **= 2
-    du += 2.0 * u_r**2
-    return dev, div, integrate(u * u + du, grid)
+    u_r **= 2
+    du += 2.0 * u_r
+    dev = integrate(du, grid)
+    grad_sq += u * u
+    return dev, div, integrate(grad_sq, grid)
 
 
 def stress_contraction(
