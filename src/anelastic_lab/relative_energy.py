@@ -47,8 +47,8 @@ def rel_energy(
     u_test: np.ndarray,
     params: ScalingParams,
     grid: Grid,
-) -> float:
-    """Relative energy of a state against the test pair (r, U)."""
+) -> float | np.ndarray:
+    """Relative energy of a state against the test pair (r, U), one per stacked row."""
     grid.check_aligned(r_field, u_test)
     if np.any(r_field <= 0.0):
         raise DomainError("test density r must be strictly positive")
