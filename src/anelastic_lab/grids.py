@@ -303,5 +303,6 @@ def radial_divergence(v: np.ndarray, grid: Grid) -> np.ndarray:
     v_f = mean_faces(v)
     v_f[..., 0] = 0.0  # odd symmetry at the origin
     v_f[..., -1] = 1.5 * v[..., -1] - 0.5 * v[..., -2]
-    flux = grid.face_areas * v_f
-    return (flux[..., 1:] - flux[..., :-1]) / grid.shell_volumes
+    v_f *= grid.face_areas  # the face fluxes; in place, as the input may be a stack of rows
+    d = np.subtract(v_f[..., 1:], v_f[..., :-1])
+    return np.divide(d, grid.shell_volumes, out=d)

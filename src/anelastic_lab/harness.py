@@ -94,14 +94,16 @@ def limit_norms(traj: PrimitiveTrajectory, theta2: np.ndarray) -> tuple[float, f
     initial perturbation theta2, so N2b compares (Theta - 1)/eps^2 with it
     at every sample.
     """
-    prof, params, grid, s = traj.prof, traj.params, traj.grid, traj.samples
-    chi = prof.cutoff.chi(s.q)
-    drho = s.rho - prof.rho0
-    n1 = np.max(lp_norm(chi * drho, 2.0, grid) + lp_norm((1.0 - chi) * drho, params.gamma, grid))
-    dtheta = s.theta - 1.0
-    n2a = np.max(lp_norm(dtheta, 2.0, grid))
-    n2b = np.max(lp_norm(dtheta / params.eps**2 - theta2, 2.0, grid))
-    return float(n1), float(n2a), float(n2b), float(traj.n3_integral[-1])
+    prof, params, grid = traj.prof, traj.params, traj.grid
+    n1, n2a, n2b = np.empty((3, traj.times.size))
+    for rows, s in traj.samples.blocks():
+        chi = prof.cutoff.chi(s.q)
+        drho = s.rho - prof.rho0
+        n1[rows] = lp_norm(chi * drho, 2.0, grid) + lp_norm((1.0 - chi) * drho, params.gamma, grid)
+        dtheta = s.theta - 1.0
+        n2a[rows] = lp_norm(dtheta, 2.0, grid)
+        n2b[rows] = lp_norm(dtheta / params.eps**2 - theta2, 2.0, grid)
+    return float(np.max(n1)), float(np.max(n2a)), float(np.max(n2b)), float(traj.n3_integral[-1])
 
 
 def run_case(plan: SweepPlan, traj: PrimitiveTrajectory) -> CaseResult:

@@ -36,8 +36,9 @@ reads 0.966, against 0.931 at CFL 0.4.
 
 A run keeps its samples stacked: PrimitiveTrajectory.samples is one
 PrimitiveState whose rho, mom and q are (n_samples, n) arrays and whose t
-holds the sample times, so post-run measurements are array expressions
-over the (time, space) samples and samples.row(k) is the state at one time.
+holds the sample times; samples.row(k) is the state at one time.  Post-run
+passes walk samples.blocks() of ROW_BLOCK rows, so their memory does not grow
+with the sample count; each row reduces alone, so the blocks change no bit.
 
 The runner is lockstep: run_lockstep advances members that differ only
 in eps as one (m, n) stack, one fused step call per iteration, and
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import copy
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +87,7 @@ from .params import ScalingParams
 RHO_FLOOR = 1.0e-12
 VACUUM_CUT = 1.0e-10
 CFL = 0.6
+ROW_BLOCK = 8  # sample rows per block of a post-run pass; the audit's test stacks are 16 fields
 # Steps per diagnostic block of run_lockstep.  At the default sweep (3 members,
 # n = 512) its buffers and the fold's temporaries peak at 0.86 MB, and a fold's
 # fixed cost is shared by up to 16 steps: ~3 folds per sample interval of ~32 steps.
@@ -153,6 +156,15 @@ class PrimitiveState:
     def row(self, k: int | slice) -> "PrimitiveState":
         """Sample k (an index or a slice of rows) of a stacked state, as views."""
         return PrimitiveState.of(self.fields[:, k], self.t[k])
+
+    def blocks(self) -> Iterator[tuple[slice, "PrimitiveState"]]:
+        """(rows, self.row(rows)) over a stacked state in blocks of ROW_BLOCK rows.  A
+        one-row remainder joins the block before it: a one-row matrix product (the
+        audit's ansatz) may differ in its last bits from that row of a larger one."""
+        n = len(self.t)
+        ends = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]
+        for rows in map(slice, [0, *ends[:-1]], ends):
+            yield rows, self.row(rows)
 
 
 @dataclass(frozen=True)
@@ -592,8 +604,9 @@ def run_lockstep(
     trajs = []
     for j, p in enumerate(aux.params):
         s = PrimitiveState.of(samples[:, j], sample_times)
-        ledger[j, 0] = total_energy(s, prof, p)
-        ledger[j, 2:4] = integrate(s.fields[::2], grid)
+        for rows, block in s.blocks():
+            ledger[j, 0, rows] = total_energy(block, prof, p)
+            ledger[j, 2:4, rows] = integrate(block.fields[::2], grid)
         trajs.append(PrimitiveTrajectory(grid, prof, p, s, *ledger[j], step_count=int(steps[j])))
     return trajs
 

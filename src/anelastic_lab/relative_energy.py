@@ -12,7 +12,8 @@ sides of the relative energy inequality on the sampled trajectory and
 reports the signed defect, which must stay below a budget calibrated to
 the scheme's numerical dissipation.  Time derivatives of the acoustic
 pieces are taken from the wave equations analytically, never by finite
-differencing the samples.
+differencing the samples.  Post-run passes walk the samples in blocks of
+8 rows (PrimitiveState.blocks), and the audit evaluates its ansatz per block.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _velocity_rates(u: np.ndarray, grid: Grid) -> tuple[np.ndarray, np.ndarray, 
 
     The deviatoric strain is grad u + grad u^T - (2/3) div u I, grad u from
     `radial_strain`.  Squares and sums are formed in place, because with
-    stacked samples every temporary is n_samples fields large.
+    stacked samples every temporary is a whole block of fields.
     """
     d = radial_divergence(u, grid)
     div = integrate(d**2, grid)
@@ -119,28 +120,27 @@ def uniform_bounds_report(traj: PrimitiveTrajectory) -> BoundsReport:
 
     For each bound the implied constant divides out the stated eps power,
     so a sweep can check that the constants stay comparable across eps.
-    Suprema and time integrals run over the stacked samples.
+    Suprema and time integrals run over per-sample values, taken block by block.
     """
     prof, params, grid = traj.prof, traj.params, traj.grid
     eps, alpha, gamma = params.eps, params.alpha, params.gamma
-    s, times = traj.samples, traj.times
-    # u and theta_dev are dropped once used, so chi's temporaries do not stack on them
-    u = s.velocity
-    sup_sqrho_u = float(np.max(np.sqrt(integrate(s.rho * u * u, grid))))
-    dev_l2, div_l2, w12_l2 = (
-        float(np.sqrt(np.trapezoid(rates, times))) for rates in _velocity_rates(u, grid)
-    )
-    del u
-    theta_dev = (s.theta - 1.0) / eps**2
-    sup_r5 = float(np.max(lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid)))
-    del theta_dev
-    chi = prof.cutoff.chi(s.q)
-    r6 = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
-    r6 += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
-    sup_r6 = float(np.max(r6))
-    res = 1.0 - chi
-    r7 = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
-    sup_r7 = float(np.max(r7))
+    times = traj.times
+    sq_u, r5, r6, r7 = np.empty((4, times.size))
+    rates = np.empty((3, times.size))  # deviatoric strain, divergence, W^{1,2}
+    for rows, s in traj.samples.blocks():
+        u = s.velocity
+        sq_u[rows] = integrate(s.rho * u * u, grid)
+        rates[:, rows] = _velocity_rates(u, grid)
+        theta_dev = (s.theta - 1.0) / eps**2
+        r5[rows] = lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid)
+        chi = prof.cutoff.chi(s.q)
+        r6[rows] = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
+        r6[rows] += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
+        res = 1.0 - chi
+        r7[rows] = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
+    sup_sqrho_u = float(np.max(np.sqrt(sq_u)))
+    dev_l2, div_l2, w12_l2 = (float(np.sqrt(np.trapezoid(r, times))) for r in rates)
+    sup_r5, sup_r6, sup_r7 = float(np.max(r5)), float(np.max(r6)), float(np.max(r7))
 
     lhs = {
         "r2": sup_sqrho_u,
@@ -182,9 +182,11 @@ def residual_pressure_value(traj: PrimitiveTrajectory, beta: float) -> float:
     """
     params, grid = traj.params, traj.grid
     mask = grid.ball_mask(grid.default_compact_radius)
-    q = np.ascontiguousarray(traj.samples.q[:, mask])  # rows sum as single samples do
-    res_q = (1.0 - traj.prof.cutoff.chi(q)) * q
-    rates = np.sum(res_q ** (params.gamma + beta) * grid.weights[mask], axis=-1)
+    rates = np.empty(traj.times.size)
+    for rows, s in traj.samples.blocks():
+        q = s.q[:, mask]  # a copy, whose rows sum as single samples do
+        res_q = (1.0 - traj.prof.cutoff.chi(q)) * q
+        rates[rows] = np.sum(res_q ** (params.gamma + beta) * grid.weights[mask], axis=-1)
     return float(np.trapezoid(rates, traj.times))
 
 
@@ -248,7 +250,6 @@ class REIReport:
 
 
 RAW_PERTURBATION = 1.1  # scale of the raw shape's perturbed test velocity
-AUDIT_CHUNK = 8  # samples per row block of the audit: its (2, rows, n) test stacks are 16 fields
 
 
 def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIReport:
@@ -290,17 +291,10 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
     raw_rates = np.empty((2, 3, times.size))
     rates = {name: np.empty(times.size) for name in REI_GROUPS}
 
-    # the ansatz fields at every sample time, one stacked (n_samples, n) array each
-    s_all = acoustic.s(times)
-    grad_phi_all = acoustic.grad_phi(times)
-    dt_grad_phi_all = acoustic.dt_grad_phi(times)
-    div_rho_grad_phi_all = acoustic.div_rho_grad_phi(times)
-
-    # C-contiguous row blocks: each row reduces exactly as its sample alone
-    for j in range(0, times.size, AUDIT_CHUNK):
-        rows = slice(j, j + AUDIT_CHUNK)
-        state = traj.samples.row(rows)
-        s = s_all[rows]
+    # the ansatz fields at each block's sample times; each row reduces as its sample alone
+    for rows, state in traj.samples.blocks():
+        t = times[rows]
+        s = acoustic.s(t)
         r_field = prof.rho0 + eps * s
         if np.any(r_field <= 0.0):
             raise DomainError("ansatz density rho0 + eps s lost positivity")
@@ -309,15 +303,15 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
         grad_s = radial_gradient(s, grid, parity="even")
 
         # raw pieces that do not involve the test velocity
-        time_gap = (r_field - q) * (-d2h_r * div_rho_grad_phi_all[rows])
+        time_gap = (r_field - q) * (-d2h_r * acoustic.div_rho_grad_phi(t))
         grad_hp = d2h_r * (grad_rho0 + eps * grad_s)
         pressure_gap = q**gamma - r_field**gamma
         drag = state.rho * grad_f
 
         # both test velocities as one (2, rows, n) stack; diff = U - u is
         # exactly -(u - U), so S(diff) : grad diff is the dissipation of u - U
-        u_test = scales * grad_phi_all[rows]
-        dt_grad_phi = scales * dt_grad_phi_all[rows]
+        u_test = scales * acoustic.grad_phi(t)
+        dt_grad_phi = scales * acoustic.dt_grad_phi(t)
         diff = u_test - u
         strain_test, div_u_test = radial_strain(u_test, grid), radial_divergence(u_test, grid)
         strain_diff, div_diff = radial_strain(diff, grid), radial_divergence(diff, grid)

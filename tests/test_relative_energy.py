@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,14 @@ from anelastic_lab.harness import acoustic_ansatz
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
+    ROW_BLOCK,
     GaussianBump,
     IllPreparedData,
     PrimitiveAux,
     PrimitiveState,
     init_ill_prepared,
     run_primitive,
+    total_energy,
     viscous_dissipation_rate,
 )
 from anelastic_lab.relative_energy import (
@@ -37,6 +41,17 @@ from anelastic_lab.relative_energy import (
 )
 
 EPS02 = ScalingParams(eps=0.2, horizon=1.0)
+
+
+def small_audit_case(n: int, n_samples: int):
+    """A run on n cells of radius 8 sampled at n_samples times, and its acoustic ansatz."""
+    params = ScalingParams(eps=0.4, horizon=0.2)
+    prof = build_profile(PotentialSpec(), params, Grid("radial", n, 8.0, 6.0))
+    bump = GaussianBump(0.3, 1.0)
+    data = IllPreparedData(rho1=bump, vel_potential=bump)
+    times = np.linspace(0.0, params.horizon, n_samples)
+    traj = run_primitive(init_ill_prepared(data, prof, params), prof, params, times)
+    return traj, acoustic_ansatz(data, prof, params.eps, 0.25)
 
 
 class TestRelEnergy:
@@ -283,15 +298,7 @@ class TestREIAuditBasics:
         assert abs(rep.raw_perturbed_max_defect) < 1.0e-9
 
     def test_audit_forms_each_test_strain_once(self, monkeypatch):
-        g = Grid("radial", 64, 8.0, 6.0)
-        params = ScalingParams(eps=0.4, horizon=0.2)
-        prof = build_profile(PotentialSpec(), params, g)
-        bump = GaussianBump(0.3, 1.0)
-        data = IllPreparedData(rho1=bump, vel_potential=bump)
-        traj = run_primitive(
-            init_ill_prepared(data, prof, params), prof, params, np.linspace(0.0, 0.2, 20)
-        )
-        sol = acoustic_ansatz(data, prof, params.eps, 0.25)
+        traj, sol = small_audit_case(64, 20)
         calls = {"radial_gradient": 0, "radial_divergence": 0}
         for name in calls:
             real = getattr(grids, name)
@@ -304,11 +311,39 @@ class TestREIAuditBasics:
             monkeypatch.setattr(grids, name, counting)
             monkeypatch.setattr(relative_energy, name, counting)
         rei_audit(traj, sol)
-        # each chunk differences grad s and the strains of the (2, rows, n)
+        # each block differences grad s and the strains of the (2, rows, n)
         # stacks U and U - u once, and takes div U, div(U - u) and div(s U)
-        chunks = -(-traj.times.size // relative_energy.AUDIT_CHUNK)
-        assert chunks > 1
-        assert calls == {"radial_gradient": 3 * chunks, "radial_divergence": 3 * chunks}
+        blocks = len(list(traj.samples.blocks()))
+        assert blocks > 1
+        assert calls == {"radial_gradient": 3 * blocks, "radial_divergence": 3 * blocks}
+
+    def test_blocks_keep_every_bit(self):
+        traj, sol = small_audit_case(64, 2 * ROW_BLOCK + 1)
+        prof, params, s = traj.prof, traj.params, traj.samples
+        sizes = [rows.stop - rows.start for rows, _ in s.blocks()]
+        assert sizes == [ROW_BLOCK, ROW_BLOCK + 1]  # the one-row remainder joined its neighbour
+        assert np.array_equal(traj.energy, total_energy(s, prof, params))
+        assert np.array_equal(traj.mass, integrate(s.rho, traj.grid))
+        rows = list(s.blocks())[-1][0]
+        for field in (sol.s, sol.grad_phi, sol.dt_grad_phi, sol.div_rho_grad_phi):
+            assert np.array_equal(field(traj.times[rows]), field(traj.times)[rows])
+
+    def test_post_run_working_set_does_not_grow_with_samples(self):
+        peaks = {"audit": [], "bounds": []}
+        for n_samples in (8 * ROW_BLOCK, 16 * ROW_BLOCK):
+            traj, sol = small_audit_case(512, n_samples)
+            for name, run in (("audit", lambda: rei_audit(traj, sol)),
+                              ("bounds", lambda: uniform_bounds_report(traj))):
+                tracemalloc.start()
+                try:
+                    run()
+                    peaks[name].append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        # a block row-field is 32 KiB at n = 512; a whole-stack field would grow by 256 KiB
+        block = ROW_BLOCK * 512 * 8
+        for name, (lo, hi) in peaks.items():
+            assert abs(hi - lo) < block, (name, lo, hi)
 
     def test_eps_mismatch_rejected(self, radial_profile, radial_grid, operator):
         n = radial_grid.n

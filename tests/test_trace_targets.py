@@ -1,8 +1,8 @@
 """The benchmark trace wraps library functions by name.
 
 A rename of a traced function, a time loop that calls the dt limit more
-than once per step or takes a state's dissipation rate twice, an audit that rebuilds
-the acoustic wave once per sample instead of once per field, an `audit-rei`
+than once per step or takes a state's dissipation rate twice, an audit that evaluates
+an ansatz field at a sample time twice or per sample instead of per block, an `audit-rei`
 that audits its run more than once, or a decay
 run that diagonalizes the whole operator instead of the window's modes,
 fails here instead of silently breaking the benchmark's per-layer metrics.
@@ -75,15 +75,33 @@ def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing, monkeypatch):
     assert sum(rows) == steps + 1
 
 
-def test_audit_reconstructs_each_field_once(tracing):
+ANSATZ_FIELDS = ("s", "grad_phi", "dt_grad_phi", "div_rho_grad_phi")
+
+
+def record_ansatz_rows(monkeypatch) -> dict:
+    """Make each ansatz field record the number of times it is evaluated at per call."""
+    rows = {name: [] for name in ANSATZ_FIELDS}
+    for name in ANSATZ_FIELDS:
+        real = getattr(acoustic.SpectralWaveSolution, name)
+
+        def recording(self, t, _real=real, _rows=rows[name]):
+            _rows.append(np.size(t))
+            return _real(self, t)
+
+        monkeypatch.setattr(acoustic.SpectralWaveSolution, name, recording)
+    return rows
+
+
+def test_audit_reconstructs_each_field_once(tracing, monkeypatch):
     grid = Grid("radial", 64, 8.0, 6.0)
     params = ScalingParams(eps=0.4, horizon=0.2)
     prof = build_profile(PotentialSpec(), params, grid)
     bump = GaussianBump(0.3, 1.0)
     data = IllPreparedData(rho1=bump, vel_potential=bump)
     init = init_ill_prepared(data, prof, params)
-    traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 9))
+    traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 20))
     sol = acoustic_ansatz(data, prof, params.eps, 0.25)
+    rows = record_ansatz_rows(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -93,12 +111,16 @@ def test_audit_reconstructs_each_field_once(tracing):
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.flow_spans(0))
-    # s, grad Phi, d/dt grad Phi and div(rho0 grad Phi), each evaluated once
-    # on all 9 sample times for both shapes and both test velocities
-    assert 0 < metrics["acoustic.reconstruct_calls"] <= 4
+    # s, grad Phi, d/dt grad Phi and div(rho0 grad Phi), each evaluated once per
+    # block of sample rows for both shapes and both test velocities
+    blocks = len(list(traj.samples.blocks()))
+    assert blocks > 1
+    assert metrics["acoustic.reconstruct_calls"] == 4 * blocks
+    assert all(len(r) == blocks and sum(r) == 20 for r in rows.values()), rows
 
 
-def test_cli_audit_makes_one_pass(tracing, tmp_path):
+def test_cli_audit_makes_one_pass(tracing, tmp_path, monkeypatch):
+    rows = record_ansatz_rows(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -114,7 +136,11 @@ def test_cli_audit_makes_one_pass(tracing, tmp_path):
     assert sum(rec[0] == "cli.cmd_audit_rei" for rec in spans) == 1
     # the grouped report and both raw defects come from one audit call
     assert sum(rec[0] == "relative_energy.rei_audit" for rec in spans) == 1
-    assert tracing.layer_metrics(spans)["acoustic.reconstruct_calls"] == 4
+    n_samples = len((tmp_path / "rei.csv").read_text().splitlines()) - 1
+    no_fields = primitive.PrimitiveState.of(np.zeros((3, n_samples, 0)), np.zeros(n_samples))
+    blocks = len(list(no_fields.blocks()))
+    assert tracing.layer_metrics(spans)["acoustic.reconstruct_calls"] == 4 * blocks
+    assert all(len(r) == blocks and sum(r) == n_samples for r in rows.values()), rows
 
 
 def test_decay_assembles_only_the_window_modes(tracing, tmp_path, monkeypatch):
