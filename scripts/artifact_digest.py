@@ -22,6 +22,9 @@ than that setting.
 The default configuration has no bulk viscosity (params.lam = 0), so the
 bulk branches of the dissipation rate, the bounds and the audit do not
 reach the digest; check a change to them with `--set params.lam=0.5`.
+A run hands its samples to the measurements in blocks of 8 rows, and a
+one-row remainder joins the last block; check a change to that partition
+with a short run too, `--set sweep.samples=17` (blocks of 8 and 9 rows).
 
 With --against REF the digest is taken twice with the same overrides, in
 fresh interpreters: once with this checkout's `src/` and once with the

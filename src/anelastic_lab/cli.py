@@ -14,6 +14,7 @@ other exception is an internal error and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -34,12 +35,8 @@ from .harness import (
 )
 from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
-from .primitive import DataError, SolverFailure, init_ill_prepared, run_primitive
-from .relative_energy import (
-    rei_audit,
-    residual_pressure_value,
-    uniform_bounds_report,
-)
+from .primitive import DataError, SolverFailure, init_ill_prepared, run_lockstep, run_primitive
+from .relative_energy import AuditPass, BoundsPass, PressurePass
 
 # the entry points: each command runs the cmd_* function of its name, dashes as underscores
 __all__ = [
@@ -77,12 +74,13 @@ def _write_state(outdir: str, state, grid, params) -> None:
     np.savez(os.path.join(outdir, "final_state.npz"), fields=state.fields, t=state.t, **meta)
 
 
-def _run_primitive(outdir: str, init, prof, params, times):
-    """run_primitive; a SolverFailure first leaves the failing state in outdir."""
+@contextlib.contextmanager
+def _leaving_failed_state(outdir: str, grid, params):
+    """A SolverFailure in the block first leaves the failing state in outdir."""
     try:
-        return run_primitive(init, prof, params, times)
+        yield
     except SolverFailure as exc:
-        _write_state(outdir, exc.state, prof.grid, params)
+        _write_state(outdir, exc.state, grid, params)
         raise
 
 
@@ -123,7 +121,8 @@ def cmd_simulate_primitive(args) -> int:
     data = configio.data_from(cfg)
     init = init_ill_prepared(data, prof, params)
     times = np.linspace(0.0, params.horizon, cfg["run.samples"])
-    traj = _run_primitive(outdir, init, prof, params, times)
+    with _leaving_failed_state(outdir, grid, params):
+        traj = run_primitive(init, prof, params, times)
     rows = zip(
         traj.times,
         traj.energy,
@@ -317,13 +316,17 @@ def cmd_audit_rei(args) -> int:
         cfg["acoustic.points_per_period"],
     )
     init = init_ill_prepared(data, prof, params)
-    traj = _run_primitive(outdir, init, prof, params, times)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
-    rep = rei_audit(traj, sol)
+    # the run streams its samples to the three passes, so it keeps none
+    audit = AuditPass(prof, params, times, sol)
+    bounds, pressure = BoundsPass(prof, params, times), PressurePass(prof, params, times, beta)
+    with _leaving_failed_state(outdir, prof.grid, params):
+        [run] = run_lockstep([init], prof, [params], times, [(audit, bounds, pressure)])
+    rep = audit.report(run)
     text = "\n".join((
         rep.summary_text(),
-        uniform_bounds_report(traj).text(),
-        f"residual-pressure value    = {residual_pressure_value(traj, beta):.17g}",
+        bounds.report().text(),
+        f"residual-pressure value    = {pressure.value():.17g}",
         f"raw ansatz max-defect      = {rep.raw_max_defect:.17g}",
         f"raw perturbed max-defect   = {rep.raw_perturbed_max_defect:.17g}",
         f"perturbed strictly larger  = {rep.raw_perturbed_max_defect > rep.raw_max_defect}",

@@ -37,7 +37,9 @@ from .hydrostatics import PotentialSpec, StaticProfile, build_profile
 from .params import ScalingParams
 from .primitive import (
     IllPreparedData,
+    PrimitiveState,
     PrimitiveTrajectory,
+    SamplePass,
     SolverFailure,
     init_ill_prepared,
     run_lockstep,
@@ -45,11 +47,11 @@ from .primitive import (
 from .relative_energy import (
     CONSTANT_FLOOR,
     SLOPE_FLOOR,
+    BoundsPass,
     BoundsReport,
+    PressurePass,
     constants_spread,
     fit_eps_slope,
-    residual_pressure_value,
-    uniform_bounds_report,
 )
 
 FMT = "%.17g"
@@ -87,33 +89,46 @@ class CaseResult:
     r12: float
 
 
-def limit_norms(traj: PrimitiveTrajectory, theta2: np.ndarray) -> tuple[float, float, float, float]:
+class NormsPass(SamplePass):
     """(N1, N2a, N2b, N3) for one run against the radial closed-form limit.
 
     The limit velocity is V = 0 and the limit temperature the frozen
     initial perturbation theta2, so N2b compares (Theta - 1)/eps^2 with it
     at every sample.
     """
-    prof, params, grid = traj.prof, traj.params, traj.grid
-    n1, n2a, n2b = np.empty((3, traj.times.size))
-    for rows, s in traj.samples.blocks():
+
+    n_series = 3
+
+    def __init__(self, prof, params, times, theta2: np.ndarray):
+        super().__init__(prof, params, times)
+        self.theta2 = theta2
+
+    def measure(self, s: PrimitiveState) -> tuple:
+        prof, params, grid = self.prof, self.params, self.grid
         chi = prof.cutoff.chi(s.q)
         drho = s.rho - prof.rho0
-        n1[rows] = lp_norm(chi * drho, 2.0, grid) + lp_norm((1.0 - chi) * drho, params.gamma, grid)
+        n1 = lp_norm(chi * drho, 2.0, grid) + lp_norm((1.0 - chi) * drho, params.gamma, grid)
         dtheta = s.theta - 1.0
-        n2a[rows] = lp_norm(dtheta, 2.0, grid)
-        n2b[rows] = lp_norm(dtheta / params.eps**2 - theta2, 2.0, grid)
-    return float(np.max(n1)), float(np.max(n2a)), float(np.max(n2b)), float(traj.n3_integral[-1])
+        return n1, lp_norm(dtheta, 2.0, grid), lp_norm(dtheta / params.eps**2 - self.theta2, 2.0, grid)
+
+    def report(self, run: PrimitiveTrajectory) -> tuple[float, float, float, float]:
+        """The suprema of N1, N2a and N2b, and N3 from run's ledger."""
+        return (*(float(np.max(v)) for v in self.values), float(run.n3_integral[-1]))
 
 
-def run_case(plan: SweepPlan, traj: PrimitiveTrajectory) -> CaseResult:
-    """One sweep member's post-run measurements."""
-    bounds = uniform_bounds_report(traj)
-    n1, n2a, n2b, n3 = limit_norms(traj, plan.data.theta2.field(traj.grid))
-    r12 = residual_pressure_value(traj, plan.beta)
+def limit_norms(traj: PrimitiveTrajectory, theta2: np.ndarray) -> tuple[float, float, float, float]:
+    """The NormsPass of a stacked trajectory."""
+    return traj.feed(NormsPass(traj.prof, traj.params, traj.times, theta2)).report(traj)
+
+
+def run_case(run: PrimitiveTrajectory, passes: tuple) -> CaseResult:
+    """One sweep member's measurements, from its run and the (NormsPass, BoundsPass,
+    PressurePass) its samples streamed to."""
+    norms, bounds, pressure = passes
+    n1, n2a, n2b, n3 = norms.report(run)
     return CaseResult(
-        eps=traj.params.eps, bounds=bounds,
-        n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=r12,
+        eps=run.params.eps, bounds=bounds.report(),
+        n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=pressure.value(),
     )
 
 
@@ -198,20 +213,24 @@ class ConvergenceReport:
 
 
 def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
-    """Run the members in lockstep; a solver failure aborts with the partial
-    report.  If member j fails mid-run, the members before it run again
-    without it, so the report holds what a one-by-one sweep would finish."""
+    """Run the members in lockstep, each streaming its samples to its limit-norm,
+    bounds and residual-pressure passes; a solver failure aborts with the partial
+    report.  If member j fails mid-run, the members before it run again without
+    it, with fresh passes, so the report holds what a one-by-one sweep would finish."""
     params = [plan.params.with_eps(eps) for eps in plan.eps_list]
     prof = build_profile(plan.potential, plan.params, plan.grid)  # independent of eps
     times = np.linspace(0.0, plan.params.horizon, plan.n_samples)
-    members, failure, trajs = len(params), None, []
-    while members and not trajs:
+    theta2 = plan.data.theta2.field(plan.grid)
+    members, failure, runs = len(params), None, []
+    while members and not runs:
         try:
             inits = [init_ill_prepared(plan.data, prof, p) for p in params[:members]]
-            trajs = run_lockstep(inits, prof, params[:members], times)
+            passes = [(NormsPass(prof, p, times, theta2), BoundsPass(prof, p, times),
+                       PressurePass(prof, p, times, plan.beta)) for p in params[:members]]
+            runs = run_lockstep(inits, prof, params[:members], times, passes)
         except SolverFailure as exc:
             members, failure = exc.member, exc
-    results = [run_case(plan, traj) for traj in trajs]
+    results = [run_case(run, case) for run, case in zip(runs, passes)]
     if failure is not None:
         partial = _assemble(results) if results else None
         eps = plan.eps_list[len(results)]

@@ -34,11 +34,17 @@ above its CFL 0.1 value, most at the smallest eps, and at eps = 0.1,
 n = 512 its ratio to the linear-acoustic reference C eps (C = 4.569)
 reads 0.966, against 0.931 at CFL 0.4.
 
-A run keeps its samples stacked: PrimitiveTrajectory.samples is one
-PrimitiveState whose rho, mom and q are (n_samples, n) arrays and whose t
-holds the sample times; samples.row(k) is the state at one time.  Post-run
-passes walk samples.blocks() of ROW_BLOCK rows, so their memory does not grow
-with the sample count; each row reduces alone, so the blocks change no bit.
+A run streams its samples: run_lockstep keeps each member's last samples in
+a block buffer of at most ROW_BLOCK + 1 rows and hands every completed block
+to the member's consumers, so its memory does not grow with the sample
+count.  A post-run measurement is a SamplePass: its per-row arithmetic runs
+on each block, its finishing reduction (suprema, trapezoids, cumulative
+sums) on the per-sample values.  Each row reduces alone, so the blocks
+change no bit.  run_primitive keeps one run's samples stacked: its
+PrimitiveTrajectory.samples is one PrimitiveState whose rho, mom and q are
+(n_samples, n) arrays and whose t holds the sample times, and feed() hands
+its blocks to a pass as the stream would.  Both take the partition of
+row_blocks.
 
 The runner is lockstep: run_lockstep advances members that differ only
 in eps as one (m, n) stack, one fused step call per iteration, and
@@ -68,7 +74,7 @@ from __future__ import annotations
 import copy
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -158,13 +164,33 @@ class PrimitiveState:
         return PrimitiveState.of(self.fields[:, k], self.t[k])
 
     def blocks(self) -> Iterator[tuple[slice, "PrimitiveState"]]:
-        """(rows, self.row(rows)) over a stacked state in blocks of ROW_BLOCK rows.  A
-        one-row remainder joins the block before it: a one-row matrix product (the
-        audit's ansatz) may differ in its last bits from that row of a larger one."""
-        n = len(self.t)
-        ends = [*range(ROW_BLOCK, n - 1, ROW_BLOCK), n]
-        for rows in map(slice, [0, *ends[:-1]], ends):
+        """(rows, self.row(rows)) over a stacked state for every rows of row_blocks."""
+        for rows in row_blocks(len(self.t)):
             yield rows, self.row(rows)
+
+
+def row_blocks(n_samples: int) -> list[slice]:
+    """The sample rows in blocks of ROW_BLOCK rows.  A one-row remainder joins the block
+    before it: a one-row matrix product (the audit's ansatz) may differ in its last bits
+    from that row of a larger one."""
+    ends = [*range(ROW_BLOCK, n_samples - 1, ROW_BLOCK), n_samples]
+    return list(map(slice, [0, *ends[:-1]], ends))
+
+
+class SamplePass:
+    """A post-run measurement of one run, split in two.  Called on each block of sample
+    rows, as a consumer of run_lockstep or through PrimitiveTrajectory.feed, it keeps
+    measure(block), the per-row arithmetic, in values[:, rows]; a subclass's finishing
+    method then reduces those per-sample values."""
+
+    n_series: int  # rows of values, the per-sample series measure returns
+
+    def __init__(self, prof: StaticProfile, params: ScalingParams, times: np.ndarray):
+        self.prof, self.params, self.grid, self.times = prof, params, prof.grid, times
+        self.values = np.empty((self.n_series, times.size))
+
+    def __call__(self, rows: slice, block: "PrimitiveState") -> None:
+        self.values[:, rows] = self.measure(block)
 
 
 @dataclass(frozen=True)
@@ -485,17 +511,15 @@ def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
 
 @dataclass
 class PrimitiveTrajectory:
-    """Stacked samples plus per-run conservation and energy bookkeeping.
-
-    samples.rho, samples.mom and samples.q are (n_samples, n) arrays and
-    samples.t holds the sample times; every series below has one entry per
-    sample.
+    """Per-run conservation and energy bookkeeping, one entry per sample time, and
+    the stacked samples if the run kept them (run_primitive): samples.rho,
+    samples.mom and samples.q are then (n_samples, n) arrays and samples.t is times.
     """
 
     grid: Grid
     prof: StaticProfile
     params: ScalingParams
-    samples: PrimitiveState
+    times: np.ndarray
     energy: np.ndarray
     dissipation: np.ndarray  # cumulative viscous dissipation at samples
     mass: np.ndarray
@@ -506,14 +530,18 @@ class PrimitiveTrajectory:
     outer_q_flux: np.ndarray
     n3_integral: np.ndarray  # cumulative int ||sqrt(rho/rho0) u||^2_{L2(K)} dt
     step_count: int = 0
+    samples: PrimitiveState | None = None
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.samples.t
+    def feed(self, consume):
+        """Hand every block of the stacked samples to consume(rows, block), as a
+        streamed run does; returns consume."""
+        for rows, block in self.samples.blocks():
+            consume(rows, block)
+        return consume
 
 
 def run_lockstep(
-    inits, prof: StaticProfile, params, sample_times: np.ndarray
+    inits, prof: StaticProfile, params, sample_times: np.ndarray, consumers
 ) -> list[PrimitiveTrajectory]:
     """Advance members that differ only in eps to every sample time, as one stack.
 
@@ -523,6 +551,12 @@ def run_lockstep(
     SolverFailure names the failing member.  An iteration keeps the step's
     u, N3 integrand, dt, sinks and fluxes as one row of a block, which is
     folded into the ledger when it is full or a member reaches the sample time.
+
+    Samples stream: once the rows of a row_blocks block are all reached,
+    each member's energy and mass rows are taken on them and every consume
+    of consumers[j] is called as consume(rows, block) for member j, with
+    block a stacked state of views that the next block overwrites.  The
+    returned trajectories keep no samples.
     """
     for j, init in enumerate(inits):
         init.validate(member=j)
@@ -550,7 +584,9 @@ def run_lockstep(
     blk_s = np.empty((_BLOCK, 5, m))
     steps = np.zeros(m, dtype=int)
     stack_aux = functools.cache(aux.members)  # one aux, with its work buffers, per membership
-    samples = np.empty((3, m, sample_times.size, grid.n))
+    sample_blocks = iter(row_blocks(sample_times.size))
+    open_rows = next(sample_blocks)
+    buffer = np.empty((3, m, ROW_BLOCK + 1, grid.n))  # each member's rows of the open block
     ledger = np.empty((m, 9, sample_times.size))  # PrimitiveTrajectory series order
 
     def fold(s_led, s_aux, rows):
@@ -598,22 +634,34 @@ def run_lockstep(
                     rho_f, s_aux = state.rho_f[moving], stack_aux(tuple(live.tolist()))
                     state = PrimitiveState.of(state.fields[:, moving], state.t[moving], rho_f)
                     s_led, u = s_led[:, moving], u[moving]
-        samples[:, :, k] = fields
+        buffer[:, :, k - open_rows.start] = fields
         ledger[:, (1, 8, 4, 5, 6, 7), k] = led[:6].T
+        if k + 1 == open_rows.stop:
+            rows = open_rows
+            for j, p in enumerate(aux.params):
+                block = PrimitiveState.of(buffer[:, j, : rows.stop - rows.start], sample_times[rows])
+                ledger[j, 0, rows] = total_energy(block, prof, p)
+                ledger[j, 2:4, rows] = integrate(block.fields[::2], grid)
+                for consume in consumers[j]:
+                    consume(rows, block)
+            open_rows = next(sample_blocks, None)
 
-    trajs = []
-    for j, p in enumerate(aux.params):
-        s = PrimitiveState.of(samples[:, j], sample_times)
-        for rows, block in s.blocks():
-            ledger[j, 0, rows] = total_energy(block, prof, p)
-            ledger[j, 2:4, rows] = integrate(block.fields[::2], grid)
-        trajs.append(PrimitiveTrajectory(grid, prof, p, s, *ledger[j], step_count=int(steps[j])))
-    return trajs
+    return [
+        PrimitiveTrajectory(grid, prof, p, sample_times, *ledger[j], step_count=int(steps[j]))
+        for j, p in enumerate(aux.params)
+    ]
 
 
 def run_primitive(
     init: PrimitiveState, prof: StaticProfile, params: ScalingParams, sample_times: np.ndarray
 ) -> PrimitiveTrajectory:
-    """Advance one run to every sample time: run_lockstep with one member."""
-    return run_lockstep([init], prof, [params], sample_times)[0]
+    """Advance one run to every sample time, run_lockstep with one member, and keep
+    its samples stacked."""
+    stack = np.empty((3, len(sample_times), prof.grid.n))
+
+    def keep(rows, block):
+        stack[:, rows] = block.fields
+
+    [traj] = run_lockstep([init], prof, [params], sample_times, [[keep]])
+    return replace(traj, samples=PrimitiveState.of(stack, traj.times))
 

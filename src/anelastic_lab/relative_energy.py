@@ -12,8 +12,11 @@ sides of the relative energy inequality on the sampled trajectory and
 reports the signed defect, which must stay below a budget calibrated to
 the scheme's numerical dissipation.  Time derivatives of the acoustic
 pieces are taken from the wave equations analytically, never by finite
-differencing the samples.  Post-run passes walk the samples in blocks of
-8 rows (PrimitiveState.blocks), and the audit evaluates its ansatz per block.
+differencing the samples.  Each measurement is a SamplePass: its per-row
+arithmetic runs on blocks of about 8 sample rows, which a streamed run or a
+stacked trajectory hands it, and the audit evaluates its ansatz per block;
+uniform_bounds_report, residual_pressure_value and rei_audit feed one the
+blocks of a stacked trajectory and return its finishing reduction.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .grids import (
     radial_strain,
 )
 from .params import ScalingParams
-from .primitive import PrimitiveState, PrimitiveTrajectory, enthalpy
+from .primitive import PrimitiveState, PrimitiveTrajectory, SamplePass, enthalpy
 
 
 def h_bracket(q: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray:
@@ -115,52 +118,63 @@ class BoundsReport:
         return "\n".join(lines)
 
 
-def uniform_bounds_report(traj: PrimitiveTrajectory) -> BoundsReport:
-    """Measure the scaled a-priori bounds along a sampled trajectory.
+class BoundsPass(SamplePass):
+    """The scaled a-priori bounds along a run.
 
     For each bound the implied constant divides out the stated eps power,
     so a sweep can check that the constants stay comparable across eps.
-    Suprema and time integrals run over per-sample values, taken block by block.
+    Suprema and time integrals run over per-sample values.
     """
-    prof, params, grid = traj.prof, traj.params, traj.grid
-    eps, alpha, gamma = params.eps, params.alpha, params.gamma
-    times = traj.times
-    sq_u, r5, r6, r7 = np.empty((4, times.size))
-    rates = np.empty((3, times.size))  # deviatoric strain, divergence, W^{1,2}
-    for rows, s in traj.samples.blocks():
-        u = s.velocity
-        sq_u[rows] = integrate(s.rho * u * u, grid)
-        rates[:, rows] = _velocity_rates(u, grid)
-        theta_dev = (s.theta - 1.0) / eps**2
-        r5[rows] = lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid)
-        chi = prof.cutoff.chi(s.q)
-        r6[rows] = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
-        r6[rows] += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
-        res = 1.0 - chi
-        r7[rows] = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
-    sup_sqrho_u = float(np.max(np.sqrt(sq_u)))
-    dev_l2, div_l2, w12_l2 = (float(np.sqrt(np.trapezoid(r, times))) for r in rates)
-    sup_r5, sup_r6, sup_r7 = float(np.max(r5)), float(np.max(r6)), float(np.max(r7))
 
-    lhs = {
-        "r2": sup_sqrho_u,
-        "r3": dev_l2,
-        "r4": np.sqrt(params.lam) * div_l2,
-        "r5": sup_r5,
-        "r6": sup_r6,
-        "r7": sup_r7,
-        "r8": w12_l2,
-    }
-    constants = {
-        "r2": sup_sqrho_u,
-        "r3": eps ** (alpha / 2.0) * dev_l2,
-        "r4": eps ** (alpha / 2.0) * np.sqrt(params.lam) * div_l2,
-        "r5": sup_r5,
-        "r6": sup_r6,
-        "r7": sup_r7 / eps**2,
-        "r8": eps ** (alpha / 2.0) * w12_l2,
-    }
-    return BoundsReport(lhs=lhs, constants=constants)
+    n_series = 7
+
+    def measure(self, s: PrimitiveState) -> tuple:
+        """int rho u^2, the deviatoric-strain, divergence and W^{1,2} rates and the r5,
+        r6 and r7 integrands' values, per row."""
+        prof, grid, eps, gamma = self.prof, self.grid, self.params.eps, self.params.gamma
+        u = s.velocity
+        sq_u = integrate(s.rho * u * u, grid)
+        rates = _velocity_rates(u, grid)
+        theta_dev = (s.theta - 1.0) / eps**2
+        r5 = lp_norm(theta_dev, 1.0, grid) + lp_norm(theta_dev, np.inf, grid)
+        chi = prof.cutoff.chi(s.q)
+        r6 = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
+        r6 += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
+        res = 1.0 - chi
+        r7 = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
+        return (sq_u, *rates, r5, r6, r7)
+
+    def report(self) -> BoundsReport:
+        params, times, (sq_u, *rates, r5, r6, r7) = self.params, self.times, self.values
+        eps, alpha = params.eps, params.alpha
+        sup_sqrho_u = float(np.max(np.sqrt(sq_u)))
+        dev_l2, div_l2, w12_l2 = (float(np.sqrt(np.trapezoid(r, times))) for r in rates)
+        sup_r5, sup_r6, sup_r7 = float(np.max(r5)), float(np.max(r6)), float(np.max(r7))
+
+        lhs = {
+            "r2": sup_sqrho_u,
+            "r3": dev_l2,
+            "r4": np.sqrt(params.lam) * div_l2,
+            "r5": sup_r5,
+            "r6": sup_r6,
+            "r7": sup_r7,
+            "r8": w12_l2,
+        }
+        constants = {
+            "r2": sup_sqrho_u,
+            "r3": eps ** (alpha / 2.0) * dev_l2,
+            "r4": eps ** (alpha / 2.0) * np.sqrt(params.lam) * div_l2,
+            "r5": sup_r5,
+            "r6": sup_r6,
+            "r7": sup_r7 / eps**2,
+            "r8": eps ** (alpha / 2.0) * w12_l2,
+        }
+        return BoundsReport(lhs=lhs, constants=constants)
+
+
+def uniform_bounds_report(traj: PrimitiveTrajectory) -> BoundsReport:
+    """The BoundsPass of a stacked trajectory."""
+    return traj.feed(BoundsPass(traj.prof, traj.params, traj.times)).report()
 
 
 CONSTANT_FLOOR = 1.0e-14  # an implied constant at or below it counts as zero
@@ -175,19 +189,30 @@ def constants_spread(reports: list[BoundsReport], key: str) -> float:
     return float(np.max(vals) / lo)
 
 
-def residual_pressure_value(traj: PrimitiveTrajectory, beta: float) -> float:
+class PressurePass(SamplePass):
     """Space-time integral over the ball K of ([rho Theta]_res)**(gamma+beta).
 
     K is the ball of radius grid.default_compact_radius.
     """
-    params, grid = traj.params, traj.grid
-    mask = grid.ball_mask(grid.default_compact_radius)
-    rates = np.empty(traj.times.size)
-    for rows, s in traj.samples.blocks():
-        q = s.q[:, mask]  # a copy, whose rows sum as single samples do
-        res_q = (1.0 - traj.prof.cutoff.chi(q)) * q
-        rates[rows] = np.sum(res_q ** (params.gamma + beta) * grid.weights[mask], axis=-1)
-    return float(np.trapezoid(rates, traj.times))
+
+    n_series = 1
+
+    def __init__(self, prof, params, times, beta: float):
+        super().__init__(prof, params, times)
+        self.power, self.mask = params.gamma + beta, self.grid.ball_mask(self.grid.default_compact_radius)
+
+    def measure(self, s: PrimitiveState) -> np.ndarray:
+        q = s.q[:, self.mask]  # a copy, whose rows sum as single samples do
+        res_q = (1.0 - self.prof.cutoff.chi(q)) * q
+        return np.sum(res_q**self.power * self.grid.weights[self.mask], axis=-1)
+
+    def value(self) -> float:
+        return float(np.trapezoid(self.values[0], self.times))
+
+
+def residual_pressure_value(traj: PrimitiveTrajectory, beta: float) -> float:
+    """The PressurePass of a stacked trajectory."""
+    return traj.feed(PressurePass(traj.prof, traj.params, traj.times, beta)).value()
 
 
 SLOPE_FLOOR = 1.0e-30
@@ -252,8 +277,8 @@ class REIReport:
 RAW_PERTURBATION = 1.1  # scale of the raw shape's perturbed test velocity
 
 
-def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIReport:
-    """Evaluate both sides of the relative energy inequality on a run.
+class AuditPass(SamplePass):
+    """Both sides of the relative energy inequality along a run.
 
     The test pair is the acoustic ansatz r = rho0 + eps s, U = V + grad Phi,
     where the limit velocity V vanishes identically in radial geometry, so
@@ -269,31 +294,37 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
     reported, against U and against RAW_PERTURBATION * U (r unchanged),
     for ansatz-optimality comparisons where only the difference matters.
     """
-    prof, params, grid = traj.prof, traj.params, traj.grid
-    eps, gamma = params.eps, params.gamma
-    if abs(acoustic.eps - eps) > 1.0e-12:
-        raise DomainError("acoustic solution and run were built at different eps")
-    times = traj.times
-    if times[-1] > params.horizon + 1.0e-9:
-        raise DomainError("trajectory samples exceed the declared horizon")
 
-    grad_rho0 = prof.grad_rho0
-    grad_f = prof.potential.dr(grid.centers)
-    visc_scale = params.eps**params.alpha
-    # second and third derivatives of H at rho0
-    d2h_rho0 = gamma * prof.rho0 ** (gamma - 2.0)
-    d3h_rho0 = gamma * (gamma - 2.0) * prof.rho0 ** (gamma - 3.0)
+    # per test velocity U and RAW_PERTURBATION * U: the relative energy, the dissipation
+    # rate and the raw velocity, pressure-time and pressure-divergence rates, as five
+    # pairs of rows; then the rates of REI_GROUPS, against U
+    n_series = 15
 
-    # row k of the test stack belongs to the test velocity scales[k] * U
-    scales = np.array([1.0, RAW_PERTURBATION])[:, None, None]
-    e_series, diss_rates = np.empty((2, 2, times.size))
-    # raw rates of the velocity, pressure-time and pressure-divergence terms
-    raw_rates = np.empty((2, 3, times.size))
-    rates = {name: np.empty(times.size) for name in REI_GROUPS}
+    def __init__(self, prof, params, times, acoustic: SpectralWaveSolution):
+        super().__init__(prof, params, times)
+        if abs(acoustic.eps - params.eps) > 1.0e-12:
+            raise DomainError("acoustic solution and run were built at different eps")
+        if times[-1] > params.horizon + 1.0e-9:
+            raise DomainError("trajectory samples exceed the declared horizon")
+        gamma = params.gamma
+        self.acoustic, self.grad_f = acoustic, prof.potential.dr(self.grid.centers)
+        self.visc_scale = params.eps**params.alpha
+        # row k of the test stack belongs to the test velocity scales[k] * U
+        self.scales = np.array([1.0, RAW_PERTURBATION])[:, None, None]
+        # second and third derivatives of H at rho0
+        self.d2h_rho0 = gamma * prof.rho0 ** (gamma - 2.0)
+        self.d3h_rho0 = gamma * (gamma - 2.0) * prof.rho0 ** (gamma - 3.0)
 
-    # the ansatz fields at each block's sample times; each row reduces as its sample alone
-    for rows, state in traj.samples.blocks():
-        t = times[rows]
+    def measure(self, state: PrimitiveState) -> np.ndarray:
+        """The series' values at the block's sample times; the ansatz is evaluated once
+        for the block, and each row reduces as its sample alone."""
+        prof, params, grid, acoustic = self.prof, self.params, self.grid, self.acoustic
+        eps, gamma, t = params.eps, params.gamma, state.t
+        grad_rho0, d2h_rho0 = prof.grad_rho0, self.d2h_rho0
+        out = np.empty((self.n_series, t.size))
+        e_series, diss_rates, raw_rates = out[0:2], out[2:4], out[4:10].reshape(3, 2, -1)
+        rates = dict(zip(REI_GROUPS, out[10:]))
+
         s = acoustic.s(t)
         r_field = prof.rho0 + eps * s
         if np.any(r_field <= 0.0):
@@ -306,75 +337,86 @@ def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIR
         time_gap = (r_field - q) * (-d2h_r * acoustic.div_rho_grad_phi(t))
         grad_hp = d2h_r * (grad_rho0 + eps * grad_s)
         pressure_gap = q**gamma - r_field**gamma
-        drag = state.rho * grad_f
+        drag = state.rho * self.grad_f
 
         # both test velocities as one (2, rows, n) stack; diff = U - u is
         # exactly -(u - U), so S(diff) : grad diff is the dissipation of u - U
-        u_test = scales * acoustic.grad_phi(t)
-        dt_grad_phi = scales * acoustic.dt_grad_phi(t)
+        u_test = self.scales * acoustic.grad_phi(t)
+        dt_grad_phi = self.scales * acoustic.dt_grad_phi(t)
         diff = u_test - u
         strain_test, div_u_test = radial_strain(u_test, grid), radial_divergence(u_test, grid)
         strain_diff, div_diff = radial_strain(diff, grid), radial_divergence(diff, grid)
-        e_series[:, rows] = rel_energy(state, r_field, u_test, params, grid)
-        diss_rates[:, rows] = visc_scale * integrate(
+        e_series[:] = rel_energy(state, r_field, u_test, params, grid)
+        diss_rates[:] = self.visc_scale * integrate(
             stress_contraction(strain_diff, div_diff, strain_diff, params), grid
         )
-        visc = visc_scale * stress_contraction(strain_test, div_u_test, strain_diff, params)
+        visc = self.visc_scale * stress_contraction(strain_test, div_u_test, strain_diff, params)
 
         g1 = state.rho * (dt_grad_phi + u * strain_test[0]) * diff + visc
-        raw_rates[:, 0, rows] = integrate(g1, grid)
+        raw_rates[0] = integrate(g1, grid)
         g2 = time_gap + grad_hp * (r_field * u_test - q * u)
-        raw_rates[:, 1, rows] = integrate(g2, grid) / eps**2
+        raw_rates[1] = integrate(g2, grid) / eps**2
         g3 = div_u_test * pressure_gap + drag * diff
-        raw_rates[:, 2, rows] = -integrate(g3, grid) / eps**2
+        raw_rates[2] = -integrate(g3, grid) / eps**2
 
         # the grouped shape, against U itself: row 0 of the stack
         u_test, dt_grad_phi, diff = u_test[0], dt_grad_phi[0], diff[0]
         du_test, div_u_test, visc = strain_test[0][0], div_u_test[0], visc[0]
         g_vel = state.rho * u * du_test * diff + visc  # limit velocity is steady
-        rates["velocity"][rows] = integrate(g_vel, grid)
+        rates["velocity"][:] = integrate(g_vel, grid)
 
         p_bracket = q**gamma - gamma * r_field ** (gamma - 1.0) * (q - r_field) - r_field**gamma
-        rates["pressure"][rows] = -integrate(div_u_test * p_bracket, grid) / eps**2
+        rates["pressure"][:] = -integrate(div_u_test * p_bracket, grid) / eps**2
 
         # grad[H'(r) - H''(rho0)(r - rho0) - H'(rho0)], written so every
         # factor is a difference of nearby arguments
         grad_bg = (d2h_r - d2h_rho0) * eps * grad_s
-        grad_bg += (d2h_r - d2h_rho0 - d3h_rho0 * (r_field - prof.rho0)) * grad_rho0
-        rates["background"][rows] = integrate(q * grad_bg * diff, grid) / eps**2
+        grad_bg += (d2h_r - d2h_rho0 - self.d3h_rho0 * (r_field - prof.rho0)) * grad_rho0
+        rates["background"][:] = integrate(q * grad_bg * diff, grid) / eps**2
 
         div_su = radial_divergence(s * u_test, grid)
-        rates["acoustic_source"][rows] = integrate((r_field - q) * d2h_r * div_su, grid) / eps
+        rates["acoustic_source"][:] = integrate((r_field - q) * d2h_r * div_su, grid) / eps
 
         g_theta = state.rho * (1.0 - theta) * dt_grad_phi * diff
         g_theta -= state.rho * (1.0 - theta) * d2h_rho0 * grad_rho0 * diff / eps**2
-        rates["theta"][rows] = integrate(g_theta, grid)
-
-    def cumulative(r: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(r)
-        out[1:] = np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(times))
+        rates["theta"][:] = integrate(g_theta, grid)
         return out
 
-    lhs_k = [e - e[0] + cumulative(diss) for e, diss in zip(e_series, diss_rates)]
-    raw_max = [
-        float(np.max(lhs - sum(cumulative(r) for r in raw)))
-        for lhs, raw in zip(lhs_k, raw_rates)
-    ]
-    lhs = lhs_k[0]
-    rhs_groups = {name: cumulative(rates[name]) for name in REI_GROUPS}
-    defect = lhs - sum(rhs_groups.values())
+    def report(self, run: PrimitiveTrajectory) -> REIReport:
+        """The cumulative series and defects; the tolerance reads run's initial energy."""
+        times, values = self.times, self.values
 
-    # budget: one percent of the larger of the initial relative energy
-    # and the run's total energy reservoir (the scale every dissipation
-    # mechanism draws from), frozen after static-case calibration
-    tolerance = 1.0e-2 * max(e_series[0][0], float(traj.energy[0])) + 1.0e-12
-    return REIReport(
-        times=times,
-        rel_energy=e_series[0],
-        lhs=lhs,
-        rhs_groups=rhs_groups,
-        defect=defect,
-        tolerance=tolerance,
-        raw_max_defect=raw_max[0],
-        raw_perturbed_max_defect=raw_max[1],
-    )
+        def cumulative(r: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(r)
+            out[1:] = np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(times))
+            return out
+
+        e_series, diss_rates, raw_rates = values[0:2], values[2:4], values[4:10].reshape(3, 2, -1)
+        lhs_k = [e - e[0] + cumulative(diss) for e, diss in zip(e_series, diss_rates)]
+        raw_max = [
+            float(np.max(lhs - sum(cumulative(r) for r in raw_rates[:, k])))
+            for k, lhs in enumerate(lhs_k)
+        ]
+        lhs = lhs_k[0]
+        rhs_groups = {name: cumulative(r) for name, r in zip(REI_GROUPS, values[10:])}
+        defect = lhs - sum(rhs_groups.values())
+
+        # budget: one percent of the larger of the initial relative energy
+        # and the run's total energy reservoir (the scale every dissipation
+        # mechanism draws from), frozen after static-case calibration
+        tolerance = 1.0e-2 * max(e_series[0][0], float(run.energy[0])) + 1.0e-12
+        return REIReport(
+            times=times,
+            rel_energy=e_series[0],
+            lhs=lhs,
+            rhs_groups=rhs_groups,
+            defect=defect,
+            tolerance=tolerance,
+            raw_max_defect=raw_max[0],
+            raw_perturbed_max_defect=raw_max[1],
+        )
+
+
+def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIReport:
+    """The AuditPass of a stacked trajectory."""
+    return traj.feed(AuditPass(traj.prof, traj.params, traj.times, acoustic)).report(traj)

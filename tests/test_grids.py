@@ -8,6 +8,7 @@ from anelastic_lab.grids import (
     EssResCutoff,
     FieldAlignmentError,
     Grid,
+    along,
     harmonic_faces,
     integrate,
     lp_norm,
@@ -261,6 +262,15 @@ class TestFaceKernels:
         fields = [kernel_fields(axis, rng)[kind] for kind in takes]
         got = kernel(*fields, axis)
         assert np.array_equal(got, line_by_line(one_d, axis, *fields))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1, -2])
+    def test_mean_faces_is_the_whole_array_mean(self, axis, rng):
+        # its one temporary, scaled in place, keeps every bit of 0.5 * (f[lower] + f[upper])
+        f = rng.standard_normal((16, 3, 65)) * np.exp(4.0 * rng.standard_normal((16, 3, 65)))
+        lower, upper, inner, first, last = along(axis, f.ndim)
+        got = mean_faces(f, axis)
+        assert np.array_equal(got[inner], 0.5 * (f[lower] + f[upper]))
+        assert np.array_equal(got[first], f[first]) and np.array_equal(got[last], f[last])
 
     @pytest.mark.parametrize("axis", [0, 1, 2, -1])
     def test_upwind_takes_the_cell_the_face_velocity_comes_from(self, axis, rng):

@@ -92,7 +92,7 @@ class TestSweep:
             prof = build_profile(plan.potential, params, plan.grid)
             init = init_ill_prepared(plan.data, prof, params)
             traj = run_primitive(init, prof, params, np.linspace(0.0, params.horizon, 17))
-            return harness.run_case(plan, traj).n2b
+            return harness.limit_norms(traj, plan.data.theta2.field(plan.grid))[2]
 
         coarse, fine = n2b(128, 0.4), n2b(128, 0.2)
         assert fine > coarse

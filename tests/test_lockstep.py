@@ -10,29 +10,49 @@ the state it failed on.  The fused step must equal a plain
 reference bit for bit up to the viscous solve, which must match a dense
 solve, and return no view of the work buffers its aux reuses.  The
 implicit viscous force must leave a stiff run at the hyperbolic dt.
+A run streams its samples to its passes in blocks: every streamed
+measurement must equal the stacked entry point's on the run alone, bit for
+bit, and a streamed sweep's memory must not grow with its sample count.
 """
 
 import ctypes
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from anelastic_lab import cli, configio, lapack, primitive
+from anelastic_lab import configio, lapack, primitive, relative_energy
 from anelastic_lab.cli import main
 from anelastic_lab.grids import DomainError
-from anelastic_lab.harness import SweepPlan, sweep_epsilon
+from anelastic_lab.harness import (
+    SweepPlan,
+    acoustic_ansatz,
+    audit_quarantine_time,
+    limit_norms,
+    sweep_epsilon,
+)
 from anelastic_lab.hydrostatics import build_profile
 from anelastic_lab.params import ScalingParams
 from anelastic_lab.primitive import (
     CFL,
     RHO_FLOOR,
+    ROW_BLOCK,
     VACUUM_CUT,
     PrimitiveAux,
     PrimitiveState,
     SolverFailure,
     init_ill_prepared,
+    row_blocks,
     run_lockstep,
     run_primitive,
+)
+from anelastic_lab.relative_energy import (
+    AuditPass,
+    BoundsPass,
+    PressurePass,
+    rei_audit,
+    residual_pressure_value,
+    uniform_bounds_report,
 )
 
 EPS = (0.4, 0.2, 0.1, 0.05)
@@ -59,9 +79,25 @@ def members(eps_list, **sets):
     return prof, params, inits, np.linspace(0.0, params[0].horizon, 17)
 
 
+def lockstep(inits, prof, params, times):
+    """run_lockstep, each member's streamed blocks stacked as run_primitive stacks them."""
+    stacks = np.empty((len(inits), 3, times.size, prof.grid.n))
+
+    def keeper(stack):
+        def keep(rows, block):
+            stack[:, rows] = block.fields
+
+        return [keep]
+
+    runs = run_lockstep(inits, prof, params, times, [keeper(stack) for stack in stacks])
+    for run, stack in zip(runs, stacks):
+        run.samples = PrimitiveState.of(stack, times)
+    return runs
+
+
 def test_members_reproduce_their_runs_alone_bit_for_bit():
     prof, params, inits, times = members(EPS)
-    together = run_lockstep(inits, prof, params, times)
+    together = lockstep(inits, prof, params, times)
     for init, p, traj in zip(inits, params, together):
         alone = run_primitive(init, prof, p, times)
         assert traj.params == p and traj.step_count == alone.step_count > 0
@@ -139,7 +175,7 @@ def test_mid_run_failure_names_the_member(monkeypatch):
     prof, params, inits, times = members(EPS[:3])
     stacks = poison_second_member(monkeypatch)
     with pytest.raises(SolverFailure, match="nonpositive density") as failure:
-        run_lockstep(inits, prof, params, times)
+        run_lockstep(inits, prof, params, times, [()] * len(inits))
     assert stacks == [[0.2, 0.1]] and failure.value.member == 1
     assert failure.value.state.rho.shape == (prof.grid.n,)
 
@@ -192,15 +228,16 @@ def test_failed_viscous_solve_keeps_the_one_by_one_partial_report(tmp_path, monk
 @pytest.mark.parametrize("command", ["simulate-primitive", "audit-rei"])
 def test_failed_primitive_run_leaves_its_state(tmp_path, monkeypatch, capsys, command):
     failures = []
+    real_step = primitive.step_primitive
 
     def recording(*args):
         try:
-            return run_primitive(*args)
+            return real_step(*args)
         except SolverFailure as exc:
             failures.append(exc)
             raise
 
-    monkeypatch.setattr(cli, "run_primitive", recording)
+    monkeypatch.setattr(primitive, "step_primitive", recording)
     failing_viscous_solve(monkeypatch, 64, 7)  # the one member's system, at its first step
     assert main([command, *SMALL, "--output", str(tmp_path)]) == 3
     assert "dgtsv info = 7" in capsys.readouterr().err
@@ -208,6 +245,33 @@ def test_failed_primitive_run_leaves_its_state(tmp_path, monkeypatch, capsys, co
     with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
         assert np.array_equal(saved["fields"], exc.state.fields)
         assert saved["t"] == exc.state.t > 0.0
+
+
+def test_audit_breakdown_mid_run_leaves_its_state(tmp_path, monkeypatch, capsys):
+    # the audit streams its run; a breakdown after blocks have reached its passes
+    # still exits 3 and leaves the state it failed on, and writes no report
+    real_step, calls, failures = primitive.step_primitive, [], []
+
+    def breaking(state, *args):
+        calls.append(state.t.copy())
+        if len(calls) == 40:
+            failures.append(SolverFailure("breakdown", primitive.PrimitiveState.of(
+                state.fields[:, 0] * 2.0, float(state.t[0]))))
+            raise failures[-1]
+        return real_step(state, *args)
+
+    monkeypatch.setattr(primitive, "step_primitive", breaking)
+    audited, real_measure = [], relative_energy.AuditPass.measure
+    monkeypatch.setattr(relative_energy.AuditPass, "measure",
+                        lambda self, block: audited.append(block.t.size) or real_measure(self, block))
+    assert main(["audit-rei", *SMALL, "--output", str(tmp_path)]) == 3
+    assert "solver failure: breakdown" in capsys.readouterr().err
+    (exc,) = failures
+    assert exc.state.t > 0.0 and len(audited) >= 2  # the failure came after two blocks
+    with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
+        assert np.array_equal(saved["fields"], exc.state.fields)
+        assert saved["t"] == exc.state.t
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["final_state.npz"]
 
 
 def test_stiff_viscosity_runs_at_the_hyperbolic_dt():
@@ -373,12 +437,77 @@ def test_folded_ledger_equals_the_per_step_ledger(monkeypatch, rows):
     # more steps than the default block, and members leave the stack mid-block
     prof, params, inits, times = members(EPS)
     times = times[::8]
-    default = run_lockstep(inits, prof, params, times)
+    default = lockstep(inits, prof, params, times)
     assert default[-1].step_count > 2 * (times.size - 1) * primitive._BLOCK
     monkeypatch.setattr(primitive, "_BLOCK", rows)
-    for traj, folded in zip(default, run_lockstep(inits, prof, params, times)):
+    for traj, folded in zip(default, lockstep(inits, prof, params, times)):
         assert folded.step_count == traj.step_count
         assert np.array_equal(folded.samples.fields, traj.samples.fields)
         assert np.array_equal(folded.times, traj.times)
         for name in SERIES:
             assert np.array_equal(getattr(folded, name), getattr(traj, name)), name
+
+
+def sweep_plan(cfg, n_samples):
+    return SweepPlan(
+        eps_list=EPS[:3],
+        data=configio.data_from(cfg),
+        potential=configio.potential_from(cfg),
+        params=configio.params_from(cfg),
+        grid=configio.grid_from(cfg),
+        n_samples=n_samples,
+        beta=cfg["sweep.beta"],
+    )
+
+
+@pytest.mark.parametrize("sets", [{}, {"lam": 0.5}], ids=["default", "lam0.5"])
+def test_streamed_measurements_equal_the_stacked_ones(sets):
+    # 17 samples: blocks of 8 and 9 rows, the one-row remainder joined to the second
+    assert [rows.stop - rows.start for rows in row_blocks(17)] == [ROW_BLOCK, ROW_BLOCK + 1]
+    cfg = small_config(**sets)
+    plan = sweep_plan(cfg, 17)
+    report = sweep_epsilon(plan)
+    prof, params, inits, times = members(EPS[:3], **sets)
+    theta2 = plan.data.theta2.field(prof.grid)
+    for j, (init, p) in enumerate(zip(inits, params)):
+        traj = run_primitive(init, prof, p, times)
+        n1, n2a, n2b, n3 = limit_norms(traj, theta2)
+        assert (report.n1[j], report.n2a[j], report.n2b[j], report.n3[j]) == (n1, n2a, n2b, n3)
+        assert report.r12[j] == residual_pressure_value(traj, plan.beta)
+        assert report.bounds[j] == uniform_bounds_report(traj)
+
+    # the audit as audit-rei streams it, against the audit of the stacked run
+    p, data = params[-1], plan.data
+    times = np.linspace(0.0, min(p.horizon, audit_quarantine_time(prof, p)), 17)
+    sol = acoustic_ansatz(data, prof, p.eps, cfg["acoustic.delta"])
+    audit = AuditPass(prof, p, times, sol)
+    bounds, pressure = BoundsPass(prof, p, times), PressurePass(prof, p, times, plan.beta)
+    [run] = run_lockstep([inits[-1]], prof, [p], times, [(audit, bounds, pressure)])
+    streamed, traj = audit.report(run), run_primitive(inits[-1], prof, p, times)
+    stacked = rei_audit(traj, sol)
+    assert np.array_equal(streamed.times, stacked.times)
+    for name in ("rel_energy", "lhs", "defect"):
+        assert np.array_equal(getattr(streamed, name), getattr(stacked, name)), name
+    assert streamed.rhs_groups.keys() == stacked.rhs_groups.keys()
+    for name, series in stacked.rhs_groups.items():
+        assert np.array_equal(streamed.rhs_groups[name], series), name
+    for name in ("tolerance", "raw_max_defect", "raw_perturbed_max_defect"):
+        assert getattr(streamed, name) == getattr(stacked, name), name
+    assert bounds.report() == uniform_bounds_report(traj)
+    assert pressure.value() == residual_pressure_value(traj, plan.beta)
+
+
+def test_streamed_sweep_working_set_does_not_grow_with_samples():
+    # a stacked run would hold (3, m, n_samples, n) floats: 7.1 MB more at 257 samples
+    cfg = configio.load_config(None, ["params.horizon=0.5"])
+    peaks = []
+    for n_samples in (65, 257):
+        plan = sweep_plan(cfg, n_samples)
+        tracemalloc.start()
+        try:
+            sweep_epsilon(plan)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 3 * len(plan.eps_list) * (ROW_BLOCK + 1) * plan.grid.n * 8
+    assert plan.grid.n == 512 and abs(peaks[1] - peaks[0]) < block, peaks

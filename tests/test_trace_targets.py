@@ -121,6 +121,14 @@ def test_audit_reconstructs_each_field_once(tracing, monkeypatch):
 
 def test_cli_audit_makes_one_pass(tracing, tmp_path, monkeypatch):
     rows = record_ansatz_rows(monkeypatch)
+    reports = []
+    real_report = relative_energy.AuditPass.report
+
+    def counting_report(self, run):
+        reports.append(run)
+        return real_report(self, run)
+
+    monkeypatch.setattr(relative_energy.AuditPass, "report", counting_report)
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -134,8 +142,8 @@ def test_cli_audit_makes_one_pass(tracing, tmp_path, monkeypatch):
     spans = tracer.flow_spans(0)
     # main runs the traced cmd_audit_rei, which it looks up at call time
     assert sum(rec[0] == "cli.cmd_audit_rei" for rec in spans) == 1
-    # the grouped report and both raw defects come from one audit call
-    assert sum(rec[0] == "relative_energy.rei_audit" for rec in spans) == 1
+    # the grouped report and both raw defects come from one audit of the streamed run
+    assert len(reports) == 1 and reports[0].samples is None
     n_samples = len((tmp_path / "rei.csv").read_text().splitlines()) - 1
     no_fields = primitive.PrimitiveState.of(np.zeros((3, n_samples, 0)), np.zeros(n_samples))
     blocks = len(list(no_fields.blocks()))
