@@ -25,6 +25,12 @@ reach the digest; check a change to them with `--set params.lam=0.5`.
 A run hands its samples to the measurements in blocks of 8 rows, and a
 one-row remainder joins the last block; check a change to that partition
 with a short run too, `--set sweep.samples=17` (blocks of 8 and 9 rows).
+The acoustic measurements' edge cases need their own runs too:
+`--set grid.n=2048` (Strichartz blocks of 8 time rows, the last one
+ragged); `--set acoustic.p=inf --set acoustic.q=6` and `--set
+acoustic.p=2 --set acoustic.q=inf` (the two Strichartz endpoints); and
+`--set grid.n=128 --set acoustic.delta=0.05` (every mode of the operator
+in the window, so the eigenvector buffer is n columns wide).
 
 With --against REF the digest is taken twice with the same overrides, in
 fresh interpreters: once with this checkout's `src/` and once with the

@@ -13,9 +13,12 @@ lam_max = (2/delta)^2.  One LAPACK driver, dstevr, works on B's two bands
 for every caller: the modes in (-|B|, lam_max] by bisection and inverse
 iteration, the full basis (lam_max = inf) by MRRR (Dhillon & Parlett,
 Linear Algebra Appl. 387:1, 2004) and the eigenvalue-only spectrum by
-dsterf, with no dense (n, n) matrix and no ceiling on n.  The columns of
-the (n, k) basis are orthonormal in the weighted product.  dstevr comes
-from the OpenBLAS that numpy itself has loaded (see lapack).
+dsterf, with no dense (n, n) matrix and no ceiling on n.  A window's k
+modes go into an (n, k) buffer, k from LAPACK's O(n) Sturm count dlarrc
+just above lam_max, so no (n, n) output array is allocated either.  The
+columns of the (n, k) basis are orthonormal in the weighted product.
+dstevr and dlarrc come from the OpenBLAS that numpy itself has loaded
+(see lapack).
 
 The wave pair (s, Phi) evolves by
 
@@ -28,11 +31,13 @@ Dirichlet-truncated ball; measurements quote results only up to the
 domain-crossing time to keep boundary reflections out of the numbers.
 
 Time arrays in, stacked fields out: given n_t times, the wave solution
-returns (n_t, n) fields, one matrix product per field.  The decay
-measurement is a quadratic form in the windowed modes' coefficients.  The
-Strichartz measurement forms the wave in blocks of time rows of at most
-_BLOCK_CELLS cells and reduces each block to its rows' L^q norms, so its
-working set does not grow with the number of times.
+returns (n_t, n) fields, one matrix product per field.  The measurements
+build the windowed modes' (n_t, k) coefficient table in place.  The decay
+measurement is a quadratic form in those coefficients.  The Strichartz
+measurement forms the wave in blocks of time rows of at most _BLOCK_CELLS
+= 2**14 cells (0.25 MB, 8 rows at n = 2048) and reduces each block to its
+rows' L^q norms, so its working set does not grow with the number of
+times.
 """
 
 from __future__ import annotations
@@ -48,9 +53,9 @@ from .grids import DomainError, Grid, lp_norm, radial_gradient, smoothstep
 from .hydrostatics import StaticProfile
 
 ADMISSIBILITY_TOL = 1.0e-12
-# Cells of the windowed wave per Strichartz block: 2**16 complex cells are 1 MB,
-# 32 time rows at n = 2048, whatever the length of the time mesh.
-_BLOCK_CELLS = 2**16
+# Cells of the windowed wave per Strichartz block: 2**14 complex cells are 0.25 MB,
+# 8 time rows at n = 2048, whatever the length of the time mesh.
+_BLOCK_CELLS = 2**14
 
 
 class EigensolverError(RuntimeError):
@@ -117,22 +122,43 @@ def _band_product(d: np.ndarray, e: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _count_at_most(d, e, x) -> int:
+    """The Sturm count of the eigenvalues of B = tridiag(e, d, e) at or below x (dlarrc)."""
+    eigcnt, lcnt, rcnt, info = (ctypes.c_int64() for _ in range(4))
+    real = ctypes.c_double
+    lapack.DLARRC(b"T", ctypes.c_int64(d.size), real(x), real(x), d, e, real(0.0),
+                  eigcnt, lcnt, rcnt, info, 1)
+    return rcnt.value
+
+
 def _eigen(d, e, lam_max=np.inf, vectors=True):
     """Eigenpairs of B = tridiag(e, d, e) with lambda <= lam_max, ascending.
 
     One LAPACK dstevr call: lam_max = inf takes the whole spectrum, a
     finite lam_max the interval (-|B|, lam_max].  Returns the eigenvalues
     (m,) and B's orthonormal eigenvectors as columns (n, m), or None
-    without vectors.  Only the first m columns of the (n, n) output are
-    written, so untouched pages of it never become resident.
+    without vectors.  A finite window's eigenvectors go into an (n, k)
+    buffer, k a Sturm count of the eigenvalues up to just above lam_max,
+    not into an (n, n) one.
     """
-    n = d.size
+    n = k = d.size
     if lam_max == np.inf:
         span, vl, vu = b"A", 0.0, 0.0
     else:
         norm_b = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e), initial=0.0)
         span, vl, vu = b"V", -norm_b, lam_max
-    z = np.empty((n, n) if vectors else (1, 1), order="F")
+        if vectors:
+            # dstevr's m is a sum of dstebz's Sturm counts at or below lam_max.  A
+            # floating-point Sturm count is the exact count of a tridiagonal matrix
+            # near B (Demmel, Dhillon & Ren, SIAM J. Sci. Comput. 16:1455, 1995):
+            # dstebz's recurrence, with its splitting of off-diagonals below
+            # ulp sqrt|d_i d_i+1|, moves the eigenvalues by at most 6 u |B| and
+            # dlarrc's by at most 3 u |B| (u = eps/2, |B| <= norm_b), plus absolute
+            # terms below 1e-150.  So the count at lam_max + 16 eps norm_b + 1e-150
+            # is >= m; the few columns it may add are never written.
+            slack = 16.0 * np.finfo(float).eps * norm_b + 1.0e-150
+            k = max(1, _count_at_most(d, e, lam_max + slack))
+    z = np.empty((n, k) if vectors else (1, 1), order="F")
     w = np.empty(n)
     m, info = ctypes.c_int64(), ctypes.c_int64()
     int_, real = ctypes.c_int64, ctypes.c_double
@@ -157,7 +183,8 @@ def assemble_operator(prof: StaticProfile, lam_max: float = np.inf) -> AcousticO
     d, e = _bands(prof)
     masses = prof.grid.weights * prof.inner_weight
     evals, vecs = _eigen(d, e, lam_max)
-    return AcousticOperator(prof.grid, prof, d, e, masses, evals, vecs / np.sqrt(masses)[:, None])
+    vecs /= np.sqrt(masses)[:, None]  # B's eigenvectors to A's, in place
+    return AcousticOperator(prof.grid, prof, d, e, masses, evals, vecs)
 
 
 def operator_spectrum(prof: StaticProfile) -> np.ndarray:
@@ -339,8 +366,15 @@ def _windowed_modes(op, window, h, T, points_per_period, clock=1.0):
     active = g > 1.0e-13
     omegas = op.omegas[active]
     times = time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)
-    phases = np.exp(1j * omegas * times[:, None] / clock)
-    return times, (g[active] * op.coeffs(h)[active]) * phases, op.evecs[:, active]
+    # one (n_t, k) table, built in place with the operations of
+    # g c * exp(1j omega t / clock): the complex product's real part is +0 and
+    # the complex quotient multiplies by 1 / clock
+    coeffs = np.zeros((times.size, omegas.size), dtype=complex)
+    np.multiply(omegas, times[:, None], out=coeffs.imag)
+    coeffs.imag *= 1.0 / clock
+    np.exp(coeffs, out=coeffs)
+    np.multiply(g[active] * op.coeffs(h)[active], coeffs, out=coeffs)
+    return times, coeffs, op.evecs[:, active]
 
 
 @dataclass
@@ -373,7 +407,9 @@ def measure_local_decay(
                           f"the first cell centre is r = {op.grid.centers[0]:g}")
     ball = vecs[mask]
     gram = ball.T @ (op.grid.weights[mask][:, None] * ball)
-    series = np.sum((c @ gram) * c.conj(), axis=-1).real
+    c_gram = c @ gram
+    c_gram *= np.conjugate(c, out=c)  # c is not used again
+    series = np.sum(c_gram, axis=-1).real
     value = float(np.trapezoid(series, times))
     return DecayMeasurement(value=value, times=times, series=series)
 

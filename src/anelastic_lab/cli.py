@@ -35,7 +35,7 @@ from .harness import (
 )
 from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
-from .primitive import DataError, SolverFailure, init_ill_prepared, run_lockstep, run_primitive
+from .primitive import DataError, PrimitiveState, SolverFailure, init_ill_prepared, run_lockstep
 from .relative_energy import AuditPass, BoundsPass, PressurePass
 
 # the entry points: each command runs the cmd_* function of its name, dashes as underscores
@@ -121,8 +121,14 @@ def cmd_simulate_primitive(args) -> int:
     data = configio.data_from(cfg)
     init = init_ill_prepared(data, prof, params)
     times = np.linspace(0.0, params.horizon, cfg["run.samples"])
+    last = []  # the run streams its samples and keeps a copy of the final one only
+
+    def keep_last(rows, block):
+        if rows.stop == times.size:
+            last.append(block.row(-1).fields.copy())
+
     with _leaving_failed_state(outdir, grid, params):
-        traj = run_primitive(init, prof, params, times)
+        [traj] = run_lockstep([init], prof, [params], times, [[keep_last]])
     rows = zip(
         traj.times,
         traj.energy,
@@ -135,7 +141,7 @@ def cmd_simulate_primitive(args) -> int:
         ["t", "energy", "dissipation", "mass", "mass_defect"],
         rows,
     )
-    _write_state(outdir, traj.samples.row(-1), grid, params)
+    _write_state(outdir, PrimitiveState.of(last[0], traj.times[-1]), grid, params)
     print(
         f"simulate-primitive: steps={traj.step_count} "
         f"E0={traj.energy[0]:.17g} E_end={traj.energy[-1]:.17g}"

@@ -1,13 +1,15 @@
-"""The two LAPACK routines the laboratory calls, from numpy's own OpenBLAS,
+"""The three LAPACK routines the laboratory calls, from numpy's own OpenBLAS,
 and that library's thread count.
 
 numpy >= 2 wheels bundle OpenBLAS as libscipy_openblas64_, which exports
-LAPACK with 64-bit integers under scipy_<name>_64_ symbols.  Both routines
-are bound from that one library through ctypes: scipy.linalg reaches the
+LAPACK with 64-bit integers under scipy_<name>_64_ symbols.  Every routine
+is bound from that one library through ctypes: scipy.linalg reaches the
 same code, but importing it loads a second BLAS and adds ~28 MB to the
 resident memory of a run.
 
 - DSTEVR, the symmetric tridiagonal eigensolver of the acoustic operator.
+- DLARRC, the O(n) Sturm count of that operator's eigenvalues in an
+  interval, which sizes DSTEVR's eigenvector output by the modes it keeps.
 - DGTSV, the tridiagonal solve of the implicit viscous step.  Every
   argument is a raw address (ctypes.c_void_p): the step passes buffers it
   allocated once, and an ndpointer check would cost several microseconds
@@ -15,15 +17,17 @@ resident memory of a run.
 
 Importing the module also sets the library's thread count to 1, whatever
 OPENBLAS_NUM_THREADS says, so every BLAS call of a run stays on the
-calling thread.  The only dense products the laboratory forms are small,
-(206 x 30) @ (30 x 512) in the relative-energy audit and
-(282 x 30) @ (30 x 2048) in the Strichartz measurement at n = 2048, and
-two threads make them dearer, not cheaper.  On a 2-core x86-64 host with
-numpy 2.4 each product took 10-17 ms on two threads against 0.2 ms and
-1 ms on one, and after each product the idle helper thread spun on the
-second core, so a `dispersion` benchmark flow spent 0.31 s of CPU in
-0.17 s of wall time (0.17 s of CPU on one thread).  The arithmetic does not depend on the count: the
-artifacts are byte-identical on one thread and on two.
+calling thread.  The only dense products the laboratory forms are small:
+per block of rows, (8 x 30) @ (30 x 512) in the relative-energy audit and
+(8 x 30) @ (30 x 2048) in the Strichartz measurement at n = 2048.  Two
+threads make such products dearer, not cheaper.  On a 2-core x86-64 host
+with numpy 2.4 the whole (206 x 30) @ (30 x 512) and (282 x 30) @
+(30 x 2048) products, formed before the measurements walked blocks, took
+10-17 ms each on two threads against 0.2 ms and 1 ms on one, and after
+each product the idle helper thread spun on the second core, so a
+`dispersion` benchmark flow spent 0.31 s of CPU in 0.17 s of wall time
+(0.17 s of CPU on one thread).  The arithmetic does not depend on the
+count: the artifacts are byte-identical on one thread and on two.
 """
 
 from __future__ import annotations
@@ -75,6 +79,12 @@ _reals = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 DSTEVR = _bind(_LIB, "dstevr", [
     _char, _char, _i64, _reals, _reals, _f64, _f64, _i64, _i64, _f64, _i64,
     _reals, _reals, _i64, _ints, _reals, _i64, _ints, _i64, _i64, _size, _size,
+])
+# JOBT N VL VU D E PIVMIN EIGCNT LCNT RCNT INFO, then the hidden length of JOBT;
+# D and E are only read
+_reals_in = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+DLARRC = _bind(_LIB, "dlarrc", [
+    _char, _i64, _f64, _f64, _reals_in, _reals_in, _f64, _i64, _i64, _i64, _i64, _size,
 ])
 # N NRHS DL D DU B LDB INFO
 DGTSV = _bind(_LIB, "dgtsv", [ctypes.c_void_p] * 8)

@@ -36,13 +36,20 @@ from .grids import (
     radial_strain,
 )
 from .params import ScalingParams
-from .primitive import PrimitiveState, PrimitiveTrajectory, SamplePass, enthalpy
+from .primitive import PrimitiveState, PrimitiveTrajectory, SamplePass
 
 
-def h_bracket(q: np.ndarray, r: np.ndarray, gamma: float) -> np.ndarray:
-    """H(q) - H'(r)(q - r) - H(r), the convexity remainder of H."""
-    dh = gamma / (gamma - 1.0) * r ** (gamma - 1.0)
-    return enthalpy(q, gamma) - dh * (q - r) - enthalpy(r, gamma)
+def _powers(q: np.ndarray, r: np.ndarray, gamma: float) -> tuple:
+    """(q**gamma, r**(gamma - 1), r**gamma), the powers of H's convexity remainder."""
+    return q**gamma, r ** (gamma - 1.0), r**gamma
+
+
+def h_bracket(q: np.ndarray, r: np.ndarray, gamma: float, powers: tuple | None = None) -> np.ndarray:
+    """H(q) - H'(r)(q - r) - H(r), the convexity remainder of H, from _powers(q, r, gamma)
+    if they are given."""
+    q_g, r_g1, r_g = powers or _powers(q, r, gamma)
+    dh = gamma / (gamma - 1.0) * r_g1
+    return q_g / (gamma - 1.0) - dh * (q - r) - r_g / (gamma - 1.0)
 
 
 def rel_energy(
@@ -51,13 +58,15 @@ def rel_energy(
     u_test: np.ndarray,
     params: ScalingParams,
     grid: Grid,
+    powers: tuple | None = None,
 ) -> float | np.ndarray:
-    """Relative energy of a state against the test pair (r, U), one per stacked row."""
+    """Relative energy of a state against the test pair (r, U), one per stacked row;
+    powers, if given, are _powers(state.q, r_field, params.gamma)."""
     grid.check_aligned(r_field, u_test)
     if np.any(r_field <= 0.0):
         raise DomainError("test density r must be strictly positive")
     kin = 0.5 * state.rho * (state.velocity - u_test) ** 2
-    pot = h_bracket(state.q, r_field, params.gamma) / params.eps**2
+    pot = h_bracket(state.q, r_field, params.gamma, powers) / params.eps**2
     return integrate(kin + pot, grid)
 
 
@@ -330,13 +339,14 @@ class AuditPass(SamplePass):
         if np.any(r_field <= 0.0):
             raise DomainError("ansatz density rho0 + eps s lost positivity")
         u, theta, q = state.velocity, state.theta, state.q
+        powers = q_g, r_g1, r_g = _powers(q, r_field, gamma)  # once for the three brackets
         d2h_r = gamma * r_field ** (gamma - 2.0)
         grad_s = radial_gradient(s, grid, parity="even")
 
         # raw pieces that do not involve the test velocity
         time_gap = (r_field - q) * (-d2h_r * acoustic.div_rho_grad_phi(t))
         grad_hp = d2h_r * (grad_rho0 + eps * grad_s)
-        pressure_gap = q**gamma - r_field**gamma
+        pressure_gap = q_g - r_g
         drag = state.rho * self.grad_f
 
         # both test velocities as one (2, rows, n) stack; diff = U - u is
@@ -346,7 +356,7 @@ class AuditPass(SamplePass):
         diff = u_test - u
         strain_test, div_u_test = radial_strain(u_test, grid), radial_divergence(u_test, grid)
         strain_diff, div_diff = radial_strain(diff, grid), radial_divergence(diff, grid)
-        e_series[:] = rel_energy(state, r_field, u_test, params, grid)
+        e_series[:] = rel_energy(state, r_field, u_test, params, grid, powers)
         diss_rates[:] = self.visc_scale * integrate(
             stress_contraction(strain_diff, div_diff, strain_diff, params), grid
         )
@@ -365,7 +375,7 @@ class AuditPass(SamplePass):
         g_vel = state.rho * u * du_test * diff + visc  # limit velocity is steady
         rates["velocity"][:] = integrate(g_vel, grid)
 
-        p_bracket = q**gamma - gamma * r_field ** (gamma - 1.0) * (q - r_field) - r_field**gamma
+        p_bracket = q_g - gamma * r_g1 * (q - r_field) - r_g
         rates["pressure"][:] = -integrate(div_u_test * p_bracket, grid) / eps**2
 
         # grad[H'(r) - H''(rho0)(r - rho0) - H'(rho0)], written so every

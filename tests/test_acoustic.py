@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -12,6 +13,9 @@ from anelastic_lab import cli, configio
 from anelastic_lab import lapack
 from anelastic_lab.acoustic import (
     _BLOCK_CELLS,
+    _bands,
+    _count_at_most,
+    _eigen,
     AcousticState,
     FrequencyWindow,
     admissible_pair,
@@ -286,12 +290,12 @@ class TestMeasurements:
         _, c, vecs = _windowed_modes(operator, win, h, t_star, PPP)
         assert np.array_equal(m.series, np.abs(c @ vecs.T).max(axis=-1))
 
-    @pytest.mark.parametrize("n", [64, 2048])
+    @pytest.mark.parametrize("n", [32, 2048])
     def test_strichartz_blocks_keep_every_bit(self, n):
         op, win, h, t_star = default_strichartz_case(n)
         m = measure_strichartz(op, win, h, 4.0, 12.0, t_star, PPP)
         rows = _BLOCK_CELLS // n
-        # n = 2048: 282 times in blocks of 32, the last one ragged; n = 64: one block
+        # n = 2048: 282 times in blocks of 8, the last one ragged; n = 32: one block
         assert (m.times.size % rows != 0) if n == 2048 else (m.times.size <= rows)
         _, c, vecs = _windowed_modes(op, win, h, t_star, PPP)
         ref = np.sum(np.abs(c @ vecs.T) ** 12.0 * op.grid.weights, axis=-1) ** (1.0 / 12.0)
@@ -309,6 +313,20 @@ class TestMeasurements:
                 tracemalloc.stop()
         # one (n_t, n) complex wave at n = 2048 is 8.8 MiB over [0, T*], 17.6 MiB over [0, 2T*]
         assert abs(peaks[1] - peaks[0]) < 0.5 and max(peaks) < 6.0, peaks
+
+    def test_decay_working_set_does_not_grow_with_time(self):
+        op, win, h, t_star = default_strichartz_case(2048)
+        peaks = []
+        for T in (t_star, 2.0 * t_star):
+            tracemalloc.start()
+            try:
+                measure_local_decay(op, win, 2.0, h, T, PPP)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2**20)
+            finally:
+                tracemalloc.stop()
+        # one (n_t, n) complex wave at n = 2048 is 8.8 MiB over [0, T*], 17.6 MiB over [0, 2T*];
+        # the decay keeps (n_t, k) coefficients, k = 30 modes
+        assert abs(peaks[1] - peaks[0]) < 0.5 and max(peaks) < 2.0, peaks
 
     def test_dispersive_smallness_monotone(self, operator):
         win = FrequencyWindow(0.3)
@@ -373,6 +391,73 @@ class TestWindowOperator:
         op, _, (_, evals, _) = case
         spectrum = operator_spectrum(op.prof)
         assert np.max(np.abs(spectrum - evals)) <= 1.0e-12 * evals[-1]
+
+
+def dense_buffer_eigen(d, e, lam_max):
+    """_eigen's dstevr call on the window (-|B|, lam_max] with an (n, n) eigenvector buffer."""
+    n, int_, real = d.size, ctypes.c_int64, ctypes.c_double
+    norm_b = np.max(np.abs(d)) + 2.0 * np.max(np.abs(e))
+    z, w, m, info = np.empty((n, n), order="F"), np.empty(n), int_(), int_()
+    lapack.DSTEVR(
+        b"V", b"V", int_(n), d.copy(), np.append(e, 0.0), real(-norm_b), real(lam_max),
+        int_(0), int_(0), real(0.0), m, w, z, int_(n), np.empty(2 * n, dtype=np.int64),
+        np.empty(20 * n), int_(20 * n), np.empty(10 * n, dtype=np.int64), int_(10 * n), info, 1, 1,
+    )
+    assert info.value == 0
+    return w[: m.value], z[:, : m.value]
+
+
+def default_bands(n):
+    return _bands(cli._profile_setup(configio.load_config(None, [f"grid.n={n}"]))[2])
+
+
+class TestEigenBuffer:
+    """_eigen sizes dstevr's eigenvector output by a Sturm count of the window's modes,
+    never below the m dstevr returns, and keeps every bit of an (n, n) buffer's modes."""
+
+    @staticmethod
+    def assert_same_modes(d, e, lam_max):
+        evals, vecs = _eigen(d, e, lam_max)
+        ref_evals, ref_vecs = dense_buffer_eigen(d, e, lam_max)
+        assert vecs.base.shape[1] >= evals.size  # dstevr wrote its m columns into the buffer
+        assert np.array_equal(evals, ref_evals) and np.array_equal(vecs, ref_vecs)
+        return evals.size
+
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 0.05])
+    @pytest.mark.parametrize("n", [128, 512, 2048])
+    def test_every_bit_of_a_dense_buffer(self, n, delta):
+        d, e = default_bands(n)
+        k = self.assert_same_modes(d, e, FrequencyWindow(delta).lam_max)
+        if (n, delta) == (128, 0.05):
+            assert k == n  # every mode lies in the window
+
+    @pytest.mark.parametrize("n, delta", [(512, 0.25), (2048, 0.1)])
+    def test_lam_max_on_an_eigenvalue(self, n, delta):
+        d, e = default_bands(n)
+        top = dense_buffer_eigen(d, e, FrequencyWindow(delta).lam_max)[0][-1]
+        # dstevr's m and dlarrc's count differ within a few ulps of an eigenvalue: at
+        # n = 512, dstevr counts the top one at lam_max = top, dlarrc only 12 ulps above.
+        # Test at top and where dlarrc's count steps past it.
+        lo, hi = top * (1.0 - 1.0e-9), top * (1.0 + 1.0e-9)
+        above = _count_at_most(d, e, hi)
+        assert _count_at_most(d, e, lo) < above
+        while np.nextafter(lo, np.inf) < hi:
+            mid = lo + 0.5 * (hi - lo)
+            lo, hi = (mid, hi) if _count_at_most(d, e, mid) < above else (lo, mid)
+        for x in (top, hi):
+            for lam_max in (np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)):
+                self.assert_same_modes(d, e, lam_max)
+
+    def test_window_buffer_is_not_n_by_n(self):
+        prof = cli._profile_setup(configio.load_config(None, ["grid.n=2048"]))[2]
+        tracemalloc.start()
+        try:
+            op = assemble_operator(prof, lam_max=64.0)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        # an (n, n) buffer is 32 MiB; the window keeps 30 modes, 0.47 MiB of vectors
+        assert op.evals.size == 30 and peak < 4.0, peak
 
 
 class TestLapackBinding:

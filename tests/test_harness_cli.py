@@ -304,17 +304,14 @@ class TestCli:
         assert main(["report", "--output", out]) == 0
         assert "diagnostics.csv" in capsys.readouterr().out
 
-    def test_final_state_is_the_last_sample(self, tmp_path, monkeypatch):
-        runs = []
-
-        def recording(*args):
-            runs.append(run_primitive(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(cli, "run_primitive", recording)
+    def test_final_state_is_the_last_sample(self, tmp_path):
         sets = [*SMALL, "--set", "params.horizon=0.3", "--set", "params.lam=0.25"]
         assert main(["simulate-primitive", *sets, "--output", str(tmp_path)]) == 0
-        (traj,) = runs
+        # the command streams its run; the same run, stacked
+        cfg = configio.load_config(None, sets[1::2])
+        _, params, prof = cli._profile_setup(cfg)
+        init = init_ill_prepared(configio.data_from(cfg), prof, params)
+        traj = run_primitive(init, prof, params, np.linspace(0.0, 0.3, cfg["run.samples"]))
         last = traj.samples.row(-1)
         with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
             assert np.array_equal(saved["fields"], last.fields) and saved["t"] == last.t == 0.3

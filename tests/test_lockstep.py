@@ -511,3 +511,22 @@ def test_streamed_sweep_working_set_does_not_grow_with_samples():
             tracemalloc.stop()
     block = 3 * len(plan.eps_list) * (ROW_BLOCK + 1) * plan.grid.n * 8
     assert plan.grid.n == 512 and abs(peaks[1] - peaks[0]) < block, peaks
+
+
+def test_simulate_primitive_working_set_does_not_grow_with_samples(tmp_path, capsys):
+    # a stacked run would hold 3 * n_samples * n floats: 2.9 MB more at 1025 samples
+    # than at 65 (n = 128); the streamed command copies only the final sample
+    peaks = []
+    for n_samples in (65, 1025):
+        sets = ["--set", "grid.n=128", "--set", f"run.samples={n_samples}"]
+        tracemalloc.start()
+        try:
+            assert main(["simulate-primitive", *sets, "--output", str(tmp_path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 3 * (ROW_BLOCK + 1) * 128 * 8
+    # what must grow is per-sample series: the ledger's nine, the sample times and the
+    # mass defect diagnostics.csv writes, under 16 floats a sample
+    series = 16 * 8 * (1025 - 65)
+    assert abs(peaks[1] - peaks[0]) < block + series, peaks
