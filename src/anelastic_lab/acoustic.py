@@ -360,10 +360,13 @@ def _windowed_modes(op, window, h, T, points_per_period, clock=1.0):
 
     Returns (times, coeffs, vecs): coeffs is the (n_t, k_active) complex
     array of the wave's coefficients on the modes the window keeps, vecs
-    those (n, k_active) modes; the wave is coeffs @ vecs.T.
+    those (n, k_active) modes, a view of op.evecs; the wave is coeffs @ vecs.T.
+    The window rises, stays flat and falls over the ascending omegas, so the
+    modes it keeps are one contiguous range.
     """
     g = window(op.omegas)  # G(sqrt(lambda)) per mode
-    active = g > 1.0e-13
+    kept = np.flatnonzero(g > 1.0e-13)
+    active = slice(kept[0], kept[-1] + 1) if kept.size else slice(0, 0)
     omegas = op.omegas[active]
     times = time_mesh(T, float(omegas.max(initial=0.0)) / clock, points_per_period)
     # one (n_t, k) table, built in place with the operations of

@@ -35,8 +35,15 @@ from .harness import (
 )
 from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
-from .primitive import DataError, PrimitiveState, SolverFailure, init_ill_prepared, run_lockstep
-from .relative_energy import AuditPass, BoundsPass, PressurePass
+from .primitive import DataError, PrimitiveState, SolverFailure, init_ill_prepared, run_primitive
+from .relative_energy import (
+    AuditPass,
+    BoundsPass,
+    PressurePass,
+    rei_audit,
+    residual_pressure_value,
+    uniform_bounds_report,
+)
 
 # the entry points: each command runs the cmd_* function of its name, dashes as underscores
 __all__ = [
@@ -128,7 +135,7 @@ def cmd_simulate_primitive(args) -> int:
             last.append(block.row(-1).fields.copy())
 
     with _leaving_failed_state(outdir, grid, params):
-        [traj] = run_lockstep([init], prof, [params], times, [[keep_last]])
+        traj = run_primitive(init, prof, params, times, [keep_last])
     rows = zip(
         traj.times,
         traj.energy,
@@ -327,12 +334,12 @@ def cmd_audit_rei(args) -> int:
     audit = AuditPass(prof, params, times, sol)
     bounds, pressure = BoundsPass(prof, params, times), PressurePass(prof, params, times, beta)
     with _leaving_failed_state(outdir, prof.grid, params):
-        [run] = run_lockstep([init], prof, [params], times, [(audit, bounds, pressure)])
-    rep = audit.report(run)
+        run = run_primitive(init, prof, params, times, (audit, bounds, pressure))
+    rep = rei_audit(audit, run)
     text = "\n".join((
         rep.summary_text(),
-        bounds.report().text(),
-        f"residual-pressure value    = {pressure.value():.17g}",
+        uniform_bounds_report(bounds).text(),
+        f"residual-pressure value    = {residual_pressure_value(pressure):.17g}",
         f"raw ansatz max-defect      = {rep.raw_max_defect:.17g}",
         f"raw perturbed max-defect   = {rep.raw_perturbed_max_defect:.17g}",
         f"perturbed strictly larger  = {rep.raw_perturbed_max_defect > rep.raw_max_defect}",

@@ -52,6 +52,8 @@ from .relative_energy import (
     PressurePass,
     constants_spread,
     fit_eps_slope,
+    residual_pressure_value,
+    uniform_bounds_report,
 )
 
 FMT = "%.17g"
@@ -111,24 +113,20 @@ class NormsPass(SamplePass):
         dtheta = s.theta - 1.0
         return n1, lp_norm(dtheta, 2.0, grid), lp_norm(dtheta / params.eps**2 - self.theta2, 2.0, grid)
 
-    def report(self, run: PrimitiveTrajectory) -> tuple[float, float, float, float]:
-        """The suprema of N1, N2a and N2b, and N3 from run's ledger."""
-        return (*(float(np.max(v)) for v in self.values), float(run.n3_integral[-1]))
 
-
-def limit_norms(traj: PrimitiveTrajectory, theta2: np.ndarray) -> tuple[float, float, float, float]:
-    """The NormsPass of a stacked trajectory."""
-    return traj.feed(NormsPass(traj.prof, traj.params, traj.times, theta2)).report(traj)
+def limit_norms(norms: NormsPass, run: PrimitiveTrajectory) -> tuple[float, float, float, float]:
+    """The suprema of N1, N2a and N2b from a NormsPass that run fed, and N3 from run's ledger."""
+    return (*(float(np.max(v)) for v in norms.values), float(run.n3_integral[-1]))
 
 
 def run_case(run: PrimitiveTrajectory, passes: tuple) -> CaseResult:
     """One sweep member's measurements, from its run and the (NormsPass, BoundsPass,
     PressurePass) its samples streamed to."""
     norms, bounds, pressure = passes
-    n1, n2a, n2b, n3 = norms.report(run)
+    n1, n2a, n2b, n3 = limit_norms(norms, run)
     return CaseResult(
-        eps=run.params.eps, bounds=bounds.report(),
-        n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=pressure.value(),
+        eps=run.params.eps, bounds=uniform_bounds_report(bounds),
+        n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=residual_pressure_value(pressure),
     )
 
 

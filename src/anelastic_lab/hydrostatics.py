@@ -44,8 +44,6 @@ class PotentialSpec:
 
     def envelope_constants(self, r_inner: float) -> tuple[float, float]:
         """(F_low, F_up) with F_low/|x| <= F <= F_up/|x| for |x| > r_inner."""
-        if r_inner <= 0.0:
-            raise DomainError("r_inner must be positive")
         f_low = self.c_f * r_inner / np.sqrt(self.a**2 + r_inner**2)
         return float(f_low), float(self.c_f)
 

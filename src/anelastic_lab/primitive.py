@@ -35,16 +35,12 @@ n = 512 its ratio to the linear-acoustic reference C eps (C = 4.569)
 reads 0.966, against 0.931 at CFL 0.4.
 
 A run streams its samples: run_lockstep keeps each member's last samples in
-a block buffer of at most ROW_BLOCK + 1 rows and hands every completed block
-to the member's consumers, so its memory does not grow with the sample
-count.  A post-run measurement is a SamplePass: its per-row arithmetic runs
-on each block, its finishing reduction (suprema, trapezoids, cumulative
-sums) on the per-sample values.  Each row reduces alone, so the blocks
-change no bit.  run_primitive keeps one run's samples stacked: its
-PrimitiveTrajectory.samples is one PrimitiveState whose rho, mom and q are
-(n_samples, n) arrays and whose t holds the sample times, and feed() hands
-its blocks to a pass as the stream would.  Both take the partition of
-row_blocks.
+a block buffer of at most ROW_BLOCK + 1 rows and hands every completed block,
+in the partition of row_blocks, to the member's consumers, so its memory does
+not grow with the sample count and no run keeps its samples.  A post-run
+measurement is a SamplePass: its per-row arithmetic runs on each block, its
+finishing reduction (suprema, trapezoids, cumulative sums) on the per-sample
+values.  Each row reduces alone, so the blocks change no bit.
 
 The runner is lockstep: run_lockstep advances members that differ only
 in eps as one (m, n) stack, one fused step call per iteration, and
@@ -73,8 +69,7 @@ from __future__ import annotations
 
 import copy
 import functools
-from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,11 +158,6 @@ class PrimitiveState:
         """Sample k (an index or a slice of rows) of a stacked state, as views."""
         return PrimitiveState.of(self.fields[:, k], self.t[k])
 
-    def blocks(self) -> Iterator[tuple[slice, "PrimitiveState"]]:
-        """(rows, self.row(rows)) over a stacked state for every rows of row_blocks."""
-        for rows in row_blocks(len(self.t)):
-            yield rows, self.row(rows)
-
 
 def row_blocks(n_samples: int) -> list[slice]:
     """The sample rows in blocks of ROW_BLOCK rows.  A one-row remainder joins the block
@@ -178,10 +168,11 @@ def row_blocks(n_samples: int) -> list[slice]:
 
 
 class SamplePass:
-    """A post-run measurement of one run, split in two.  Called on each block of sample
-    rows, as a consumer of run_lockstep or through PrimitiveTrajectory.feed, it keeps
-    measure(block), the per-row arithmetic, in values[:, rows]; a subclass's finishing
-    method then reduces those per-sample values."""
+    """A post-run measurement of one run, split in two.  As a consumer of the streamed
+    run it is called on each block of sample rows and keeps measure(block), the per-row
+    arithmetic, in values[:, rows]; after the run a function of the subclass's module
+    (limit_norms, uniform_bounds_report, residual_pressure_value, rei_audit) reduces
+    those per-sample values."""
 
     n_series: int  # rows of values, the per-sample series measure returns
 
@@ -511,10 +502,7 @@ def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
 
 @dataclass
 class PrimitiveTrajectory:
-    """Per-run conservation and energy bookkeeping, one entry per sample time, and
-    the stacked samples if the run kept them (run_primitive): samples.rho,
-    samples.mom and samples.q are then (n_samples, n) arrays and samples.t is times.
-    """
+    """Per-run conservation and energy bookkeeping, one entry per sample time."""
 
     grid: Grid
     prof: StaticProfile
@@ -530,14 +518,6 @@ class PrimitiveTrajectory:
     outer_q_flux: np.ndarray
     n3_integral: np.ndarray  # cumulative int ||sqrt(rho/rho0) u||^2_{L2(K)} dt
     step_count: int = 0
-    samples: PrimitiveState | None = None
-
-    def feed(self, consume):
-        """Hand every block of the stacked samples to consume(rows, block), as a
-        streamed run does; returns consume."""
-        for rows, block in self.samples.blocks():
-            consume(rows, block)
-        return consume
 
 
 def run_lockstep(
@@ -653,15 +633,10 @@ def run_lockstep(
 
 
 def run_primitive(
-    init: PrimitiveState, prof: StaticProfile, params: ScalingParams, sample_times: np.ndarray
+    init: PrimitiveState, prof: StaticProfile, params: ScalingParams, sample_times: np.ndarray,
+    consumers,
 ) -> PrimitiveTrajectory:
-    """Advance one run to every sample time, run_lockstep with one member, and keep
-    its samples stacked."""
-    stack = np.empty((3, len(sample_times), prof.grid.n))
-
-    def keep(rows, block):
-        stack[:, rows] = block.fields
-
-    [traj] = run_lockstep([init], prof, [params], sample_times, [[keep]])
-    return replace(traj, samples=PrimitiveState.of(stack, traj.times))
-
+    """Advance one run to every sample time, streaming its samples to consumers:
+    run_lockstep with one member."""
+    [traj] = run_lockstep([init], prof, [params], sample_times, [consumers])
+    return traj

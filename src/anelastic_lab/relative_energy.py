@@ -13,10 +13,10 @@ reports the signed defect, which must stay below a budget calibrated to
 the scheme's numerical dissipation.  Time derivatives of the acoustic
 pieces are taken from the wave equations analytically, never by finite
 differencing the samples.  Each measurement is a SamplePass: its per-row
-arithmetic runs on blocks of about 8 sample rows, which a streamed run or a
-stacked trajectory hands it, and the audit evaluates its ansatz per block;
-uniform_bounds_report, residual_pressure_value and rei_audit feed one the
-blocks of a stacked trajectory and return its finishing reduction.
+arithmetic runs on the blocks of about 8 sample rows that the streamed run hands
+it, and the audit evaluates its ansatz per block; uniform_bounds_report,
+residual_pressure_value and rei_audit are the finishing reductions of a pass the
+run has fed.
 """
 
 from __future__ import annotations
@@ -153,37 +153,34 @@ class BoundsPass(SamplePass):
         r7 = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
         return (sq_u, *rates, r5, r6, r7)
 
-    def report(self) -> BoundsReport:
-        params, times, (sq_u, *rates, r5, r6, r7) = self.params, self.times, self.values
-        eps, alpha = params.eps, params.alpha
-        sup_sqrho_u = float(np.max(np.sqrt(sq_u)))
-        dev_l2, div_l2, w12_l2 = (float(np.sqrt(np.trapezoid(r, times))) for r in rates)
-        sup_r5, sup_r6, sup_r7 = float(np.max(r5)), float(np.max(r6)), float(np.max(r7))
 
-        lhs = {
-            "r2": sup_sqrho_u,
-            "r3": dev_l2,
-            "r4": np.sqrt(params.lam) * div_l2,
-            "r5": sup_r5,
-            "r6": sup_r6,
-            "r7": sup_r7,
-            "r8": w12_l2,
-        }
-        constants = {
-            "r2": sup_sqrho_u,
-            "r3": eps ** (alpha / 2.0) * dev_l2,
-            "r4": eps ** (alpha / 2.0) * np.sqrt(params.lam) * div_l2,
-            "r5": sup_r5,
-            "r6": sup_r6,
-            "r7": sup_r7 / eps**2,
-            "r8": eps ** (alpha / 2.0) * w12_l2,
-        }
-        return BoundsReport(lhs=lhs, constants=constants)
+def uniform_bounds_report(bounds: BoundsPass) -> BoundsReport:
+    """The bounds' left-hand sides and implied constants, from a fed BoundsPass."""
+    params, times, (sq_u, *rates, r5, r6, r7) = bounds.params, bounds.times, bounds.values
+    eps, alpha = params.eps, params.alpha
+    sup_sqrho_u = float(np.max(np.sqrt(sq_u)))
+    dev_l2, div_l2, w12_l2 = (float(np.sqrt(np.trapezoid(r, times))) for r in rates)
+    sup_r5, sup_r6, sup_r7 = float(np.max(r5)), float(np.max(r6)), float(np.max(r7))
 
-
-def uniform_bounds_report(traj: PrimitiveTrajectory) -> BoundsReport:
-    """The BoundsPass of a stacked trajectory."""
-    return traj.feed(BoundsPass(traj.prof, traj.params, traj.times)).report()
+    lhs = {
+        "r2": sup_sqrho_u,
+        "r3": dev_l2,
+        "r4": np.sqrt(params.lam) * div_l2,
+        "r5": sup_r5,
+        "r6": sup_r6,
+        "r7": sup_r7,
+        "r8": w12_l2,
+    }
+    constants = {
+        "r2": sup_sqrho_u,
+        "r3": eps ** (alpha / 2.0) * dev_l2,
+        "r4": eps ** (alpha / 2.0) * np.sqrt(params.lam) * div_l2,
+        "r5": sup_r5,
+        "r6": sup_r6,
+        "r7": sup_r7 / eps**2,
+        "r8": eps ** (alpha / 2.0) * w12_l2,
+    }
+    return BoundsReport(lhs=lhs, constants=constants)
 
 
 CONSTANT_FLOOR = 1.0e-14  # an implied constant at or below it counts as zero
@@ -215,13 +212,10 @@ class PressurePass(SamplePass):
         res_q = (1.0 - self.prof.cutoff.chi(q)) * q
         return np.sum(res_q**self.power * self.grid.weights[self.mask], axis=-1)
 
-    def value(self) -> float:
-        return float(np.trapezoid(self.values[0], self.times))
 
-
-def residual_pressure_value(traj: PrimitiveTrajectory, beta: float) -> float:
-    """The PressurePass of a stacked trajectory."""
-    return traj.feed(PressurePass(traj.prof, traj.params, traj.times, beta)).value()
+def residual_pressure_value(pressure: PressurePass) -> float:
+    """The space-time integral, from a fed PressurePass."""
+    return float(np.trapezoid(pressure.values[0], pressure.times))
 
 
 SLOPE_FLOOR = 1.0e-30
@@ -392,41 +386,38 @@ class AuditPass(SamplePass):
         rates["theta"][:] = integrate(g_theta, grid)
         return out
 
-    def report(self, run: PrimitiveTrajectory) -> REIReport:
-        """The cumulative series and defects; the tolerance reads run's initial energy."""
-        times, values = self.times, self.values
 
-        def cumulative(r: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(r)
-            out[1:] = np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(times))
-            return out
+def rei_audit(audit: AuditPass, run: PrimitiveTrajectory) -> REIReport:
+    """The cumulative series and defects, from an AuditPass that run fed; the tolerance
+    reads run's initial energy."""
+    times, values = audit.times, audit.values
 
-        e_series, diss_rates, raw_rates = values[0:2], values[2:4], values[4:10].reshape(3, 2, -1)
-        lhs_k = [e - e[0] + cumulative(diss) for e, diss in zip(e_series, diss_rates)]
-        raw_max = [
-            float(np.max(lhs - sum(cumulative(r) for r in raw_rates[:, k])))
-            for k, lhs in enumerate(lhs_k)
-        ]
-        lhs = lhs_k[0]
-        rhs_groups = {name: cumulative(r) for name, r in zip(REI_GROUPS, values[10:])}
-        defect = lhs - sum(rhs_groups.values())
+    def cumulative(r: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(r)
+        out[1:] = np.cumsum(0.5 * (r[1:] + r[:-1]) * np.diff(times))
+        return out
 
-        # budget: one percent of the larger of the initial relative energy
-        # and the run's total energy reservoir (the scale every dissipation
-        # mechanism draws from), frozen after static-case calibration
-        tolerance = 1.0e-2 * max(e_series[0][0], float(run.energy[0])) + 1.0e-12
-        return REIReport(
-            times=times,
-            rel_energy=e_series[0],
-            lhs=lhs,
-            rhs_groups=rhs_groups,
-            defect=defect,
-            tolerance=tolerance,
-            raw_max_defect=raw_max[0],
-            raw_perturbed_max_defect=raw_max[1],
-        )
+    e_series, diss_rates, raw_rates = values[0:2], values[2:4], values[4:10].reshape(3, 2, -1)
+    lhs_k = [e - e[0] + cumulative(diss) for e, diss in zip(e_series, diss_rates)]
+    raw_max = [
+        float(np.max(lhs - sum(cumulative(r) for r in raw_rates[:, k])))
+        for k, lhs in enumerate(lhs_k)
+    ]
+    lhs = lhs_k[0]
+    rhs_groups = {name: cumulative(r) for name, r in zip(REI_GROUPS, values[10:])}
+    defect = lhs - sum(rhs_groups.values())
 
-
-def rei_audit(traj: PrimitiveTrajectory, acoustic: SpectralWaveSolution) -> REIReport:
-    """The AuditPass of a stacked trajectory."""
-    return traj.feed(AuditPass(traj.prof, traj.params, traj.times, acoustic)).report(traj)
+    # budget: one percent of the larger of the initial relative energy
+    # and the run's total energy reservoir (the scale every dissipation
+    # mechanism draws from), frozen after static-case calibration
+    tolerance = 1.0e-2 * max(e_series[0][0], float(run.energy[0])) + 1.0e-12
+    return REIReport(
+        times=times,
+        rel_energy=e_series[0],
+        lhs=lhs,
+        rhs_groups=rhs_groups,
+        defect=defect,
+        tolerance=tolerance,
+        raw_max_defect=raw_max[0],
+        raw_perturbed_max_defect=raw_max[1],
+    )

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import stacked_run
 
 from anelastic_lab import configio
 from anelastic_lab.acoustic import (
@@ -44,7 +45,14 @@ from anelastic_lab.primitive import (
     init_ill_prepared,
     run_primitive,
 )
-from anelastic_lab.relative_energy import rei_audit, rel_energy, residual_pressure_value, fit_eps_slope
+from anelastic_lab.relative_energy import (
+    AuditPass,
+    PressurePass,
+    fit_eps_slope,
+    rei_audit,
+    rel_energy,
+    residual_pressure_value,
+)
 
 GAMMA = 5.0 / 3.0
 PPP = configio.DEFAULTS["acoustic.points_per_period"]
@@ -83,7 +91,8 @@ def sweep_report():
 
 @pytest.fixture(scope="module")
 def rei_pipeline():
-    """Quarantined eps = 0.2 pipeline: primitive run plus acoustic ansatz."""
+    """Quarantined eps = 0.2 pipeline: the primitive run streamed to an audit against
+    the acoustic ansatz, as audit-rei runs it, and the audit's report."""
     grid = Grid("radial", 512, 16.0, 12.0)
     params = ScalingParams(eps=0.2, alpha=1.0, horizon=2.5)
     prof = build_profile(PotentialSpec(), params, grid)
@@ -92,9 +101,9 @@ def rei_pipeline():
     horizon = min(params.horizon, audit_quarantine_time(prof, params))
     times = time_mesh(horizon, (2.0 / delta) / params.eps, PPP)
     init = init_ill_prepared(data, prof, params)
-    traj = run_primitive(init, prof, params, times)
-    sol = acoustic_ansatz(data, prof, params.eps, delta)
-    return grid, params, prof, traj, sol
+    audit = AuditPass(prof, params, times, acoustic_ansatz(data, prof, params.eps, delta))
+    run = run_primitive(init, prof, params, times, [audit])
+    return grid, params, prof, rei_audit(audit, run)
 
 
 def test_c01_hydrostatic_order():
@@ -211,7 +220,7 @@ def test_c05_wave_speed():
     init = PrimitiveState(
         rho=prof.rho0 + bump.field(grid), mom=np.zeros(n), q=prof.rho0 + bump.field(grid)
     )
-    traj = run_primitive(init, prof, params, np.array([0.0, 2.0, 6.0]))
+    _, samples = stacked_run(init, prof, params, np.array([0.0, 2.0, 6.0]))
     r = grid.centers
 
     def peak(state):
@@ -220,7 +229,6 @@ def test_c05_wave_speed():
         a, b, c = y[i - 1], y[i], y[i + 1]
         return r[i] + 0.5 * (a - c) / (a - 2 * b + c) * grid.h
 
-    samples = traj.samples
     speed = (peak(samples.row(2)) - peak(samples.row(1))) / 4.0
     target = np.sqrt(GAMMA)
     rel = abs(speed - target) / target
@@ -284,14 +292,14 @@ def test_c08_primitive_solver():
         g = Grid("radial", n, 16.0, 12.0)
         prof = build_profile(PotentialSpec(), params, g)
         init = PrimitiveState(rho=prof.rho0.copy(), mom=np.zeros(n), q=prof.rho0.copy())
-        traj = run_primitive(init, prof, params, np.array([0.0, 1.0]))
-        drifts.append(lp_norm(traj.samples.rho[-1] - prof.rho0, np.inf, g))
+        _, samples = stacked_run(init, prof, params, np.array([0.0, 1.0]))
+        drifts.append(lp_norm(samples.rho[-1] - prof.rho0, np.inf, g))
     balanced = all(d <= (16.0 / n) ** 2 for d, n in zip(drifts, (256, 512)))
 
     g = Grid("radial", 512, 16.0, 12.0)
     prof = build_profile(PotentialSpec(), params, g)
     init = init_ill_prepared(canonical_data(), prof, params)
-    traj = run_primitive(init, prof, params, np.linspace(0.0, 2.5, 65))
+    traj = run_primitive(init, prof, params, np.linspace(0.0, 2.5, 65), [])
     mass_defect = abs(
         traj.mass[-1] - traj.mass[0] + traj.outer_mass_flux[-1] + traj.sponge_mass[-1]
     )
@@ -311,8 +319,7 @@ def test_c08_primitive_solver():
 
 def test_c09_relative_energy(rei_pipeline):
     t0 = time.time()
-    grid, params, prof, traj, sol = rei_pipeline
-    rep = rei_audit(traj, sol)
+    grid, params, prof, rep = rei_pipeline
     nonneg = bool(np.all(rep.rel_energy >= 0.0))
 
     matched = PrimitiveState(
@@ -341,8 +348,7 @@ def test_c09_relative_energy(rei_pipeline):
 
 def test_c10_rei_audit(rei_pipeline):
     t0 = time.time()
-    grid, params, prof, traj, sol = rei_pipeline
-    rep = rei_audit(traj, sol)
+    rep = rei_pipeline[-1]
     larger = rep.raw_perturbed_max_defect > rep.raw_max_defect
     ok = rep.passed and larger
     verdict(
@@ -382,8 +388,10 @@ def test_c12_residual_pressure(sweep_report):
         prof = build_profile(PotentialSpec(), params, g)
         data = IllPreparedData(rho1=GaussianBump(25.0, 0.8), theta2=GaussianBump(0.2, 1.0))
         init = init_ill_prepared(data, prof, params)
-        traj = run_primitive(init, prof, params, np.linspace(0.0, 0.6, 41))
-        values.append(residual_pressure_value(traj, 0.5))
+        times = np.linspace(0.0, 0.6, 41)
+        pressure = PressurePass(prof, params, times, 0.5)
+        run_primitive(init, prof, params, times, [pressure])
+        values.append(residual_pressure_value(pressure))
     slope = fit_eps_slope(eps_list, values)
     strong_ok = all(v > 0.0 for v in values) and slope >= 2.0
     ok = main_ok and strong_ok

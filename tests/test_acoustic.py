@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anelastic_lab import cli, configio
+from anelastic_lab import acoustic, cli, configio
 from anelastic_lab import lapack
 from anelastic_lab.acoustic import (
     _BLOCK_CELLS,
@@ -327,6 +327,37 @@ class TestMeasurements:
         # one (n_t, n) complex wave at n = 2048 is 8.8 MiB over [0, T*], 17.6 MiB over [0, 2T*];
         # the decay keeps (n_t, k) coefficients, k = 30 modes
         assert abs(peaks[1] - peaks[0]) < 0.5 and max(peaks) < 2.0, peaks
+
+    @pytest.mark.parametrize(
+        "sets",
+        [["grid.n=512"], ["grid.n=2048"], ["grid.n=128", "acoustic.delta=0.05"],
+         ["acoustic.delta=0.7"]],
+    )
+    def test_window_modes_are_a_view_that_keeps_every_bit(self, sets, monkeypatch):
+        # the series of the decay and strichartz commands, against the boolean-mask copy
+        # of the modes; the coefficients are the same elements either way.  The window
+        # keeps every computed mode but at delta = 0.7, where it drops the lowest one
+        cfg = configio.load_config(None, sets)
+        prof, win, op, h = cli._acoustic_setup(cfg)
+        t_star = crossing_time(prof)
+        assert np.shares_memory(_windowed_modes(op, win, h, t_star, PPP)[2], op.evecs)
+
+        def series():
+            decay = measure_local_decay(op, win, cfg["acoustic.ball_radius"], h, 2.0 * t_star, PPP)
+            p, q = cfg["acoustic.p"], cfg["acoustic.q"]
+            return decay.series, measure_strichartz(op, win, h, p, q, t_star, PPP).series
+
+        viewed, real = series(), acoustic._windowed_modes
+
+        def masked(op, window, *args):
+            times, c, vecs = real(op, window, *args)
+            copy = op.evecs[:, window(op.omegas) > 1.0e-13]
+            assert np.array_equal(copy, vecs)
+            return times, c, copy
+
+        monkeypatch.setattr(acoustic, "_windowed_modes", masked)
+        for view, mask in zip(viewed, series()):
+            assert np.array_equal(view, mask)
 
     def test_dispersive_smallness_monotone(self, operator):
         win = FrequencyWindow(0.3)

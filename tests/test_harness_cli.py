@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import stacked_run
 
 from anelastic_lab import anelastic, cli, configio, harness, helmholtz, hydrostatics, lapack
 from anelastic_lab.cli import main
@@ -91,8 +92,9 @@ class TestSweep:
             params = plan.params.with_eps(eps)
             prof = build_profile(plan.potential, params, plan.grid)
             init = init_ill_prepared(plan.data, prof, params)
-            traj = run_primitive(init, prof, params, np.linspace(0.0, params.horizon, 17))
-            return harness.limit_norms(traj, plan.data.theta2.field(plan.grid))[2]
+            times = np.linspace(0.0, params.horizon, 17)
+            norms = harness.NormsPass(prof, params, times, plan.data.theta2.field(plan.grid))
+            return harness.limit_norms(norms, run_primitive(init, prof, params, times, [norms]))[2]
 
         coarse, fine = n2b(128, 0.4), n2b(128, 0.2)
         assert fine > coarse
@@ -311,8 +313,8 @@ class TestCli:
         cfg = configio.load_config(None, sets[1::2])
         _, params, prof = cli._profile_setup(cfg)
         init = init_ill_prepared(configio.data_from(cfg), prof, params)
-        traj = run_primitive(init, prof, params, np.linspace(0.0, 0.3, cfg["run.samples"]))
-        last = traj.samples.row(-1)
+        traj, samples = stacked_run(init, prof, params, np.linspace(0.0, 0.3, cfg["run.samples"]))
+        last = samples.row(-1)
         with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
             assert np.array_equal(saved["fields"], last.fields) and saved["t"] == last.t == 0.3
             assert (str(saved["geometry"]), int(saved["n"])) == ("radial", 96)

@@ -11,8 +11,9 @@ reference bit for bit up to the viscous solve, which must match a dense
 solve, and return no view of the work buffers its aux reuses.  The
 implicit viscous force must leave a stiff run at the hyperbolic dt.
 A run streams its samples to its passes in blocks: every streamed
-measurement must equal the stacked entry point's on the run alone, bit for
-bit, and a streamed sweep's memory must not grow with its sample count.
+measurement must equal, bit for bit, the same pass fed the blocks of the
+run alone's stacked samples, and a streamed sweep's memory must not grow
+with its sample count.
 """
 
 import ctypes
@@ -20,6 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import feed, stacked_run
 
 from anelastic_lab import configio, lapack, primitive, relative_energy
 from anelastic_lab.cli import main
@@ -28,6 +30,7 @@ from anelastic_lab.harness import (
     SweepPlan,
     acoustic_ansatz,
     audit_quarantine_time,
+    NormsPass,
     limit_norms,
     sweep_epsilon,
 )
@@ -80,7 +83,8 @@ def members(eps_list, **sets):
 
 
 def lockstep(inits, prof, params, times):
-    """run_lockstep, each member's streamed blocks stacked as run_primitive stacks them."""
+    """run_lockstep's trajectories, each with its member's streamed blocks stacked as
+    stacked_run stacks them."""
     stacks = np.empty((len(inits), 3, times.size, prof.grid.n))
 
     def keeper(stack):
@@ -90,18 +94,16 @@ def lockstep(inits, prof, params, times):
         return [keep]
 
     runs = run_lockstep(inits, prof, params, times, [keeper(stack) for stack in stacks])
-    for run, stack in zip(runs, stacks):
-        run.samples = PrimitiveState.of(stack, times)
-    return runs
+    return [(run, PrimitiveState.of(stack, times)) for run, stack in zip(runs, stacks)]
 
 
 def test_members_reproduce_their_runs_alone_bit_for_bit():
     prof, params, inits, times = members(EPS)
     together = lockstep(inits, prof, params, times)
-    for init, p, traj in zip(inits, params, together):
-        alone = run_primitive(init, prof, p, times)
+    for init, p, (traj, samples) in zip(inits, params, together):
+        alone, alone_samples = stacked_run(init, prof, p, times)
         assert traj.params == p and traj.step_count == alone.step_count > 0
-        assert np.array_equal(traj.samples.fields, alone.samples.fields)
+        assert np.array_equal(samples.fields, alone_samples.fields)
         assert np.array_equal(traj.times, alone.times)
         for name in SERIES:
             assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
@@ -144,7 +146,7 @@ def test_sweep_makes_one_step_call_per_lockstep_iteration(monkeypatch):
     per_interval = np.zeros((3, times.size), dtype=int)
     for j, (init, p) in enumerate(zip(inits, params)):
         del calls[:]
-        run_primitive(init, prof, p, times)
+        run_primitive(init, prof, p, times, [])
         for ((eps, k),) in calls:
             per_interval[j, k] += 1
     del calls[:]
@@ -278,10 +280,10 @@ def test_stiff_viscosity_runs_at_the_hyperbolic_dt():
     # at mu = 20 an explicit viscous limit CFL h^2 min(rho) / (2 eps^alpha 4 mu / 3)
     # would take about five times the steps of the hyperbolic one
     (prof, [p], [init], times), inviscid = members((0.2,), mu=20.0), members((0.2,), mu=0.0)
-    traj = run_primitive(init, prof, p, times)
-    alone = run_primitive(inviscid[2][0], inviscid[0], inviscid[1][0], times)
+    traj, samples = stacked_run(init, prof, p, times)
+    alone = run_primitive(inviscid[2][0], inviscid[0], inviscid[1][0], times, [])
     viscous_dt = CFL * 0.5 * prof.grid.h**2 * prof.rho0.min() / (p.eps**p.alpha * 4.0 * p.mu / 3.0)
-    assert traj.times[-1] == p.horizon and np.isfinite(traj.samples.fields).all()
+    assert traj.times[-1] == p.horizon and np.isfinite(samples.fields).all()
     assert traj.step_count <= 1.05 * alone.step_count < 0.25 * p.horizon / viscous_dt
     assert np.all(np.diff(traj.energy) <= 1.0e-3 * traj.energy[0])  # c08's tolerance
 
@@ -438,11 +440,11 @@ def test_folded_ledger_equals_the_per_step_ledger(monkeypatch, rows):
     prof, params, inits, times = members(EPS)
     times = times[::8]
     default = lockstep(inits, prof, params, times)
-    assert default[-1].step_count > 2 * (times.size - 1) * primitive._BLOCK
+    assert default[-1][0].step_count > 2 * (times.size - 1) * primitive._BLOCK
     monkeypatch.setattr(primitive, "_BLOCK", rows)
-    for traj, folded in zip(default, lockstep(inits, prof, params, times)):
+    for (traj, samples), (folded, folded_samples) in zip(default, lockstep(inits, prof, params, times)):
         assert folded.step_count == traj.step_count
-        assert np.array_equal(folded.samples.fields, traj.samples.fields)
+        assert np.array_equal(folded_samples.fields, samples.fields)
         assert np.array_equal(folded.times, traj.times)
         for name in SERIES:
             assert np.array_equal(getattr(folded, name), getattr(traj, name)), name
@@ -470,11 +472,12 @@ def test_streamed_measurements_equal_the_stacked_ones(sets):
     prof, params, inits, times = members(EPS[:3], **sets)
     theta2 = plan.data.theta2.field(prof.grid)
     for j, (init, p) in enumerate(zip(inits, params)):
-        traj = run_primitive(init, prof, p, times)
-        n1, n2a, n2b, n3 = limit_norms(traj, theta2)
+        traj, samples = stacked_run(init, prof, p, times)
+        n1, n2a, n2b, n3 = limit_norms(feed(samples, NormsPass(prof, p, times, theta2)), traj)
         assert (report.n1[j], report.n2a[j], report.n2b[j], report.n3[j]) == (n1, n2a, n2b, n3)
-        assert report.r12[j] == residual_pressure_value(traj, plan.beta)
-        assert report.bounds[j] == uniform_bounds_report(traj)
+        pressure = feed(samples, PressurePass(prof, p, times, plan.beta))
+        assert report.r12[j] == residual_pressure_value(pressure)
+        assert report.bounds[j] == uniform_bounds_report(feed(samples, BoundsPass(prof, p, times)))
 
     # the audit as audit-rei streams it, against the audit of the stacked run
     p, data = params[-1], plan.data
@@ -482,9 +485,9 @@ def test_streamed_measurements_equal_the_stacked_ones(sets):
     sol = acoustic_ansatz(data, prof, p.eps, cfg["acoustic.delta"])
     audit = AuditPass(prof, p, times, sol)
     bounds, pressure = BoundsPass(prof, p, times), PressurePass(prof, p, times, plan.beta)
-    [run] = run_lockstep([inits[-1]], prof, [p], times, [(audit, bounds, pressure)])
-    streamed, traj = audit.report(run), run_primitive(inits[-1], prof, p, times)
-    stacked = rei_audit(traj, sol)
+    run = run_primitive(inits[-1], prof, p, times, (audit, bounds, pressure))
+    streamed, (traj, samples) = rei_audit(audit, run), stacked_run(inits[-1], prof, p, times)
+    stacked = rei_audit(feed(samples, AuditPass(prof, p, times, sol)), traj)
     assert np.array_equal(streamed.times, stacked.times)
     for name in ("rel_energy", "lhs", "defect"):
         assert np.array_equal(getattr(streamed, name), getattr(stacked, name)), name
@@ -493,8 +496,10 @@ def test_streamed_measurements_equal_the_stacked_ones(sets):
         assert np.array_equal(streamed.rhs_groups[name], series), name
     for name in ("tolerance", "raw_max_defect", "raw_perturbed_max_defect"):
         assert getattr(streamed, name) == getattr(stacked, name), name
-    assert bounds.report() == uniform_bounds_report(traj)
-    assert pressure.value() == residual_pressure_value(traj, plan.beta)
+    assert uniform_bounds_report(bounds) == uniform_bounds_report(
+        feed(samples, BoundsPass(prof, p, times)))
+    assert residual_pressure_value(pressure) == residual_pressure_value(
+        feed(samples, PressurePass(prof, p, times, plan.beta)))
 
 
 def test_streamed_sweep_working_set_does_not_grow_with_samples():

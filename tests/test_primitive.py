@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import stacked_run
 
 from anelastic_lab import primitive
 from anelastic_lab.grids import Grid, integrate, lp_norm, radial_divergence
@@ -186,13 +187,13 @@ def step_spectral_radius(monkeypatch, prof, params, cfl, delta=1.0e-7) -> float:
 @pytest.fixture(scope="module")
 def short_run(radial_profile, radial_grid):
     init = init_ill_prepared(acoustic_data(), radial_profile, EPS02)
-    return run_primitive(init, radial_profile, EPS02, np.linspace(0.0, 1.0, 11))
+    return run_primitive(init, radial_profile, EPS02, np.linspace(0.0, 1.0, 11), [])
 
 
 @pytest.fixture(scope="module")
 def renorm_traj(radial_profile, radial_grid):
     init = init_ill_prepared(acoustic_data(), radial_profile, EPS02)
-    return run_primitive(init, radial_profile, EPS02, np.linspace(0.0, 0.5, 26))
+    return stacked_run(init, radial_profile, EPS02, np.linspace(0.0, 0.5, 26))
 
 
 class TestRun:
@@ -216,7 +217,7 @@ class TestRun:
             q=radial_profile.rho0.copy(),
         )
         traj = run_primitive(
-            init, radial_profile, EPS02, np.array([0.0, 0.5, 1.0])
+            init, radial_profile, EPS02, np.array([0.0, 0.5, 1.0]), []
         )
         assert np.max(np.abs(traj.energy)) < 1.0e-10
 
@@ -224,7 +225,7 @@ class TestRun:
         data = IllPreparedData(vel_potential=GaussianBump(0.5, 1.5))
         init = init_ill_prepared(data, radial_profile, EPS02)
         traj = run_primitive(
-            init, radial_profile, EPS02, np.linspace(0.0, 0.6, 7)
+            init, radial_profile, EPS02, np.linspace(0.0, 0.6, 7), []
         )
         assert np.all(np.diff(traj.energy) <= 1.0e-3 * traj.energy[0])
 
@@ -234,8 +235,8 @@ class TestRun:
             g = Grid("radial", n, 16.0, 12.0)
             prof = build_profile(PotentialSpec(), EPS02, g)
             init = PrimitiveState(rho=prof.rho0.copy(), mom=np.zeros(n), q=prof.rho0.copy())
-            traj = run_primitive(init, prof, EPS02, np.array([0.0, 0.5]))
-            drifts.append(lp_norm(traj.samples.rho[-1] - prof.rho0, np.inf, g))
+            _, samples = stacked_run(init, prof, EPS02, np.array([0.0, 0.5]))
+            drifts.append(lp_norm(samples.rho[-1] - prof.rho0, np.inf, g))
         # the equilibrium-variable dissipation keeps the state exact, which
         # satisfies the O(h^2) drift bound trivially
         for n, drift in zip((128, 256), drifts):
@@ -262,7 +263,7 @@ class TestRun:
         monkeypatch.setattr(primitive, "sound_speed", counting_sound_speed)
         monkeypatch.setattr(PrimitiveState, "velocity", property(counting_velocity))
         times = np.linspace(0.0, 0.2, 3)
-        traj = run_primitive(init, prof, params, times)
+        traj = run_primitive(init, prof, params, times, [])
         steps = traj.step_count
         assert calls["sound_speed"] == steps > 0
         # one in the step, one shared by the ledger rates, one per sample
@@ -286,14 +287,16 @@ class TestEnergyFunctional:
         assert per_volume == pytest.approx(44.0, rel=1.0e-12)
 
 
-def renorm_defect(traj, b, db) -> float:
-    """Largest renormalized-transport defect of b (derivative db) along a run.
+def renorm_defect(run, b, db) -> float:
+    """Largest renormalized-transport defect of b (derivative db) along a run, given
+    as its trajectory and stacked samples.
 
     Between consecutive samples d/dt int b(q) is compared against
     int (b - b' q) div u, charging the sponge sink and the outer boundary
     convection to the budget; the residue is normalized by int |b|.
     """
-    prof, grid, s = traj.prof, traj.grid, traj.samples
+    traj, s = run
+    prof, grid = traj.prof, traj.grid
     bq, dbq, u = b(s.q), db(s.q), s.velocity
     rhs = integrate((bq - dbq * s.q) * radial_divergence(u, grid), grid)
     sig_w = PrimitiveAux(prof, [traj.params]).sig_w
@@ -325,9 +328,9 @@ class TestRenormalization:
             g = Grid("radial", n, 16.0, 12.0)
             prof = build_profile(PotentialSpec(), EPS02, g)
             init = init_ill_prepared(acoustic_data(), prof, EPS02)
-            traj = run_primitive(init, prof, EPS02, np.linspace(0.0, 0.4, 33))
+            run = stacked_run(init, prof, EPS02, np.linspace(0.0, 0.4, 33))
             # a renormalization b is capped beyond the range of q; here q stays below the cap
-            assert traj.samples.q.max() < 2.0 * prof.rho_max
-            defects.append(renorm_defect(traj, np.square, lambda y: 2.0 * y))
+            assert run[1].q.max() < 2.0 * prof.rho_max
+            defects.append(renorm_defect(run, np.square, lambda y: 2.0 * y))
         assert defects[0] / defects[1] >= 1.8
 

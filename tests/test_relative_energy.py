@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import feed, stacked_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,11 +26,15 @@ from anelastic_lab.primitive import (
     PrimitiveAux,
     PrimitiveState,
     init_ill_prepared,
+    row_blocks,
     run_primitive,
     total_energy,
     viscous_dissipation_rate,
 )
 from anelastic_lab.relative_energy import (
+    AuditPass,
+    BoundsPass,
+    PressurePass,
     _velocity_rates,
     fit_eps_slope,
     h_bracket,
@@ -44,14 +49,20 @@ EPS02 = ScalingParams(eps=0.2, horizon=1.0)
 
 
 def small_audit_case(n: int, n_samples: int):
-    """A run on n cells of radius 8 sampled at n_samples times, and its acoustic ansatz."""
+    """A run on n cells of radius 8 sampled at n_samples times, its stacked samples and
+    its acoustic ansatz."""
     params = ScalingParams(eps=0.4, horizon=0.2)
     prof = build_profile(PotentialSpec(), params, Grid("radial", n, 8.0, 6.0))
     bump = GaussianBump(0.3, 1.0)
     data = IllPreparedData(rho1=bump, vel_potential=bump)
     times = np.linspace(0.0, params.horizon, n_samples)
-    traj = run_primitive(init_ill_prepared(data, prof, params), prof, params, times)
-    return traj, acoustic_ansatz(data, prof, params.eps, 0.25)
+    traj, samples = stacked_run(init_ill_prepared(data, prof, params), prof, params, times)
+    return traj, samples, acoustic_ansatz(data, prof, params.eps, 0.25)
+
+
+def streamed(init, prof, params, times, measurement):
+    """The run of init streamed to measurement, and the run."""
+    return measurement, run_primitive(init, prof, params, times, [measurement])
 
 
 class TestRelEnergy:
@@ -149,10 +160,9 @@ class TestUniformBounds:
             mom=np.zeros(radial_grid.n),
             q=radial_profile.rho0.copy(),
         )
-        traj = run_primitive(
-            init, radial_profile, EPS02, np.array([0.0, 0.3])
-        )
-        rep = uniform_bounds_report(traj)
+        times = np.array([0.0, 0.3])
+        bounds, _ = streamed(init, radial_profile, EPS02, times, BoundsPass(radial_profile, EPS02, times))
+        rep = uniform_bounds_report(bounds)
         for key in ("r2", "r3", "r5", "r6", "r7", "r8"):
             assert rep.constants[key] < 1.0e-10
 
@@ -163,10 +173,9 @@ class TestUniformBounds:
             theta2=GaussianBump(0.4, 1.2),
         )
         init = init_ill_prepared(data, radial_profile, EPS02)
-        traj = run_primitive(
-            init, radial_profile, EPS02, np.linspace(0.0, 0.5, 11)
-        )
-        rep = uniform_bounds_report(traj)
+        times = np.linspace(0.0, 0.5, 11)
+        bounds, _ = streamed(init, radial_profile, EPS02, times, BoundsPass(radial_profile, EPS02, times))
+        rep = uniform_bounds_report(bounds)
         for key, value in rep.constants.items():
             assert np.isfinite(value), key
         assert rep.constants["r5"] > 0.0
@@ -178,8 +187,9 @@ class TestResidualPressure:
     def test_mild_data_zero(self, radial_profile, radial_grid):
         data = IllPreparedData(rho1=GaussianBump(0.3, 1.0))
         init = init_ill_prepared(data, radial_profile, EPS02)
-        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.2]))
-        val = residual_pressure_value(traj, 0.5)
+        times = np.array([0.0, 0.2])
+        pressure = PressurePass(radial_profile, EPS02, times, 0.5)
+        val = residual_pressure_value(streamed(init, radial_profile, EPS02, times, pressure)[0])
         assert val == 0.0
 
     def test_strong_data_slope(self):
@@ -193,8 +203,9 @@ class TestResidualPressure:
             prof = build_profile(PotentialSpec(), params, g)
             data = IllPreparedData(rho1=GaussianBump(25.0, 0.8))
             init = init_ill_prepared(data, prof, params)
-            traj = run_primitive(init, prof, params, np.linspace(0.0, 0.4, 21))
-            values.append(residual_pressure_value(traj, 0.5))
+            times = np.linspace(0.0, 0.4, 21)
+            pressure, _ = streamed(init, prof, params, times, PressurePass(prof, params, times, 0.5))
+            values.append(residual_pressure_value(pressure))
         assert values[0] > values[1] > 0.0
         assert fit_eps_slope(eps_list, values) >= 2.0
 
@@ -204,16 +215,17 @@ class TestResidualPressure:
         params = ScalingParams(eps=0.2, horizon=0.4)
         prof = build_profile(PotentialSpec(), params, g)
         init = init_ill_prepared(IllPreparedData(rho1=GaussianBump(25.0, 0.8)), prof, params)
-        traj = run_primitive(init, prof, params, np.linspace(0.0, 0.4, 17))
+        traj, samples = stacked_run(init, prof, params, np.linspace(0.0, 0.4, 17))
         cut = prof.cutoff
         mask = g.ball_mask(3.0)
         rates = [
             np.sum(((1.0 - cut.chi(q)) * q)[mask] ** (params.gamma + 0.5) * g.weights[mask])
-            for q in traj.samples.q
+            for q in samples.q
         ]
         expected = float(np.trapezoid(rates, traj.times))
         assert expected > 0.0
-        assert residual_pressure_value(traj, 0.5) == expected
+        pressure = feed(samples, PressurePass(prof, params, traj.times, 0.5))
+        assert residual_pressure_value(pressure) == expected
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -280,16 +292,15 @@ class TestREIAuditBasics:
         init = PrimitiveState(
             rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
         )
-        traj = run_primitive(
-            init, radial_profile, EPS02, np.linspace(0.0, 0.3, 7)
-        )
         from anelastic_lab.acoustic import assemble_operator
 
         op = assemble_operator(radial_profile)
         sol = spectral_solution(
             op, AcousticState(s=np.zeros(n), phi=np.zeros(n)), EPS02.eps
         )
-        rep = rei_audit(traj, sol)
+        times = np.linspace(0.0, 0.3, 7)
+        audit = AuditPass(radial_profile, EPS02, times, sol)
+        rep = rei_audit(*streamed(init, radial_profile, EPS02, times, audit))
         assert np.max(np.abs(rep.defect)) < 1.0e-9
         assert np.max(np.abs(rep.lhs)) < 1.0e-9
         assert rep.passed
@@ -298,7 +309,7 @@ class TestREIAuditBasics:
         assert abs(rep.raw_perturbed_max_defect) < 1.0e-9
 
     def test_audit_forms_each_test_strain_once(self, monkeypatch):
-        traj, sol = small_audit_case(64, 20)
+        traj, samples, sol = small_audit_case(64, 20)
         calls = {"radial_gradient": 0, "radial_divergence": 0}
         for name in calls:
             real = getattr(grids, name)
@@ -310,30 +321,33 @@ class TestREIAuditBasics:
             # radial_strain looks the gradient up in grids, the audit in its own namespace
             monkeypatch.setattr(grids, name, counting)
             monkeypatch.setattr(relative_energy, name, counting)
-        rei_audit(traj, sol)
+        rei_audit(feed(samples, AuditPass(traj.prof, traj.params, traj.times, sol)), traj)
         # each block differences grad s and the strains of the (2, rows, n)
         # stacks U and U - u once, and takes div U, div(U - u) and div(s U)
-        blocks = len(list(traj.samples.blocks()))
+        blocks = len(row_blocks(traj.times.size))
         assert blocks > 1
         assert calls == {"radial_gradient": 3 * blocks, "radial_divergence": 3 * blocks}
 
     def test_blocks_keep_every_bit(self):
-        traj, sol = small_audit_case(64, 2 * ROW_BLOCK + 1)
-        prof, params, s = traj.prof, traj.params, traj.samples
-        sizes = [rows.stop - rows.start for rows, _ in s.blocks()]
+        traj, s, sol = small_audit_case(64, 2 * ROW_BLOCK + 1)
+        prof, params = traj.prof, traj.params
+        sizes = [rows.stop - rows.start for rows in row_blocks(s.t.size)]
         assert sizes == [ROW_BLOCK, ROW_BLOCK + 1]  # the one-row remainder joined its neighbour
         assert np.array_equal(traj.energy, total_energy(s, prof, params))
         assert np.array_equal(traj.mass, integrate(s.rho, traj.grid))
-        rows = list(s.blocks())[-1][0]
+        rows = row_blocks(s.t.size)[-1]
         for field in (sol.s, sol.grad_phi, sol.dt_grad_phi, sol.div_rho_grad_phi):
             assert np.array_equal(field(traj.times[rows]), field(traj.times)[rows])
 
     def test_post_run_working_set_does_not_grow_with_samples(self):
         peaks = {"audit": [], "bounds": []}
         for n_samples in (8 * ROW_BLOCK, 16 * ROW_BLOCK):
-            traj, sol = small_audit_case(512, n_samples)
-            for name, run in (("audit", lambda: rei_audit(traj, sol)),
-                              ("bounds", lambda: uniform_bounds_report(traj))):
+            traj, s, sol = small_audit_case(512, n_samples)
+            prof, params, times = traj.prof, traj.params, traj.times
+            for name, run in (
+                ("audit", lambda: rei_audit(feed(s, AuditPass(prof, params, times, sol)), traj)),
+                ("bounds", lambda: uniform_bounds_report(feed(s, BoundsPass(prof, params, times)))),
+            ):
                 tracemalloc.start()
                 try:
                     run()
@@ -350,18 +364,20 @@ class TestREIAuditBasics:
         init = PrimitiveState(
             rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
         )
-        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
+        times = np.array([0.0, 0.1])
         sol = spectral_solution(operator, AcousticState(s=np.zeros(n), phi=np.zeros(n)), 0.4)
         with pytest.raises(DomainError):
-            rei_audit(traj, sol)
+            rei_audit(*streamed(init, radial_profile, EPS02, times,
+                                AuditPass(radial_profile, EPS02, times, sol)))
 
     def test_nonpositive_ansatz_density_rejected(self, radial_profile, radial_grid, operator):
         n = radial_grid.n
         init = PrimitiveState(
             rho=radial_profile.rho0.copy(), mom=np.zeros(n), q=radial_profile.rho0.copy()
         )
-        traj = run_primitive(init, radial_profile, EPS02, np.array([0.0, 0.1]))
+        times = np.array([0.0, 0.1])
         s0 = -3.0 * radial_profile.rho0 / EPS02.eps  # rho0 + eps s = -2 rho0 at t = 0
         sol = spectral_solution(operator, AcousticState(s=s0, phi=np.zeros(n)), EPS02.eps)
         with pytest.raises(DomainError, match="lost positivity"):
-            rei_audit(traj, sol)
+            rei_audit(*streamed(init, radial_profile, EPS02, times,
+                                AuditPass(radial_profile, EPS02, times, sol)))

@@ -3,7 +3,8 @@
 A rename of a traced function, a time loop that calls the dt limit more
 than once per step or takes a state's dissipation rate twice, an audit that evaluates
 an ansatz field at a sample time twice or per sample instead of per block, an `audit-rei`
-that audits its run more than once, or a decay
+that audits its run more than once, a command whose run or measurements
+bypass the traced functions, or a decay
 run that diagonalizes the whole operator instead of the window's modes,
 fails here instead of silently breaking the benchmark's per-layer metrics.
 """
@@ -13,13 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import feed, stacked_run
 
 from anelastic_lab import acoustic, cli, configio, primitive, relative_energy
 from anelastic_lab.grids import Grid
 from anelastic_lab.harness import acoustic_ansatz
 from anelastic_lab.hydrostatics import PotentialSpec, build_profile
 from anelastic_lab.params import ScalingParams
-from anelastic_lab.primitive import GaussianBump, IllPreparedData, init_ill_prepared
+from anelastic_lab.primitive import GaussianBump, IllPreparedData, init_ill_prepared, row_blocks
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -61,7 +63,7 @@ def test_one_dt_limit_and_one_dissipation_rate_per_step(tracing, monkeypatch):
     tracer.install()
     try:
         tracer.begin_flow(0)
-        traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 3))
+        traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 3), [])
         tracer.end_flow()
     finally:
         tracer.uninstall()
@@ -99,56 +101,75 @@ def test_audit_reconstructs_each_field_once(tracing, monkeypatch):
     bump = GaussianBump(0.3, 1.0)
     data = IllPreparedData(rho1=bump, vel_potential=bump)
     init = init_ill_prepared(data, prof, params)
-    traj = primitive.run_primitive(init, prof, params, np.linspace(0.0, 0.2, 20))
+    traj, samples = stacked_run(init, prof, params, np.linspace(0.0, 0.2, 20))
     sol = acoustic_ansatz(data, prof, params.eps, 0.25)
     rows = record_ansatz_rows(monkeypatch)
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.begin_flow(0)
-        relative_energy.rei_audit(traj, sol)
+        audit = feed(samples, relative_energy.AuditPass(prof, params, traj.times, sol))
+        relative_energy.rei_audit(audit, traj)
         tracer.end_flow()
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.flow_spans(0))
     # s, grad Phi, d/dt grad Phi and div(rho0 grad Phi), each evaluated once per
     # block of sample rows for both shapes and both test velocities
-    blocks = len(list(traj.samples.blocks()))
+    blocks = len(row_blocks(20))
     assert blocks > 1
     assert metrics["acoustic.reconstruct_calls"] == 4 * blocks
     assert all(len(r) == blocks and sum(r) == 20 for r in rows.values()), rows
 
 
-def test_cli_audit_makes_one_pass(tracing, tmp_path, monkeypatch):
-    rows = record_ansatz_rows(monkeypatch)
-    reports = []
-    real_report = relative_energy.AuditPass.report
+SMALL = ["--set", "grid.n=96", "--set", "grid.r_max=8.0", "--set", "grid.r_sponge=6.0"]
 
-    def counting_report(self, run):
-        reports.append(run)
-        return real_report(self, run)
 
-    monkeypatch.setattr(relative_energy.AuditPass, "report", counting_report)
+def traced_main(tracing, argv) -> list:
+    """The spans of one traced cli.main(argv) flow, which must exit 0."""
     tracer = tracing.Tracer()
     tracer.install()
     try:
         tracer.begin_flow(0)
-        small = ["--set", "grid.n=96", "--set", "grid.r_max=8.0", "--set", "grid.r_sponge=6.0"]
-        argv = ["audit-rei", *small, "--output", str(tmp_path)]
         assert cli.main(argv) == 0
         tracer.end_flow()
     finally:
         tracer.uninstall()
-    spans = tracer.flow_spans(0)
+    return tracer.flow_spans(0)
+
+
+def test_cli_audit_makes_one_pass(tracing, tmp_path, monkeypatch):
+    rows = record_ansatz_rows(monkeypatch)
+    spans = traced_main(tracing, ["audit-rei", *SMALL, "--output", str(tmp_path)])
     # main runs the traced cmd_audit_rei, which it looks up at call time
     assert sum(rec[0] == "cli.cmd_audit_rei" for rec in spans) == 1
     # the grouped report and both raw defects come from one audit of the streamed run
-    assert len(reports) == 1 and reports[0].samples is None
+    assert sum(rec[0] == "relative_energy.rei_audit" for rec in spans) == 1
     n_samples = len((tmp_path / "rei.csv").read_text().splitlines()) - 1
-    no_fields = primitive.PrimitiveState.of(np.zeros((3, n_samples, 0)), np.zeros(n_samples))
-    blocks = len(list(no_fields.blocks()))
+    blocks = len(row_blocks(n_samples))
     assert tracing.layer_metrics(spans)["acoustic.reconstruct_calls"] == 4 * blocks
     assert all(len(r) == blocks and sum(r) == n_samples for r in rows.values()), rows
+
+
+@pytest.mark.parametrize("command", ["audit-rei", "simulate-primitive"])
+def test_streamed_run_is_traced(tracing, tmp_path, command):
+    spans = traced_main(tracing, [command, *SMALL, "--output", str(tmp_path)])
+    names = [rec[0] for rec in spans]
+    steps = [rec for rec in spans if rec[0] == "primitive.step_primitive"]
+    assert steps and all(names[rec[3]] == "primitive.run_primitive" for rec in steps)
+    metrics = tracing.layer_metrics(spans)
+    assert metrics["primitive.steps.eps0.2"] == metrics["primitive.steps"] == len(steps)
+    assert metrics["primitive.busy_s"] > 0.0
+    if command == "audit-rei":  # each measurement's finishing reduction runs once, traced
+        for name in ("rei_audit", "uniform_bounds_report", "residual_pressure_value"):
+            assert names.count(f"relative_energy.{name}") == 1, name
+
+
+def test_sweep_traces_the_limit_norms_of_every_member(tracing, tmp_path):
+    argv = ["sweep", *SMALL, "--set", "params.horizon=0.2", "--set", "sweep.samples=5"]
+    names = [rec[0] for rec in traced_main(tracing, [*argv, "--output", str(tmp_path)])]
+    members = len(configio.load_config()["sweep.eps_list"])
+    assert names.count("harness.limit_norms") == names.count("harness.run_case") == members
 
 
 def test_decay_assembles_only_the_window_modes(tracing, tmp_path, monkeypatch):
