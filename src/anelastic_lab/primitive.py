@@ -34,31 +34,30 @@ above its CFL 0.1 value, most at the smallest eps, and at eps = 0.1,
 n = 512 its ratio to the linear-acoustic reference C eps (C = 4.569)
 reads 0.966, against 0.931 at CFL 0.4.
 
-A run streams its samples: run_lockstep keeps each member's last samples in
-a block buffer of at most ROW_BLOCK + 1 rows and hands every completed block,
-in the partition of row_blocks, to the member's consumers, so its memory does
-not grow with the sample count and no run keeps its samples.  A post-run
-measurement is a SamplePass: its per-row arithmetic runs on each block, its
-finishing reduction (suprema, trapezoids, cumulative sums) on the per-sample
-values.  Each row reduces alone, so the blocks change no bit.
+A run streams its samples: run_lockstep writes each member's samples into a
+buffer of one row_blocks block (at most ROW_BLOCK + 1 rows) and hands every
+completed block to the member's consumers, so no run keeps its samples.  A
+post-run measurement is a SamplePass: its per-row arithmetic runs on each
+block, its finishing reduction (suprema, trapezoids, cumulative sums) on the
+per-sample values.  Each row reduces alone, so the blocks change no bit.
 
 The runner is lockstep: run_lockstep advances members that differ only
 in eps as one (m, n) stack, one fused step call per iteration, and
 run_primitive is its one-member case.  Each member takes its own dt and
-leaves the stack at a sample time until all have reached it, so a sweep
-runs the largest member's steps per interval instead of their sum.  The
-ledger (dissipation and N3 rates and trapezoids, sponge sinks, outflow)
-is folded once per block of steps, not per step: the rates are taken on
-the block's stacked velocities, where every row reduces alone along its
-own last axis, and the increments are added onto the carried ledger by
-np.add.accumulate, which adds in sequence, so it is bit for bit the
-per-step ledger.
+leaves the stack once, at the horizon, so a sweep runs its largest
+member's steps instead of their sum; samples are dense output, so they
+never shorten a step.  The ledger (dissipation and N3 rates and
+trapezoids, sponge sinks, outflow) is folded once per block of steps: the
+rates are taken on the block's stacked velocities, where every row reduces
+alone along its own last axis, and the increments are added onto the
+carried ledger by np.add.accumulate, which adds in sequence, so it is bit
+for bit the per-step ledger.
 
 Up to the viscous solve, the step does the straightforward expressions'
 floating-point operations in their order, so it is bit for bit their
 result, with fewer numpy calls: a PrimitiveAux holds the step's grid and
 parameter constants, the viscous operator's bands and the work buffers of
-its members (run_lockstep keeps one per membership); rho_f = max(rho,
+its members (run_lockstep slices one per stack); rho_f = max(rho,
 RHO_FLOOR) is formed once per state for u and theta; the pressure is
 q q^(gamma-1), from the power the sound speed takes; differences are
 slices, since np.diff's wrapper costs as much as the subtraction on these
@@ -68,7 +67,6 @@ rows; and lam == 0 skips the bulk dissipation term.
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +87,8 @@ RHO_FLOOR = 1.0e-12
 VACUUM_CUT = 1.0e-10
 CFL = 0.6
 ROW_BLOCK = 8  # sample rows per block of a post-run pass; the audit's test stacks are 16 fields
-# Steps per diagnostic block of run_lockstep.  At the default sweep (3 members,
-# n = 512) its buffers and the fold's temporaries peak at 0.86 MB, and a fold's
-# fixed cost is shared by up to 16 steps: ~3 folds per sample interval of ~32 steps.
+# Steps per diagnostic block of run_lockstep: a fold's fixed cost is shared by up to 16 steps,
+# and at the default sweep (3 members, n = 512) the buffers and its temporaries peak at 0.86 MB.
 _BLOCK = 16
 
 
@@ -523,20 +520,24 @@ class PrimitiveTrajectory:
 def run_lockstep(
     inits, prof: StaticProfile, params, sample_times: np.ndarray, consumers
 ) -> list[PrimitiveTrajectory]:
-    """Advance members that differ only in eps to every sample time, as one stack.
+    """Advance members that differ only in eps from t = 0 to the horizon sample_times[-1].
 
     Rows reduce along their own C-contiguous last axis, so each member is
-    bit for bit its run alone.  The dissipation and N3 rates (N3 on the ball
-    of radius grid.default_compact_radius) use the trapezoidal rule; a
-    SolverFailure names the failing member.  An iteration keeps the step's
-    u, N3 integrand, dt, sinks and fluxes as one row of a block, which is
-    folded into the ledger when it is full or a member reaches the sample time.
+    bit for bit its run alone.  Each member steps at its own stable dt, the
+    last step cut at the horizon.  A sample time t_k in a step from a at t_a
+    to b gets the dense output a + theta (b - a), theta = (t_k - t_a) / dt,
+    and the ledger L_b - (1 - theta) dL, dL the step's increments (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.6), or b and L_b at the step's end:
+    the mass and rho Theta budgets, linear in both, close to round-off.  The
+    dissipation and N3 rates (N3 on the ball of radius
+    grid.default_compact_radius) use the trapezoidal rule; a SolverFailure
+    names the failing member.  An iteration keeps the step's u, N3
+    integrand, dt, sinks and fluxes as one row of a block, folded into the
+    ledger when it is full or its step reaches a sample time.
 
-    Samples stream: once the rows of a row_blocks block are all reached,
-    each member's energy and mass rows are taken on them and every consume
-    of consumers[j] is called as consume(rows, block) for member j, with
-    block a stacked state of views that the next block overwrites.  The
-    returned trajectories keep no samples.
+    Samples stream: once member j has written a row_blocks block, its energy and mass
+    rows are taken on it and each consume of consumers[j] is called as consume(rows,
+    block), block a stacked state of views that the member's next block overwrites.
     """
     for j, init in enumerate(inits):
         init.validate(member=j)
@@ -552,22 +553,18 @@ def run_lockstep(
         x *= w_k
         return x.sum(axis=-1)
 
-    m = len(inits)
-    fields = np.stack([init.fields for init in inits], axis=1)
-    t = np.array([init.t for init in inits], dtype=float)
-    u = PrimitiveState.of(fields, t).velocity
+    m, size, horizon = len(inits), sample_times.size, sample_times[-1]
+    state = PrimitiveState.of(np.stack([init.fields for init in inits], axis=1), np.zeros(m))
+    u = state.velocity
     led = np.zeros((8, m))  # dissipation, N3, sponge and outflow (mass, q), the two rates
-    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(fields[1, :, :nk] * u[:, :nk])
-    # per step of the block its u, N3 integrand mom u on K and (dt, sinks, fluxes);
-    # the live members are the first columns
+    led[6:] = viscous_dissipation_rate(u, aux), n3_rate(state.mom[:, :nk] * u[:, :nk])
+    # per step of the block, live members first: u, mom u on K and (dt, sinks, fluxes)
     blk_u, blk_k = np.empty((_BLOCK, m, grid.n)), np.empty((_BLOCK, m, nk))
     blk_s = np.empty((_BLOCK, 5, m))
-    steps = np.zeros(m, dtype=int)
-    stack_aux = functools.cache(aux.members)  # one aux, with its work buffers, per membership
-    sample_blocks = iter(row_blocks(sample_times.size))
-    open_rows = next(sample_blocks)
-    buffer = np.empty((3, m, ROW_BLOCK + 1, grid.n))  # each member's rows of the open block
-    ledger = np.empty((m, 9, sample_times.size))  # PrimitiveTrajectory series order
+    steps, written = np.zeros((2, m), dtype=int)  # per member: steps taken, samples written
+    block_of = [rows for rows in row_blocks(size) for _ in range(rows.stop - rows.start)]
+    buffer = np.empty((3, m, ROW_BLOCK + 1, grid.n))  # each member's rows of its open block
+    ledger = np.empty((m, 9, size))  # PrimitiveTrajectory series order
 
     def fold(s_led, s_aux, rows):
         """Add the block's first rows onto s_led, the live members' (8, j) ledger."""
@@ -581,50 +578,52 @@ def run_lockstep(
         np.multiply(dt, blk[:, 1:3], out=inc[1:, 2:4])
         np.multiply(dt * area_out, blk[:, 3:], out=inc[1:, 4:6])
         s_led[:6], s_led[6:] = np.add.accumulate(inc[:, :6])[-1], inc[-1, 6:]
+        return inc[-1, :6]  # the last step's increments
 
-    for k, target in enumerate(sample_times):
-        edge = target - 1.0e-13  # a member within round-off of the target has reached it
-        live = np.flatnonzero(t < edge)
-        state, s_led = PrimitiveState.of(fields[:, live], t[live]), led[:, live]
-        u, taken, row = None, 0, 0
-        s_aux = stack_aux(tuple(live.tolist()))
-        while live.size:
-            try:
-                state, dt, flux, sink = step_primitive(state, s_aux, target - state.t, u)
-            except SolverFailure as exc:
-                exc.member = int(live[exc.member])
-                raise
-            taken, j = taken + 1, live.size
-            u = np.divide(state.mom, state.rho_f, out=blk_u[row, :j])
-            np.multiply(state.mom[:, :nk], u[:, :nk], out=blk_k[row, :j])
-            blk_s[row, 0, :j], blk_s[row, 1:3, :j], blk_s[row, 3:, :j] = dt, sink, flux
-            row += 1
-            reached = max(state.t.tolist()) >= edge
-            if reached or row == _BLOCK:
-                fold(s_led, s_aux, row)
-                row = 0
-            if reached:
-                moving = state.t < edge
-                gone, done = live[~moving], ~moving
-                fields[:, gone], t[gone] = state.fields[:, done], state.t[done]
-                led[:, gone] = s_led[:, done]
-                steps[gone] += taken
-                live = live[moving]
-                if live.size:
-                    rho_f, s_aux = state.rho_f[moving], stack_aux(tuple(live.tolist()))
-                    state = PrimitiveState.of(state.fields[:, moving], state.t[moving], rho_f)
-                    s_led, u = s_led[:, moving], u[moving]
-        buffer[:, :, k - open_rows.start] = fields
-        ledger[:, (1, 8, 4, 5, 6, 7), k] = led[:6].T
-        if k + 1 == open_rows.stop:
-            rows = open_rows
-            for j, p in enumerate(aux.params):
-                block = PrimitiveState.of(buffer[:, j, : rows.stop - rows.start], sample_times[rows])
-                ledger[j, 0, rows] = total_energy(block, prof, p)
-                ledger[j, 2:4, rows] = integrate(block.fields[::2], grid)
-                for consume in consumers[j]:
-                    consume(rows, block)
-            open_rows = next(sample_blocks, None)
+    def put(j, fields, cumulative):
+        """Write member j's next sample; hand its block to consumers[j] once complete."""
+        k = written[j]
+        rows, written[j] = block_of[k], k + 1
+        buffer[:, j, k - rows.start], ledger[j, (1, 8, 4, 5, 6, 7), k] = fields, cumulative
+        if k + 1 == rows.stop:
+            block = PrimitiveState.of(buffer[:, j, : rows.stop - rows.start], sample_times[rows])
+            ledger[j, 0, rows] = total_energy(block, prof, aux.params[j])
+            ledger[j, 2:4, rows] = integrate(block.fields[::2], grid)
+            for consume in consumers[j]:
+                consume(rows, block)
+
+    for j in range(m):
+        put(j, state.fields[:, j], led[:6, j])
+    live = np.arange(m if size > 1 else 0)
+    s_led, s_aux, taken, row = led, aux, 0, 0
+    while live.size:
+        try:
+            new, dt, flux, sink = step_primitive(state, s_aux, horizon - state.t, u)
+        except SolverFailure as exc:
+            exc.member = int(live[exc.member])
+            raise
+        u = np.divide(new.mom, new.rho_f, out=blk_u[row, : live.size])
+        np.multiply(new.mom[:, :nk], u[:, :nk], out=blk_k[row, : live.size])
+        blk_s[row, :, : live.size] = dt, *sink, *flux
+        taken, row = taken + 1, row + 1
+        done = new.t >= horizon - 1.0e-13  # within round-off of the horizon: reached
+        ends = np.where(done, size, np.searchsorted(sample_times, new.t, "right"))
+        crossing = np.flatnonzero(ends > written[live])
+        if crossing.size or row == _BLOCK:
+            inc, row = fold(s_led, s_aux, row), 0
+        for i in crossing:
+            a, b = state.fields[:, i], new.fields[:, i]
+            for t_k in sample_times[written[live[i]] : ends[i]]:
+                theta = (t_k - state.t[i]) / dt[i]
+                if theta < 1.0:
+                    put(live[i], a + theta * (b - a), s_led[:6, i] - (1.0 - theta) * inc[:, i])
+                else:  # the step's end, which a cut last step may pass by round-off
+                    put(live[i], b, s_led[:6, i])
+        state, stay = new, ~done
+        if done.any():  # the members that reached the horizon leave the stack
+            steps[live[done]], live = taken, live[stay]
+            state = PrimitiveState.of(new.fields[:, stay], new.t[stay], new.rho_f[stay])
+            s_led, s_aux, u = s_led[:, stay], aux.members(live), u[stay]
 
     return [
         PrimitiveTrajectory(grid, prof, p, sample_times, *ledger[j], step_count=int(steps[j]))
@@ -636,7 +635,6 @@ def run_primitive(
     init: PrimitiveState, prof: StaticProfile, params: ScalingParams, sample_times: np.ndarray,
     consumers,
 ) -> PrimitiveTrajectory:
-    """Advance one run to every sample time, streaming its samples to consumers:
-    run_lockstep with one member."""
+    """run_lockstep with one member: one run, its samples streamed to consumers."""
     [traj] = run_lockstep([init], prof, [params], sample_times, [consumers])
     return traj

@@ -252,6 +252,7 @@ class REIReport:
     tolerance: float
     raw_max_defect: float  # of the raw shape against U
     raw_perturbed_max_defect: float  # of the raw shape against RAW_PERTURBATION * U
+    steps: int  # the audited run's step count
 
     def __post_init__(self) -> None:
         if np.any(self.rel_energy < 0.0):
@@ -267,7 +268,7 @@ class REIReport:
 
     def summary_text(self) -> str:
         parts = [
-            f"rei-audit samples={self.times.size}",
+            f"rei-audit samples={self.times.size} steps={self.steps} horizon={self.times[-1]:.17g}",
             f"max-defect={self.max_defect:.17g}",
             f"tolerance={self.tolerance:.17g}",
             f"pass={self.passed}",
@@ -420,4 +421,5 @@ def rei_audit(audit: AuditPass, run: PrimitiveTrajectory) -> REIReport:
         tolerance=tolerance,
         raw_max_defect=raw_max[0],
         raw_perturbed_max_defect=raw_max[1],
+        steps=run.step_count,
     )

@@ -463,16 +463,19 @@ class TestCli:
         assert main(["simulate-anelastic", *cartesian, "--output", str(tmp_path / "c")]) == 0
         assert calls["step_anelastic"] > 0 and calls["_cg"] > calls["step_anelastic"]
 
-    def test_audit_rei_small(self, tmp_path):
+    def test_audit_rei_small(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = main(
             ["audit-rei", *SMALL, "--set", "params.horizon=0.4", "--output", out]
         )
         assert code == 0
-        assert os.path.exists(os.path.join(out, "rei.csv"))
+        rei = np.loadtxt(os.path.join(out, "rei.csv"), delimiter=",", skiprows=1)
         lines = open(os.path.join(out, "rei_summary.txt")).read().splitlines()
+        assert capsys.readouterr().out.splitlines()[0] == lines[0]
         # audit summary, bounds table, residual pressure, then the three raw lines
-        assert lines[0].startswith("rei-audit samples=")
+        fields = dict(part.split("=", 1) for part in lines[0].split()[1:])
+        assert int(fields["samples"]) == len(rei) and int(fields["steps"]) > 0
+        assert float(fields["horizon"]) == rei[-1, 0] == 0.4
         assert lines[1].startswith("bound   measured-lhs")
         assert lines[-4].startswith("residual-pressure value    = ")
         assert lines[-1].startswith("perturbed strictly larger  = ")

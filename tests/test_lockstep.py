@@ -1,9 +1,10 @@
 """The lockstep eps sweep: members advanced as one stack, bit for bit.
 
 run_lockstep advances members that differ only in eps together, each with
-its own dt, dropping a member from the stack once it reaches the sample
-time.  Every member must reproduce its run alone exactly, the sweep must
-make one step call per lockstep iteration, and a member failing mid-run,
+its own dt, dropping a member from the stack once it reaches the horizon.
+Every member must reproduce its run alone exactly, the sweep must make one
+step call per lockstep iteration, the samples must be dense output that
+leaves the steps and the final state alone, and a member failing mid-run,
 in the update or in the stack's one viscous solve, must leave the partial
 report a one-by-one sweep would write, and a failed single run must leave
 the state it failed on.  The fused step must equal a plain
@@ -115,45 +116,81 @@ def test_aux_rejects_members_that_differ_beyond_eps():
         PrimitiveAux(prof, [params[0], ScalingParams(eps=0.2, alpha=0.5)])
 
 
-def recording_steps(monkeypatch, times):
-    """Patch step_primitive to log, per call, the eps of each member and its sample interval."""
-    calls = []
-    real_step = primitive.step_primitive
+def test_sweep_makes_one_step_call_per_lockstep_iteration(monkeypatch):
+    # each member leaves the stack once, at the horizon: the stack holds all three
+    # members until the eps = 0.4 one is done, never grows back, and the sweep makes
+    # as many step calls as its largest member takes steps
+    prof, params, inits, times = members(EPS[:3])
+    sizes, real_step = [], primitive.step_primitive
 
-    def recording(state, aux, dt_max, *args, **kwargs):
-        targets = state.t + dt_max
-        k = np.argmin(np.abs(times[:, None] - targets), axis=0)
-        calls.append(list(zip(aux.eps[:, 0].tolist(), k.tolist())))
-        return real_step(state, aux, dt_max, *args, **kwargs)
+    def recording(state, *args):
+        sizes.append(state.t.size)
+        return real_step(state, *args)
 
     monkeypatch.setattr(primitive, "step_primitive", recording)
-    return calls
+    runs = run_lockstep(inits, prof, params, times, [()] * len(inits))
+    steps = [run.step_count for run in runs]
+    assert len(sizes) == max(steps) and steps == sorted(steps)
+    assert [sizes.count(size) for size in (3, 2, 1)] == np.diff([0, *steps]).tolist()
+    assert np.all(np.diff(sizes) <= 0)
 
 
-def test_sweep_makes_one_step_call_per_lockstep_iteration(monkeypatch):
-    cfg = small_config()
-    plan = SweepPlan(
-        eps_list=EPS[:3],
-        data=configio.data_from(cfg),
-        potential=configio.potential_from(cfg),
-        params=configio.params_from(cfg),
-        grid=configio.grid_from(cfg),
-        n_samples=17,
-        beta=cfg["sweep.beta"],
-    )
-    prof, params, inits, times = members(EPS[:3])
-    calls = recording_steps(monkeypatch, times)
-    per_interval = np.zeros((3, times.size), dtype=int)
-    for j, (init, p) in enumerate(zip(inits, params)):
-        del calls[:]
-        run_primitive(init, prof, p, times, [])
-        for ((eps, k),) in calls:
-            per_interval[j, k] += 1
-    del calls[:]
-    sweep_epsilon(plan)
-    assert len(calls) == per_interval.max(axis=0).sum() < per_interval.sum()
-    # stacks shrink as members reach the sample time, never below one member
-    assert max(len(c) for c in calls) == 3 and min(len(c) for c in calls) == 1
+@pytest.mark.parametrize("sets", [{}, {"lam": 0.5}], ids=["default", "lam0.5"])
+def test_sample_count_does_not_steer_the_run(sets):
+    # samples are dense output between step states: the steps, the final state and the
+    # final ledger are those of the run sampled only at its ends
+    (prof, [p], [init], _) = members((0.2,), **sets)
+    runs = [stacked_run(init, prof, p, np.linspace(0.0, p.horizon, size))
+            for size in (2, 17, 65, 257)]
+    (first, first_samples), rest = runs[0], runs[1:]
+    assert first.step_count > 0
+    for traj, samples in rest:
+        assert traj.step_count == first.step_count
+        assert np.array_equal(samples.fields[:, -1], first_samples.fields[:, -1])
+        for name in SERIES:
+            assert getattr(traj, name)[-1] == getattr(first, name)[-1], name
+
+
+def test_dense_samples_blend_the_step_states_around_them(monkeypatch):
+    # a sample time inside the step from a to b is sampled as a + theta (b - a), theta =
+    # (t - t_a) / dt, and the mass budget still closes on the blended samples
+    prof, [p], [init], _ = members((0.2,))
+    steps, real_step = [], primitive.step_primitive
+
+    def recording(*args):
+        out = real_step(*args)
+        steps.append((out[0].fields[:, 0].copy(), float(out[0].t[0]), float(out[1][0])))
+        return out
+
+    monkeypatch.setattr(primitive, "step_primitive", recording)
+    _, ends = stacked_run(init, prof, p, np.array([0.0, p.horizon]))
+    (a, t_a, _), (b, _, dt) = steps[4:6]
+    times = np.array([0.0, t_a + 0.25 * dt, t_a + 0.75 * dt, p.horizon])
+    traj, samples = stacked_run(init, prof, p, times)
+    for k in (1, 2):
+        theta = (times[k] - t_a) / dt
+        assert np.array_equal(samples.fields[:, k], a + theta * (b - a))
+    assert traj.step_count == len(steps) // 2
+    assert np.array_equal(samples.fields[:, -1], steps[-1][0])  # the last step state itself
+    assert np.array_equal(samples.fields[:, -1], ends.fields[:, -1])
+    defect = traj.mass - traj.mass[0] + traj.outer_mass_flux + traj.sponge_mass
+    assert np.all(np.abs(defect) <= 1.0e-12 * traj.mass[0])
+
+
+def test_audit_does_not_follow_its_sample_mesh(tmp_path, capsys):
+    # points_per_period sets the audit's quadrature mesh only: at n = 256 the run takes
+    # the same steps at 8, 24 and 96 points per period, and its max-defect moves < 1 %
+    summaries = []
+    for ppp in (8, 24, 96):
+        out = tmp_path / str(ppp)
+        argv = ["audit-rei", "--set", "grid.n=256", "--set", f"acoustic.points_per_period={ppp}"]
+        assert main([*argv, "--output", str(out)]) == 0
+        first = (out / "rei_summary.txt").read_text().splitlines()[0]
+        summaries.append(dict(part.split("=", 1) for part in first.split()[1:]))
+    capsys.readouterr()
+    assert len({s["steps"] for s in summaries}) == 1 and len({s["samples"] for s in summaries}) == 3
+    defects = [float(s["max-defect"]) for s in summaries]
+    assert max(defects) < 1.01 * min(defects), defects
 
 
 def poison_second_member(monkeypatch):
@@ -436,7 +473,7 @@ def test_members_equals_a_fresh_aux(idx):
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_folded_ledger_equals_the_per_step_ledger(monkeypatch, rows):
     # one row per block is the per-step ledger; with 3 samples an interval holds
-    # more steps than the default block, and members leave the stack mid-block
+    # more steps than the default block
     prof, params, inits, times = members(EPS)
     times = times[::8]
     default = lockstep(inits, prof, params, times)

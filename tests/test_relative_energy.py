@@ -268,10 +268,12 @@ class TestRelEnergyReport:
                 tolerance=1.0,
                 raw_max_defect=0.0,
                 raw_perturbed_max_defect=0.0,
+                steps=3,
             )
 
         assert report(np.zeros(2)).summary_text() == (
-            "rei-audit samples=2 max-defect=0 tolerance=1 pass=True rhs[velocity]=0"
+            "rei-audit samples=2 steps=3 horizon=0.10000000000000001 max-defect=0 "
+            "tolerance=1 pass=True rhs[velocity]=0"
         )
         with pytest.raises(DomainError, match="nonnegative"):
             report(np.array([0.0, -1.0]))
