@@ -522,18 +522,17 @@ def run_lockstep(
 ) -> list[PrimitiveTrajectory]:
     """Advance members that differ only in eps from t = 0 to the horizon sample_times[-1].
 
-    Rows reduce along their own C-contiguous last axis, so each member is
-    bit for bit its run alone.  Each member steps at its own stable dt, the
-    last step cut at the horizon.  A sample time t_k in a step from a at t_a
-    to b gets the dense output a + theta (b - a), theta = (t_k - t_a) / dt,
-    and the ledger L_b - (1 - theta) dL, dL the step's increments (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6), or b and L_b at the step's end:
-    the mass and rho Theta budgets, linear in both, close to round-off.  The
-    dissipation and N3 rates (N3 on the ball of radius
-    grid.default_compact_radius) use the trapezoidal rule; a SolverFailure
-    names the failing member.  An iteration keeps the step's u, N3
-    integrand, dt, sinks and fluxes as one row of a block, folded into the
-    ledger when it is full or its step reaches a sample time.
+    Rows reduce along their own C-contiguous last axis, so each member is bit for
+    bit its run alone.  Each member steps at its own stable dt, the last step cut at
+    the horizon.  A sample time t_k in a step from a at t_a to b gets the dense output
+    a + theta (b - a), theta = (t_k - t_a) / dt, and the ledger L_b - (1 - theta) dL,
+    dL the step's increments (Hairer, Norsett & Wanner, Solving ODEs I, II.6), or b
+    and L_b at the step's end: the mass and rho Theta budgets, linear in both, close
+    to round-off.  The dissipation and N3 rates (N3 on the ball of radius
+    grid.default_compact_radius) use the trapezoidal rule; a SolverFailure names the
+    failing member.  An iteration keeps the step's u, N3 integrand, dt, sinks and
+    fluxes as one row of a block, folded into the ledger when it is full or its step
+    reaches a sample.
 
     Samples stream: once member j has written a row_blocks block, its energy and mass
     rows are taken on it and each consume of consumers[j] is called as consume(rows,
@@ -594,36 +593,37 @@ def run_lockstep(
 
     for j in range(m):
         put(j, state.fields[:, j], led[:6, j])
+    reach = np.append(sample_times[:-1], (horizon - 1.0e-13, np.inf))  # horizon: within round-off
     live = np.arange(m if size > 1 else 0)
-    s_led, s_aux, taken, row = led, aux, 0, 0
+    due, s_led, s_aux, taken, row = reach[written[live]], led, aux, 0, 0  # next reach per member
     while live.size:
         try:
             new, dt, flux, sink = step_primitive(state, s_aux, horizon - state.t, u)
         except SolverFailure as exc:
             exc.member = int(live[exc.member])
             raise
-        u = np.divide(new.mom, new.rho_f, out=blk_u[row, : live.size])
-        np.multiply(new.mom[:, :nk], u[:, :nk], out=blk_k[row, : live.size])
-        blk_s[row, :, : live.size] = dt, *sink, *flux
-        taken, row = taken + 1, row + 1
-        done = new.t >= horizon - 1.0e-13  # within round-off of the horizon: reached
-        ends = np.where(done, size, np.searchsorted(sample_times, new.t, "right"))
-        crossing = np.flatnonzero(ends > written[live])
+        taken, j = taken + 1, live.size
+        u = np.divide(new.mom, new.rho_f, out=blk_u[row, :j])
+        np.multiply(new.mom[:, :nk], u[:, :nk], out=blk_k[row, :j])
+        blk_s[row, 0, :j], blk_s[row, 1:3, :j], blk_s[row, 3:, :j] = dt, sink, flux
+        crossing, row = np.flatnonzero(new.t >= due), row + 1
         if crossing.size or row == _BLOCK:
             inc, row = fold(s_led, s_aux, row), 0
         for i in crossing:
             a, b = state.fields[:, i], new.fields[:, i]
-            for t_k in sample_times[written[live[i]] : ends[i]]:
+            end = np.searchsorted(reach, new.t[i], "right")
+            for t_k in sample_times[written[live[i]] : end]:
                 theta = (t_k - state.t[i]) / dt[i]
                 if theta < 1.0:
                     put(live[i], a + theta * (b - a), s_led[:6, i] - (1.0 - theta) * inc[:, i])
                 else:  # the step's end, which a cut last step may pass by round-off
                     put(live[i], b, s_led[:6, i])
-        state, stay = new, ~done
-        if done.any():  # the members that reached the horizon leave the stack
-            steps[live[done]], live = taken, live[stay]
+            due[i] = reach[end]
+        state = new
+        if crossing.size and not (stay := due < np.inf).all():  # members done leave the stack
+            steps[live[~stay]], live = taken, live[stay]
             state = PrimitiveState.of(new.fields[:, stay], new.t[stay], new.rho_f[stay])
-            s_led, s_aux, u = s_led[:, stay], aux.members(live), u[stay]
+            s_led, s_aux, u, due = s_led[:, stay], aux.members(live), u[stay], due[stay]
 
     return [
         PrimitiveTrajectory(grid, prof, p, sample_times, *ledger[j], step_count=int(steps[j]))
