@@ -22,6 +22,10 @@ than that setting.
 The default configuration has no bulk viscosity (params.lam = 0), so the
 bulk branches of the dissipation rate, the bounds and the audit do not
 reach the digest; check a change to them with `--set params.lam=0.5`.
+Nor does the residual pressure: at the default r12 is 0 for every sweep
+member and the audit's residual-pressure value is 0.  `--set
+params.lam=0.5 --set data.rho1_amp=5 --set sweep.eps_list=0.5,0.4,0.3
+--set grid.n=128` exercises it in the sweep (r12 = 3.27 / 0.508 / 0).
 A run hands its samples to the measurements in blocks of 8 rows, and a
 one-row remainder joins the last block; check a change to that partition
 with a short run too, `--set sweep.samples=17` (blocks of 8 and 9 rows).

@@ -5,7 +5,7 @@ feeds back through the buoyancy -T grad F.  In radial geometry the flux
 rho0 V vanishes at r = 0, so the only admissible velocity is V = 0:
 temperature is frozen and grad Pi balances -T grad F.  run_anelastic
 writes that closed form and takes no step; the epsilon-sweep harness
-uses it as its reference.
+compares with the same limit (V = 0, frozen theta2) without calling it.
 
 The cartesian mode stores V on the staggered (MAC) faces and admits a
 nontrivial solenoidal velocity, so only it has a time loop.  Each step is
@@ -17,7 +17,7 @@ beyond the projection tolerance; the density R = rho0 / T is derived.
 The projection is an acceptance gate (c03), and simulate-anelastic runs
 the loop with --experimental.
 
-A run keeps its samples stacked, as the primitive run does; the
+A run keeps its samples stacked (a primitive run streams its own); the
 divergence norms, the density and each smoothness surrogate are one
 array pass over the stack, bit for bit what each sample alone gives.
 """

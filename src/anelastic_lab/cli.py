@@ -35,11 +35,10 @@ from .harness import (
 )
 from .helmholtz import DEFAULT_TOL, SolverError, StaggeredVector
 from .hydrostatics import build_profile, flatness_report, static_residual
-from .primitive import DataError, PrimitiveState, SolverFailure, init_ill_prepared, run_primitive
+from .primitive import DataError, SolverFailure, init_ill_prepared, run_primitive
 from .relative_energy import (
     AuditPass,
     BoundsPass,
-    PressurePass,
     rei_audit,
     residual_pressure_value,
     uniform_bounds_report,
@@ -128,14 +127,8 @@ def cmd_simulate_primitive(args) -> int:
     data = configio.data_from(cfg)
     init = init_ill_prepared(data, prof, params)
     times = np.linspace(0.0, params.horizon, cfg["run.samples"])
-    last = []  # the run streams its samples and keeps a copy of the final one only
-
-    def keep_last(rows, block):
-        if rows.stop == times.size:
-            last.append(block.row(-1).fields.copy())
-
     with _leaving_failed_state(outdir, grid, params):
-        traj = run_primitive(init, prof, params, times, [keep_last])
+        traj = run_primitive(init, prof, params, times, [])
     rows = zip(
         traj.times,
         traj.energy,
@@ -148,7 +141,7 @@ def cmd_simulate_primitive(args) -> int:
         ["t", "energy", "dissipation", "mass", "mass_defect"],
         rows,
     )
-    _write_state(outdir, PrimitiveState.of(last[0], traj.times[-1]), grid, params)
+    _write_state(outdir, traj.final, grid, params)
     print(
         f"simulate-primitive: steps={traj.step_count} "
         f"E0={traj.energy[0]:.17g} E_end={traj.energy[-1]:.17g}"
@@ -330,16 +323,15 @@ def cmd_audit_rei(args) -> int:
     )
     init = init_ill_prepared(data, prof, params)
     sol = acoustic_ansatz(data, prof, params.eps, delta)
-    # the run streams its samples to the three passes, so it keeps none
-    audit = AuditPass(prof, params, times, sol)
-    bounds, pressure = BoundsPass(prof, params, times), PressurePass(prof, params, times, beta)
+    # the run streams its samples to the two passes, so it keeps none
+    audit, bounds = AuditPass(prof, params, times, sol), BoundsPass(prof, params, times, beta)
     with _leaving_failed_state(outdir, prof.grid, params):
-        run = run_primitive(init, prof, params, times, (audit, bounds, pressure))
+        run = run_primitive(init, prof, params, times, (audit, bounds))
     rep = rei_audit(audit, run)
     text = "\n".join((
         rep.summary_text(),
         uniform_bounds_report(bounds).text(),
-        f"residual-pressure value    = {residual_pressure_value(pressure):.17g}",
+        f"residual-pressure value    = {residual_pressure_value(bounds):.17g}",
         f"raw ansatz max-defect      = {rep.raw_max_defect:.17g}",
         f"raw perturbed max-defect   = {rep.raw_perturbed_max_defect:.17g}",
         f"perturbed strictly larger  = {rep.raw_perturbed_max_defect > rep.raw_max_defect}",

@@ -49,7 +49,6 @@ from .relative_energy import (
     SLOPE_FLOOR,
     BoundsPass,
     BoundsReport,
-    PressurePass,
     constants_spread,
     fit_eps_slope,
     residual_pressure_value,
@@ -120,13 +119,13 @@ def limit_norms(norms: NormsPass, run: PrimitiveTrajectory) -> tuple[float, floa
 
 
 def run_case(run: PrimitiveTrajectory, passes: tuple) -> CaseResult:
-    """One sweep member's measurements, from its run and the (NormsPass, BoundsPass,
-    PressurePass) its samples streamed to."""
-    norms, bounds, pressure = passes
+    """One sweep member's measurements, from its run and the (NormsPass, BoundsPass)
+    its samples streamed to."""
+    norms, bounds = passes
     n1, n2a, n2b, n3 = limit_norms(norms, run)
     return CaseResult(
         eps=run.params.eps, bounds=uniform_bounds_report(bounds),
-        n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=residual_pressure_value(pressure),
+        n1=n1, n2a=n2a, n2b=n2b, n3=n3, r12=residual_pressure_value(bounds),
     )
 
 
@@ -211,10 +210,10 @@ class ConvergenceReport:
 
 
 def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
-    """Run the members in lockstep, each streaming its samples to its limit-norm,
-    bounds and residual-pressure passes; a solver failure aborts with the partial
-    report.  If member j fails mid-run, the members before it run again without
-    it, with fresh passes, so the report holds what a one-by-one sweep would finish."""
+    """Run the members in lockstep, each streaming its samples to its limit-norm and
+    bounds passes; a solver failure aborts with the partial report.  If member j fails
+    mid-run, the members before it run again without it, with fresh passes, so the
+    report holds what a one-by-one sweep would finish."""
     params = [plan.params.with_eps(eps) for eps in plan.eps_list]
     prof = build_profile(plan.potential, plan.params, plan.grid)  # independent of eps
     times = np.linspace(0.0, plan.params.horizon, plan.n_samples)
@@ -223,8 +222,8 @@ def sweep_epsilon(plan: SweepPlan) -> ConvergenceReport:
     while members and not runs:
         try:
             inits = [init_ill_prepared(plan.data, prof, p) for p in params[:members]]
-            passes = [(NormsPass(prof, p, times, theta2), BoundsPass(prof, p, times),
-                       PressurePass(prof, p, times, plan.beta)) for p in params[:members]]
+            passes = [(NormsPass(prof, p, times, theta2), BoundsPass(prof, p, times, plan.beta))
+                      for p in params[:members]]
             runs = run_lockstep(inits, prof, params[:members], times, passes)
         except SolverFailure as exc:
             members, failure = exc.member, exc

@@ -57,7 +57,7 @@ Up to the viscous solve, the step does the straightforward expressions'
 floating-point operations in their order, so it is bit for bit their
 result, with fewer numpy calls: a PrimitiveAux holds the step's grid and
 parameter constants, the viscous operator's bands and the work buffers of
-its members (run_lockstep slices one per stack); rho_f = max(rho,
+its members (run_lockstep makes one per stack); rho_f = max(rho,
 RHO_FLOOR) is formed once per state for u and theta; the pressure is
 q q^(gamma-1), from the power the sound speed takes; differences are
 slices, since np.diff's wrapper costs as much as the subtraction on these
@@ -66,7 +66,6 @@ rows; and lam == 0 skips the bulk dissipation term.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,10 +150,6 @@ class PrimitiveState:
         th = self.fields[2] / self.rho_f
         return np.where(self.fields[0] < VACUUM_CUT, 1.0, th)
 
-    def row(self, k: int | slice) -> "PrimitiveState":
-        """Sample k (an index or a slice of rows) of a stacked state, as views."""
-        return PrimitiveState.of(self.fields[:, k], self.t[k])
-
 
 def row_blocks(n_samples: int) -> list[slice]:
     """The sample rows in blocks of ROW_BLOCK rows.  A one-row remainder joins the block
@@ -167,9 +162,9 @@ def row_blocks(n_samples: int) -> list[slice]:
 class SamplePass:
     """A post-run measurement of one run, split in two.  As a consumer of the streamed
     run it is called on each block of sample rows and keeps measure(block), the per-row
-    arithmetic, in values[:, rows]; after the run a function of the subclass's module
-    (limit_norms, uniform_bounds_report, residual_pressure_value, rei_audit) reduces
-    those per-sample values."""
+    arithmetic, in values[:, rows]; after the run functions of the subclass's module reduce
+    those per-sample values: limit_norms a NormsPass, uniform_bounds_report and
+    residual_pressure_value a BoundsPass, rei_audit an AuditPass."""
 
     n_series: int  # rows of values, the per-sample series measure returns
 
@@ -286,15 +281,11 @@ class PrimitiveAux:
         self.cfl_h, self.mu43, self.lam = CFL * grid.h, base.mu * (4.0 / 3.0), base.lam
         cols = [(p.eps, p.eps**2, p.eps**p.alpha, p.eps**p.alpha * (4.0 * p.mu / 3.0 + p.lam),
                  c_ghost / p.eps) for p in params]
-        self._stack(np.array(cols).T[..., None])
-
-    def _stack(self, cols: np.ndarray) -> None:
-        """Take the members' (5, m, 1) columns and allocate the step's buffers for m members.
-        Their constant columns are set once: the static ghost has no deviation or convective
-        flux and its wave speed is c_ghost; no flux crosses r = 0."""
-        self.cols, m, n = cols, cols.shape[1], self.grid.n
+        cols, m, n = np.array(cols).T[..., None], len(cols), grid.n
         self.eps, self.eps2, _, self.visc_coef, self.c_ghost = cols
         self.eps_alpha = cols[2, :, 0]
+        # the step's buffers for m members, their constant columns set once: the static ghost
+        # has no deviation or convective flux and its wave speed is c_ghost; no flux crosses r = 0
         self.dev, self.x, self.fluxes, self.face_fluxes = np.zeros((4, 3, m, n + 1))
         self.spd = np.zeros((m, n + 1))
         self.spd[:, -1:], self.work = self.c_ghost, np.zeros((3, m, n))
@@ -302,13 +293,6 @@ class PrimitiveAux:
         # side B, then N, NRHS, LDB and INFO; _solve_viscous reads their raw addresses
         self.tri, self.tri_ints = np.zeros((4, m, n)), np.array([m * n, 1, m * n, 0], np.int64)
         self.gtsv_args = None
-
-    def members(self, idx) -> "PrimitiveAux":
-        """The same data for the members idx only: the columns sliced, the rest shared."""
-        aux = copy.copy(self)
-        aux.params = tuple(self.params[i] for i in idx)
-        aux._stack(self.cols[:, idx])
-        return aux
 
     def pressure_gradient(self, p: np.ndarray) -> np.ndarray:
         """d/dr of the face means of cell pressures p (last axis); the origin
@@ -499,21 +483,21 @@ def viscous_dissipation_rate(u: np.ndarray, aux: PrimitiveAux) -> np.ndarray:
 
 @dataclass
 class PrimitiveTrajectory:
-    """Per-run conservation and energy bookkeeping, one entry per sample time."""
+    """Per-run conservation and energy bookkeeping, one entry per sample time, the
+    cumulative series in the order of run_lockstep's ledger; and the state at the horizon."""
 
-    grid: Grid
-    prof: StaticProfile
     params: ScalingParams
     times: np.ndarray
     energy: np.ndarray
-    dissipation: np.ndarray  # cumulative viscous dissipation at samples
     mass: np.ndarray
     q_mass: np.ndarray
+    dissipation: np.ndarray  # cumulative viscous dissipation at samples
+    n3_integral: np.ndarray  # cumulative int ||sqrt(rho/rho0) u||^2_{L2(K)} dt
     sponge_mass: np.ndarray  # cumulative sponge mass sink at samples
     sponge_q: np.ndarray
     outer_mass_flux: np.ndarray  # cumulative convective outflow at samples
     outer_q_flux: np.ndarray
-    n3_integral: np.ndarray  # cumulative int ||sqrt(rho/rho0) u||^2_{L2(K)} dt
+    final: PrimitiveState  # a copy of the last sample: the state at the horizon, or at t = 0
     step_count: int = 0
 
 
@@ -537,6 +521,8 @@ def run_lockstep(
     Samples stream: once member j has written a row_blocks block, its energy and mass
     rows are taken on it and each consume of consumers[j] is called as consume(rows,
     block), block a stacked state of views that the member's next block overwrites.
+    A member that reaches the horizon leaves the stack, and the step buffers are made
+    afresh for the members that stay.
     """
     for j, init in enumerate(inits):
         init.validate(member=j)
@@ -563,31 +549,34 @@ def run_lockstep(
     steps, written = np.zeros((2, m), dtype=int)  # per member: steps taken, samples written
     block_of = [rows for rows in row_blocks(size) for _ in range(rows.stop - rows.start)]
     buffer = np.empty((3, m, ROW_BLOCK + 1, grid.n))  # each member's rows of its open block
-    ledger = np.empty((m, 9, size))  # PrimitiveTrajectory series order
+    ledger = np.empty((m, 9, size))  # PrimitiveTrajectory series order: energy, masses, led[:6]
+    final = [None] * m
 
-    def fold(s_led, s_aux, rows):
-        """Add the block's first rows onto s_led, the live members' (8, j) ledger."""
-        j = s_led.shape[1]
+    def fold(rows):
+        """Add the block's first rows onto led, the live members' (8, j) ledger."""
+        j = led.shape[1]
         blk, inc = blk_s[:rows, :, :j], np.empty((rows + 1, 8, j))
         # row 0 is the carried ledger, row i + 1 step i's increments and new rates
-        inc[0], inc[1:, 7] = s_led, n3_rate(blk_k[:rows, :j])
-        inc[1:, 6] = viscous_dissipation_rate(blk_u[:rows, :j], s_aux)
+        inc[0], inc[1:, 7] = led, n3_rate(blk_k[:rows, :j])
+        inc[1:, 6] = viscous_dissipation_rate(blk_u[:rows, :j], aux)
         dt = blk[:, :1]  # per-step operand order: (0.5 dt)(prev + rate), dt sink, (dt area) flux
         np.multiply(0.5 * dt, inc[:-1, 6:] + inc[1:, 6:], out=inc[1:, :2])
         np.multiply(dt, blk[:, 1:3], out=inc[1:, 2:4])
         np.multiply(dt * area_out, blk[:, 3:], out=inc[1:, 4:6])
-        s_led[:6], s_led[6:] = np.add.accumulate(inc[:, :6])[-1], inc[-1, 6:]
+        led[:6], led[6:] = np.add.accumulate(inc[:, :6])[-1], inc[-1, 6:]
         return inc[-1, :6]  # the last step's increments
 
     def put(j, fields, cumulative):
         """Write member j's next sample; hand its block to consumers[j] once complete."""
         k = written[j]
         rows, written[j] = block_of[k], k + 1
-        buffer[:, j, k - rows.start], ledger[j, (1, 8, 4, 5, 6, 7), k] = fields, cumulative
+        buffer[:, j, k - rows.start], ledger[j, 3:, k] = fields, cumulative
+        if k + 1 == size:  # the horizon: a copy of the member's state there
+            final[j] = PrimitiveState(*fields, t=sample_times[k])
         if k + 1 == rows.stop:
             block = PrimitiveState.of(buffer[:, j, : rows.stop - rows.start], sample_times[rows])
-            ledger[j, 0, rows] = total_energy(block, prof, aux.params[j])
-            ledger[j, 2:4, rows] = integrate(block.fields[::2], grid)
+            ledger[j, 0, rows] = total_energy(block, prof, params[j])
+            ledger[j, 1:3, rows] = integrate(block.fields[::2], grid)
             for consume in consumers[j]:
                 consume(rows, block)
 
@@ -595,10 +584,10 @@ def run_lockstep(
         put(j, state.fields[:, j], led[:6, j])
     reach = np.append(sample_times[:-1], (horizon - 1.0e-13, np.inf))  # horizon: within round-off
     live = np.arange(m if size > 1 else 0)
-    due, s_led, s_aux, taken, row = reach[written[live]], led, aux, 0, 0  # next reach per member
+    due, taken, row = reach[written[live]], 0, 0  # due: each member's next reach
     while live.size:
         try:
-            new, dt, flux, sink = step_primitive(state, s_aux, horizon - state.t, u)
+            new, dt, flux, sink = step_primitive(state, aux, horizon - state.t, u)
         except SolverFailure as exc:
             exc.member = int(live[exc.member])
             raise
@@ -608,26 +597,29 @@ def run_lockstep(
         blk_s[row, 0, :j], blk_s[row, 1:3, :j], blk_s[row, 3:, :j] = dt, sink, flux
         crossing, row = np.flatnonzero(new.t >= due), row + 1
         if crossing.size or row == _BLOCK:
-            inc, row = fold(s_led, s_aux, row), 0
+            inc, row = fold(row), 0
         for i in crossing:
             a, b = state.fields[:, i], new.fields[:, i]
             end = np.searchsorted(reach, new.t[i], "right")
             for t_k in sample_times[written[live[i]] : end]:
                 theta = (t_k - state.t[i]) / dt[i]
                 if theta < 1.0:
-                    put(live[i], a + theta * (b - a), s_led[:6, i] - (1.0 - theta) * inc[:, i])
+                    put(live[i], a + theta * (b - a), led[:6, i] - (1.0 - theta) * inc[:, i])
                 else:  # the step's end, which a cut last step may pass by round-off
-                    put(live[i], b, s_led[:6, i])
+                    put(live[i], b, led[:6, i])
             due[i] = reach[end]
         state = new
         if crossing.size and not (stay := due < np.inf).all():  # members done leave the stack
             steps[live[~stay]], live = taken, live[stay]
+            if not live.size:
+                break
             state = PrimitiveState.of(new.fields[:, stay], new.t[stay], new.rho_f[stay])
-            s_led, s_aux, u, due = s_led[:, stay], aux.members(live), u[stay], due[stay]
+            led, u, due = led[:, stay], u[stay], due[stay]
+            aux = PrimitiveAux(prof, [params[i] for i in live])
 
     return [
-        PrimitiveTrajectory(grid, prof, p, sample_times, *ledger[j], step_count=int(steps[j]))
-        for j, p in enumerate(aux.params)
+        PrimitiveTrajectory(p, sample_times, *ledger[j], final[j], int(steps[j]))
+        for j, p in enumerate(params)
     ]
 
 

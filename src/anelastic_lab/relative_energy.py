@@ -14,9 +14,9 @@ the scheme's numerical dissipation.  Time derivatives of the acoustic
 pieces are taken from the wave equations analytically, never by finite
 differencing the samples.  Each measurement is a SamplePass: its per-row
 arithmetic runs on the blocks of about 8 sample rows that the streamed run hands
-it, and the audit evaluates its ansatz per block; uniform_bounds_report,
-residual_pressure_value and rei_audit are the finishing reductions of a pass the
-run has fed.
+it, and the audit evaluates its ansatz per block.  A run feeds two of them: a
+BoundsPass, which uniform_bounds_report and residual_pressure_value reduce, and
+an AuditPass, which rei_audit reduces.
 """
 
 from __future__ import annotations
@@ -128,18 +128,24 @@ class BoundsReport:
 
 
 class BoundsPass(SamplePass):
-    """The scaled a-priori bounds along a run.
+    """The scaled a-priori bounds along a run, and the residual pressure on K.
 
     For each bound the implied constant divides out the stated eps power,
     so a sweep can check that the constants stay comparable across eps.
-    Suprema and time integrals run over per-sample values.
+    Suprema and time integrals run over per-sample values.  The residual
+    pressure (r12) integrates ([rho Theta]_res)**(gamma + beta) over the ball K
+    of radius grid.default_compact_radius, with the residual part r7 forms.
     """
 
-    n_series = 7
+    n_series = 8
+
+    def __init__(self, prof, params, times, beta: float):
+        super().__init__(prof, params, times)
+        self.power, self.mask = params.gamma + beta, self.grid.ball_mask(self.grid.default_compact_radius)
 
     def measure(self, s: PrimitiveState) -> tuple:
         """int rho u^2, the deviatoric-strain, divergence and W^{1,2} rates and the r5,
-        r6 and r7 integrands' values, per row."""
+        r6, r7 and r12 integrands' values, per row."""
         prof, grid, eps, gamma = self.prof, self.grid, self.params.eps, self.params.gamma
         u = s.velocity
         sq_u = integrate(s.rho * u * u, grid)
@@ -150,13 +156,16 @@ class BoundsPass(SamplePass):
         r6 = lp_norm(chi * ((s.rho - prof.rho0) / eps), 2.0, grid)
         r6 += lp_norm(chi * ((s.q - prof.rho0) / eps), 2.0, grid)
         res = 1.0 - chi
-        r7 = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res * s.q) ** gamma, grid)
-        return (sq_u, *rates, r5, r6, r7)
+        res_q = res * s.q
+        r7 = integrate(res + np.abs(res * s.rho) ** gamma + np.abs(res_q) ** gamma, grid)
+        # res_q[:, mask] is a copy, whose rows sum as single samples do
+        r12 = np.sum(res_q[:, self.mask] ** self.power * grid.weights[self.mask], axis=-1)
+        return (sq_u, *rates, r5, r6, r7, r12)
 
 
 def uniform_bounds_report(bounds: BoundsPass) -> BoundsReport:
     """The bounds' left-hand sides and implied constants, from a fed BoundsPass."""
-    params, times, (sq_u, *rates, r5, r6, r7) = bounds.params, bounds.times, bounds.values
+    params, times, (sq_u, *rates, r5, r6, r7) = bounds.params, bounds.times, bounds.values[:7]
     eps, alpha = params.eps, params.alpha
     sup_sqrho_u = float(np.max(np.sqrt(sq_u)))
     dev_l2, div_l2, w12_l2 = (float(np.sqrt(np.trapezoid(r, times))) for r in rates)
@@ -195,27 +204,9 @@ def constants_spread(reports: list[BoundsReport], key: str) -> float:
     return float(np.max(vals) / lo)
 
 
-class PressurePass(SamplePass):
-    """Space-time integral over the ball K of ([rho Theta]_res)**(gamma+beta).
-
-    K is the ball of radius grid.default_compact_radius.
-    """
-
-    n_series = 1
-
-    def __init__(self, prof, params, times, beta: float):
-        super().__init__(prof, params, times)
-        self.power, self.mask = params.gamma + beta, self.grid.ball_mask(self.grid.default_compact_radius)
-
-    def measure(self, s: PrimitiveState) -> np.ndarray:
-        q = s.q[:, self.mask]  # a copy, whose rows sum as single samples do
-        res_q = (1.0 - self.prof.cutoff.chi(q)) * q
-        return np.sum(res_q**self.power * self.grid.weights[self.mask], axis=-1)
-
-
-def residual_pressure_value(pressure: PressurePass) -> float:
-    """The space-time integral, from a fed PressurePass."""
-    return float(np.trapezoid(pressure.values[0], pressure.times))
+def residual_pressure_value(bounds: BoundsPass) -> float:
+    """The residual pressure's space-time integral over K, from a fed BoundsPass."""
+    return float(np.trapezoid(bounds.values[7], bounds.times))
 
 
 SLOPE_FLOOR = 1.0e-30

@@ -24,7 +24,7 @@ def feed(samples, consume):
     """Hand consume(rows, block) every row_blocks block of stacked samples, as a
     streamed run does; returns consume."""
     for rows in row_blocks(samples.t.size):
-        consume(rows, samples.row(rows))
+        consume(rows, PrimitiveState.of(samples.fields[:, rows], samples.t[rows]))
     return consume
 
 

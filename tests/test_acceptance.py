@@ -47,7 +47,7 @@ from anelastic_lab.primitive import (
 )
 from anelastic_lab.relative_energy import (
     AuditPass,
-    PressurePass,
+    BoundsPass,
     fit_eps_slope,
     rei_audit,
     rel_energy,
@@ -223,13 +223,13 @@ def test_c05_wave_speed():
     _, samples = stacked_run(init, prof, params, np.array([0.0, 2.0, 6.0]))
     r = grid.centers
 
-    def peak(state):
-        y = r * np.abs(state.rho - prof.rho0)
+    def peak(rho):
+        y = r * np.abs(rho - prof.rho0)
         i = int(np.argmax(y))
         a, b, c = y[i - 1], y[i], y[i + 1]
         return r[i] + 0.5 * (a - c) / (a - 2 * b + c) * grid.h
 
-    speed = (peak(samples.row(2)) - peak(samples.row(1))) / 4.0
+    speed = (peak(samples.rho[2]) - peak(samples.rho[1])) / 4.0
     target = np.sqrt(GAMMA)
     rel = abs(speed - target) / target
     verdict(5, "wave speed", rel < 0.03, f"speed={speed:.5f} target={target:.5f} rel={rel:.3%}", t0)
@@ -389,9 +389,9 @@ def test_c12_residual_pressure(sweep_report):
         data = IllPreparedData(rho1=GaussianBump(25.0, 0.8), theta2=GaussianBump(0.2, 1.0))
         init = init_ill_prepared(data, prof, params)
         times = np.linspace(0.0, 0.6, 41)
-        pressure = PressurePass(prof, params, times, 0.5)
-        run_primitive(init, prof, params, times, [pressure])
-        values.append(residual_pressure_value(pressure))
+        bounds = BoundsPass(prof, params, times, 0.5)
+        run_primitive(init, prof, params, times, [bounds])
+        values.append(residual_pressure_value(bounds))
     slope = fit_eps_slope(eps_list, values)
     strong_ok = all(v > 0.0 for v in values) and slope >= 2.0
     ok = main_ok and strong_ok

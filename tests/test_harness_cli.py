@@ -314,14 +314,24 @@ class TestCli:
         _, params, prof = cli._profile_setup(cfg)
         init = init_ill_prepared(configio.data_from(cfg), prof, params)
         traj, samples = stacked_run(init, prof, params, np.linspace(0.0, 0.3, cfg["run.samples"]))
-        last = samples.row(-1)
+        assert np.array_equal(traj.final.fields, samples.fields[:, -1]) and traj.final.t == 0.3
         with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
-            assert np.array_equal(saved["fields"], last.fields) and saved["t"] == last.t == 0.3
+            assert np.array_equal(saved["fields"], traj.final.fields) and saved["t"] == 0.3
             assert (str(saved["geometry"]), int(saved["n"])) == ("radial", 96)
             assert (saved["r_max"], saved["r_sponge"]) == (8.0, 6.0)
             for key in ("eps", "alpha", "gamma", "lam", "mu", "rho_bar"):
                 assert saved[key] == getattr(traj.params, key)
             assert len(saved.files) == 12
+
+    def test_one_sample_run_keeps_its_initial_state(self, tmp_path, capsys):
+        sets = ["--set", "run.samples=1", "--set", "grid.n=64"]
+        assert main(["simulate-primitive", *sets, "--output", str(tmp_path)]) == 0
+        assert "steps=0 " in capsys.readouterr().out
+        cfg = configio.load_config(None, sets[1::2])
+        _, params, prof = cli._profile_setup(cfg)
+        init = init_ill_prepared(configio.data_from(cfg), prof, params)
+        with np.load(tmp_path / "final_state.npz", allow_pickle=False) as saved:
+            assert np.array_equal(saved["fields"], init.fields) and saved["t"] == 0.0
 
     def test_simulate_acoustic(self, tmp_path):
         out = str(tmp_path / "o")

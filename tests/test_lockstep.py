@@ -53,7 +53,6 @@ from anelastic_lab.primitive import (
 from anelastic_lab.relative_energy import (
     AuditPass,
     BoundsPass,
-    PressurePass,
     rei_audit,
     residual_pressure_value,
     uniform_bounds_report,
@@ -61,8 +60,8 @@ from anelastic_lab.relative_energy import (
 
 EPS = (0.4, 0.2, 0.1, 0.05)
 SERIES = (
-    "energy", "dissipation", "mass", "q_mass", "sponge_mass", "sponge_q",
-    "outer_mass_flux", "outer_q_flux", "n3_integral",
+    "energy", "mass", "q_mass", "dissipation", "n3_integral", "sponge_mass", "sponge_q",
+    "outer_mass_flux", "outer_q_flux",
 )
 SMALL = ["--set", "grid.n=64", "--set", "sweep.samples=17"]
 
@@ -455,21 +454,6 @@ def test_step_results_are_not_views_of_the_buffers():
     assert failure.value.member == 1 and np.array_equal(failure.value.state.fields, failed)
 
 
-@pytest.mark.parametrize("idx", [[1, 2], [2]])
-def test_members_equals_a_fresh_aux(idx):
-    prof, params, inits, _ = members(EPS[:3])
-    aux = PrimitiveAux(prof, params)
-    primitive.step_primitive(stacked(inits), aux, np.full(3, 1.0))  # dirty the buffers
-    sliced, fresh = aux.members(np.array(idx)), PrimitiveAux(prof, [params[i] for i in idx])
-    assert vars(sliced).keys() == vars(fresh).keys()
-    for name, value in vars(fresh).items():
-        other = getattr(sliced, name)
-        if isinstance(value, np.ndarray):
-            assert np.array_equal(other, value), name
-        else:
-            assert other is value or other == value, name
-
-
 @pytest.mark.parametrize("rows", [1, 2, 5])
 def test_folded_ledger_equals_the_per_step_ledger(monkeypatch, rows):
     # one row per block is the per-step ledger; with 3 samples an interval holds
@@ -512,17 +496,17 @@ def test_streamed_measurements_equal_the_stacked_ones(sets):
         traj, samples = stacked_run(init, prof, p, times)
         n1, n2a, n2b, n3 = limit_norms(feed(samples, NormsPass(prof, p, times, theta2)), traj)
         assert (report.n1[j], report.n2a[j], report.n2b[j], report.n3[j]) == (n1, n2a, n2b, n3)
-        pressure = feed(samples, PressurePass(prof, p, times, plan.beta))
-        assert report.r12[j] == residual_pressure_value(pressure)
-        assert report.bounds[j] == uniform_bounds_report(feed(samples, BoundsPass(prof, p, times)))
+        bounds = feed(samples, BoundsPass(prof, p, times, plan.beta))
+        assert report.r12[j] == residual_pressure_value(bounds)
+        assert report.bounds[j] == uniform_bounds_report(bounds)
 
     # the audit as audit-rei streams it, against the audit of the stacked run
     p, data = params[-1], plan.data
     times = np.linspace(0.0, min(p.horizon, audit_quarantine_time(prof, p)), 17)
     sol = acoustic_ansatz(data, prof, p.eps, cfg["acoustic.delta"])
     audit = AuditPass(prof, p, times, sol)
-    bounds, pressure = BoundsPass(prof, p, times), PressurePass(prof, p, times, plan.beta)
-    run = run_primitive(inits[-1], prof, p, times, (audit, bounds, pressure))
+    bounds = BoundsPass(prof, p, times, plan.beta)
+    run = run_primitive(inits[-1], prof, p, times, (audit, bounds))
     streamed, (traj, samples) = rei_audit(audit, run), stacked_run(inits[-1], prof, p, times)
     stacked = rei_audit(feed(samples, AuditPass(prof, p, times, sol)), traj)
     assert np.array_equal(streamed.times, stacked.times)
@@ -533,10 +517,9 @@ def test_streamed_measurements_equal_the_stacked_ones(sets):
         assert np.array_equal(streamed.rhs_groups[name], series), name
     for name in ("tolerance", "raw_max_defect", "raw_perturbed_max_defect"):
         assert getattr(streamed, name) == getattr(stacked, name), name
-    assert uniform_bounds_report(bounds) == uniform_bounds_report(
-        feed(samples, BoundsPass(prof, p, times)))
-    assert residual_pressure_value(pressure) == residual_pressure_value(
-        feed(samples, PressurePass(prof, p, times, plan.beta)))
+    stacked_bounds = feed(samples, BoundsPass(prof, p, times, plan.beta))
+    assert uniform_bounds_report(bounds) == uniform_bounds_report(stacked_bounds)
+    assert residual_pressure_value(bounds) == residual_pressure_value(stacked_bounds)
 
 
 def test_streamed_sweep_working_set_does_not_grow_with_samples():

@@ -28,7 +28,7 @@ def step_one(state, aux, dt_max):
     """step_primitive on a one-member stack: member 0's new state, dt, fluxes and sinks."""
     stack = PrimitiveState.of(state.fields[:, None], np.array([state.t]))
     out, dt, fluxes, sinks = step_primitive(stack, aux, np.array([dt_max]))
-    return out.row(0), dt[0], fluxes[:, 0], sinks[:, 0]
+    return PrimitiveState.of(out.fields[:, 0], out.t[0]), dt[0], fluxes[:, 0], sinks[:, 0]
 
 
 def acoustic_data(amp=0.4):
@@ -193,7 +193,7 @@ def short_run(radial_profile, radial_grid):
 @pytest.fixture(scope="module")
 def renorm_traj(radial_profile, radial_grid):
     init = init_ill_prepared(acoustic_data(), radial_profile, EPS02)
-    return stacked_run(init, radial_profile, EPS02, np.linspace(0.0, 0.5, 26))
+    return radial_profile, *stacked_run(init, radial_profile, EPS02, np.linspace(0.0, 0.5, 26))
 
 
 class TestRun:
@@ -289,14 +289,14 @@ class TestEnergyFunctional:
 
 def renorm_defect(run, b, db) -> float:
     """Largest renormalized-transport defect of b (derivative db) along a run, given
-    as its trajectory and stacked samples.
+    as its profile, trajectory and stacked samples.
 
     Between consecutive samples d/dt int b(q) is compared against
     int (b - b' q) div u, charging the sponge sink and the outer boundary
     convection to the budget; the residue is normalized by int |b|.
     """
-    traj, s = run
-    prof, grid = traj.prof, traj.grid
+    prof, traj, s = run
+    grid = prof.grid
     bq, dbq, u = b(s.q), db(s.q), s.velocity
     rhs = integrate((bq - dbq * s.q) * radial_divergence(u, grid), grid)
     sig_w = PrimitiveAux(prof, [traj.params]).sig_w
@@ -328,9 +328,9 @@ class TestRenormalization:
             g = Grid("radial", n, 16.0, 12.0)
             prof = build_profile(PotentialSpec(), EPS02, g)
             init = init_ill_prepared(acoustic_data(), prof, EPS02)
-            run = stacked_run(init, prof, EPS02, np.linspace(0.0, 0.4, 33))
+            run = prof, *stacked_run(init, prof, EPS02, np.linspace(0.0, 0.4, 33))
             # a renormalization b is capped beyond the range of q; here q stays below the cap
-            assert run[1].q.max() < 2.0 * prof.rho_max
+            assert run[2].q.max() < 2.0 * prof.rho_max
             defects.append(renorm_defect(run, np.square, lambda y: 2.0 * y))
         assert defects[0] / defects[1] >= 1.8
 

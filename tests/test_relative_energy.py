@@ -6,7 +6,7 @@ from conftest import feed, stacked_run
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anelastic_lab import grids, relative_energy
+from anelastic_lab import configio, grids, relative_energy
 from anelastic_lab.acoustic import AcousticState, spectral_solution
 from anelastic_lab.grids import (
     DomainError,
@@ -34,7 +34,6 @@ from anelastic_lab.primitive import (
 from anelastic_lab.relative_energy import (
     AuditPass,
     BoundsPass,
-    PressurePass,
     _velocity_rates,
     fit_eps_slope,
     h_bracket,
@@ -49,15 +48,15 @@ EPS02 = ScalingParams(eps=0.2, horizon=1.0)
 
 
 def small_audit_case(n: int, n_samples: int):
-    """A run on n cells of radius 8 sampled at n_samples times, its stacked samples and
-    its acoustic ansatz."""
+    """The profile of n cells of radius 8, a run on it sampled at n_samples times, its
+    stacked samples and its acoustic ansatz."""
     params = ScalingParams(eps=0.4, horizon=0.2)
     prof = build_profile(PotentialSpec(), params, Grid("radial", n, 8.0, 6.0))
     bump = GaussianBump(0.3, 1.0)
     data = IllPreparedData(rho1=bump, vel_potential=bump)
     times = np.linspace(0.0, params.horizon, n_samples)
     traj, samples = stacked_run(init_ill_prepared(data, prof, params), prof, params, times)
-    return traj, samples, acoustic_ansatz(data, prof, params.eps, 0.25)
+    return prof, traj, samples, acoustic_ansatz(data, prof, params.eps, 0.25)
 
 
 def streamed(init, prof, params, times, measurement):
@@ -161,7 +160,8 @@ class TestUniformBounds:
             q=radial_profile.rho0.copy(),
         )
         times = np.array([0.0, 0.3])
-        bounds, _ = streamed(init, radial_profile, EPS02, times, BoundsPass(radial_profile, EPS02, times))
+        bounds = BoundsPass(radial_profile, EPS02, times, 0.5)
+        streamed(init, radial_profile, EPS02, times, bounds)
         rep = uniform_bounds_report(bounds)
         for key in ("r2", "r3", "r5", "r6", "r7", "r8"):
             assert rep.constants[key] < 1.0e-10
@@ -174,7 +174,8 @@ class TestUniformBounds:
         )
         init = init_ill_prepared(data, radial_profile, EPS02)
         times = np.linspace(0.0, 0.5, 11)
-        bounds, _ = streamed(init, radial_profile, EPS02, times, BoundsPass(radial_profile, EPS02, times))
+        bounds = BoundsPass(radial_profile, EPS02, times, 0.5)
+        streamed(init, radial_profile, EPS02, times, bounds)
         rep = uniform_bounds_report(bounds)
         for key, value in rep.constants.items():
             assert np.isfinite(value), key
@@ -188,8 +189,8 @@ class TestResidualPressure:
         data = IllPreparedData(rho1=GaussianBump(0.3, 1.0))
         init = init_ill_prepared(data, radial_profile, EPS02)
         times = np.array([0.0, 0.2])
-        pressure = PressurePass(radial_profile, EPS02, times, 0.5)
-        val = residual_pressure_value(streamed(init, radial_profile, EPS02, times, pressure)[0])
+        bounds = BoundsPass(radial_profile, EPS02, times, 0.5)
+        val = residual_pressure_value(streamed(init, radial_profile, EPS02, times, bounds)[0])
         assert val == 0.0
 
     def test_strong_data_slope(self):
@@ -204,8 +205,8 @@ class TestResidualPressure:
             data = IllPreparedData(rho1=GaussianBump(25.0, 0.8))
             init = init_ill_prepared(data, prof, params)
             times = np.linspace(0.0, 0.4, 21)
-            pressure, _ = streamed(init, prof, params, times, PressurePass(prof, params, times, 0.5))
-            values.append(residual_pressure_value(pressure))
+            bounds, _ = streamed(init, prof, params, times, BoundsPass(prof, params, times, 0.5))
+            values.append(residual_pressure_value(bounds))
         assert values[0] > values[1] > 0.0
         assert fit_eps_slope(eps_list, values) >= 2.0
 
@@ -224,8 +225,29 @@ class TestResidualPressure:
         ]
         expected = float(np.trapezoid(rates, traj.times))
         assert expected > 0.0
-        pressure = feed(samples, PressurePass(prof, params, traj.times, 0.5))
-        assert residual_pressure_value(pressure) == expected
+        bounds = feed(samples, BoundsPass(prof, params, traj.times, 0.5))
+        assert residual_pressure_value(bounds) == expected
+
+    def test_bounds_pass_keeps_the_pressure_pass_bits(self):
+        # strong data, where r12 is exercised: the eps = 0.5 member of the sweep
+        # --set params.lam=0.5 --set data.rho1_amp=5 --set grid.n=128
+        cfg = configio.load_config(None, ["params.lam=0.5", "data.rho1_amp=5", "grid.n=128"])
+        params = configio.params_from(cfg).with_eps(0.5)
+        prof = build_profile(configio.potential_from(cfg), params, configio.grid_from(cfg))
+        times, beta = np.linspace(0.0, params.horizon, cfg["sweep.samples"]), cfg["sweep.beta"]
+        mask = prof.grid.ball_mask(prof.grid.default_compact_radius)
+        former = np.empty(times.size)
+
+        def pressure_pass(rows, block):  # the separate pass r12 had before BoundsPass took it
+            q = block.q[:, mask]
+            res_q = (1.0 - prof.cutoff.chi(q)) * q
+            former[rows] = np.sum(res_q ** (params.gamma + beta) * prof.grid.weights[mask], axis=-1)
+
+        bounds = BoundsPass(prof, params, times, beta)
+        init = init_ill_prepared(configio.data_from(cfg), prof, params)
+        run_primitive(init, prof, params, times, [bounds, pressure_pass])
+        assert np.array_equal(bounds.values[7], former)
+        assert residual_pressure_value(bounds) == pytest.approx(3.27, abs=0.005)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
@@ -311,7 +333,7 @@ class TestREIAuditBasics:
         assert abs(rep.raw_perturbed_max_defect) < 1.0e-9
 
     def test_audit_forms_each_test_strain_once(self, monkeypatch):
-        traj, samples, sol = small_audit_case(64, 20)
+        prof, traj, samples, sol = small_audit_case(64, 20)
         calls = {"radial_gradient": 0, "radial_divergence": 0}
         for name in calls:
             real = getattr(grids, name)
@@ -323,7 +345,7 @@ class TestREIAuditBasics:
             # radial_strain looks the gradient up in grids, the audit in its own namespace
             monkeypatch.setattr(grids, name, counting)
             monkeypatch.setattr(relative_energy, name, counting)
-        rei_audit(feed(samples, AuditPass(traj.prof, traj.params, traj.times, sol)), traj)
+        rei_audit(feed(samples, AuditPass(prof, traj.params, traj.times, sol)), traj)
         # each block differences grad s and the strains of the (2, rows, n)
         # stacks U and U - u once, and takes div U, div(U - u) and div(s U)
         blocks = len(row_blocks(traj.times.size))
@@ -331,12 +353,12 @@ class TestREIAuditBasics:
         assert calls == {"radial_gradient": 3 * blocks, "radial_divergence": 3 * blocks}
 
     def test_blocks_keep_every_bit(self):
-        traj, s, sol = small_audit_case(64, 2 * ROW_BLOCK + 1)
-        prof, params = traj.prof, traj.params
+        prof, traj, s, sol = small_audit_case(64, 2 * ROW_BLOCK + 1)
+        params = traj.params
         sizes = [rows.stop - rows.start for rows in row_blocks(s.t.size)]
         assert sizes == [ROW_BLOCK, ROW_BLOCK + 1]  # the one-row remainder joined its neighbour
         assert np.array_equal(traj.energy, total_energy(s, prof, params))
-        assert np.array_equal(traj.mass, integrate(s.rho, traj.grid))
+        assert np.array_equal(traj.mass, integrate(s.rho, prof.grid))
         rows = row_blocks(s.t.size)[-1]
         for field in (sol.s, sol.grad_phi, sol.dt_grad_phi, sol.div_rho_grad_phi):
             assert np.array_equal(field(traj.times[rows]), field(traj.times)[rows])
@@ -344,11 +366,11 @@ class TestREIAuditBasics:
     def test_post_run_working_set_does_not_grow_with_samples(self):
         peaks = {"audit": [], "bounds": []}
         for n_samples in (8 * ROW_BLOCK, 16 * ROW_BLOCK):
-            traj, s, sol = small_audit_case(512, n_samples)
-            prof, params, times = traj.prof, traj.params, traj.times
+            prof, traj, s, sol = small_audit_case(512, n_samples)
+            params, times = traj.params, traj.times
             for name, run in (
                 ("audit", lambda: rei_audit(feed(s, AuditPass(prof, params, times, sol)), traj)),
-                ("bounds", lambda: uniform_bounds_report(feed(s, BoundsPass(prof, params, times)))),
+                ("bounds", lambda: uniform_bounds_report(feed(s, BoundsPass(prof, params, times, 0.5)))),
             ):
                 tracemalloc.start()
                 try:

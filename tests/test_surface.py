@@ -8,8 +8,9 @@ points), or wrapped by the benchmark tracer (`perfbench/tracing.py`
 TARGETS).  The package `__init__`'s `__all__` does not count: exporting a
 name is not using it.  The check is by name, so a method counts as
 reached when any attribute of that name is read, except an attribute of
-numpy (`np.zeros` reaches no `zeros` of the library); ALLOWED lists the
-rest, each with its reason.
+numpy (`np.zeros` reaches no `zeros` of the library), and only so: a bare
+name, such as a local variable, reaches a function or class but no method.
+ALLOWED lists the rest, each with its reason.
 """
 
 import ast
@@ -43,14 +44,15 @@ def definitions(module: str, tree: ast.Module):
 
 
 def references(tree: ast.Module):
-    """(name, line) of every name and attribute read in the module, but numpy's attributes."""
+    """(name, line, is an attribute) of every name and attribute read in the module, but
+    numpy's attributes."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute) and not (
             isinstance(node.value, ast.Name) and node.value.id == "np"
         ):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def exported(tree: ast.Module) -> set[str]:
@@ -72,11 +74,11 @@ def unreached() -> list[str]:
         for qualified, name, node in definitions(module, tree):
             if qualified in traced or (node in tree.body and name in exports):
                 continue
-            inside = range(node.lineno, node.end_lineno + 1)
+            inside, method = range(node.lineno, node.end_lineno + 1), node not in tree.body
             if not any(
-                ref == name and (other != module or line not in inside)
+                ref == name and (attribute or not method) and (other != module or line not in inside)
                 for other, found in refs.items()
-                for ref, line in found
+                for ref, line, attribute in found
             ):
                 missing.append(qualified)
     return missing
